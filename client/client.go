@@ -119,16 +119,6 @@ func WithPolicy(p Policy) Option {
 	return func(c *Client) { c.policy = p }
 }
 
-// WithRetry is the legacy retry knob, kept as a shim over WithPolicy: up to
-// retries reconnect attempts per silent period (progress refills the
-// budget), backoff apart. retries 0 disables resumption.
-func WithRetry(retries int, backoff time.Duration) Option {
-	return func(c *Client) {
-		c.policy.MaxAttempts = retries + 1
-		c.policy.BaseBackoff = backoff
-	}
-}
-
 // WithRequestID sets the X-Request-ID header on every request this client
 // sends. The server adopts it as the request's trace ID, so one
 // caller-chosen token links the client call to the server's access log and

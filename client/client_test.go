@@ -387,7 +387,7 @@ func TestClientResumesAfterKilledConnections(t *testing.T) {
 	defer srv.Close()
 
 	ctx := context.Background()
-	c := client.New(srv.URL, client.WithRetry(5, 10*time.Millisecond))
+	c := client.New(srv.URL, client.WithPolicy(client.Policy{MaxAttempts: 6, BaseBackoff: 10 * time.Millisecond}))
 	st, err := c.CreateJob(ctx, jobGrid)
 	if err != nil {
 		t.Fatal(err)
@@ -427,7 +427,7 @@ func TestClientResumesAfterKilledConnections(t *testing.T) {
 	proxy.kills = 1 << 30
 	proxy.limit = 10
 	proxy.mu.Unlock()
-	short := client.New(srv.URL, client.WithRetry(2, time.Millisecond))
+	short := client.New(srv.URL, client.WithPolicy(client.Policy{MaxAttempts: 3, BaseBackoff: time.Millisecond}))
 	if _, err := short.StreamJobResults(ctx, st.ID, 0, func(client.SweepRecord) error { return nil }); err == nil {
 		t.Error("stream against a dead network succeeded")
 	}

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -391,6 +392,67 @@ func TestWorkerHTTPEndpoints(t *testing.T) {
 	})
 	if !isStatus(err, http.StatusGone) {
 		t.Fatalf("unknown job submission: %v", err)
+	}
+}
+
+// TestWorkerReplansReusedJobID restarts an in-memory coordinator under a
+// running worker. The new coordinator numbers jobs from job-1 again, so the
+// worker is leased a job ID it has served before with a different request;
+// it must evaluate the new request, not the plan it kept for the old job.
+func TestWorkerReplansReusedJobID(t *testing.T) {
+	var current atomic.Pointer[http.ServeMux]
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		current.Load().ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer cancel()
+
+	// run starts a fresh in-memory coordinator behind srv and evaluates req
+	// on it as a distributed job.
+	run := func(req service.SweepRequest) []byte {
+		t.Helper()
+		e := coordEngine()
+		coord := NewCoordinator(Config{LeaseTTL: 2 * time.Second, ShardSize: 4, Registry: e.Registry()})
+		defer coord.Close()
+		store := service.NewJobStore(e, service.JobStoreConfig{Runner: coord})
+		defer store.Close(context.Background())
+		current.Store(service.NewMux(e, store, coord.Routes()...))
+		req.Distributed = true
+		j, err := store.Create(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j.ID() != "job-1" {
+			t.Fatalf("fresh coordinator numbered its first job %q, want job-1", j.ID())
+		}
+		if st := waitTerminal(t, j, 120*time.Second); st.State != service.JobCompleted {
+			t.Fatalf("job: %+v", st)
+		}
+		return streamAll(t, j, 0)
+	}
+
+	first, second := distReq(), distReq()
+	second.Seed, second.Runs = 12, 300
+	want := goldenLocal(t, second)
+	current.Store(http.NewServeMux())
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		err := RunWorker(ctx, WorkerConfig{
+			Coordinator: srv.URL,
+			Engine:      service.EngineConfig{CacheSize: 64},
+			Poll:        20 * time.Millisecond,
+		})
+		if err != nil && ctx.Err() == nil {
+			t.Errorf("worker: %v", err)
+		}
+	}()
+	run(first)
+	if got := run(second); !bytes.Equal(got, want) {
+		t.Fatalf("job-1 after a coordinator restart diverges from its own request's golden:\n got %.200s\nwant %.200s", got, want)
 	}
 }
 

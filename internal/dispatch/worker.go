@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"reflect"
 	"time"
 
 	"dmfb/client"
@@ -97,9 +98,9 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	logger.Info("worker registered",
 		slog.String("worker", reg.WorkerID), slog.String("coordinator", cfg.Coordinator))
 
-	// Plans are cached per job: every lease of one job carries the identical
-	// request, and re-planning a 20k-point grid per shard would be waste.
-	plans := make(map[string]*service.SweepPlan)
+	// Every lease of one job carries the identical request, and re-planning
+	// a 20k-point grid per shard would be waste, so the last plan is kept.
+	var plans planSlot
 	for {
 		lease, err := cli.LeaseShard(ctx, reg.WorkerID)
 		if ctx.Err() != nil {
@@ -121,7 +122,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 			}
 			continue
 		}
-		if err := evalLease(ctx, cli, engine, plans, reg.WorkerID, lease, policy, cfg.Inject, logger); err != nil {
+		if err := evalLease(ctx, cli, engine, &plans, reg.WorkerID, lease, policy, cfg.Inject, logger); err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()
 			}
@@ -139,18 +140,10 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 // expired and the shard belongs to someone else, so burning more CPU on it
 // helps nobody (its submission would still be accepted, but a live twin is
 // already on it).
-func evalLease(ctx context.Context, cli *client.Client, engine *service.Engine, plans map[string]*service.SweepPlan, workerID string, lease *client.ShardLease, policy client.Policy, inject *faultinject.Injector, logger *slog.Logger) error {
-	plan, ok := plans[lease.JobID]
-	if !ok {
-		p, err := engine.PlanSweep(lease.Request)
-		if err != nil {
-			return fmt.Errorf("plan leased sweep: %w", err)
-		}
-		// The lease's chunk size is the coordinator's — part of the
-		// determinism contract, never this worker's own default.
-		p.SetChunkSize(lease.ChunkSize)
-		plans[lease.JobID] = p
-		plan = p
+func evalLease(ctx context.Context, cli *client.Client, engine *service.Engine, plans *planSlot, workerID string, lease *client.ShardLease, policy client.Policy, inject *faultinject.Injector, logger *slog.Logger) error {
+	plan, err := plans.get(engine, lease)
+	if err != nil {
+		return err
 	}
 	if lease.Start < 0 || lease.End > plan.NumPoints() || lease.Start > lease.End {
 		return fmt.Errorf("lease range [%d,%d) outside grid of %d points", lease.Start, lease.End, plan.NumPoints())
@@ -241,6 +234,35 @@ func evalLease(ctx context.Context, cli *client.Client, engine *service.Engine, 
 		}
 	}
 	return nil
+}
+
+// planSlot holds the plan of the last lease a worker evaluated, so the
+// worker's memory does not grow with the jobs it serves. The plan is reused
+// only for a lease of the same job with the same request and chunk size: an
+// in-memory coordinator numbers jobs from job-1 again after a restart, so a
+// job ID alone does not identify a request.
+type planSlot struct {
+	jobID     string
+	req       service.SweepRequest
+	chunkSize int
+	plan      *service.SweepPlan
+}
+
+// get returns the plan for lease, re-planning when the slot holds another
+// lease's.
+func (s *planSlot) get(engine *service.Engine, lease *client.ShardLease) (*service.SweepPlan, error) {
+	if s.plan != nil && s.jobID == lease.JobID && s.chunkSize == lease.ChunkSize && reflect.DeepEqual(s.req, lease.Request) {
+		return s.plan, nil
+	}
+	plan, err := engine.PlanSweep(lease.Request)
+	if err != nil {
+		return nil, fmt.Errorf("plan leased sweep: %w", err)
+	}
+	// The lease's chunk size is the coordinator's — part of the determinism
+	// contract, never this worker's own default.
+	plan.SetChunkSize(lease.ChunkSize)
+	*s = planSlot{jobID: lease.JobID, req: lease.Request, chunkSize: lease.ChunkSize, plan: plan}
+	return plan, nil
 }
 
 // submitShard delivers one shard's records under the retry policy.

@@ -131,9 +131,13 @@ func (p Proportion) Contains(v float64) bool {
 // early stopping pays off most.
 //
 // Repeatedly testing a confidence interval mid-stream makes the realized
-// coverage slightly below the nominal 95% (the usual sequential-testing
-// caveat); the kernel mitigates this by evaluating the rule only at chunk
-// boundaries, never per trial, and the estimate itself stays unbiased.
+// coverage below the nominal 95% (the usual sequential-testing caveat); the
+// kernel mitigates this by evaluating the rule only at chunk boundaries,
+// never per trial, but does not correct for it. Nor is the stopped estimate
+// unbiased in general: the stopping time depends on the data, so the
+// proportion at the stopping boundary can be biased even though every
+// fixed-size prefix is not. Neither effect has been measured yet; ROADMAP
+// item 4 (statistical conformance) plans to.
 type SequentialCI struct {
 	// Epsilon is the target 95% half-width; zero or negative disables the
 	// rule (Satisfied never fires).

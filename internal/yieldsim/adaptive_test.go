@@ -1,10 +1,10 @@
 package yieldsim
 
 // Differential and acceptance tests for precision-targeted adaptive
-// sampling. The adaptive path's contract has two halves: with the rule
-// disabled (or never firing) it is bit-identical to the fixed-run kernel,
-// and with the rule firing the realized count and estimate depend only on
-// (Seed, Epsilon, MaxRuns, ChunkSize) — never on Workers or GOMAXPROCS.
+// sampling. The contract has two halves: with the rule disabled (or never
+// firing) the estimate is bit-identical to a fixed-run one, and with the
+// rule firing the realized count and estimate depend only on
+// (Seed, Epsilon, Runs, ChunkSize) — never on Workers or GOMAXPROCS.
 
 import (
 	"context"
@@ -43,10 +43,10 @@ func TestDifferentialAdaptiveEpsilonZero(t *testing.T) {
 }
 
 // TestDifferentialAdaptiveBudgetExhaustion pins the harder half of the
-// equivalence: an epsilon so small the rule can never fire makes the
-// adaptive scheduler run to budget exhaustion through its own bookkeeping —
-// commit ledger, prefix folding, discard logic — and the result must still
-// be bit-identical to the fixed-run kernel.
+// equivalence: an epsilon so small the rule can never fire runs to budget
+// exhaustion while testing the live rule at every committed boundary, and
+// the result must still be bit-identical to the fixed-run (epsilon = 0)
+// estimate.
 func TestDifferentialAdaptiveBudgetExhaustion(t *testing.T) {
 	cases := differentialCases(t)
 	for _, seed := range differentialSeeds(t) {
@@ -156,25 +156,13 @@ func TestAdaptiveRealizedCountIsChunkAligned(t *testing.T) {
 	}
 }
 
-// TestAdaptiveMaxRunsBounds checks MaxRuns overrides Runs as the budget and
-// a non-positive budget is rejected.
-func TestAdaptiveMaxRunsBounds(t *testing.T) {
+// TestAdaptiveNonPositiveBudgetRejected checks a precision-targeted
+// estimate with a non-positive trial budget is rejected.
+func TestAdaptiveNonPositiveBudgetRejected(t *testing.T) {
 	arr, err := layout.BuildWithPrimaryTarget(layout.DTMB26(), 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc := NewMonteCarlo(1)
-	mc.Runs = 10000
-	mc.MaxRuns = 512
-	mc.Epsilon = 1e-9 // never fires: must exhaust exactly the MaxRuns budget
-	res, err := mc.Yield(arr, 0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Runs != 512 {
-		t.Errorf("realized %d trials, want the 512-trial MaxRuns budget", res.Runs)
-	}
-
 	bad := NewMonteCarlo(1)
 	bad.Runs = 0
 	bad.Epsilon = 0.01
@@ -183,9 +171,10 @@ func TestAdaptiveMaxRunsBounds(t *testing.T) {
 	}
 }
 
-// TestAdaptiveTelemetry checks the adaptive kernel feeds the early-stop
-// counter and realized-runs histogram: one early stop observes both, a
-// budget exhaustion observes only the histogram.
+// TestAdaptiveTelemetry checks the kernel feeds the early-stop counter and
+// realized-runs histogram only for precision-targeted estimates: one early
+// stop observes both, a budget exhaustion observes only the histogram, and
+// a fixed-run (epsilon = 0) estimate observes neither.
 func TestAdaptiveTelemetry(t *testing.T) {
 	arr, err := layout.BuildWithPrimaryTarget(layout.DTMB26(), 100)
 	if err != nil {
@@ -222,6 +211,19 @@ func TestAdaptiveTelemetry(t *testing.T) {
 	}
 	if got := m.RealizedRuns.Count(); got != 2 {
 		t.Errorf("realized-runs observations %d, want 2", got)
+	}
+
+	fixed := NewMonteCarlo(3)
+	fixed.Runs = 512
+	fixed.Metrics = m
+	if _, err := fixed.Yield(arr, 0.999); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.EarlyStops.Value(); got != 1 {
+		t.Errorf("fixed-run estimate counted as early stop (%d)", got)
+	}
+	if got := m.RealizedRuns.Count(); got != 2 {
+		t.Errorf("fixed-run estimate observed in realized runs (%d observations, want 2)", got)
 	}
 }
 

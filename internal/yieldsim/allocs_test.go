@@ -19,51 +19,28 @@ import (
 	"dmfb/internal/sqgrid"
 )
 
-// programForTest builds one worker's trial program from a factory and warms
-// its scratch (fault set or trial batch, session, memo, injector pool) with
-// a few iterations of whichever form the program takes.
-func programForTest(t *testing.T, factory trialFactory, in *defects.Injector) trialProgram {
-	t.Helper()
-	var probe kernelProbe
-	program, err := factory(&probe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if program.batch != nil {
-		if _, err := program.batch(in, 2*defects.WordTrials); err != nil {
-			t.Fatal(err)
-		}
-		return program
-	}
-	for i := 0; i < 64; i++ {
-		if _, err := program.trial(in); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return program
-}
-
 // assertZeroAllocTrials pins a factory's steady state to zero heap
-// allocations: per trial for scalar programs, per 64-trial word batch for
-// batch programs (so one measured run covers injection, the all-healthy
-// screen, the transpose, and every feasibility verdict in the word).
+// allocations per 64-trial block: one measured run covers injection, the
+// all-healthy screen, the transpose, and every feasibility verdict of a
+// word-packed program, or 64 trials of a per-trial one. The program is
+// warmed first so its scratch (fault set or trial batch, session, memo,
+// injector pool) has reached its steady size.
 func assertZeroAllocTrials(t *testing.T, name string, factory trialFactory) {
 	t.Helper()
 	in := defects.NewInjector(1)
-	program := programForTest(t, factory, in)
-	step := func() {
-		if _, err := program.trial(in); err != nil {
+	var probe kernelProbe
+	batch, err := factory(&probe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := batch(in, 2*defects.WordTrials); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(300, func() {
+		if _, err := batch(in, defects.WordTrials); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if program.batch != nil {
-		step = func() {
-			if _, err := program.batch(in, defects.WordTrials); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	allocs := testing.AllocsPerRun(300, step)
+	})
 	if allocs != 0 {
 		t.Errorf("%s: steady-state trial allocates %.1f times per run, want 0", name, allocs)
 	}

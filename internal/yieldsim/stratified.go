@@ -102,9 +102,9 @@ func (mc *MonteCarlo) StratifiedNoRedundancyMCContext(ctx context.Context, arr *
 // of them is a primary. No session and no matcher, matching
 // noRedundancyTrials.
 func (mc *MonteCarlo) noRedundancyFixedTrials(arr *layout.Array, m int) trialFactory {
-	return func(probe *kernelProbe) (trialProgram, error) {
+	return func(probe *kernelProbe) (batchFunc, error) {
 		fs := defects.NewFaultSet(arr.NumCells())
-		return trialProgram{trial: func(in *defects.Injector) (bool, error) {
+		return perTrial(func(in *defects.Injector) (bool, error) {
 			next, err := in.FixedCount(arr, m, defects.AllCells, fs)
 			if err != nil {
 				return false, err
@@ -114,7 +114,7 @@ func (mc *MonteCarlo) noRedundancyFixedTrials(arr *layout.Array, m int) trialFac
 				probe.allHealthy++
 			}
 			return !fs.AnyFaultyPrimary(arr), nil
-		}}, nil
+		}), nil
 	}
 }
 

@@ -28,8 +28,6 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
-	"sync"
-	"time"
 
 	"dmfb/internal/defects"
 	"dmfb/internal/layout"
@@ -99,7 +97,9 @@ const DefaultChunkSize = 256
 // MonteCarlo runs reconfiguration-feasibility yield simulations. The zero
 // value is not usable; use NewMonteCarlo.
 type MonteCarlo struct {
-	// Runs per estimate; the paper uses 10000.
+	// Runs is the trial budget of an estimate (the paper uses 10000): a
+	// fixed-run estimate runs all of them, a precision-targeted one
+	// (Epsilon > 0) stops early once its target is met.
 	Runs int
 	// Seed makes every estimate reproducible.
 	Seed int64
@@ -113,20 +113,16 @@ type MonteCarlo struct {
 	// Scope and Used configure the repair criterion (default: RepairAll).
 	Scope reconfig.Scope
 	Used  []bool
-	// Epsilon, when positive, switches the kernel to precision-targeted
-	// adaptive sampling: trials run in the usual chunk-seeded order, but the
-	// estimate stops as soon as the Wilson 95% half-width over the
-	// deterministic prefix of completed chunks reaches Epsilon, or when the
-	// trial budget (MaxRuns, falling back to Runs) is exhausted. The stopping
+	// Epsilon, when positive, makes the estimate precision-targeted: trials
+	// run in the usual chunk-seeded order, but the estimate stops as soon as
+	// the Wilson 95% half-width over the deterministic prefix of completed
+	// chunks reaches Epsilon, with Runs as the trial budget. The stopping
 	// rule is evaluated in chunk-index order regardless of which worker
 	// finishes a chunk first, so the realized trial count — and therefore the
-	// estimate — is deterministic in (Seed, Epsilon, MaxRuns, ChunkSize),
-	// independent of Workers and GOMAXPROCS, exactly like fixed-run
-	// estimates. Zero (the default) keeps the fixed-run behavior bit for bit.
+	// estimate — is deterministic in (Seed, Epsilon, Runs, ChunkSize),
+	// independent of Workers and GOMAXPROCS. Zero (the default) never stops
+	// early: the estimate runs all Runs trials.
 	Epsilon float64
-	// MaxRuns caps the adaptive trial budget; 0 means Runs. Ignored when
-	// Epsilon is zero.
-	MaxRuns int
 	// FastSampling switches Bernoulli fault injection to geometric
 	// skip-sampling (defects.BernoulliGeom): the same fault distribution
 	// with O(expected faults) PRNG draws per trial instead of one per cell
@@ -180,199 +176,6 @@ func (mc *MonteCarlo) chunkSize() int {
 		return mc.ChunkSize
 	}
 	return DefaultChunkSize
-}
-
-// trialFunc runs one simulation trial with the worker's injector and reports
-// whether the simulated chip survives. All other state a trial touches
-// (fault set, reconfiguration session) is owned by the closure, so the
-// steady-state trial path performs no heap allocation.
-type trialFunc func(in *defects.Injector) (bool, error)
-
-// batchFunc runs a block of trials with the worker's injector and returns
-// the number that survived. Implementations pack the block into 64-trial
-// machine words (defects.TrialBatch): injection is trial-major so the PRNG
-// stream matches the scalar path draw for draw, the all-healthy screen is
-// one popcount per word of trials, and only trials that drew faults reach
-// a feasibility check.
-type batchFunc func(in *defects.Injector, runs int) (int, error)
-
-// trialProgram is one worker's compiled trial body: exactly one of trial
-// (scalar, one trial per call) or batch (word-packed blocks) is set.
-type trialProgram struct {
-	trial trialFunc
-	batch batchFunc
-}
-
-// kernelProbe accumulates one worker's trial-path observations in plain
-// (non-atomic) fields. Each worker owns exactly one probe; the run loop
-// flushes and zeroes it at every chunk boundary, so trials pay a plain
-// increment and the shared Metrics counters see one atomic add per chunk.
-type kernelProbe struct {
-	// allHealthy counts trials whose fault draw came up empty (the fast
-	// path that never consults the matcher or cascade analysis).
-	allHealthy uint64
-	// matcher counts trials that reached a feasibility decision.
-	matcher uint64
-	// memoHits and memoMisses split the feasibility decisions of memoizing
-	// sessions: verdicts served from the fault-pattern cache vs solver
-	// runs. Both stay zero on paths without memoization. The session
-	// increments them directly (reconfig.Session.SetMemoCounters).
-	memoHits, memoMisses uint64
-}
-
-// trialFactory builds one worker's trial program together with the scratch
-// it owns, wiring the worker's probe into the closures. run calls it once
-// per worker; workers share nothing but read-only inputs (the array,
-// masks, model parameters).
-type trialFactory func(probe *kernelProbe) (trialProgram, error)
-
-// run executes mc.Runs independent trials and counts successes. The runs are
-// split into fixed-size chunks, each seeded from its own PRNG stream derived
-// from mc.Seed, and the chunks are pulled by a bounded worker pool. Because
-// seeding is per chunk rather than per worker — each worker reseeds its own
-// injector at every chunk boundary — the estimate is deterministic in
-// (Seed, Runs, ChunkSize) no matter how many workers execute it or how the
-// scheduler interleaves them. Cancellation via ctx is checked between
-// chunks, so a cancelled run aborts within one chunk's worth of work per
-// worker and returns ctx.Err().
-func (mc *MonteCarlo) run(ctx context.Context, factory trialFactory) (Result, error) {
-	if mc.Epsilon > 0 {
-		return mc.runAdaptive(ctx, factory)
-	}
-	if mc.Runs <= 0 {
-		return Result{}, fmt.Errorf("yieldsim: Runs must be positive, got %d", mc.Runs)
-	}
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
-	}
-	// runCtx also stops the chunk producer when a trial error empties the
-	// worker pool early, so no goroutine outlives this call.
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	chunk := mc.chunkSize()
-	numChunks := (mc.Runs + chunk - 1) / chunk
-	seeds := stats.SeedStream(mc.Seed, numChunks)
-	workers := mc.workerCount()
-	if workers > numChunks {
-		workers = numChunks
-	}
-
-	chunkCh := make(chan int)
-	go func() {
-		defer close(chunkCh)
-		for c := 0; c < numChunks; c++ {
-			select {
-			case chunkCh <- c:
-			case <-runCtx.Done():
-				return
-			}
-		}
-	}()
-
-	// Instrumentation is resolved once per estimate: metrics flush per
-	// chunk; span events additionally require a logger with debug enabled.
-	// The trace ID travels in ctx from the HTTP middleware (or any other
-	// caller) down to here, so a chunk span names the request it served.
-	spanLog := mc.Logger != nil && mc.Logger.Enabled(ctx, slog.LevelDebug)
-	instrumented := mc.Metrics != nil || spanLog
-	traceID := telemetry.TraceID(ctx)
-
-	var wg sync.WaitGroup
-	successCh := make(chan int, workers)
-	errCh := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var probe kernelProbe
-			program, err := factory(&probe)
-			if err != nil {
-				errCh <- err
-				cancel()
-				return
-			}
-			in := defects.NewInjector(0) // reseeded per chunk below
-			successes := 0
-			for c := range chunkCh {
-				if runCtx.Err() != nil {
-					break
-				}
-				runs := chunk
-				if c == numChunks-1 {
-					runs = mc.Runs - c*chunk
-				}
-				in.Reseed(seeds[c])
-				var chunkStart time.Time
-				if instrumented {
-					chunkStart = time.Now()
-				}
-				chunkSuccesses := 0
-				if program.batch != nil {
-					chunkSuccesses, err = program.batch(in, runs)
-					if err != nil {
-						errCh <- err
-						cancel()
-						return
-					}
-				} else {
-					for i := 0; i < runs; i++ {
-						ok, err := program.trial(in)
-						if err != nil {
-							errCh <- err
-							cancel()
-							return
-						}
-						if ok {
-							chunkSuccesses++
-						}
-					}
-				}
-				successes += chunkSuccesses
-				if instrumented {
-					elapsed := time.Since(chunkStart)
-					if m := mc.Metrics; m != nil {
-						m.Trials.Add(uint64(runs))
-						m.AllHealthy.Add(probe.allHealthy)
-						m.MatcherInvocations.Add(probe.matcher)
-						m.MemoHits.Add(probe.memoHits)
-						m.MemoMisses.Add(probe.memoMisses)
-						m.ChunkSeconds.Observe(elapsed.Seconds())
-					}
-					if spanLog {
-						mc.Logger.LogAttrs(runCtx, slog.LevelDebug, "kernel_chunk",
-							slog.String("trace_id", traceID),
-							slog.Int("chunk", c),
-							slog.Int("trials", runs),
-							slog.Int("successes", chunkSuccesses),
-							slog.Uint64("all_healthy", probe.allHealthy),
-							slog.Uint64("matcher", probe.matcher),
-							slog.Uint64("memo_hits", probe.memoHits),
-							slog.Uint64("memo_misses", probe.memoMisses),
-							slog.Float64("duration_ms", float64(elapsed.Microseconds())/1000),
-						)
-					}
-					probe.allHealthy, probe.matcher = 0, 0
-					probe.memoHits, probe.memoMisses = 0, 0
-				}
-			}
-			successCh <- successes
-		}()
-	}
-	wg.Wait()
-	close(successCh)
-	close(errCh)
-	// A trial error takes precedence: it is what cancelled runCtx.
-	if err := <-errCh; err != nil {
-		return Result{}, err
-	}
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
-	}
-	total := 0
-	for s := range successCh {
-		total += s
-	}
-	return newResult(total, mc.Runs), nil
 }
 
 // sessionOptions assembles the reconfiguration options of the simulator's
@@ -477,16 +280,16 @@ func (mc *MonteCarlo) YieldContext(ctx context.Context, arr *layout.Array, p flo
 func (mc *MonteCarlo) yieldTrials(arr *layout.Array, p float64) trialFactory {
 	opts := mc.sessionOptions()
 	numCells := arr.NumCells()
-	return func(probe *kernelProbe) (trialProgram, error) {
+	return func(probe *kernelProbe) (batchFunc, error) {
 		sess, err := reconfig.NewSession(arr, opts)
 		if err != nil {
-			return trialProgram{}, err
+			return nil, err
 		}
 		mc.enableMemo(sess, probe)
 		if mc.forceScalar {
 			sample := mc.bernoulliSampler()
 			fs := defects.NewFaultSet(numCells)
-			return trialProgram{trial: func(in *defects.Injector) (bool, error) {
+			return perTrial(func(in *defects.Injector) (bool, error) {
 				fs = sample(in, arr, p, fs)
 				if fs.Count() == 0 {
 					probe.allHealthy++
@@ -494,11 +297,11 @@ func (mc *MonteCarlo) yieldTrials(arr *layout.Array, p float64) trialFactory {
 					probe.matcher++
 				}
 				return sess.Feasible(fs)
-			}}, nil
+			}), nil
 		}
 		inject := mc.bernoulliBatcher()
 		tb := defects.NewTrialBatch(numCells)
-		return trialProgram{batch: func(in *defects.Injector, runs int) (int, error) {
+		return func(in *defects.Injector, runs int) (int, error) {
 			successes := 0
 			for off := 0; off < runs; off += defects.WordTrials {
 				n := runs - off
@@ -513,7 +316,7 @@ func (mc *MonteCarlo) yieldTrials(arr *layout.Array, p float64) trialFactory {
 				successes += s
 			}
 			return successes, nil
-		}}, nil
+		}, nil
 	}
 }
 
@@ -539,14 +342,14 @@ func (mc *MonteCarlo) YieldFixedFaultsContext(ctx context.Context, arr *layout.A
 // pattern space is tiny and repeats are the common case.
 func (mc *MonteCarlo) fixedFaultsTrials(arr *layout.Array, m int, domain defects.Domain) trialFactory {
 	opts := mc.sessionOptions()
-	return func(probe *kernelProbe) (trialProgram, error) {
+	return func(probe *kernelProbe) (batchFunc, error) {
 		sess, err := reconfig.NewSession(arr, opts)
 		if err != nil {
-			return trialProgram{}, err
+			return nil, err
 		}
 		mc.enableMemo(sess, probe)
 		fs := defects.NewFaultSet(arr.NumCells())
-		return trialProgram{trial: func(in *defects.Injector) (bool, error) {
+		return perTrial(func(in *defects.Injector) (bool, error) {
 			next, err := in.FixedCount(arr, m, domain, fs)
 			if err != nil {
 				return false, err
@@ -558,7 +361,7 @@ func (mc *MonteCarlo) fixedFaultsTrials(arr *layout.Array, m int, domain defects
 				probe.matcher++
 			}
 			return sess.Feasible(fs)
-		}}, nil
+		}), nil
 	}
 }
 
@@ -586,21 +389,21 @@ func (mc *MonteCarlo) noRedundancyTrials(arr *layout.Array, p float64) trialFact
 	for _, id := range arr.Primaries() {
 		primaryMask[id>>6] |= uint64(1) << (uint(id) & 63)
 	}
-	return func(probe *kernelProbe) (trialProgram, error) {
+	return func(probe *kernelProbe) (batchFunc, error) {
 		if mc.forceScalar {
 			sample := mc.bernoulliSampler()
 			fs := defects.NewFaultSet(numCells)
-			return trialProgram{trial: func(in *defects.Injector) (bool, error) {
+			return perTrial(func(in *defects.Injector) (bool, error) {
 				fs = sample(in, arr, p, fs)
 				if fs.Count() == 0 {
 					probe.allHealthy++
 				}
 				return !fs.AnyFaultyPrimary(arr), nil
-			}}, nil
+			}), nil
 		}
 		inject := mc.bernoulliBatcher()
 		tb := defects.NewTrialBatch(numCells)
-		return trialProgram{batch: func(in *defects.Injector, runs int) (int, error) {
+		return func(in *defects.Injector, runs int) (int, error) {
 			successes := 0
 			for off := 0; off < runs; off += defects.WordTrials {
 				n := runs - off
@@ -631,7 +434,7 @@ func (mc *MonteCarlo) noRedundancyTrials(arr *layout.Array, p float64) trialFact
 				}
 			}
 			return successes, nil
-		}}, nil
+		}, nil
 	}
 }
 
@@ -730,9 +533,9 @@ func (mc *MonteCarlo) shiftedTrials(pl sqgrid.Placement, p float64, model defect
 	}
 	if model.Clustered {
 		cp := model.Params(p, n)
-		return func(probe *kernelProbe) (trialProgram, error) {
+		return func(probe *kernelProbe) (batchFunc, error) {
 			fs := defects.NewFaultSet(n)
-			return trialProgram{trial: func(in *defects.Injector) (bool, error) {
+			return perTrial(func(in *defects.Injector) (bool, error) {
 				next, _, err := in.ClusteredGrid(w, h, cp, fs)
 				if err != nil {
 					return false, err
@@ -744,13 +547,13 @@ func (mc *MonteCarlo) shiftedTrials(pl sqgrid.Placement, p float64, model defect
 					probe.matcher++
 				}
 				return cascadesRepairAll(fs), nil
-			}}, nil
+			}), nil
 		}, nil
 	}
 	sample := mc.bernoulliSamplerN()
-	return func(probe *kernelProbe) (trialProgram, error) {
+	return func(probe *kernelProbe) (batchFunc, error) {
 		fs := defects.NewFaultSet(n)
-		return trialProgram{trial: func(in *defects.Injector) (bool, error) {
+		return perTrial(func(in *defects.Injector) (bool, error) {
 			fs = sample(in, n, p, fs)
 			if fs.Count() == 0 {
 				probe.allHealthy++
@@ -758,7 +561,7 @@ func (mc *MonteCarlo) shiftedTrials(pl sqgrid.Placement, p float64, model defect
 				probe.matcher++
 			}
 			return cascadesRepairAll(fs), nil
-		}}, nil
+		}), nil
 	}, nil
 }
 
@@ -788,15 +591,15 @@ func (mc *MonteCarlo) YieldModelContext(ctx context.Context, arr *layout.Array, 
 func (mc *MonteCarlo) clusteredTrials(arr *layout.Array, cp defects.ClusterParams) trialFactory {
 	opts := mc.sessionOptions()
 	numCells := arr.NumCells()
-	return func(probe *kernelProbe) (trialProgram, error) {
+	return func(probe *kernelProbe) (batchFunc, error) {
 		sess, err := reconfig.NewSession(arr, opts)
 		if err != nil {
-			return trialProgram{}, err
+			return nil, err
 		}
 		mc.enableMemo(sess, probe)
 		if mc.forceScalar {
 			fs := defects.NewFaultSet(numCells)
-			return trialProgram{trial: func(in *defects.Injector) (bool, error) {
+			return perTrial(func(in *defects.Injector) (bool, error) {
 				next, _, err := in.Clustered(arr, cp, fs)
 				if err != nil {
 					return false, err
@@ -808,10 +611,10 @@ func (mc *MonteCarlo) clusteredTrials(arr *layout.Array, cp defects.ClusterParam
 					probe.matcher++
 				}
 				return sess.Feasible(fs)
-			}}, nil
+			}), nil
 		}
 		tb := defects.NewTrialBatch(numCells)
-		return trialProgram{batch: func(in *defects.Injector, runs int) (int, error) {
+		return func(in *defects.Injector, runs int) (int, error) {
 			successes := 0
 			for off := 0; off < runs; off += defects.WordTrials {
 				n := runs - off
@@ -828,7 +631,7 @@ func (mc *MonteCarlo) clusteredTrials(arr *layout.Array, cp defects.ClusterParam
 				successes += s
 			}
 			return successes, nil
-		}}, nil
+		}, nil
 	}
 }
 

@@ -442,16 +442,20 @@ func TestMonteCarloContextCancellation(t *testing.T) {
 
 func TestTrialErrorDoesNotLeakGoroutines(t *testing.T) {
 	// When every worker dies on a trial error, the chunk producer must be
-	// cancelled rather than blocking forever on an undrained channel.
+	// cancelled rather than blocking forever on an undrained channel — with
+	// the stopping rule off and with a live one.
 	arr := buildArray(t, layout.DTMB26(), 60)
-	mc := NewMonteCarlo(1)
-	mc.Runs = 10000
-	mc.ChunkSize = 8 // many chunks, so the producer outlives the first error
 	before := runtime.NumGoroutine()
-	for i := 0; i < 20; i++ {
-		// m > NumCells makes the very first trial of every worker error.
-		if _, err := mc.YieldFixedFaults(arr, arr.NumCells()+1, defects.AllCells); err == nil {
-			t.Fatal("oversized fault count accepted")
+	for _, epsilon := range []float64{0, 0.01} {
+		mc := NewMonteCarlo(1)
+		mc.Runs = 10000
+		mc.ChunkSize = 8 // many chunks, so the producer outlives the first error
+		mc.Epsilon = epsilon
+		for i := 0; i < 20; i++ {
+			// m > NumCells makes the very first trial of every worker error.
+			if _, err := mc.YieldFixedFaults(arr, arr.NumCells()+1, defects.AllCells); err == nil {
+				t.Fatalf("epsilon=%v: oversized fault count accepted", epsilon)
+			}
 		}
 	}
 	// Give exiting goroutines a moment to unwind.
@@ -659,9 +663,9 @@ func TestShiftedYieldMatchesShiftSessionReference(t *testing.T) {
 		numCells := pl.Grid.NumCells()
 		ref := NewMonteCarlo(123)
 		ref.Runs = 800
-		want, err := ref.run(context.Background(), func(_ *kernelProbe) (trialProgram, error) {
+		want, err := ref.run(context.Background(), func(_ *kernelProbe) (batchFunc, error) {
 			fs := defects.NewFaultSet(numCells)
-			return trialProgram{trial: func(in *defects.Injector) (bool, error) {
+			return perTrial(func(in *defects.Injector) (bool, error) {
 				fs = in.BernoulliN(numCells, 0.9, fs)
 				if fs.Count() == 0 {
 					return true, nil
@@ -685,7 +689,7 @@ func TestShiftedYieldMatchesShiftSessionReference(t *testing.T) {
 					}
 				}
 				return true, nil
-			}}, nil
+			}), nil
 		})
 		if err != nil {
 			t.Fatal(err)
