@@ -145,15 +145,27 @@ func (in *Injector) BernoulliBatch(numCells int, p float64, n int, b *TrialBatch
 		// fire, but the draws are still consumed.
 		return
 	}
+	// A cell fails iff its uniform is below q, i.e. iff its raw 63-bit draw
+	// is below below(q). The generator cursor, the column plane and the
+	// occupancy word stay in locals for the whole batch, and the mark is
+	// branch-free: at q ≪ 1 a per-cell branch mispredicts on every fault.
+	threshold := below(q)
+	src := &in.src
+	tap, feed := src.tap, src.feed
+	cols := b.cols[:numCells]
+	var occupied uint64
 	for t := 0; t < n; t++ {
 		bit := uint64(1) << uint(t)
-		for i := 0; i < numCells; i++ {
-			if in.rng.Float64() < q {
-				b.cols[i] |= bit
-				b.occupied |= bit
-			}
+		for i := range cols {
+			var y uint64
+			y, tap, feed = src.draw(tap, feed)
+			m := bit & -((y - threshold) >> 63) // bit iff y < threshold
+			cols[i] |= m
+			occupied |= m
 		}
 	}
+	src.tap, src.feed = tap, feed
+	b.occupied = occupied
 }
 
 // BernoulliGeomBatch is BernoulliBatch with geometric skip-sampling, the
@@ -184,7 +196,7 @@ func (in *Injector) BernoulliGeomBatch(numCells int, p float64, n int, b *TrialB
 		bit := uint64(1) << uint(t)
 		i := 0
 		for i < numCells {
-			skip := math.Floor(math.Log1p(-in.rng.Float64()) / lnSurvive)
+			skip := math.Floor(math.Log1p(-in.src.float64()) / lnSurvive)
 			if skip >= float64(numCells-i) {
 				break
 			}
@@ -210,6 +222,7 @@ func (in *Injector) ClusteredBatch(arr *layout.Array, cp ClusterParams, n int, b
 	decay := cp.clusterDecay(6)
 	maxR := clusterRadius(decay)
 	rate := cp.clusterRate()
+	src := &in.src
 	total := 0
 	for t := 0; t < n; t++ {
 		bit := uint64(1) << uint(t)
@@ -221,19 +234,26 @@ func (in *Injector) ClusteredBatch(arr *layout.Array, cp ClusterParams, n int, b
 			b.occupied |= bit
 			pos := arr.Cell(center).Pos
 			prob := 1.0
+			// The ring coins draw with the cursor in locals; the cluster
+			// count and centers above go through the struct.
+			tap, feed := src.tap, src.feed
 			for r := 1; r <= maxR; r++ {
 				prob *= decay
 				cur := pos.Add(hexgrid.Directions[4].Scale(r))
 				for side := 0; side < 6; side++ {
 					for step := 0; step < r; step++ {
-						if id := arr.CellAt(cur); id != layout.NoCell && in.rng.Float64() < prob {
-							b.cols[id] |= bit
-							b.occupied |= bit
+						if id := arr.CellAt(cur); id != layout.NoCell {
+							var y uint64
+							if y, tap, feed = src.draw(tap, feed); uniform(y) < prob {
+								b.cols[id] |= bit
+								b.occupied |= bit
+							}
 						}
 						cur = cur.Neighbor(side)
 					}
 				}
 			}
+			src.tap, src.feed = tap, feed
 		}
 	}
 	return total, nil

@@ -112,7 +112,7 @@ func (in *Injector) Clustered(arr *layout.Array, cp ClusterParams, dst *FaultSet
 			cur := pos.Add(hexgrid.Directions[4].Scale(r))
 			for side := 0; side < 6; side++ {
 				for step := 0; step < r; step++ {
-					if id := arr.CellAt(cur); id != layout.NoCell && in.rng.Float64() < prob {
+					if id := arr.CellAt(cur); id != layout.NoCell && in.src.float64() < prob {
 						dst.MarkFaulty(id)
 					}
 					cur = cur.Neighbor(side)
@@ -163,7 +163,7 @@ func (in *Injector) ClusteredGrid(w, h int, cp ClusterParams, dst *FaultSet) (*F
 					if x < 0 || x >= w || y < 0 || y >= h {
 						continue
 					}
-					if in.rng.Float64() < prob {
+					if in.src.float64() < prob {
 						dst.MarkFaulty(layout.CellID(y*w + x))
 					}
 				}

@@ -287,10 +287,15 @@ func (f *FaultSet) FaultySpares(arr *layout.Array) []layout.CellID {
 	return out
 }
 
-// Injector draws random fault sets. It is not safe for concurrent use; give
+// Injector draws random fault sets. Its PRNG stream is exactly
+// rand.NewSource(seed)'s, drawn from one embedded source: the injection
+// loops call it directly, without the rand.Source interface, and rng wraps
+// the same source for the cold draws (Intn, NormFloat64) — two views of
+// one stream, never two streams. It is not safe for concurrent use; give
 // each worker its own Injector (see stats.SeedStream).
 type Injector struct {
-	rng *rand.Rand
+	src source
+	rng *rand.Rand // rand.New(&src)
 	// pool is the scratch permutation buffer of FixedCount draws, refilled
 	// from the domain on every call so results stay independent of call
 	// history while the allocation is paid once.
@@ -299,13 +304,20 @@ type Injector struct {
 
 // NewInjector returns an injector with a deterministic PRNG stream.
 func NewInjector(seed int64) *Injector {
-	return &Injector{rng: rand.New(rand.NewSource(seed))}
+	in := &Injector{}
+	in.src.Seed(seed)
+	in.rng = rand.New(&in.src)
+	return in
 }
 
 // Reseed rewinds the injector onto a fresh deterministic PRNG stream, as if
 // newly constructed with NewInjector(seed), while keeping its scratch
 // buffers. The chunked Monte-Carlo kernel reseeds one worker-owned injector
-// per chunk instead of allocating a new one (a rand source is ~5 KB).
+// per chunk instead of allocating a new one (the generator state is ~5 KB).
+//
+// Like math/rand, the generator reduces seed mod 2³¹−1, so seeds that agree
+// mod 2³¹−1 select the same stream: distinct 64-bit seeds (such as the
+// chunk seeds of stats.SeedStream) are not guaranteed distinct streams.
 func (in *Injector) Reseed(seed int64) { in.rng.Seed(seed) }
 
 // Bernoulli marks every cell of the array faulty independently with
@@ -333,7 +345,7 @@ func (in *Injector) BernoulliN(numCells int, p float64, dst *FaultSet) *FaultSet
 		return dst
 	}
 	for i := 0; i < numCells; i++ {
-		if in.rng.Float64() < q {
+		if in.src.float64() < q {
 			dst.MarkFaulty(layout.CellID(i))
 		}
 	}
@@ -379,11 +391,11 @@ func (in *Injector) BernoulliGeomN(numCells int, p float64, dst *FaultSet) *Faul
 		return dst
 	}
 	// The gap before the next fault is Geometric(q): floor(ln(U)/ln(1−q))
-	// with U uniform on (0,1]. rng.Float64 is uniform on [0,1), so use 1−U.
+	// with U uniform on (0,1]. The draw is uniform on [0,1), so use 1−U.
 	lnSurvive := math.Log1p(-q)
 	i := 0
 	for {
-		skip := math.Floor(math.Log1p(-in.rng.Float64()) / lnSurvive)
+		skip := math.Floor(math.Log1p(-in.src.float64()) / lnSurvive)
 		if skip >= float64(numCells-i) {
 			return dst
 		}
@@ -484,7 +496,7 @@ func (in *Injector) Catalog(arr *layout.Array, params CatalogParams) (*FaultSet,
 	var subTolerance []Defect
 	for i := 0; i < n; i++ {
 		cell := layout.CellID(in.rng.Intn(arr.NumCells()))
-		if in.rng.Float64() < params.ParametricShare {
+		if in.src.float64() < params.ParametricShare {
 			kinds := ParametricKinds()
 			d := Defect{
 				Kind:      kinds[in.rng.Intn(len(kinds))],
@@ -538,7 +550,7 @@ func (in *Injector) poissonKnuth(lambda float64) int {
 	k := 0
 	p := 1.0
 	for {
-		p *= in.rng.Float64()
+		p *= in.src.float64()
 		if p <= l {
 			return k
 		}

@@ -1,0 +1,71 @@
+package defects
+
+import (
+	"testing"
+
+	"dmfb/internal/layout"
+)
+
+// The per-layer injection benchmarks time one 64-trial batch per
+// iteration on the paper's DTMB(2,6) array with 100 primaries, and report
+// the cost per trial alongside allocs. Compare BernoulliBatch with
+// BernoulliGeomBatch at the same p for the per-cell vs skip-sampling
+// trade-off.
+
+func benchArray(b *testing.B) *layout.Array {
+	b.Helper()
+	arr, err := layout.BuildWithPrimaryTarget(layout.DTMB26(), 100)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return arr
+}
+
+// benchBatches runs inject once per iteration and reports ns/trial.
+func benchBatches(b *testing.B, inject func()) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		inject()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*WordTrials), "ns/trial")
+}
+
+var benchPs = []struct {
+	name string
+	p    float64
+}{{"p=0.95", 0.95}, {"p=0.999", 0.999}}
+
+func BenchmarkBernoulliBatch(b *testing.B) {
+	arr := benchArray(b)
+	for _, bp := range benchPs {
+		b.Run(bp.name, func(b *testing.B) {
+			in, tb := NewInjector(1), NewTrialBatch(arr.NumCells())
+			benchBatches(b, func() { in.BernoulliBatch(arr.NumCells(), bp.p, WordTrials, tb) })
+		})
+	}
+}
+
+func BenchmarkBernoulliGeomBatch(b *testing.B) {
+	arr := benchArray(b)
+	for _, bp := range benchPs {
+		b.Run(bp.name, func(b *testing.B) {
+			in, tb := NewInjector(1), NewTrialBatch(arr.NumCells())
+			benchBatches(b, func() { in.BernoulliGeomBatch(arr.NumCells(), bp.p, WordTrials, tb) })
+		})
+	}
+}
+
+// BenchmarkClusteredBatch runs the clustered model at the kernel's
+// p=0.95 mapping: (1−p)·N expected faulty cells in clusters of 4.
+func BenchmarkClusteredBatch(b *testing.B) {
+	arr := benchArray(b)
+	model := Model{Clustered: true, ClusterSize: 4}
+	cp := model.Params(0.95, arr.NumCells())
+	in, tb := NewInjector(1), NewTrialBatch(arr.NumCells())
+	benchBatches(b, func() {
+		if _, err := in.ClusteredBatch(arr, cp, WordTrials, tb); err != nil {
+			b.Fatal(err)
+		}
+	})
+}

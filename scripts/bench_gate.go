@@ -8,13 +8,15 @@
 // Usage, from the repo root:
 //
 //	go run ./scripts                      # run the benchmarks, then gate
-//	go test -run '^$' -bench ... -benchmem . | go run ./scripts -input -
+//	go test -run '^$' -bench ... -benchmem -cpu 1 . | go run ./scripts -input -
 //	go run ./scripts -lint-metrics http://localhost:8080/metrics
 //
 // -input reads a previously captured raw benchmark output ("-" = stdin)
 // instead of re-running, which is how CI gates one bench pass and how the
 // gate's own CI self-test feeds it a doctored slowdown. The regression
-// threshold can also be set via BENCH_GATE_MAX_REGRESS (percent).
+// threshold can also be set via BENCH_GATE_MAX_REGRESS (percent). The
+// baselines were recorded at GOMAXPROCS=1, so runs use -cpu 1: every extra
+// kernel worker adds its own setup allocations to allocs/op.
 //
 // -lint-metrics switches to exposition mode: fetch or read one Prometheus
 // text-format payload, validate it with the telemetry parser, and require
@@ -270,7 +272,7 @@ func main() {
 			fail(err)
 		}
 		cmd := exec.Command("go", "test", "-run", "^$",
-			"-bench", pattern, "-benchmem", "-count", strconv.Itoa(*count), ".")
+			"-bench", pattern, "-benchmem", "-count", strconv.Itoa(*count), "-cpu", "1", ".")
 		cmd.Stderr = os.Stderr
 		out, err := cmd.Output()
 		if err != nil {
