@@ -24,12 +24,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand/v2"
 	"net/http"
 	"net/url"
 	"strconv"
 	"strings"
-	"time"
 
 	"dmfb/internal/service"
 )
@@ -316,18 +314,6 @@ func (c *Client) StreamJobResults(ctx context.Context, id string, cursor int, fn
 	}
 }
 
-// Jitter spreads a retry delay uniformly over [d/2, 3d/2). Fixed-interval
-// retries from a fleet of clients that all lost the same server arrive back
-// in lockstep — a thundering herd against the restarted process; jitter
-// decorrelates them. Exposed for callers (the dtmb-worker lease loop) that
-// build their own retry schedules around this client.
-func Jitter(d time.Duration) time.Duration {
-	if d <= 0 {
-		return 0
-	}
-	return d/2 + rand.N(d)
-}
-
 // streamOnce performs one GET /v2/jobs/{id}/results?cursor=N pass.
 func (c *Client) streamOnce(ctx context.Context, id string, cursor int, fn func(SweepRecord) error) (int, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
@@ -399,7 +385,7 @@ func (c *Client) RegisterWorker(ctx context.Context, req WorkerRegisterRequest) 
 
 // LeaseShard asks the coordinator for one shard of work via
 // POST /v2/workers/lease. A (nil, nil) return means no work is currently
-// available (HTTP 204); the worker should back off — with Jitter — and retry.
+// available (HTTP 204); the worker should back off — with jitter — and retry.
 func (c *Client) LeaseShard(ctx context.Context, workerID string) (*ShardLease, error) {
 	in := service.LeaseRequest{WorkerID: workerID}
 	buf, err := json.Marshal(&in)

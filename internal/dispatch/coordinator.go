@@ -500,8 +500,27 @@ func (c *Coordinator) submit(req service.ShardResultRequest) error {
 // active.
 func (c *Coordinator) activeWindow() time.Duration { return 3 * c.cfg.LeaseTTL }
 
-// Stats implements service.DistributedRunner.
-func (c *Coordinator) Stats() service.DispatchStats {
+// Stats is a snapshot of a coordinator's lifetime shard and worker
+// accounting: the values its /metrics series report.
+type Stats struct {
+	// ShardsLeased counts leases handed to workers (redispatches included).
+	ShardsLeased uint64
+	// ShardsCompleted counts shards whose results were accepted and merged.
+	ShardsCompleted uint64
+	// ShardsExpired counts leases reclaimed after missed heartbeats.
+	ShardsExpired uint64
+	// ShardsQuarantined counts shards that exhausted their dispatch budget
+	// and terminated their job with service.ErrPoisonShard.
+	ShardsQuarantined uint64
+	// Retries counts shard redispatches: every lease grant of a shard past
+	// its first (expiry reclaims and rejected submissions both cause these).
+	Retries uint64
+	// WorkersActive counts workers seen within the liveness window.
+	WorkersActive int
+}
+
+// Stats snapshots the coordinator's accounting.
+func (c *Coordinator) Stats() Stats {
 	c.mu.Lock()
 	active := 0
 	cutoff := time.Now().Add(-c.activeWindow())
@@ -511,7 +530,7 @@ func (c *Coordinator) Stats() service.DispatchStats {
 		}
 	}
 	c.mu.Unlock()
-	return service.DispatchStats{
+	return Stats{
 		ShardsLeased:      c.shardsLeased.Load(),
 		ShardsCompleted:   c.shardsCompleted.Load(),
 		ShardsExpired:     c.shardsExpired.Load(),

@@ -460,15 +460,3 @@ func isStatus(err error, code int) bool {
 	var apiErr *client.APIError
 	return errors.As(err, &apiErr) && apiErr.StatusCode == code
 }
-
-// TestJitterBounds pins the jitter contract the fleet's backoff relies on:
-// uniform in [d/2, 3d/2), never zero, never unbounded.
-func TestJitterBounds(t *testing.T) {
-	d := 100 * time.Millisecond
-	for i := 0; i < 1000; i++ {
-		j := client.Jitter(d)
-		if j < d/2 || j >= 3*d/2 {
-			t.Fatalf("Jitter(%v) = %v outside [%v, %v)", d, j, d/2, 3*d/2)
-		}
-	}
-}

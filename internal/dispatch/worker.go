@@ -25,8 +25,10 @@ type WorkerConfig struct {
 	// the lease, so only capacity knobs (workers, cache size, concurrency)
 	// matter here.
 	Engine service.EngineConfig
-	// Poll is the base backoff between lease attempts when no work is
-	// available (jittered to decorrelate a worker fleet); 0 means 500ms.
+	// Poll is the mean idle interval between lease attempts when no work is
+	// available or the coordinator is unreachable; each sleep is a full-jitter
+	// draw uniform over [0, 2·Poll) to decorrelate a worker fleet. 0 means
+	// 500ms.
 	Poll time.Duration
 	// Logger receives worker lifecycle events; nil discards them.
 	Logger *slog.Logger
@@ -44,8 +46,9 @@ type WorkerConfig struct {
 // them through the local engine (cache, single-flight, admission, and
 // telemetry all apply), and submit results. Lease evaluation heartbeats at
 // TTL/3; a 410 on heartbeat aborts the shard (someone else owns it now).
-// Every retry sleep is jittered so a restarted coordinator is not hit by
-// the whole fleet in lockstep.
+// Every retry and idle sleep draws full jitter from the worker's retry
+// policy, so a restarted coordinator is not hit by the whole fleet in
+// lockstep.
 func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	logger := cfg.Logger
 	if logger == nil {
@@ -58,7 +61,9 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	// One policy governs every retried call in the worker: lease-paced
 	// backoff base, a bounded attempt count, and a per-attempt timeout so a
 	// stalled coordinator never wedges the loop (all worker calls are fast
-	// control-plane exchanges; shard evaluation happens locally).
+	// control-plane exchanges; shard evaluation happens locally). Idle
+	// sleeps draw its second step, Backoff(1): full jitter over [0, 2·poll),
+	// so the mean idle interval is poll.
 	policy := client.Policy{
 		MaxAttempts:    4,
 		BaseBackoff:    poll,
@@ -79,7 +84,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 		} else {
 			logger.Debug("coordinator not ready", slog.String("error", err.Error()))
 		}
-		if err := sleepCtx(ctx, client.Jitter(poll)); err != nil {
+		if err := sleepCtx(ctx, policy.Backoff(1)); err != nil {
 			return err
 		}
 	}
@@ -111,13 +116,13 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 			// and retry — the lease endpoint re-registers unknown worker IDs,
 			// so no re-registration dance is needed.
 			logger.Debug("lease attempt failed", slog.String("error", err.Error()))
-			if err := sleepCtx(ctx, client.Jitter(poll)); err != nil {
+			if err := sleepCtx(ctx, policy.Backoff(1)); err != nil {
 				return err
 			}
 			continue
 		}
 		if lease == nil {
-			if err := sleepCtx(ctx, client.Jitter(poll)); err != nil {
+			if err := sleepCtx(ctx, policy.Backoff(1)); err != nil {
 				return err
 			}
 			continue

@@ -32,19 +32,17 @@ type cacheKey struct {
 	epsilon float64
 }
 
-// resultCache is a mutex-guarded LRU of finished responses.
+// resultCache is a mutex-guarded LRU of finished responses. Get counts
+// every lookup into the per-kind hit/miss families that /metrics and
+// /v1/stats both read; peek bypasses them, so internal double-checks never
+// skew the reported rate.
 type resultCache struct {
 	mu       sync.Mutex
 	capacity int
 	ll       *list.List // front = most recently used
 	items    map[cacheKey]*list.Element
-	hits     uint64
-	misses   uint64
-	// hitVec/missVec, when attached via instrument, break the counters down
-	// by cache namespace for /metrics. peek bypasses both, like the plain
-	// counters, so internal double-checks never skew the reported rate.
-	hitVec  *telemetry.CounterVec
-	missVec *telemetry.CounterVec
+	hits     *telemetry.CounterVec
+	misses   *telemetry.CounterVec
 }
 
 // cacheEntry is the list-element payload.
@@ -53,8 +51,9 @@ type cacheEntry struct {
 	val any
 }
 
-// newResultCache builds an LRU holding at most capacity entries (minimum 1).
-func newResultCache(capacity int) *resultCache {
+// newResultCache builds an LRU holding at most capacity entries (minimum
+// 1), counting lookups into the hits and misses families by cache kind.
+func newResultCache(capacity int, hits, misses *telemetry.CounterVec) *resultCache {
 	if capacity < 1 {
 		capacity = 1
 	}
@@ -62,32 +61,21 @@ func newResultCache(capacity int) *resultCache {
 		capacity: capacity,
 		ll:       list.New(),
 		items:    make(map[cacheKey]*list.Element, capacity),
+		hits:     hits,
+		misses:   misses,
 	}
 }
 
-// instrument attaches the per-kind hit/miss counter families.
-func (c *resultCache) instrument(hits, misses *telemetry.CounterVec) {
-	c.hitVec, c.missVec = hits, misses
-}
-
-// Get returns the cached value for k, marking it most recently used.
+// Get returns the cached value for k, marking it most recently used, and
+// counts the lookup as a hit or miss of k's kind.
 func (c *resultCache) Get(k cacheKey) (any, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[k]
-	if !ok {
-		c.misses++
-		if c.missVec != nil {
-			c.missVec.With(k.kind).Inc()
-		}
-		return nil, false
+	v, ok := c.peek(k)
+	if ok {
+		c.hits.With(k.kind).Inc()
+	} else {
+		c.misses.With(k.kind).Inc()
 	}
-	c.hits++
-	if c.hitVec != nil {
-		c.hitVec.With(k.kind).Inc()
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).val, true
+	return v, ok
 }
 
 // peek is Get without touching the hit/miss counters, for internal
@@ -125,11 +113,4 @@ func (c *resultCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()
-}
-
-// Stats returns the hit and miss counters.
-func (c *resultCache) Stats() (hits, misses uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
 }

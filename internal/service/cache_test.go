@@ -1,13 +1,24 @@
 package service
 
-import "testing"
+import (
+	"testing"
+
+	"dmfb/internal/telemetry"
+)
+
+// testCache builds a cache counting into the cache families of a fresh
+// registry, which it returns for reading the counts back.
+func testCache(capacity int) (*resultCache, *telemetry.Registry) {
+	m := newServiceMetrics(telemetry.NewRegistry())
+	return newResultCache(capacity, m.cacheHits, m.cacheMisses), m.registry
+}
 
 func key(design string, n int) cacheKey {
 	return cacheKey{kind: "yield", design: design, nPrimary: n, p: 0.95, runs: 1000, seed: 1}
 }
 
 func TestCacheHitMiss(t *testing.T) {
-	c := newResultCache(4)
+	c, r := testCache(4)
 	if _, ok := c.Get(key("a", 1)); ok {
 		t.Fatal("empty cache reported a hit")
 	}
@@ -20,14 +31,14 @@ func TestCacheHitMiss(t *testing.T) {
 	if _, ok := c.Get(key("a", 2)); ok {
 		t.Error("key with different n_primary hit")
 	}
-	hits, misses := c.Stats()
+	hits, misses := r.Value("dmfb_cache_hits_total"), r.Value("dmfb_cache_misses_total")
 	if hits != 1 || misses != 2 {
-		t.Errorf("stats = %d hits / %d misses, want 1/2", hits, misses)
+		t.Errorf("stats = %v hits / %v misses, want 1/2", hits, misses)
 	}
 }
 
 func TestCacheOverwrite(t *testing.T) {
-	c := newResultCache(2)
+	c, _ := testCache(2)
 	c.Add(key("a", 1), 1)
 	c.Add(key("a", 1), 2)
 	if c.Len() != 1 {
@@ -39,7 +50,7 @@ func TestCacheOverwrite(t *testing.T) {
 }
 
 func TestCacheEvictsLRU(t *testing.T) {
-	c := newResultCache(2)
+	c, _ := testCache(2)
 	c.Add(key("a", 1), "a")
 	c.Add(key("b", 1), "b")
 	// Touch "a" so "b" becomes least recently used.
@@ -62,7 +73,7 @@ func TestCacheEvictsLRU(t *testing.T) {
 }
 
 func TestCacheMinimumCapacity(t *testing.T) {
-	c := newResultCache(0)
+	c, _ := testCache(0)
 	c.Add(key("a", 1), 1)
 	c.Add(key("b", 1), 2)
 	if c.Len() != 1 {

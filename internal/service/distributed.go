@@ -31,26 +31,6 @@ type DistributedRunner interface {
 	// whose engine defaults may differ). RunJob returns after the final
 	// record is emitted, or with ctx's error on cancellation.
 	RunJob(ctx context.Context, jobID string, plan *SweepPlan, req SweepRequest, start int, emit func(SweepRecord) error) error
-	// Stats snapshots the runner's lifetime shard and worker accounting.
-	Stats() DispatchStats
-}
-
-// DispatchStats aggregates a distributed runner's accounting for /v1/stats.
-type DispatchStats struct {
-	// ShardsLeased counts leases handed to workers (redispatches included).
-	ShardsLeased uint64
-	// ShardsCompleted counts shards whose results were accepted and merged.
-	ShardsCompleted uint64
-	// ShardsExpired counts leases reclaimed after missed heartbeats.
-	ShardsExpired uint64
-	// ShardsQuarantined counts shards that exhausted their dispatch budget
-	// and terminated their job with ErrPoisonShard.
-	ShardsQuarantined uint64
-	// Retries counts shard redispatches: every lease grant of a shard past
-	// its first (expiry reclaims and rejected submissions both cause these).
-	Retries uint64
-	// WorkersActive counts workers seen within the liveness window.
-	WorkersActive int
 }
 
 // Worker wire types. These are the bodies of the POST /v2/workers/*

@@ -326,7 +326,7 @@ func TestFileStoreEvictionRemovesDiskArtifacts(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, ids[0])); !os.IsNotExist(err) {
 		t.Fatalf("evicted job directory still on disk: %v", err)
 	}
-	if s.Evictions() == 0 {
+	if s.engine.Stats().JobEvictions == 0 {
 		t.Error("eviction counter not incremented")
 	}
 

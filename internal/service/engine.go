@@ -82,18 +82,19 @@ type Engine struct {
 // NewEngine builds an engine from the config.
 func NewEngine(cfg EngineConfig) *Engine {
 	cfg = cfg.withDefaults()
+	m := newServiceMetrics(cfg.Registry)
 	e := &Engine{
 		cfg:     cfg,
-		cache:   newResultCache(cfg.CacheSize),
+		cache:   newResultCache(cfg.CacheSize, m.cacheHits, m.cacheMisses),
 		flights: newFlightGroup(),
 		sem:     make(chan struct{}, cfg.MaxConcurrent),
-		metrics: newServiceMetrics(cfg.Registry),
+		metrics: m,
 		logger:  cfg.Logger,
 		start:   time.Now(),
 	}
-	e.cache.instrument(e.metrics.cacheHits, e.metrics.cacheMisses)
-	// Callback series read the counters the engine already maintains, so
-	// /metrics and /v1/stats report from one source of truth.
+	// Callback series read the counters the engine already maintains; Stats
+	// reads these same series back, so /metrics and /v1/stats report from
+	// one source of truth.
 	r := cfg.Registry
 	r.GaugeFunc("dmfb_simulations_in_flight",
 		"Simulations currently executing.",
@@ -427,9 +428,16 @@ func reconfigureResponse(plan reconfig.Plan, nTotal int) ReconfigureResponse {
 	return resp
 }
 
-// Stats snapshots the engine counters.
+// Stats builds the GET /v1/stats body from the metric registry: each field
+// is one /metrics family's value (API.md tabulates the mapping), so the two
+// endpoints cannot drift. Job, store and dispatch fields read the series
+// the job store and coordinator registered on the engine's registry, and
+// read 0 when none did. The two histogram-backed fields are read through
+// the engine's own handles; cache_hit_rate is derived.
 func (e *Engine) Stats() StatsResponse {
-	hits, misses := e.cache.Stats()
+	r := e.metrics.registry
+	count := func(name string) uint64 { return uint64(r.Value(name)) }
+	hits, misses := count("dmfb_cache_hits_total"), count("dmfb_cache_misses_total")
 	rate := 0.0
 	if hits+misses > 0 {
 		rate = float64(hits) / float64(hits+misses)
@@ -438,21 +446,39 @@ func (e *Engine) Stats() StatsResponse {
 		CacheHits:     hits,
 		CacheMisses:   misses,
 		CacheHitRate:  rate,
-		CacheSize:     e.cache.Len(),
-		CacheCapacity: e.cfg.CacheSize,
-		InFlight:      e.inFlight.Load(),
-		SharedFlights: e.sharedFlights.Load(),
-		Completed:     e.completed.Load(),
-		UptimeSeconds: time.Since(e.start).Seconds(),
+		CacheSize:     int(r.Value("dmfb_cache_entries")),
+		CacheCapacity: int(r.Value("dmfb_cache_capacity")),
+		InFlight:      int64(r.Value("dmfb_simulations_in_flight")),
+		SharedFlights: count("dmfb_flight_shared_total"),
+		Completed:     count("dmfb_simulations_completed_total"),
+		UptimeSeconds: r.Value("dmfb_uptime_seconds"),
 
-		KernelTrials:             e.metrics.kernel.Trials.Value(),
-		KernelAllHealthy:         e.metrics.kernel.AllHealthy.Value(),
-		KernelMatcherInvocations: e.metrics.kernel.MatcherInvocations.Value(),
+		JobsActive:      int(r.Value("dmfb_jobs_active")),
+		JobsCompleted:   count("dmfb_jobs_completed_total"),
+		JobsCancelled:   count("dmfb_jobs_cancelled_total"),
+		JobsFailed:      count("dmfb_jobs_failed_total"),
+		PointsEvaluated: count("dmfb_job_points_evaluated_total"),
+
+		KernelTrials:             count("dmfb_kernel_trials_total"),
+		KernelAllHealthy:         count("dmfb_kernel_trials_all_healthy_total"),
+		KernelMatcherInvocations: count("dmfb_kernel_matcher_invocations_total"),
 		KernelChunks:             e.metrics.kernel.ChunkSeconds.Count(),
-		KernelEarlyStops:         e.metrics.kernel.EarlyStops.Value(),
+		KernelEarlyStops:         count("dmfb_kernel_early_stops_total"),
 
 		AdmissionWaits:            e.metrics.admissionWait.Count(),
 		AdmissionWaitSecondsTotal: e.metrics.admissionWait.Sum(),
+
+		JobResultBufferBytes: int64(r.Value("dmfb_job_result_buffer_bytes")),
+		JobEvictions:         count("dmfb_job_evictions_total"),
+		StreamFlushes:        count("dmfb_stream_flushes_total"),
+		JobStoreDiskBytes:    int64(r.Value("dmfb_job_store_disk_bytes")),
+
+		DispatchShardsLeased:      count("dmfb_dispatch_shards_leased_total"),
+		DispatchShardsCompleted:   count("dmfb_dispatch_shards_completed_total"),
+		DispatchShardsExpired:     count("dmfb_dispatch_shards_expired_total"),
+		DispatchShardsQuarantined: count("dmfb_shards_quarantined_total"),
+		DispatchRetries:           count("dmfb_retries_total"),
+		WorkersActive:             int(r.Value("dmfb_workers_active")),
 	}
 }
 

@@ -33,7 +33,7 @@ const maxBodyBytes = 1 << 20
 // process lifetime, never drained) backs the job endpoints — fine for tests;
 // servers pass their own store so shutdown can drain it. Extra routes (the
 // dispatch coordinator's /v2/workers/* endpoints) are registered verbatim.
-func NewMux(e *Engine, jobs JobStore, extra ...Route) *http.ServeMux {
+func NewMux(e *Engine, jobs *Store, extra ...Route) *http.ServeMux {
 	if jobs == nil {
 		jobs = NewJobStore(e, JobStoreConfig{})
 	}
@@ -52,26 +52,7 @@ func NewMux(e *Engine, jobs JobStore, extra ...Route) *http.ServeMux {
 		return e.Reconfigure(r.Context(), req)
 	}))
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		st := e.Stats()
-		jc := jobs.Counters()
-		st.JobsActive = jc.Active
-		st.JobsCompleted = jc.Completed
-		st.JobsCancelled = jc.Cancelled
-		st.JobsFailed = jc.Failed
-		st.PointsEvaluated = jc.PointsEvaluated
-		st.JobResultBufferBytes = jobs.BufferBytes()
-		st.JobEvictions = jobs.Evictions()
-		st.StreamFlushes = e.metrics.streamFlushes.With("sweep").Value() +
-			e.metrics.streamFlushes.With("job").Value()
-		st.JobStoreDiskBytes = jobs.DiskBytes()
-		ds := jobs.DispatchStats()
-		st.DispatchShardsLeased = ds.ShardsLeased
-		st.DispatchShardsCompleted = ds.ShardsCompleted
-		st.DispatchShardsExpired = ds.ShardsExpired
-		st.DispatchShardsQuarantined = ds.ShardsQuarantined
-		st.DispatchRetries = ds.Retries
-		st.WorkersActive = ds.WorkersActive
-		writeJSON(w, http.StatusOK, st)
+		writeJSON(w, http.StatusOK, e.Stats())
 	})
 	mux.Handle("GET /metrics", e.Registry().Handler())
 	mux.HandleFunc("POST /v2/evaluate", jsonHandler(func(r *http.Request, req ScenarioRequest) (ScenarioRecord, error) {
@@ -123,7 +104,7 @@ type Route struct {
 }
 
 // jobHandler looks up the {id} path value and maps fn's result to JSON.
-func jobHandler(jobs JobStore, fn func(*http.Request, *Job) (JobStatus, error)) http.HandlerFunc {
+func jobHandler(jobs *Store, fn func(*http.Request, *Job) (JobStatus, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		j, err := jobs.Get(r.PathValue("id"))
 		if err != nil {
@@ -144,7 +125,7 @@ func jobHandler(jobs JobStore, fn func(*http.Request, *Job) (JobStatus, error)) 
 // for any record range are identical across calls, so a client that lost
 // its connection mid-stream resumes at its next unread record and ends up
 // with the exact bytes of an uninterrupted stream.
-func jobResultsHandler(e *Engine, jobs JobStore) http.HandlerFunc {
+func jobResultsHandler(e *Engine, jobs *Store) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		j, err := jobs.Get(r.PathValue("id"))
 		if err != nil {

@@ -92,45 +92,6 @@ type JobStatus struct {
 	Distributed bool `json:"distributed,omitempty"`
 }
 
-// JobCounters aggregates the store's lifetime accounting for /v1/stats.
-type JobCounters struct {
-	Active          int
-	Completed       uint64
-	Cancelled       uint64
-	Failed          uint64
-	PointsEvaluated uint64
-}
-
-// JobStore is the interface the handlers and server run against: job
-// lifecycle (create, look up, cancel via Job, drain), retention accounting,
-// and readiness. NewJobStore builds the in-memory implementation,
-// NewFileJobStore the durable one; both return the same *Store orchestrator
-// parameterized by a persistence backend.
-type JobStore interface {
-	// Create validates req, registers a new job, and starts evaluating it.
-	Create(ctx context.Context, req SweepRequest) (*Job, error)
-	// Get returns the job with the given ID.
-	Get(id string) (*Job, error)
-	// Counters snapshots the store's job accounting.
-	Counters() JobCounters
-	// BufferBytes returns the encoded result bytes held by finished jobs.
-	BufferBytes() int64
-	// DiskBytes returns the bytes held on disk by the durable backend
-	// (0 for the in-memory store).
-	DiskBytes() int64
-	// Evictions counts jobs evicted by the retention bounds.
-	Evictions() uint64
-	// Ready reports whether the store can accept work: true once any
-	// durable replay has finished, false again once shutdown begins — the
-	// readiness probe's source of truth.
-	Ready() bool
-	// DispatchStats snapshots the distributed runner's accounting (zero
-	// when dispatch is not configured).
-	DispatchStats() DispatchStats
-	// Close cancels running jobs and waits for their goroutines.
-	Close(ctx context.Context) error
-}
-
 // JobStoreConfig tunes a job store. The zero value gives sensible defaults.
 type JobStoreConfig struct {
 	// MaxJobs bounds the jobs retained (running and finished combined);
@@ -153,15 +114,17 @@ type JobStoreConfig struct {
 	Inject *faultinject.Injector
 }
 
-// Store is the canonical JobStore implementation: the lifecycle of
-// asynchronous sweep jobs — creation (validated by the engine's sweep
-// planner), execution (one goroutine per job, locally through the engine's
-// cache/single-flight/admission layers or remotely through a
-// DistributedRunner), result buffering for cursor-resumable streaming,
-// cancellation, and shutdown draining — over a pluggable persistence
-// backend. With the file backend every result line is fsynced before it
-// becomes readable, and a restarted store replays finished jobs and resumes
-// partial ones at their first missing grid point instead of recomputing.
+// Store is the job store the handlers and server run against: the
+// lifecycle of asynchronous sweep jobs — creation (validated by the
+// engine's sweep planner), execution (one goroutine per job, locally
+// through the engine's cache/single-flight/admission layers or remotely
+// through a DistributedRunner), result buffering for cursor-resumable
+// streaming, cancellation, and shutdown draining — over a pluggable
+// persistence backend. NewJobStore builds it in memory, NewFileJobStore
+// durably: with the file backend every result line is fsynced before it
+// becomes readable, and a restarted store replays finished jobs and
+// resumes partial ones at their first missing grid point instead of
+// recomputing.
 type Store struct {
 	engine   *Engine
 	maxJobs  int
@@ -182,14 +145,12 @@ type Store struct {
 	cancelAll context.CancelFunc
 	wg        sync.WaitGroup
 
+	active    atomic.Int64 // jobs registered and not yet terminal
 	completed atomic.Uint64
 	cancelled atomic.Uint64
 	failed    atomic.Uint64
 	points    atomic.Uint64
 }
-
-// Store must satisfy the interface it canonically implements.
-var _ JobStore = (*Store)(nil)
 
 // newStore builds the orchestrator around a persistence backend and
 // registers the job lifecycle series on e's metric registry.
@@ -218,7 +179,7 @@ func newStore(e *Engine, cfg JobStoreConfig, persist jobPersister) *Store {
 	r := e.Registry()
 	r.GaugeFunc("dmfb_jobs_active",
 		"Sweep jobs currently running.",
-		func() float64 { return float64(s.Counters().Active) })
+		func() float64 { return float64(s.active.Load()) })
 	r.CounterFunc("dmfb_jobs_completed_total",
 		"Sweep jobs that finished every grid point.",
 		func() float64 { return float64(s.completed.Load()) })
@@ -233,7 +194,11 @@ func newStore(e *Engine, cfg JobStoreConfig, persist jobPersister) *Store {
 		func() float64 { return float64(s.points.Load()) })
 	r.GaugeFunc("dmfb_job_result_buffer_bytes",
 		"Encoded NDJSON result bytes held by finished jobs.",
-		func() float64 { return float64(s.BufferBytes()) })
+		func() float64 {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			return float64(s.finishedBytes)
+		})
 	return s
 }
 
@@ -369,6 +334,7 @@ func (s *Store) replay() {
 		s.jobs[j.id] = j
 		s.order = append(s.order, j.id)
 		s.wg.Add(1)
+		s.active.Add(1)
 		resumes = append(resumes, resume{j: j, ctx: jobCtx})
 	}
 	// Retention must hold across restarts: evict oldest finished jobs (and
@@ -477,6 +443,7 @@ func (s *Store) Create(ctx context.Context, req SweepRequest) (*Job, error) {
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
 	s.wg.Add(1)
+	s.active.Add(1)
 	s.mu.Unlock()
 	go j.run(telemetry.WithTraceID(jobCtx, traceID))
 	return j, nil
@@ -615,24 +582,10 @@ func (s *Store) Get(id string) (*Job, error) {
 	return j, nil
 }
 
-// BufferBytes returns the encoded result bytes currently held by finished
-// jobs (the quantity bounded by MaxResultBytes).
-func (s *Store) BufferBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.finishedBytes
-}
-
 // DiskBytes returns the bytes held on disk by the durable backend (0 for
 // the in-memory store) — the dmfb_job_store_disk_bytes gauge.
 func (s *Store) DiskBytes() int64 {
 	return s.persist.diskBytes()
-}
-
-// Evictions returns the number of finished jobs evicted by the retention
-// and byte bounds over the store's lifetime.
-func (s *Store) Evictions() uint64 {
-	return s.engine.metrics.jobEvictions.Value()
 }
 
 // Ready reports whether the store accepts work: any durable replay has
@@ -644,36 +597,6 @@ func (s *Store) Ready() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return !s.closed
-}
-
-// DispatchStats snapshots the distributed runner's accounting; zero when
-// dispatch is not configured.
-func (s *Store) DispatchStats() DispatchStats {
-	if s.runner == nil {
-		return DispatchStats{}
-	}
-	return s.runner.Stats()
-}
-
-// Counters snapshots the store's job accounting.
-func (s *Store) Counters() JobCounters {
-	s.mu.Lock()
-	active := 0
-	for _, j := range s.jobs {
-		j.mu.Lock()
-		if !j.state.terminal() {
-			active++
-		}
-		j.mu.Unlock()
-	}
-	s.mu.Unlock()
-	return JobCounters{
-		Active:          active,
-		Completed:       s.completed.Load(),
-		Cancelled:       s.cancelled.Load(),
-		Failed:          s.failed.Load(),
-		PointsEvaluated: s.points.Load(),
-	}
 }
 
 // Close cancels every running job and waits for all job goroutines to exit
@@ -774,6 +697,7 @@ func (j *Job) run(ctx context.Context) {
 		}
 		j.store.failed.Add(1)
 	}
+	j.store.active.Add(-1)
 	j.finished = time.Now()
 	j.store.engine.metrics.jobDuration.Observe(j.finished.Sub(j.created).Seconds())
 	j.bumpLocked()

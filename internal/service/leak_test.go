@@ -170,8 +170,8 @@ func TestJobShutdownDrainsWithoutLeaks(t *testing.T) {
 	}
 	<-streamDone
 
-	if jc := srv.Jobs().Counters(); jc.Active != 0 || jc.Cancelled != 1 {
-		t.Errorf("job counters after shutdown: %+v", jc)
+	if st := srv.Engine().Stats(); st.JobsActive != 0 || st.JobsCancelled != 1 {
+		t.Errorf("job counters after shutdown: active %d, cancelled %d", st.JobsActive, st.JobsCancelled)
 	}
 
 	deadline := time.Now().Add(10 * time.Second)

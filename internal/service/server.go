@@ -39,7 +39,7 @@ type ServerConfig struct {
 }
 
 // Server is the dtmb-serve HTTP server: handlers over one Engine and one
-// JobStore, with graceful shutdown that drains in-flight simulations and
+// job Store, with graceful shutdown that drains in-flight simulations and
 // cancels running jobs without leaking their goroutines.
 type Server struct {
 	engine *Engine
@@ -91,7 +91,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 // per request). Tests that need the exact production behavior — 415s,
 // X-Request-ID headers — use this instead of the bare NewMux. A nil logger
 // discards log output (metrics and trace propagation still apply).
-func NewHandler(e *Engine, jobs JobStore, logger *slog.Logger, extra ...Route) http.Handler {
+func NewHandler(e *Engine, jobs *Store, logger *slog.Logger, extra ...Route) http.Handler {
 	if logger == nil {
 		logger = slog.New(slog.DiscardHandler)
 	}
@@ -100,9 +100,6 @@ func NewHandler(e *Engine, jobs JobStore, logger *slog.Logger, extra ...Route) h
 
 // Engine exposes the underlying engine (for stats and tests).
 func (s *Server) Engine() *Engine { return s.engine }
-
-// Jobs exposes the server's job store (for stats and tests).
-func (s *Server) Jobs() *Store { return s.jobs }
 
 // Listen binds the address; Addr is then available for clients.
 func (s *Server) Listen() error {

@@ -173,6 +173,18 @@ type series struct {
 	fn func() float64
 }
 
+// value reads a counter, gauge, or callback series (not a histogram).
+func (s *series) value() float64 {
+	switch {
+	case s.counter != nil:
+		return float64(s.counter.Value())
+	case s.gauge != nil:
+		return float64(s.gauge.Value())
+	default:
+		return s.fn()
+	}
+}
+
 // family groups the series of one metric name.
 type family struct {
 	name   string
@@ -340,9 +352,42 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Lab
 	})
 }
 
+// Value returns a counter or gauge family's current value summed over all
+// its series — labelled children and callback series alike — which is how
+// /v1/stats reads every field from the same source as /metrics. An absent
+// family reads 0; a histogram family panics, like a kind conflict at
+// registration (read a histogram through its own handle instead).
+func (r *Registry) Value(name string) float64 {
+	if r == nil {
+		return 0
+	}
+	r.mu.Lock()
+	f := r.families[name]
+	if f == nil {
+		r.mu.Unlock()
+		return 0
+	}
+	if f.kind == kindHistogram {
+		r.mu.Unlock()
+		panic(fmt.Sprintf("telemetry: Value of histogram family %q", name))
+	}
+	ss := make([]*series, 0, len(f.series))
+	for _, s := range f.series {
+		ss = append(ss, s)
+	}
+	r.mu.Unlock()
+	// Callbacks run outside the registry lock, as in WritePrometheus.
+	var v float64
+	for _, s := range ss {
+		v += s.value()
+	}
+	return v
+}
+
 // CounterVec is a family of counters over one set of label keys, for small
-// dynamic label spaces (cache kinds, HTTP status codes). With() is
-// mutex-guarded — cache the returned handle on hot paths.
+// dynamic label spaces (cache kinds, HTTP status codes). With() caches its
+// children, so a repeat lookup is one lock-free sync.Map read; only a
+// child's first use goes through the registry mutex.
 type CounterVec struct {
 	r         *Registry
 	name      string
@@ -501,26 +546,21 @@ func writeSeries(b *strings.Builder, f *family, s *series) {
 		}
 		return sb.String()
 	}
-	switch {
-	case s.counter != nil:
-		fmt.Fprintf(b, "%s %s\n", name("", ""), formatValue(float64(s.counter.Value())))
-	case s.gauge != nil:
-		fmt.Fprintf(b, "%s %s\n", name("", ""), formatValue(float64(s.gauge.Value())))
-	case s.fn != nil:
-		fmt.Fprintf(b, "%s %s\n", name("", ""), formatValue(s.fn()))
-	case s.hist != nil:
-		h := s.hist
-		// Cumulative bucket counts; the +Inf bucket equals the total count.
-		var cum uint64
-		for i, bound := range h.bounds {
-			cum += h.counts[i].Load()
-			fmt.Fprintf(b, "%s %d\n", name("_bucket", `le="`+formatValue(bound)+`"`), cum)
-		}
-		cum += h.counts[len(h.bounds)].Load()
-		fmt.Fprintf(b, "%s %d\n", name("_bucket", `le="+Inf"`), cum)
-		fmt.Fprintf(b, "%s %s\n", name("_sum", ""), formatValue(h.Sum()))
-		fmt.Fprintf(b, "%s %d\n", name("_count", ""), h.count.Load())
+	if s.hist == nil {
+		fmt.Fprintf(b, "%s %s\n", name("", ""), formatValue(s.value()))
+		return
 	}
+	h := s.hist
+	// Cumulative bucket counts; the +Inf bucket equals the total count.
+	var cum uint64
+	for i, bound := range h.bounds {
+		cum += h.counts[i].Load()
+		fmt.Fprintf(b, "%s %d\n", name("_bucket", `le="`+formatValue(bound)+`"`), cum)
+	}
+	cum += h.counts[len(h.bounds)].Load()
+	fmt.Fprintf(b, "%s %d\n", name("_bucket", `le="+Inf"`), cum)
+	fmt.Fprintf(b, "%s %s\n", name("_sum", ""), formatValue(h.Sum()))
+	fmt.Fprintf(b, "%s %d\n", name("_count", ""), h.count.Load())
 }
 
 // Handler serves the registry in the Prometheus text format — the body of

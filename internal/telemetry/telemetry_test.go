@@ -20,6 +20,24 @@ func TestCounterGaugeHistogramConcurrent(t *testing.T) {
 
 	const workers, perWorker = 8, 10_000
 	var wg sync.WaitGroup
+	// A concurrent reader: Value snapshots a family while workers register
+	// its children and increment them.
+	stop := make(chan struct{})
+	readerDone := make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				if v := r.Value("t_vec_total"); v > workers*perWorker {
+					t.Errorf("concurrent Value = %v above the final total", v)
+					return
+				}
+			}
+		}
+	}()
 	for w := 0; w < workers; w++ {
 		w := w
 		wg.Add(1)
@@ -37,7 +55,12 @@ func TestCounterGaugeHistogramConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	close(stop)
+	<-readerDone
 
+	if got := r.Value("t_vec_total"); got != workers*perWorker {
+		t.Errorf("Value of the vec family = %v, want %d", got, workers*perWorker)
+	}
 	if got := c.Value(); got != workers*perWorker {
 		t.Errorf("counter = %d, want %d", got, workers*perWorker)
 	}
@@ -184,6 +207,51 @@ func TestParseExpositionRejectsMalformed(t *testing.T) {
 		if _, err := ParseExposition(strings.NewReader(payload)); err == nil {
 			t.Errorf("%s: parsed without error:\n%s", name, payload)
 		}
+	}
+}
+
+// TestRegistryValue pins the one read /v1/stats makes per field: a family's
+// series summed — labelled children, plain instruments and callback series
+// alike — with an absent family reading 0 and a histogram family panicking.
+func TestRegistryValue(t *testing.T) {
+	r := NewRegistry()
+	vec := r.CounterVec("v_hits_total", "test", "kind")
+	vec.With("a").Add(3)
+	vec.With("b").Add(4)
+	if got := r.Value("v_hits_total"); got != 7 {
+		t.Errorf("labelled children = %v, want 7", got)
+	}
+	r.Gauge("v_gauge", "test", L("shard", "1")).Set(-2)
+	r.GaugeFunc("v_gauge", "test", func() float64 { return 5 }, L("shard", "2"))
+	if got := r.Value("v_gauge"); got != 3 {
+		t.Errorf("gauge + gauge callback = %v, want 3", got)
+	}
+	var n float64
+	r.CounterFunc("v_fn_total", "test", func() float64 { return n })
+	n = 11
+	if got := r.Value("v_fn_total"); got != 11 {
+		t.Errorf("counter callback = %v, want 11 (read at call time)", got)
+	}
+	if got := r.Value("v_absent_total"); got != 0 {
+		t.Errorf("absent family = %v, want 0", got)
+	}
+	var nilReg *Registry
+	if got := nilReg.Value("v_hits_total"); got != 0 {
+		t.Errorf("nil registry = %v, want 0", got)
+	}
+
+	r.Histogram("v_seconds", "test", nil).Observe(1)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Value of a histogram family did not panic")
+			}
+		}()
+		r.Value("v_seconds")
+	}()
+	// The panic must not leave the registry locked.
+	if got := r.Value("v_hits_total"); got != 7 {
+		t.Errorf("after histogram panic = %v, want 7", got)
 	}
 }
 
