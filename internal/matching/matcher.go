@@ -1,10 +1,10 @@
 package matching
 
-// Matcher is a reusable maximum-matching solver for the Monte-Carlo hot
-// path. Where Graph allocates adjacency lists and Result slices per call,
-// a Matcher keeps every working array — flat CSR adjacency, match, BFS
-// distance, and queue buffers — as scratch that survives across trials, so
-// a steady-state feasibility query performs no heap allocation at all.
+// Matcher is the package's maximum-matching solver, reused across graphs.
+// It keeps every working array — flat CSR adjacency, match, BFS distance,
+// and queue buffers — as scratch that survives across calls, so a
+// steady-state feasibility query on the Monte-Carlo hot path performs no
+// heap allocation at all.
 //
 // The build protocol is streaming and left-vertex-at-a-time, which is
 // exactly how reconfiguration assembles its repair graph (one faulty
@@ -18,8 +18,10 @@ package matching
 //	feasible := m.SaturatesA()
 //
 // Edges added after Reset and before the first EndLeft belong to left
-// vertex 0, and so on. The solver is Hopcroft–Karp, identical in result
-// to Graph.HopcroftKarp (and, by maximality, to Graph.Kuhn).
+// vertex 0, and so on. The solver is Hopcroft–Karp; its matching size
+// equals Graph.Kuhn's on every graph, by maximality. After
+// MaxMatchingSize, Partner reads the assignment and HallViolation the
+// certificate of infeasibility.
 //
 // A Matcher is not safe for concurrent use; give each worker its own.
 type Matcher struct {
@@ -116,12 +118,11 @@ func (m *Matcher) EndLeft() int {
 }
 
 // MaxMatchingSize computes the maximum matching size with Hopcroft–Karp
-// over the scratch buffers, without materializing a Result.
+// over the scratch buffers, without materializing a Result. The matching
+// itself stays readable through Partner and HallViolation until the next
+// Reset.
 func (m *Matcher) MaxMatchingSize() int {
 	na := m.NA()
-	if na == 0 || m.nb == 0 || len(m.edges) == 0 {
-		return 0
-	}
 	m.matchA = growInt32(m.matchA, na)
 	m.matchB = growInt32(m.matchB, m.nb)
 	m.dist = growInt32(m.dist, na)
@@ -130,6 +131,9 @@ func (m *Matcher) MaxMatchingSize() int {
 	}
 	for i := 0; i < m.nb; i++ {
 		m.matchB[i] = Unmatched
+	}
+	if len(m.edges) == 0 {
+		return 0
 	}
 	size := 0
 	for m.bfs() {
@@ -154,6 +158,52 @@ func (m *Matcher) SaturatesA() bool {
 		return true
 	}
 	return m.MaxMatchingSize() == na
+}
+
+// Partner returns the right partner of left vertex a in the matching of
+// the last MaxMatchingSize call, or Unmatched.
+func (m *Matcher) Partner(a int) int { return int(m.matchA[a]) }
+
+// HallViolation returns a set S of left vertices whose neighborhood N(S) is
+// smaller than S, which by Hall's theorem certifies that no matching
+// saturates A. It reads the matching of the last MaxMatchingSize call and
+// returns nil when that matching saturates A. The witness is the set of
+// left vertices reachable by alternating paths from any unmatched left
+// vertex (the König construction), in ascending index order.
+func (m *Matcher) HallViolation() []int {
+	na := m.NA()
+	inS := make([]bool, na)
+	inT := make([]bool, m.nb) // right vertices reached
+	var stack []int32
+	for a := 0; a < na; a++ {
+		if m.matchA[a] == Unmatched {
+			inS[a] = true
+			stack = append(stack, int32(a))
+		}
+	}
+	for len(stack) > 0 {
+		a := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for j := m.starts[a]; j < m.starts[a+1]; j++ {
+			b := m.edges[j]
+			if inT[b] {
+				continue
+			}
+			inT[b] = true
+			// Follow the matched edge back to the left side.
+			if a2 := m.matchB[b]; a2 != Unmatched && !inS[a2] {
+				inS[a2] = true
+				stack = append(stack, a2)
+			}
+		}
+	}
+	var out []int
+	for a, ok := range inS {
+		if ok {
+			out = append(out, a)
+		}
+	}
+	return out
 }
 
 const matcherInf = int32(1) << 30

@@ -36,7 +36,7 @@ func TestMatcherMatchesGraphRandom(t *testing.T) {
 		for _, prob := range []float64{0, 0.05, 0.2, 0.5, 0.9, 1} {
 			for trial := 0; trial < 20; trial++ {
 				g, m := buildBoth(t, rng, sh[0], sh[1], prob)
-				hk := g.HopcroftKarp()
+				hk, _ := hopcroftKarp(g)
 				kuhn := g.Kuhn()
 				got := m.MaxMatchingSize()
 				if got != hk.Size || got != kuhn.Size {
@@ -72,7 +72,8 @@ func TestMatcherReuseAcrossGraphs(t *testing.T) {
 			}
 			m.EndLeft()
 		}
-		if got, want := m.MaxMatchingSize(), g.HopcroftKarp().Size; got != want {
+		ref, _ := hopcroftKarp(g)
+		if got, want := m.MaxMatchingSize(), ref.Size; got != want {
 			t.Fatalf("trial %d (na=%d nb=%d): matcher %d, graph %d", trial, na, nb, got, want)
 		}
 	}
@@ -115,6 +116,38 @@ func TestMatcherTrivialCases(t *testing.T) {
 	m.Reset(5)
 	if m.NA() != 0 || m.NB() != 5 {
 		t.Fatalf("NA=%d NB=%d after Reset(5)", m.NA(), m.NB())
+	}
+}
+
+// TestMatcherReadsAfterDegenerateSolve pins Partner and HallViolation on
+// the shapes MaxMatchingSize answers without searching (no right vertices,
+// no edges): a matcher that just solved a saturating graph must not leak
+// that matching into the next one.
+func TestMatcherReadsAfterDegenerateSolve(t *testing.T) {
+	m := NewMatcher(2, 2, 4)
+	m.Reset(2)
+	m.AddEdge(0)
+	m.EndLeft()
+	m.AddEdge(1)
+	m.EndLeft()
+	if m.MaxMatchingSize() != 2 || m.Partner(0) != 0 || m.Partner(1) != 1 {
+		t.Fatalf("warm-up solve: partners %d %d", m.Partner(0), m.Partner(1))
+	}
+	for _, nb := range []int{0, 2} {
+		m.Reset(nb)
+		m.EndLeft()
+		m.EndLeft()
+		if size := m.MaxMatchingSize(); size != 0 {
+			t.Fatalf("nb=%d: size %d on an edgeless graph", nb, size)
+		}
+		for a := 0; a < 2; a++ {
+			if p := m.Partner(a); p != Unmatched {
+				t.Fatalf("nb=%d: Partner(%d) = %d, want Unmatched", nb, a, p)
+			}
+		}
+		if v := m.HallViolation(); len(v) != 2 || v[0] != 0 || v[1] != 1 {
+			t.Fatalf("nb=%d: HallViolation = %v, want [0 1]", nb, v)
+		}
 	}
 }
 

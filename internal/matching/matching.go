@@ -6,10 +6,12 @@
 // A reconfiguration exists if and only if a maximum matching saturates A
 // (every faulty primary is assigned its own adjacent spare).
 //
-// Two algorithms are provided: Hopcroft–Karp (O(E·sqrt(V)), the default) and
-// Kuhn's augmenting-path algorithm (O(V·E), used as an independent
-// cross-check in tests and ablation benchmarks). Both return identical
-// matching sizes on every graph.
+// Matcher is the one solver: a scratch-arena Hopcroft–Karp (O(E·sqrt(V)))
+// that answers the feasibility verdict, the assignment (Partner) and, when
+// A cannot be saturated, a Hall-violation witness. Graph with Kuhn's
+// augmenting-path algorithm (O(V·E)) is the independent reference the tests
+// cross-check it against; Validate and NeighborhoodSize certify a Result
+// and a witness.
 package matching
 
 import "fmt"
@@ -85,73 +87,6 @@ func (r Result) UnmatchedA() []int {
 		}
 	}
 	return out
-}
-
-// HopcroftKarp computes a maximum matching in O(E·sqrt(V)).
-func (g *Graph) HopcroftKarp() Result {
-	const inf = int32(1) << 30
-	matchA := make([]int32, g.na)
-	matchB := make([]int32, g.nb)
-	for i := range matchA {
-		matchA[i] = Unmatched
-	}
-	for i := range matchB {
-		matchB[i] = Unmatched
-	}
-	dist := make([]int32, g.na)
-	queue := make([]int32, 0, g.na)
-
-	bfs := func() bool {
-		queue = queue[:0]
-		for a := 0; a < g.na; a++ {
-			if matchA[a] == Unmatched {
-				dist[a] = 0
-				queue = append(queue, int32(a))
-			} else {
-				dist[a] = inf
-			}
-		}
-		found := false
-		for i := 0; i < len(queue); i++ {
-			a := queue[i]
-			for _, b := range g.adj[a] {
-				nxt := matchB[b]
-				if nxt == Unmatched {
-					found = true
-					continue
-				}
-				if dist[nxt] == inf {
-					dist[nxt] = dist[a] + 1
-					queue = append(queue, nxt)
-				}
-			}
-		}
-		return found
-	}
-
-	var dfs func(a int32) bool
-	dfs = func(a int32) bool {
-		for _, b := range g.adj[a] {
-			nxt := matchB[b]
-			if nxt == Unmatched || (dist[nxt] == dist[a]+1 && dfs(nxt)) {
-				matchA[a] = b
-				matchB[b] = a
-				return true
-			}
-		}
-		dist[a] = inf
-		return false
-	}
-
-	size := 0
-	for bfs() {
-		for a := int32(0); a < int32(g.na); a++ {
-			if matchA[a] == Unmatched && dfs(a) {
-				size++
-			}
-		}
-	}
-	return g.makeResult(size, matchA, matchB)
 }
 
 // Kuhn computes a maximum matching with repeated augmenting-path search in
@@ -253,49 +188,6 @@ func (g *Graph) Validate(res Result) error {
 		}
 	}
 	return nil
-}
-
-// HallViolation returns a set S of left vertices whose neighborhood N(S) is
-// smaller than S, which by Hall's theorem certifies that no matching
-// saturates A. It returns nil if the matching res saturates A. The witness is
-// the set of left vertices reachable by alternating paths from any unmatched
-// left vertex (the König construction).
-func (g *Graph) HallViolation(res Result) []int {
-	if res.SaturatesA() {
-		return nil
-	}
-	inS := make([]bool, g.na)
-	inT := make([]bool, g.nb) // right vertices reached
-	var stack []int
-	for a := 0; a < g.na; a++ {
-		if res.MatchA[a] == Unmatched {
-			inS[a] = true
-			stack = append(stack, a)
-		}
-	}
-	for len(stack) > 0 {
-		a := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, b32 := range g.adj[a] {
-			b := int(b32)
-			if inT[b] {
-				continue
-			}
-			inT[b] = true
-			// Follow the matched edge back to the left side.
-			if a2 := res.MatchB[b]; a2 != Unmatched && !inS[a2] {
-				inS[a2] = true
-				stack = append(stack, a2)
-			}
-		}
-	}
-	var out []int
-	for a, ok := range inS {
-		if ok {
-			out = append(out, a)
-		}
-	}
-	return out
 }
 
 // NeighborhoodSize returns |N(S)| for a set S of left vertices, used to check

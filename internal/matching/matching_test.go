@@ -13,9 +13,33 @@ func mustEdge(t *testing.T, g *Graph, a, b int) {
 	}
 }
 
+// hopcroftKarp solves g on a Matcher fed g's adjacency lists in order and
+// returns the matching as a Result (MatchA through Partner, MatchB from the
+// solver's own right-side array, so Validate checks their symmetry) along
+// with the matcher, whose HallViolation reads the same matching.
+func hopcroftKarp(g *Graph) (Result, *Matcher) {
+	m := NewMatcher(g.NA(), g.NB(), g.Edges())
+	m.Reset(g.NB())
+	for a := 0; a < g.NA(); a++ {
+		for _, b := range g.Adj(a) {
+			m.AddEdge(int(b))
+		}
+		m.EndLeft()
+	}
+	res := Result{Size: m.MaxMatchingSize(), MatchA: make([]int, g.NA()), MatchB: make([]int, g.NB())}
+	for a := range res.MatchA {
+		res.MatchA[a] = m.Partner(a)
+	}
+	for b := range res.MatchB {
+		res.MatchB[b] = int(m.matchB[b])
+	}
+	return res, m
+}
+
 func TestEmptyGraph(t *testing.T) {
 	g := NewGraph(0, 0)
-	for _, res := range []Result{g.HopcroftKarp(), g.Kuhn()} {
+	hk, _ := hopcroftKarp(g)
+	for _, res := range []Result{hk, g.Kuhn()} {
 		if res.Size != 0 {
 			t.Errorf("empty graph matching size %d", res.Size)
 		}
@@ -58,7 +82,7 @@ func TestPerfectMatchingSquare(t *testing.T) {
 			mustEdge(t, g, a, b)
 		}
 	}
-	res := g.HopcroftKarp()
+	res, _ := hopcroftKarp(g)
 	if res.Size != 3 || !res.SaturatesA() {
 		t.Errorf("K3,3: size %d", res.Size)
 	}
@@ -78,11 +102,11 @@ func TestPaperFigure8StyleInstance(t *testing.T) {
 	mustEdge(t, g, 1, 2)
 	mustEdge(t, g, 2, 2)
 	mustEdge(t, g, 2, 3)
-	res := g.HopcroftKarp()
+	res, m := hopcroftKarp(g)
 	if !res.SaturatesA() {
 		t.Fatalf("expected saturating matching, got size %d", res.Size)
 	}
-	if v := g.HallViolation(res); v != nil {
+	if v := m.HallViolation(); v != nil {
 		t.Errorf("no violation expected, got %v", v)
 	}
 }
@@ -94,7 +118,7 @@ func TestContention(t *testing.T) {
 		mustEdge(t, g, a, 0)
 		mustEdge(t, g, a, 1)
 	}
-	res := g.HopcroftKarp()
+	res, m := hopcroftKarp(g)
 	if res.Size != 2 {
 		t.Fatalf("size %d, want 2", res.Size)
 	}
@@ -105,7 +129,7 @@ func TestContention(t *testing.T) {
 	if len(unmatched) != 1 {
 		t.Fatalf("unmatched %v, want exactly one", unmatched)
 	}
-	viol := g.HallViolation(res)
+	viol := m.HallViolation()
 	if viol == nil {
 		t.Fatal("expected Hall violation witness")
 	}
@@ -119,11 +143,11 @@ func TestIsolatedLeftVertex(t *testing.T) {
 	g := NewGraph(2, 2)
 	mustEdge(t, g, 0, 0)
 	// vertex 1 has no edges
-	res := g.HopcroftKarp()
+	res, m := hopcroftKarp(g)
 	if res.Size != 1 || res.SaturatesA() {
 		t.Errorf("size %d saturates %v", res.Size, res.SaturatesA())
 	}
-	viol := g.HallViolation(res)
+	viol := m.HallViolation()
 	// {1} alone is a Hall violation (|N({1})| = 0).
 	if len(viol) == 0 {
 		t.Fatal("expected nonempty witness")
@@ -137,7 +161,7 @@ func TestParallelEdgesHarmless(t *testing.T) {
 	g := NewGraph(1, 1)
 	mustEdge(t, g, 0, 0)
 	mustEdge(t, g, 0, 0)
-	res := g.HopcroftKarp()
+	res, _ := hopcroftKarp(g)
 	if res.Size != 1 {
 		t.Errorf("size %d, want 1", res.Size)
 	}
@@ -153,7 +177,8 @@ func TestChainAugmentation(t *testing.T) {
 	mustEdge(t, g, 0, 0)
 	mustEdge(t, g, 1, 0)
 	mustEdge(t, g, 1, 1)
-	for name, res := range map[string]Result{"hk": g.HopcroftKarp(), "kuhn": g.Kuhn()} {
+	hk, _ := hopcroftKarp(g)
+	for name, res := range map[string]Result{"hk": hk, "kuhn": g.Kuhn()} {
 		if res.Size != 2 {
 			t.Errorf("%s: size %d, want 2", name, res.Size)
 		}
@@ -179,7 +204,7 @@ func TestHopcroftKarpEqualsKuhnOnRandomGraphs(t *testing.T) {
 		na := rng.Intn(20)
 		nb := rng.Intn(20)
 		g := randomGraph(rng, na, nb, rng.Float64())
-		hk := g.HopcroftKarp()
+		hk, _ := hopcroftKarp(g)
 		kuhn := g.Kuhn()
 		if hk.Size != kuhn.Size {
 			t.Fatalf("trial %d: HK size %d != Kuhn size %d (na=%d nb=%d edges=%d)",
@@ -201,8 +226,8 @@ func TestHallViolationWitnessIsAlwaysValid(t *testing.T) {
 		na := 1 + rng.Intn(15)
 		nb := rng.Intn(12)
 		g := randomGraph(rng, na, nb, 0.15)
-		res := g.HopcroftKarp()
-		viol := g.HallViolation(res)
+		res, m := hopcroftKarp(g)
+		viol := m.HallViolation()
 		if res.SaturatesA() {
 			if viol != nil {
 				t.Fatalf("trial %d: witness on saturating matching", trial)
@@ -227,7 +252,7 @@ func TestMatchingSizeNeverExceedsMinPartition(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		na, nb := rng.Intn(25), rng.Intn(25)
 		g := randomGraph(rng, na, nb, 0.3)
-		res := g.HopcroftKarp()
+		res, _ := hopcroftKarp(g)
 		minPart := na
 		if nb < minPart {
 			minPart = nb
@@ -248,7 +273,8 @@ func TestMatchingMonotoneInEdges(t *testing.T) {
 		prev := 0
 		for k := 0; k < 30; k++ {
 			_ = g.AddEdge(rng.Intn(na), rng.Intn(nb))
-			size := g.HopcroftKarp().Size
+			res, _ := hopcroftKarp(g)
+			size := res.Size
 			if size < prev {
 				t.Fatalf("trial %d: matching shrank %d -> %d", trial, prev, size)
 			}
@@ -261,7 +287,7 @@ func TestValidateRejectsCorruptResults(t *testing.T) {
 	g := NewGraph(2, 2)
 	mustEdge(t, g, 0, 0)
 	mustEdge(t, g, 1, 1)
-	res := g.HopcroftKarp()
+	res, _ := hopcroftKarp(g)
 
 	bad := res
 	bad.Size = 5
@@ -300,7 +326,7 @@ func TestLargeSparseGraph(t *testing.T) {
 			mustEdge(t, g, i, i+1)
 		}
 	}
-	res := g.HopcroftKarp()
+	res, _ := hopcroftKarp(g)
 	if res.Size != n {
 		t.Fatalf("ladder: size %d, want %d", res.Size, n)
 	}
@@ -314,7 +340,7 @@ func BenchmarkHopcroftKarpDense100(b *testing.B) {
 	g := randomGraph(rng, 100, 100, 0.5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = g.HopcroftKarp()
+		_, _ = hopcroftKarp(g)
 	}
 }
 
@@ -337,6 +363,6 @@ func BenchmarkHopcroftKarpSparse5000(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = g.HopcroftKarp()
+		_, _ = hopcroftKarp(g)
 	}
 }

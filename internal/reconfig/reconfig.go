@@ -16,11 +16,9 @@ package reconfig
 
 import (
 	"fmt"
-	"sort"
 
 	"dmfb/internal/defects"
 	"dmfb/internal/layout"
-	"dmfb/internal/matching"
 )
 
 // Assignment records one replacement: the faulty primary cell and the
@@ -90,101 +88,33 @@ type Options struct {
 	// Used marks the primary cells in active use; required iff Scope is
 	// RepairUsed. Indexed by CellID.
 	Used []bool
-	// UseKuhn switches the matching kernel from Hopcroft–Karp to Kuhn's
-	// algorithm (cross-validation and ablation benchmarks).
-	UseKuhn bool
 }
 
 // LocalReconfigure computes a local reconfiguration plan for the array under
 // the given fault set. Spares that are themselves faulty are unusable; a
-// spare repairs at most one primary.
+// spare repairs at most one primary. The plan comes from the same repair
+// graph and the same matcher a Session uses for its verdicts, so
+// plan.OK always equals Session.Feasible.
 func LocalReconfigure(arr *layout.Array, faults *defects.FaultSet, opts Options) (Plan, error) {
-	if faults == nil {
-		return Plan{}, fmt.Errorf("reconfig: nil fault set")
+	s, err := NewSession(arr, opts)
+	if err != nil {
+		return Plan{}, err
 	}
-	if faults.NumCells() != arr.NumCells() {
-		return Plan{}, fmt.Errorf("reconfig: fault set sized %d, array %d",
-			faults.NumCells(), arr.NumCells())
+	if err := s.checkFaults(faults); err != nil {
+		return Plan{}, err
 	}
-	if opts.Scope == RepairUsed && len(opts.Used) != arr.NumCells() {
-		return Plan{}, fmt.Errorf("reconfig: RepairUsed requires Used mask of %d cells, got %d",
-			arr.NumCells(), len(opts.Used))
-	}
-
 	var plan Plan
-	// Collect the faulty primaries that must be repaired.
-	var targets []layout.CellID
 	for _, id := range arr.Primaries() {
-		if !faults.IsFaulty(id) {
-			continue
+		if faults.IsFaulty(id) {
+			plan.FaultyPrimaries++
 		}
-		plan.FaultyPrimaries++
-		if opts.Scope == RepairUsed && !opts.Used[id] {
-			continue
-		}
-		targets = append(targets, id)
 	}
 	for _, id := range arr.Spares() {
 		if faults.IsFaulty(id) {
 			plan.FaultySpares++
 		}
 	}
-	if len(targets) == 0 {
-		plan.OK = true
-		return plan, nil
-	}
-
-	// Build the bipartite graph over the spares adjacent to any target.
-	spareIdx := make(map[layout.CellID]int)
-	var spareIDs []layout.CellID
-	edges := make([][2]int, 0, len(targets)*2)
-	for ti, t := range targets {
-		for _, s := range arr.SpareNeighbors(t) {
-			if faults.IsFaulty(s) {
-				continue
-			}
-			si, ok := spareIdx[s]
-			if !ok {
-				si = len(spareIDs)
-				spareIdx[s] = si
-				spareIDs = append(spareIDs, s)
-			}
-			edges = append(edges, [2]int{ti, si})
-		}
-	}
-	g := matching.NewGraph(len(targets), len(spareIDs))
-	for _, e := range edges {
-		if err := g.AddEdge(e[0], e[1]); err != nil {
-			return Plan{}, err
-		}
-	}
-
-	var res matching.Result
-	if opts.UseKuhn {
-		res = g.Kuhn()
-	} else {
-		res = g.HopcroftKarp()
-	}
-
-	plan.OK = res.SaturatesA()
-	for ti, si := range res.MatchA {
-		if si == matching.Unmatched {
-			plan.Unmatched = append(plan.Unmatched, targets[ti])
-			continue
-		}
-		plan.Assignments = append(plan.Assignments, Assignment{
-			Faulty: targets[ti],
-			Spare:  spareIDs[si],
-		})
-	}
-	sort.Slice(plan.Assignments, func(i, j int) bool {
-		return plan.Assignments[i].Faulty < plan.Assignments[j].Faulty
-	})
-	if !plan.OK {
-		for _, ti := range g.HallViolation(res) {
-			plan.HallWitness = append(plan.HallWitness, targets[ti])
-		}
-	}
+	s.plan(faults.Words(), &plan)
 	return plan, nil
 }
 

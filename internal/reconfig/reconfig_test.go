@@ -6,6 +6,7 @@ import (
 
 	"dmfb/internal/defects"
 	"dmfb/internal/layout"
+	"dmfb/internal/matching"
 )
 
 func buildArray(t testing.TB, d layout.Design, n int) *layout.Array {
@@ -15,6 +16,55 @@ func buildArray(t testing.TB, d layout.Design, n int) *layout.Array {
 		t.Fatal(err)
 	}
 	return arr
+}
+
+// kuhnPlan is the independent reference for LocalReconfigure and the
+// Session: it shares neither their builder nor their solver. Targets come
+// from a primary-list scan, spares are numbered by first appearance in a
+// map, and the matching.Graph is solved with Kuhn's algorithm. It fills in
+// OK, Assignments and Unmatched; a maximum matching is not unique, so only
+// the verdict and the number of repairs must agree.
+func kuhnPlan(t testing.TB, arr *layout.Array, fs *defects.FaultSet, opts Options) Plan {
+	t.Helper()
+	var targets []layout.CellID
+	for _, id := range arr.Primaries() {
+		if fs.IsFaulty(id) && (opts.Scope != RepairUsed || opts.Used[id]) {
+			targets = append(targets, id)
+		}
+	}
+	spareIdx := make(map[layout.CellID]int)
+	var spareIDs []layout.CellID
+	var edges [][2]int
+	for ti, tgt := range targets {
+		for _, sp := range arr.SpareNeighbors(tgt) {
+			if fs.IsFaulty(sp) {
+				continue
+			}
+			si, ok := spareIdx[sp]
+			if !ok {
+				si = len(spareIDs)
+				spareIdx[sp] = si
+				spareIDs = append(spareIDs, sp)
+			}
+			edges = append(edges, [2]int{ti, si})
+		}
+	}
+	g := matching.NewGraph(len(targets), len(spareIDs))
+	for _, e := range edges {
+		if err := g.AddEdge(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res := g.Kuhn()
+	plan := Plan{OK: res.SaturatesA()}
+	for ti, si := range res.MatchA {
+		if si == matching.Unmatched {
+			plan.Unmatched = append(plan.Unmatched, targets[ti])
+			continue
+		}
+		plan.Assignments = append(plan.Assignments, Assignment{Faulty: targets[ti], Spare: spareIDs[si]})
+	}
+	return plan
 }
 
 func TestNoFaultsTrivialPlan(t *testing.T) {
@@ -228,6 +278,9 @@ func TestOptionsValidation(t *testing.T) {
 	if _, err := LocalReconfigure(arr, fs, Options{Scope: RepairUsed}); err == nil {
 		t.Error("RepairUsed without mask accepted")
 	}
+	if _, err := LocalReconfigure(nil, fs, Options{}); err == nil {
+		t.Error("nil array accepted")
+	}
 }
 
 func TestScopeString(t *testing.T) {
@@ -248,10 +301,7 @@ func TestKuhnAgreesWithHopcroftKarp(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		kuhn, err := LocalReconfigure(arr, fs, Options{UseKuhn: true})
-		if err != nil {
-			t.Fatal(err)
-		}
+		kuhn := kuhnPlan(t, arr, fs, Options{})
 		if hk.OK != kuhn.OK || len(hk.Assignments) != len(kuhn.Assignments) {
 			t.Fatalf("trial %d: HK %v/%d vs Kuhn %v/%d", trial,
 				hk.OK, len(hk.Assignments), kuhn.OK, len(kuhn.Assignments))
@@ -262,25 +312,57 @@ func TestKuhnAgreesWithHopcroftKarp(t *testing.T) {
 func TestPlansAlwaysVerifyOnRandomFaults(t *testing.T) {
 	designs := []layout.Design{layout.DTMB16(), layout.DTMB26(), layout.DTMB26Alt(), layout.DTMB36(), layout.DTMB44()}
 	in := defects.NewInjector(99)
+	infeasible := 0
 	for _, d := range designs {
 		arr := buildArray(t, d, 100)
 		var fs *defects.FaultSet
-		for trial := 0; trial < 100; trial++ {
-			fs = in.Bernoulli(arr, 0.9, fs)
-			plan, err := LocalReconfigure(arr, fs, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := VerifyComplete(arr, fs, plan); err != nil {
-				t.Fatalf("%s trial %d: %v", d.Name, trial, err)
-			}
-			// Success must coincide with every faulty primary repaired.
-			faulty := len(fs.FaultyPrimaries(arr))
-			if plan.OK != (len(plan.Assignments) == faulty) {
-				t.Fatalf("%s trial %d: OK=%v with %d/%d repairs",
-					d.Name, trial, plan.OK, len(plan.Assignments), faulty)
+		for _, p := range []float64{0.9, 0.7} {
+			for trial := 0; trial < 100; trial++ {
+				fs = in.Bernoulli(arr, p, fs)
+				plan, err := LocalReconfigure(arr, fs, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := VerifyComplete(arr, fs, plan); err != nil {
+					t.Fatalf("%s p=%v trial %d: %v", d.Name, p, trial, err)
+				}
+				// Success must coincide with every faulty primary repaired.
+				faulty := len(fs.FaultyPrimaries(arr))
+				if plan.OK != (len(plan.Assignments) == faulty) {
+					t.Fatalf("%s p=%v trial %d: OK=%v with %d/%d repairs",
+						d.Name, p, trial, plan.OK, len(plan.Assignments), faulty)
+				}
+				if !plan.OK {
+					infeasible++
+					checkHallWitness(t, arr, fs, plan.HallWitness)
+				}
 			}
 		}
+	}
+	if infeasible == 0 {
+		t.Fatal("no infeasible plan drawn; the Hall witness went unchecked")
+	}
+}
+
+// checkHallWitness certifies a Hall witness: every cell is a faulty
+// primary, and the witness's healthy adjacent spares are fewer than its
+// cells, so no reconfiguration can repair them all.
+func checkHallWitness(t *testing.T, arr *layout.Array, fs *defects.FaultSet, witness []layout.CellID) {
+	t.Helper()
+	healthy := make(map[layout.CellID]bool)
+	for _, id := range witness {
+		if arr.Cell(id).Role != layout.Primary || !fs.IsFaulty(id) {
+			t.Fatalf("witness cell %d is not a faulty primary", id)
+		}
+		for _, sp := range arr.SpareNeighbors(id) {
+			if !fs.IsFaulty(sp) {
+				healthy[sp] = true
+			}
+		}
+	}
+	if len(healthy) >= len(witness) {
+		t.Fatalf("witness of %d cells has %d healthy adjacent spares, not a Hall violation",
+			len(witness), len(healthy))
 	}
 }
 

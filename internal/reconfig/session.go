@@ -9,33 +9,32 @@ import (
 	"dmfb/internal/matching"
 )
 
-// Session answers repeated reconfiguration-feasibility queries against one
-// fixed array without per-query allocation — the shape of the Monte-Carlo
+// Session holds the one repair-graph builder and the one matcher of local
+// reconfiguration for a fixed array. It answers repeated feasibility
+// queries without per-query allocation — the shape of the Monte-Carlo
 // yield kernel, where the array never changes and only the fault set does
-// (the repeated-feasibility framing of the companion dynamic-reconfiguration
-// paper). Where LocalReconfigure rebuilds the bipartite repair graph with
-// fresh maps and slices on every call, a Session precomputes the static
-// structure once at construction:
+// (the repeated-feasibility framing of the companion
+// dynamic-reconfiguration paper) — and LocalReconfigure builds a one-shot
+// Session to materialize its plans on the same graph. The static
+// structure is computed once at construction:
 //
-//   - a dense CellID → spare-slot index (replacing the per-call spareIdx map),
+//   - a dense CellID → spare-slot index numbering the matcher's right side,
+//   - the repair-target bitset the options select,
 //   - the worst-case matcher scratch sizes (every primary faulty, every
 //     spare adjacency an edge), so the embedded matching.Matcher never grows.
 //
-// Feasible then runs entirely in scratch. It answers exactly the question
-// LocalReconfigure(...).OK answers under the same Options — an equivalence
-// the session differential tests pin across all designs, fault patterns,
-// and seeds — but materializes no Plan, no assignments, and no Hall witness.
-// Use LocalReconfigure when the caller needs the plan itself (API responses,
-// the case-study tools); use a Session when only the verdict matters.
+// Feasible then runs entirely in scratch and materializes no Plan, no
+// assignments, and no Hall witness; its verdict is LocalReconfigure's
+// plan.OK by construction. Use LocalReconfigure when the caller needs the
+// plan itself (API responses, the case-study tools); use a Session when
+// only the verdict matters.
 //
 // A Session is not safe for concurrent use. Workers sharing an array must
 // each own a Session; the array itself is read-only and freely shared.
 type Session struct {
-	arr  *layout.Array
-	opts Options
-	// spareSlot[id] is the dense index of cell id among the array's spares,
-	// or -1 for primaries. It is the static replacement for the spareIdx map
-	// LocalReconfigure rebuilds per call.
+	arr *layout.Array
+	// spareSlot[id] is the dense index of cell id among the array's spares
+	// (its right vertex in the repair graph), or -1 for primaries.
 	spareSlot []int32
 	// targetMask is the repair-target bitset in FaultSet.Words layout:
 	// bit i set iff cell i is a primary the options put in scope (all
@@ -52,10 +51,8 @@ type Session struct {
 	memoHits, memoMisses *uint64
 }
 
-// NewSession builds a reusable feasibility session for the array under the
-// given options. Options.UseKuhn is ignored: both matching algorithms are
-// exact, so feasibility is algorithm-independent, and the session always
-// runs its scratch-arena Hopcroft–Karp. The array must outlive the session.
+// NewSession builds a reusable reconfiguration session for the array under
+// the given options. The array must outlive the session.
 func NewSession(arr *layout.Array, opts Options) (*Session, error) {
 	if arr == nil {
 		return nil, fmt.Errorf("reconfig: nil array")
@@ -84,7 +81,6 @@ func NewSession(arr *layout.Array, opts Options) (*Session, error) {
 	}
 	return &Session{
 		arr:        arr,
-		opts:       opts,
 		spareSlot:  spareSlot,
 		targetMask: targetMask,
 		m:          matching.NewMatcher(arr.NumPrimary(), arr.NumSpare(), maxEdges),
@@ -99,18 +95,26 @@ func (s *Session) Array() *layout.Array { return s.arr }
 // computed without heap allocation. Spares that are themselves faulty are
 // unusable; a spare repairs at most one primary.
 func (s *Session) Feasible(fs *defects.FaultSet) (bool, error) {
-	if fs == nil {
-		return false, fmt.Errorf("reconfig: nil fault set")
-	}
-	if fs.NumCells() != s.arr.NumCells() {
-		return false, fmt.Errorf("reconfig: fault set sized %d, array %d",
-			fs.NumCells(), s.arr.NumCells())
+	if err := s.checkFaults(fs); err != nil {
+		return false, err
 	}
 	// Degenerate fast path: an all-healthy array needs no repair.
 	if fs.Count() == 0 {
 		return true, nil
 	}
 	return s.feasible(fs.Words()), nil
+}
+
+// checkFaults rejects a fault set that is nil or sized for another array.
+func (s *Session) checkFaults(fs *defects.FaultSet) error {
+	if fs == nil {
+		return fmt.Errorf("reconfig: nil fault set")
+	}
+	if fs.NumCells() != s.arr.NumCells() {
+		return fmt.Errorf("reconfig: fault set sized %d, array %d",
+			fs.NumCells(), s.arr.NumCells())
+	}
+	return nil
 }
 
 // FeasibleWords is Feasible over a raw fault bitset in FaultSet.Words
@@ -153,10 +157,10 @@ func (s *Session) SetMemoCounters(hits, misses *uint64) {
 func (s *Session) MemoLen() int { return s.memo.len() }
 
 // GraphSignature returns the matching.Matcher signature of the repair graph
-// left by the most recent solver run — the differential suite's witness
-// that two feasibility paths built the identical graph. Queries answered
-// without the solver (all-healthy draws, no-target draws, memo hits) leave
-// the previous graph in place.
+// left by the most recent build — the differential suite's witness that
+// two feasibility paths built the identical graph. Queries answered without
+// building (all-healthy draws, memo hits) leave the previous graph in
+// place.
 func (s *Session) GraphSignature() uint64 { return s.m.GraphSignature() }
 
 // feasible answers the feasibility query for a fault bitset, through the
@@ -183,36 +187,60 @@ func (s *Session) feasible(words []uint64) bool {
 	return ok
 }
 
-// solve runs the matcher over the fault bitset: targets are the set bits of
-// words ∧ targetMask, visited in ascending cell order (the order the
-// primary-list scan used to produce, so the repair graph is built
-// identically), each wired to its non-faulty adjacent spares.
+// solve answers the feasibility query for a fault bitset on the matcher.
 func (s *Session) solve(words []uint64) bool {
-	// Build the repair graph over the full spare set: faulty spares simply
-	// receive no edges, so the dynamic spare subset of LocalReconfigure is
-	// unnecessary. A target with no healthy adjacent spare is an immediate
-	// Hall violation (|N({t})| = 0), reported without running the solver.
-	started := false
+	return s.build(words, nil) && s.m.SaturatesA()
+}
+
+// plan solves the full repair graph of a fault bitset and fills in the
+// verdict, the assignments, the unmatched targets and, when infeasible,
+// the Hall witness. Targets are in ascending cell order, so every list
+// comes out sorted by faulty cell ID.
+func (s *Session) plan(words []uint64, plan *Plan) {
+	var targets []layout.CellID
+	s.build(words, &targets)
+	plan.OK = s.m.MaxMatchingSize() == len(targets)
+	spares := s.arr.Spares()
+	for ti, t := range targets {
+		if slot := s.m.Partner(ti); slot != matching.Unmatched {
+			plan.Assignments = append(plan.Assignments, Assignment{Faulty: t, Spare: spares[slot]})
+		} else {
+			plan.Unmatched = append(plan.Unmatched, t)
+		}
+	}
+	if !plan.OK {
+		for _, ti := range s.m.HallViolation() {
+			plan.HallWitness = append(plan.HallWitness, targets[ti])
+		}
+	}
+}
+
+// build feeds the matcher the repair graph of a fault bitset. Targets —
+// the left vertices — are the set bits of words ∧ targetMask, visited in
+// ascending cell order; each is wired to its healthy adjacent spares by
+// spare slot, so faulty spares simply receive no edges. With targets nil
+// (the verdict path) build stops at the first target with no healthy
+// adjacent spare, an immediate Hall violation (|N({t})| = 0), and returns
+// false. Otherwise it builds every target, appending each to *targets in
+// left-vertex order, and returns true.
+func (s *Session) build(words []uint64, targets *[]layout.CellID) bool {
+	s.m.Reset(s.arr.NumSpare())
 	for w, tm := range s.targetMask {
 		ww := words[w] & tm
 		for ; ww != 0; ww &= ww - 1 {
 			id := layout.CellID(w<<6 + bits.TrailingZeros64(ww))
-			if !started {
-				s.m.Reset(s.arr.NumSpare())
-				started = true
-			}
 			for _, sp := range s.arr.SpareNeighbors(id) {
 				if words[sp>>6]&(uint64(1)<<(uint(sp)&63)) == 0 {
 					s.m.AddEdge(int(s.spareSlot[sp]))
 				}
 			}
-			if s.m.EndLeft() == 0 {
+			if s.m.EndLeft() == 0 && targets == nil {
 				return false
+			}
+			if targets != nil {
+				*targets = append(*targets, id)
 			}
 		}
 	}
-	if !started {
-		return true
-	}
-	return s.m.SaturatesA()
+	return true
 }

@@ -10,15 +10,15 @@ import (
 
 // TestDifferentialSessionFeasibleMatchesLocalReconfigure is the randomized
 // differential test pinning the session's allocation-free verdict to the
-// reference plan-materializing path over every constructible design,
-// several fault patterns (Bernoulli at low/medium/high density,
-// fixed-count, clustered), and a spread of seeds — including the UseKuhn
-// cross-check, which the session must agree with because both algorithms
-// are exact. Alongside the direct session it drives a memoized twin on the
-// same draws, so every verdict is additionally pinned memoized == direct ==
-// reference — with a capacity chosen small enough that the LRU evicts
-// constantly under the test's fault densities, exercising the recycling
-// path, not just warm hits.
+// plan-materializing path over every constructible design, several fault
+// patterns (Bernoulli at low/medium/high density, fixed-count, clustered),
+// and a spread of seeds — and both to the independent Kuhn reference
+// (kuhnPlan), which they must agree with because every maximum matching
+// has the same size. Alongside the direct session it drives a memoized
+// twin on the same draws, so every verdict is additionally pinned
+// memoized == direct == reference — with a capacity chosen small enough
+// that the LRU evicts constantly under the test's fault densities,
+// exercising the recycling path, not just warm hits.
 func TestDifferentialSessionFeasibleMatchesLocalReconfigure(t *testing.T) {
 	seeds := int64(25)
 	if testing.Short() {
@@ -56,14 +56,18 @@ func TestDifferentialSessionFeasibleMatchesLocalReconfigure(t *testing.T) {
 				t.Fatalf("%s %s seed %d: memoized Feasible=%v, direct=%v (%d faults)",
 					d.Name, pattern, seed, memoGot, got, fs.Count())
 			}
+			plan, err := LocalReconfigure(arr, fs, Options{})
+			if err != nil {
+				t.Fatalf("%s %s seed %d: LocalReconfigure: %v", d.Name, pattern, seed, err)
+			}
 			for _, kuhn := range []bool{false, true} {
-				plan, err := LocalReconfigure(arr, fs, Options{UseKuhn: kuhn})
-				if err != nil {
-					t.Fatalf("%s %s seed %d: LocalReconfigure: %v", d.Name, pattern, seed, err)
+				ok := plan.OK
+				if kuhn {
+					ok = kuhnPlan(t, arr, fs, Options{}).OK
 				}
-				if got != plan.OK {
+				if got != ok {
 					t.Fatalf("%s %s seed %d (kuhn=%v): Feasible=%v, LocalReconfigure.OK=%v (%d faults)",
-						d.Name, pattern, seed, kuhn, got, plan.OK, fs.Count())
+						d.Name, pattern, seed, kuhn, got, ok, fs.Count())
 				}
 			}
 		}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -88,6 +89,34 @@ func TestGateFailsOnMissingBenchmark(t *testing.T) {
 	v := gate(base, parsedFixture(t), 15, strictKernel)
 	if len(v) != 1 || !strings.Contains(v[0], "missing") {
 		t.Errorf("want one missing-benchmark violation, got %v", v)
+	}
+}
+
+// TestAllocStrictPinsHaveBaselines requires every alternative of the
+// default alloc-strict pattern to name at least one committed baseline
+// benchmark: gate only checks benchmarks present in a baseline, so an
+// alternative with no baseline entry is a pin that never fires.
+func TestAllocStrictPinsHaveBaselines(t *testing.T) {
+	var paths []string
+	for _, p := range defaultBaselines {
+		paths = append(paths, filepath.Join("..", p))
+	}
+	baselines, err := loadBaselines(paths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, alt := range strings.Split(defaultAllocStrict, "|") {
+		re := regexp.MustCompile(alt)
+		found := false
+		for name := range baselines {
+			if re.MatchString(name) {
+				found = true
+				break
+			}
+		}
+		if !found {
+			t.Errorf("alloc-strict pin %q matches no benchmark in %v", alt, defaultBaselines)
+		}
 	}
 }
 
