@@ -1,10 +1,10 @@
 package defects
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 
-	"dmfb/internal/hexgrid"
 	"dmfb/internal/layout"
 )
 
@@ -62,6 +62,13 @@ func (b *TrialBatch) Reset(n int) {
 	b.occupied = 0
 	for i := range b.cols {
 		b.cols[i] = 0
+	}
+}
+
+// checkCells panics unless the batch is sized for numCells cells.
+func (b *TrialBatch) checkCells(numCells int) {
+	if numCells != b.numCells {
+		panic("defects: batch sized for a different cell count")
 	}
 }
 
@@ -136,8 +143,9 @@ func transpose64(a *[WordTrials]uint64) {
 // successive BernoulliN calls — trial-major, cell-minor — so a batched
 // estimate consumes the identical random stream as the scalar path and
 // reproduces it bit for bit (the property the differential suite and the
-// golden fixtures pin). The batch must be sized for numCells.
+// golden fixtures pin). It panics unless the batch is sized for numCells.
 func (in *Injector) BernoulliBatch(numCells int, p float64, n int, b *TrialBatch) {
+	b.checkCells(numCells)
 	b.Reset(n)
 	q := 1 - p
 	if q <= 0 {
@@ -171,8 +179,10 @@ func (in *Injector) BernoulliBatch(numCells int, p float64, n int, b *TrialBatch
 // BernoulliGeomBatch is BernoulliBatch with geometric skip-sampling, the
 // batched form of BernoulliGeomN: same marginal fault distribution,
 // O(expected faults) PRNG draws per trial, and draw-for-draw parity with n
-// successive BernoulliGeomN calls.
+// successive BernoulliGeomN calls. It panics unless the batch is sized for
+// numCells.
 func (in *Injector) BernoulliGeomBatch(numCells int, p float64, n int, b *TrialBatch) {
+	b.checkCells(numCells)
 	b.Reset(n)
 	q := 1 - p
 	if math.IsNaN(q) || q <= 0 {
@@ -213,48 +223,14 @@ func (in *Injector) BernoulliGeomBatch(numCells int, p float64, n int, b *TrialB
 // cluster count, centers, and ring coins, in exactly the per-trial order of
 // n successive Clustered calls, so the batched and scalar paths consume the
 // identical PRNG stream. It returns the total number of clusters seeded
-// across the batch.
+// across the batch, or an error, before any draw, when the batch is sized
+// for a different cell count than the array's.
 func (in *Injector) ClusteredBatch(arr *layout.Array, cp ClusterParams, n int, b *TrialBatch) (int, error) {
 	if err := cp.validate(); err != nil {
 		return 0, err
 	}
-	b.Reset(n)
-	decay := cp.clusterDecay(6)
-	maxR := clusterRadius(decay)
-	rate := cp.clusterRate()
-	src := &in.src
-	total := 0
-	for t := 0; t < n; t++ {
-		bit := uint64(1) << uint(t)
-		clusters := in.poisson(rate)
-		total += clusters
-		for c := 0; c < clusters; c++ {
-			center := layout.CellID(in.rng.Intn(arr.NumCells()))
-			b.cols[center] |= bit
-			b.occupied |= bit
-			pos := arr.Cell(center).Pos
-			prob := 1.0
-			// The ring coins draw with the cursor in locals; the cluster
-			// count and centers above go through the struct.
-			tap, feed := src.tap, src.feed
-			for r := 1; r <= maxR; r++ {
-				prob *= decay
-				cur := pos.Add(hexgrid.Directions[4].Scale(r))
-				for side := 0; side < 6; side++ {
-					for step := 0; step < r; step++ {
-						if id := arr.CellAt(cur); id != layout.NoCell {
-							var y uint64
-							if y, tap, feed = src.draw(tap, feed); uniform(y) < prob {
-								b.cols[id] |= bit
-								b.occupied |= bit
-							}
-						}
-						cur = cur.Neighbor(side)
-					}
-				}
-			}
-			src.tap, src.feed = tap, feed
-		}
+	if b.NumCells() != arr.NumCells() {
+		return 0, fmt.Errorf("defects: batch sized for %d cells, array has %d", b.NumCells(), arr.NumCells())
 	}
-	return total, nil
+	return in.clusters(in.hexStencil(arr, cp.clusterDecay(6)), cp.clusterRate(), n, b), nil
 }

@@ -89,46 +89,25 @@ func clusterRadius(decay float64) int {
 // centers are uniform over all cells (primaries and spares alike, matching
 // the paper's fault-domain assumption), and each cluster decays geometrically
 // over the six-neighbor hexagonal rings around its center. The draw is
-// deterministic in the injector's seed and the array. It reuses dst when it
-// has matching size (clearing it first) to stay allocation-light in
-// Monte-Carlo loops. The returned count is the number of clusters seeded.
+// deterministic in the injector's seed and the array, and is one trial of
+// ClusteredBatch's walk. It reuses dst when it has matching size (clearing it
+// first) to stay allocation-light in Monte-Carlo loops. The returned count is
+// the number of clusters seeded.
 func (in *Injector) Clustered(arr *layout.Array, cp ClusterParams, dst *FaultSet) (*FaultSet, int, error) {
 	if err := cp.validate(); err != nil {
 		return dst, 0, err
 	}
 	dst = in.prepare(arr, dst)
-	decay := cp.clusterDecay(6)
-	maxR := clusterRadius(decay)
-	clusters := in.poisson(cp.clusterRate())
-	for c := 0; c < clusters; c++ {
-		center := layout.CellID(in.rng.Intn(arr.NumCells()))
-		dst.MarkFaulty(center)
-		pos := arr.Cell(center).Pos
-		prob := 1.0
-		for r := 1; r <= maxR; r++ {
-			prob *= decay
-			// Walk the ring in hexgrid.Ring order without materializing it:
-			// start r steps south-west, then one ring side per direction.
-			cur := pos.Add(hexgrid.Directions[4].Scale(r))
-			for side := 0; side < 6; side++ {
-				for step := 0; step < r; step++ {
-					if id := arr.CellAt(cur); id != layout.NoCell && in.src.float64() < prob {
-						dst.MarkFaulty(id)
-					}
-					cur = cur.Neighbor(side)
-				}
-			}
-		}
-	}
+	clusters := in.single(in.hexStencil(arr, cp.clusterDecay(6)), cp.clusterRate(), dst)
 	return dst, clusters, nil
 }
 
 // ClusteredGrid is the square-lattice sibling of Clustered for arrays that
 // are not layout.Arrays (the boundary-spare-row placements of the
 // shifted-replacement baseline, indexed densely row-major on a w×h grid).
-// Rings are Chebyshev (8r cells at radius r), the natural shape of a spot
-// defect on a square-electrode array. The returned count is the number of
-// clusters seeded.
+// Rings are Chebyshev (8r cells at radius r, visited row-major), the natural
+// shape of a spot defect on a square-electrode array. The returned count is
+// the number of clusters seeded.
 func (in *Injector) ClusteredGrid(w, h int, cp ClusterParams, dst *FaultSet) (*FaultSet, int, error) {
 	if err := cp.validate(); err != nil {
 		return dst, 0, err
@@ -142,49 +121,200 @@ func (in *Injector) ClusteredGrid(w, h int, cp ClusterParams, dst *FaultSet) (*F
 	} else {
 		dst.Clear()
 	}
-	decay := cp.clusterDecay(8)
-	maxR := clusterRadius(decay)
-	clusters := in.poisson(cp.clusterRate())
-	for c := 0; c < clusters; c++ {
-		center := in.rng.Intn(numCells)
-		dst.MarkFaulty(layout.CellID(center))
-		cx, cy := center%w, center/w
-		prob := 1.0
-		for r := 1; r <= maxR; r++ {
-			prob *= decay
-			// Chebyshev ring: cells with max(|dx|,|dy|) == r, scanned in
-			// deterministic row-major order.
-			for dy := -r; dy <= r; dy++ {
-				for dx := -r; dx <= r; dx++ {
-					if maxAbs(dx, dy) != r {
-						continue
-					}
-					x, y := cx+dx, cy+dy
-					if x < 0 || x >= w || y < 0 || y >= h {
-						continue
-					}
-					if in.src.float64() < prob {
-						dst.MarkFaulty(layout.CellID(y*w + x))
-					}
-				}
-			}
-		}
-	}
+	clusters := in.single(in.squareStencil(w, h, cp.clusterDecay(8)), cp.clusterRate(), dst)
 	return dst, clusters, nil
 }
 
-// maxAbs returns max(|a|, |b|).
-func maxAbs(a, b int) int {
-	if a < 0 {
-		a = -a
+// stencil is the precomputed ring walk of clustered injection over one array
+// (or square grid) at one per-ring decay. The cluster around cell c visits
+// the position-grid slots base[c]+delta[k]: ring r is the next growth·r
+// deltas, in hexgrid.Ring order on the hexagonal lattice and row-major on
+// the square one. The grid is padded by maxR on every side, so no probe
+// needs a bounds check; a slot off the array holds -1 and draws no coin.
+// thresholds[r] is below(decay^r), the ring's coin as a compare on the raw
+// draw, with decay^r accumulated ring by ring as a running product: the
+// float model's per-ring probability, bit for bit.
+//
+// An Injector keeps one stencil as scratch and rebuilds it only when the
+// array, grid size or decay changes; grid, base and delta share one backing
+// slice that is reused while large enough.
+type stencil struct {
+	// The key: the array (nil for a square grid), the unpadded bounding
+	// box — a square grid's size — and math.Float64bits of the decay.
+	arr       *layout.Array
+	w, h      int
+	decayBits uint64
+
+	numCells   int
+	growth     int // ring r holds growth·r positions: 6 hexagonal, 8 square
+	maxR       int
+	stride     int // row length of the padded grid
+	grid       []int32
+	base       []int32
+	delta      []int32
+	buf        []int32
+	thresholds [maxClusterRadius + 1]uint64
+}
+
+// hexStencil returns the injector's stencil for hexagonal clusters over arr.
+func (in *Injector) hexStencil(arr *layout.Array, decay float64) *stencil {
+	st := &in.ring
+	if st.arr == arr && st.decayBits == math.Float64bits(decay) {
+		return st
 	}
-	if b < 0 {
-		b = -b
+	numCells := arr.NumCells()
+	first := arr.Cell(0).Pos
+	minQ, maxQ, minR, maxR := first.Q, first.Q, first.R, first.R
+	for id := 1; id < numCells; id++ {
+		p := arr.Cell(layout.CellID(id)).Pos
+		minQ, maxQ = min(minQ, p.Q), max(maxQ, p.Q)
+		minR, maxR = min(minR, p.R), max(maxR, p.R)
 	}
-	if a > b {
-		return a
+	st.size(arr, numCells, maxQ-minQ+1, maxR-minR+1, 6, decay)
+	for id := 0; id < numCells; id++ {
+		p := arr.Cell(layout.CellID(id)).Pos
+		st.place(id, p.Q-minQ, p.R-minR)
 	}
-	return b
+	// Ring r starts r steps south-west of the center and walks one side per
+	// direction, the order of hexgrid.Ring.
+	k := 0
+	for r := 1; r <= st.maxR; r++ {
+		cur := hexgrid.Directions[4].Scale(r)
+		for _, dir := range hexgrid.Directions {
+			for step := 0; step < r; step++ {
+				st.delta[k] = int32(cur.R*st.stride + cur.Q)
+				k++
+				cur = cur.Add(dir)
+			}
+		}
+	}
+	return st
+}
+
+// squareStencil returns the injector's stencil for Chebyshev clusters over a
+// row-major w×h grid.
+func (in *Injector) squareStencil(w, h int, decay float64) *stencil {
+	st := &in.ring
+	if st.arr == nil && st.w == w && st.h == h && st.decayBits == math.Float64bits(decay) {
+		return st
+	}
+	st.size(nil, w*h, w, h, 8, decay)
+	for id := 0; id < w*h; id++ {
+		st.place(id, id%w, id/w)
+	}
+	// Ring r row-major: the whole top row, the two ends of each middle row,
+	// the whole bottom row.
+	k := 0
+	for r := 1; r <= st.maxR; r++ {
+		for dy := -r; dy <= r; dy++ {
+			step := 2 * r
+			if dy == -r || dy == r {
+				step = 1
+			}
+			for dx := -r; dx <= r; dx += step {
+				st.delta[k] = int32(dy*st.stride + dx)
+				k++
+			}
+		}
+	}
+	return st
+}
+
+// size keys the stencil, lays it out for numCells cells in a w×h bounding
+// box and rings of growth·r positions, clears the grid, and fills the
+// thresholds. Callers then place every cell and fill delta.
+func (st *stencil) size(arr *layout.Array, numCells, w, h, growth int, decay float64) {
+	maxR := clusterRadius(decay)
+	stride := w + 2*maxR
+	slots := stride * (h + 2*maxR)
+	rings := growth * maxR * (maxR + 1) / 2
+	total := slots + numCells + rings
+	if cap(st.buf) < total {
+		st.buf = make([]int32, total)
+	}
+	buf := st.buf[:total]
+	st.grid = buf[:slots:slots]
+	st.base = buf[slots : slots+numCells : slots+numCells]
+	st.delta = buf[slots+numCells:]
+	for i := range st.grid {
+		st.grid[i] = -1
+	}
+	st.arr, st.w, st.h, st.decayBits = arr, w, h, math.Float64bits(decay)
+	st.numCells, st.growth, st.maxR, st.stride = numCells, growth, maxR, stride
+	prob := 1.0
+	for r := 1; r <= maxR; r++ {
+		prob *= decay
+		st.thresholds[r] = below(prob)
+	}
+}
+
+// place records cell id at column x, row y of the unpadded bounding box.
+func (st *stencil) place(id, x, y int) {
+	slot := (y+st.maxR)*st.stride + x + st.maxR
+	st.grid[slot] = int32(id)
+	st.base[id] = int32(slot)
+}
+
+// clusters fills the batch with n clustered-defect trials over the stencil
+// at Poisson cluster rate rate. Each trial draws its cluster count, then per
+// cluster its center and one coin per in-array ring position, ring by ring
+// — the trial-major order in which one-trial calls consume the stream, so a
+// batch and n single trials draw identically. It returns the number of
+// clusters seeded across the batch.
+func (in *Injector) clusters(st *stencil, rate float64, n int, b *TrialBatch) int {
+	b.Reset(n)
+	src := &in.src
+	grid, base, delta, cols := st.grid, st.base, st.delta, b.cols
+	numCells, growth, maxR := st.numCells, st.growth, st.maxR
+	thresholds := &st.thresholds
+	var occupied uint64
+	total := 0
+	for t := 0; t < n; t++ {
+		bit := uint64(1) << uint(t)
+		clusters := in.poisson(rate)
+		total += clusters
+		for c := 0; c < clusters; c++ {
+			center := in.rng.Intn(numCells)
+			cols[center] |= bit
+			occupied |= bit
+			// The ring coins draw with the cursor in locals; the cluster
+			// count and centers above go through the struct.
+			at := int(base[center])
+			tap, feed := src.tap, src.feed
+			k := 0
+			for r := 1; r <= maxR; r++ {
+				threshold := thresholds[r]
+				for end := k + growth*r; k < end; k++ {
+					if id := grid[at+int(delta[k])]; id >= 0 {
+						var y uint64
+						y, tap, feed = src.draw(tap, feed)
+						m := bit & -((y - threshold) >> 63) // bit iff y < threshold
+						cols[id] |= m
+						occupied |= m
+					}
+				}
+			}
+			src.tap, src.feed = tap, feed
+		}
+	}
+	b.occupied = occupied
+	return total
+}
+
+// single draws one trial of the stencil's walk into dst, which must be
+// cleared and sized for the stencil's cells, through the injector's
+// one-trial scratch batch.
+func (in *Injector) single(st *stencil, rate float64, dst *FaultSet) int {
+	if in.one == nil || in.one.NumCells() != st.numCells {
+		in.one = NewTrialBatch(st.numCells)
+	}
+	clusters := in.clusters(st, rate, 1, in.one)
+	for id, col := range in.one.cols {
+		if col != 0 {
+			dst.MarkFaulty(layout.CellID(id))
+		}
+	}
+	return clusters
 }
 
 // Model selects the spatial defect model of a yield trial: the paper's

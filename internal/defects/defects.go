@@ -291,8 +291,11 @@ func (f *FaultSet) FaultySpares(arr *layout.Array) []layout.CellID {
 // rand.NewSource(seed)'s, drawn from one embedded source: the injection
 // loops call it directly, without the rand.Source interface, and rng wraps
 // the same source for the cold draws (Intn, NormFloat64) — two views of
-// one stream, never two streams. It is not safe for concurrent use; give
-// each worker its own Injector (see stats.SeedStream).
+// one stream, never two streams. Its scratch — the FixedCount pool, the
+// clustered ring stencil and the one-trial batch of the scalar clustered
+// draws — holds no random state, so results depend only on the seed and
+// the calls since. It is not safe for concurrent use; give each worker its
+// own Injector (see stats.SeedStream).
 type Injector struct {
 	src source
 	rng *rand.Rand // rand.New(&src)
@@ -300,6 +303,11 @@ type Injector struct {
 	// from the domain on every call so results stay independent of call
 	// history while the allocation is paid once.
 	pool []layout.CellID
+	// ring is the clustered injectors' precomputed ring walk, rebuilt only
+	// when the array, grid or decay changes (see stencil).
+	ring stencil
+	// one is the one-trial batch Clustered and ClusteredGrid draw through.
+	one *TrialBatch
 }
 
 // NewInjector returns an injector with a deterministic PRNG stream.
@@ -311,9 +319,11 @@ func NewInjector(seed int64) *Injector {
 }
 
 // Reseed rewinds the injector onto a fresh deterministic PRNG stream, as if
-// newly constructed with NewInjector(seed), while keeping its scratch
-// buffers. The chunked Monte-Carlo kernel reseeds one worker-owned injector
-// per chunk instead of allocating a new one (the generator state is ~5 KB).
+// newly constructed with NewInjector(seed), while keeping its scratch: the
+// FixedCount pool and the clustered ring stencil and batch. The chunked
+// Monte-Carlo kernel reseeds one worker-owned injector per chunk instead of
+// allocating a new one (the generator state is ~5 KB), so a worker builds
+// its ring stencil once per estimate.
 //
 // Like math/rand, the generator reduces seed mod 2³¹−1, so seeds that agree
 // mod 2³¹−1 select the same stream: distinct 64-bit seeds (such as the

@@ -1,6 +1,7 @@
 package defects
 
 import (
+	"fmt"
 	"testing"
 
 	"dmfb/internal/layout"
@@ -57,15 +58,41 @@ func BenchmarkBernoulliGeomBatch(b *testing.B) {
 }
 
 // BenchmarkClusteredBatch runs the clustered model at the kernel's
-// p=0.95 mapping: (1−p)·N expected faulty cells in clusters of 4.
+// p=0.95 mapping, (1−p)·N expected faulty cells, on DTMB(2,6) over a
+// parallelogram with 100 primaries and a hexagon with 240, in clusters of 4
+// and 64 cells. The warm cases reuse one injector, whose ring stencil is
+// built once; the cold cases take a fresh injector per batch, so they carry
+// the stencil build.
 func BenchmarkClusteredBatch(b *testing.B) {
-	arr := benchArray(b)
-	model := Model{Clustered: true, ClusterSize: 4}
-	cp := model.Params(0.95, arr.NumCells())
-	in, tb := NewInjector(1), NewTrialBatch(arr.NumCells())
-	benchBatches(b, func() {
-		if _, err := in.ClusteredBatch(arr, cp, WordTrials, tb); err != nil {
-			b.Fatal(err)
+	para := benchArray(b)
+	hex, err := layout.BuildHexagonWithPrimaryTarget(layout.DTMB26(), 240)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, fp := range []struct {
+		name string
+		arr  *layout.Array
+	}{{"parallelogram-n100", para}, {"hexagon-n240", hex}} {
+		arr := fp.arr
+		for _, size := range []float64{4, 64} {
+			cp := Model{Clustered: true, ClusterSize: size}.Params(0.95, arr.NumCells())
+			name := fmt.Sprintf("%s/size=%g", fp.name, size)
+			b.Run(name, func(b *testing.B) {
+				in, tb := NewInjector(1), NewTrialBatch(arr.NumCells())
+				benchBatches(b, func() {
+					if _, err := in.ClusteredBatch(arr, cp, WordTrials, tb); err != nil {
+						b.Fatal(err)
+					}
+				})
+			})
+			b.Run(name+"/cold", func(b *testing.B) {
+				tb := NewTrialBatch(arr.NumCells())
+				benchBatches(b, func() {
+					if _, err := NewInjector(1).ClusteredBatch(arr, cp, WordTrials, tb); err != nil {
+						b.Fatal(err)
+					}
+				})
+			})
 		}
-	})
+	}
 }

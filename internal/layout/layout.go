@@ -165,15 +165,13 @@ type Cell struct {
 type Array struct {
 	design Design
 	cells  []Cell
-	index  map[hexgrid.Axial]CellID
 
-	// grid is the dense position index of the array's axial bounding box:
-	// grid[(r−gridMinR)·gridW + (q−gridMinQ)] is the cell at (q,r), or NoCell.
-	// CellAt resolves through it in a couple of arithmetic ops where the map
-	// above costs a hash — the difference is the whole clustered-injection
-	// hot path, which probes every ring position of every cluster. It is nil
-	// for pathologically sparse regions (see gridMaxWaste), where CellAt
-	// falls back to the map.
+	// grid is the array's only position index, dense over its axial
+	// bounding box: grid[(r−gridMinR)·gridW + (q−gridMinQ)] is the cell at
+	// (q,r), or NoCell. CellAt, adjacency construction and Validate resolve
+	// positions through it; clustered fault injection does not probe it per
+	// position but walks its own padded ring stencil. Build rejects regions
+	// too sparse for it (see gridMaxWaste).
 	grid            []CellID
 	gridMinQ, gridW int
 	gridMinR, gridH int
@@ -202,7 +200,6 @@ func Build(d Design, region *hexgrid.Region) (*Array, error) {
 	arr := &Array{
 		design: d,
 		cells:  make([]Cell, 0, len(cells)),
-		index:  make(map[hexgrid.Axial]CellID, len(cells)),
 	}
 	for _, pos := range cells {
 		id := CellID(len(arr.cells))
@@ -211,28 +208,29 @@ func Build(d Design, region *hexgrid.Region) (*Array, error) {
 			role = Spare
 		}
 		arr.cells = append(arr.cells, Cell{ID: id, Pos: pos, Role: role})
-		arr.index[pos] = id
 		if role == Primary {
 			arr.primaries = append(arr.primaries, id)
 		} else {
 			arr.spares = append(arr.spares, id)
 		}
 	}
+	if err := arr.buildGrid(); err != nil {
+		return nil, err
+	}
 	arr.buildAdjacency()
-	arr.buildGrid()
 	return arr, nil
 }
 
 // gridMaxWaste bounds the dense position index: the bounding box may hold at
-// most this many empty slots per resident cell before Build falls back to the
-// map. Every array shape the package constructs (parallelograms, hexagons,
-// offset rectangles, cluster unions) is within a small constant of dense, so
-// the guard only trips for degenerate hand-built regions such as long
-// diagonal lines.
+// most this many slots per resident cell, or Build rejects the region. Every
+// array shape the package constructs (parallelograms, hexagons, offset
+// rectangles, cluster unions) is within a small constant of dense, so the
+// guard only trips for degenerate hand-built regions such as long diagonal
+// lines or far-apart islands.
 const gridMaxWaste = 64
 
-// buildGrid precomputes the dense CellAt table over the axial bounding box.
-func (a *Array) buildGrid() {
+// buildGrid builds the dense position index over the axial bounding box.
+func (a *Array) buildGrid() error {
 	minQ, maxQ := a.cells[0].Pos.Q, a.cells[0].Pos.Q
 	minR, maxR := a.cells[0].Pos.R, a.cells[0].Pos.R
 	for i := range a.cells {
@@ -252,7 +250,8 @@ func (a *Array) buildGrid() {
 	}
 	w, h := maxQ-minQ+1, maxR-minR+1
 	if w*h > gridMaxWaste*len(a.cells) {
-		return // leave grid nil; CellAt falls back to the map
+		return fmt.Errorf("layout: %d-cell region spans a %dx%d bounding box, more than %d slots per cell",
+			len(a.cells), w, h, gridMaxWaste)
 	}
 	a.gridMinQ, a.gridW = minQ, w
 	a.gridMinR, a.gridH = minR, h
@@ -264,6 +263,7 @@ func (a *Array) buildGrid() {
 		p := a.cells[i].Pos
 		a.grid[(p.R-minR)*w+(p.Q-minQ)] = CellID(i)
 	}
+	return nil
 }
 
 // BuildParallelogram instantiates the design over a w×h axial parallelogram.
@@ -410,8 +410,8 @@ func (a *Array) buildAdjacency() {
 	for i := range a.cells {
 		c := &a.cells[i]
 		for _, npos := range c.Pos.Neighbors() {
-			nid, ok := a.index[npos]
-			if !ok {
+			nid := a.CellAt(npos)
+			if nid == NoCell {
 				continue
 			}
 			a.neighbors[i] = append(a.neighbors[i], nid)
@@ -448,22 +448,13 @@ func (a *Array) Spares() []CellID { return a.spares }
 // Cell returns the cell with the given ID.
 func (a *Array) Cell(id CellID) Cell { return a.cells[id] }
 
-// CellAt returns the ID of the cell at the given position, or NoCell. It is
-// the clustered-injection hot path (every ring position of every cluster is
-// probed), so it resolves through the dense bounding-box grid rather than
-// the construction map.
+// CellAt returns the ID of the cell at the given position, or NoCell.
 func (a *Array) CellAt(pos hexgrid.Axial) CellID {
-	if a.grid != nil {
-		q, r := pos.Q-a.gridMinQ, pos.R-a.gridMinR
-		if uint(q) >= uint(a.gridW) || uint(r) >= uint(a.gridH) {
-			return NoCell
-		}
-		return a.grid[r*a.gridW+q]
+	q, r := pos.Q-a.gridMinQ, pos.R-a.gridMinR
+	if uint(q) >= uint(a.gridW) || uint(r) >= uint(a.gridH) {
+		return NoCell
 	}
-	if id, ok := a.index[pos]; ok {
-		return id
-	}
-	return NoCell
+	return a.grid[r*a.gridW+q]
 }
 
 // Neighbors returns the array-resident neighbors of id. The slice is owned by
@@ -530,8 +521,8 @@ func (a *Array) Validate() error {
 		if a.cells[i].ID != CellID(i) {
 			return fmt.Errorf("layout: cell %d has ID %d", i, a.cells[i].ID)
 		}
-		if got := a.index[a.cells[i].Pos]; got != CellID(i) {
-			return fmt.Errorf("layout: index[%v] = %d, want %d", a.cells[i].Pos, got, i)
+		if got := a.CellAt(a.cells[i].Pos); got != CellID(i) {
+			return fmt.Errorf("layout: CellAt(%v) = %d, want %d", a.cells[i].Pos, got, i)
 		}
 	}
 	// When p = 6 a spare's whole neighborhood is primary, so spares must be

@@ -198,6 +198,21 @@ func TestBuildErrors(t *testing.T) {
 	if _, err := BuildWithPrimaryTarget(DTMB16(), 0); err == nil {
 		t.Error("zero primary target should fail")
 	}
+	// Regions too sparse for the dense position index: two far-apart cells,
+	// and a long diagonal line.
+	islands := hexgrid.NewRegion()
+	islands.Add(hexgrid.Axial{Q: 0, R: 0})
+	islands.Add(hexgrid.Axial{Q: 200, R: 200})
+	if _, err := Build(DTMB16(), islands); err == nil {
+		t.Error("cells at (0,0) and (200,200) should fail")
+	}
+	line := hexgrid.NewRegion()
+	for i := 0; i < 200; i++ {
+		line.Add(hexgrid.Axial{Q: i, R: i})
+	}
+	if _, err := Build(DTMB16(), line); err == nil {
+		t.Error("a 200-cell diagonal line should fail")
+	}
 }
 
 func TestBuildWithPrimaryTargetExactCounts(t *testing.T) {
