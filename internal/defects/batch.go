@@ -139,28 +139,37 @@ func transpose64(a *[WordTrials]uint64) {
 
 // BernoulliBatch fills the batch with n independent Bernoulli trials over
 // numCells cells at survival probability p: cell i of trial t is marked
-// faulty with probability q = 1−p. The PRNG draw order is exactly that of n
-// successive BernoulliN calls — trial-major, cell-minor — so a batched
-// estimate consumes the identical random stream as the scalar path and
-// reproduces it bit for bit (the property the differential suite and the
-// golden fixtures pin). It panics unless the batch is sized for numCells.
+// faulty with probability q = 1−p. It picks the sampler by q exactly as
+// BernoulliN does, and its PRNG draw order is that of n successive
+// BernoulliN calls — trial-major, cell-minor — so a batched estimate
+// consumes the identical random stream as the scalar path and reproduces
+// it bit for bit (the property the differential suite and the golden
+// fixtures pin). It panics unless the batch is sized for numCells.
 func (in *Injector) BernoulliBatch(numCells int, p float64, n int, b *TrialBatch) {
 	b.checkCells(numCells)
 	b.Reset(n)
 	q := 1 - p
-	if q <= 0 {
-		// NaN falls through like BernoulliN: the comparisons below never
-		// fire, but the draws are still consumed.
-		return
+	switch {
+	case q <= 0:
+	case q <= skipMaxQ:
+		in.skipBatch(q, n, b)
+	default:
+		in.scanBatch(q, n, b)
 	}
-	// A cell fails iff its uniform is below q, i.e. iff its raw 63-bit draw
-	// is below below(q). The generator cursor, the column plane and the
-	// occupancy word stay in locals for the whole batch, and the mark is
-	// branch-free: at q ≪ 1 a per-cell branch mispredicts on every fault.
+}
+
+// scanBatch is the per-cell sampler over a freshly reset batch: one draw per
+// cell and trial, and a cell fails iff its uniform is below q, i.e. iff its
+// raw 63-bit draw is below below(q). The generator cursor, the column plane
+// and the occupancy word stay in locals for the whole batch, and the mark is
+// branch-free: at small q a per-cell branch mispredicts on every fault. A
+// NaN q gives a zero threshold, so the draws are consumed and nothing is
+// marked.
+func (in *Injector) scanBatch(q float64, n int, b *TrialBatch) {
 	threshold := below(q)
 	src := &in.src
 	tap, feed := src.tap, src.feed
-	cols := b.cols[:numCells]
+	cols := b.cols
 	var occupied uint64
 	for t := 0; t < n; t++ {
 		bit := uint64(1) << uint(t)
@@ -176,46 +185,20 @@ func (in *Injector) BernoulliBatch(numCells int, p float64, n int, b *TrialBatch
 	b.occupied = occupied
 }
 
-// BernoulliGeomBatch is BernoulliBatch with geometric skip-sampling, the
-// batched form of BernoulliGeomN: same marginal fault distribution,
-// O(expected faults) PRNG draws per trial, and draw-for-draw parity with n
-// successive BernoulliGeomN calls. It panics unless the batch is sized for
-// numCells.
-func (in *Injector) BernoulliGeomBatch(numCells int, p float64, n int, b *TrialBatch) {
-	b.checkCells(numCells)
-	b.Reset(n)
-	q := 1 - p
-	if math.IsNaN(q) || q <= 0 {
-		return
-	}
-	if q >= 1 {
-		mask := uint64(1)<<uint(n) - 1
-		if n == WordTrials {
-			mask = ^uint64(0)
-		}
-		for i := 0; i < numCells; i++ {
-			b.cols[i] = mask
-		}
-		if numCells > 0 {
-			b.occupied = mask
-		}
-		return
-	}
-	lnSurvive := math.Log1p(-q)
+// skipBatch is the skip-sampler over a freshly reset batch, for 0 < q < 1:
+// each trial jumps from fault to fault by geometric gaps, O(q·numCells)
+// draws per trial.
+func (in *Injector) skipBatch(q float64, n int, b *TrialBatch) {
+	lnSurvive, end := math.Log1p(-q), float64(len(b.cols))
+	var occupied uint64
 	for t := 0; t < n; t++ {
 		bit := uint64(1) << uint(t)
-		i := 0
-		for i < numCells {
-			skip := math.Floor(math.Log1p(-in.src.float64()) / lnSurvive)
-			if skip >= float64(numCells-i) {
-				break
-			}
-			i += int(skip)
-			b.cols[i] |= bit
-			b.occupied |= bit
-			i++
+		for i := in.src.gap(lnSurvive); i < end; i += 1 + in.src.gap(lnSurvive) {
+			b.cols[int(i)] |= bit
+			occupied |= bit
 		}
 	}
+	b.occupied = occupied
 }
 
 // ClusteredBatch fills the batch with n clustered-defect trials over the

@@ -2,6 +2,7 @@ package defects
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -44,13 +45,26 @@ func TestTranspose64(t *testing.T) {
 	}
 }
 
+// crossoverPs are survival probabilities on both sides of the sampler
+// crossover: q just above skipMaxQ (per-cell scan), q at and just below it
+// (skip-sampling), and the extremes the switch must route: q ≥ 1, q ≤ 0,
+// NaN and the smallest positive q.
+func crossoverPs() []float64 {
+	return []float64{
+		-0.5, 0, 0.5, 1 - skipMaxQ*(1+1e-6), // per-cell scan
+		1 - skipMaxQ, 1 - skipMaxQ*(1-1e-6), 0.99, math.Nextafter(1, 0), // skip-sampling
+		1, math.NaN(), // no fault
+	}
+}
+
 // TestBernoulliBatchMatchesScalar pins the core batching contract: a batch
 // of n trials consumes the identical PRNG stream as n successive scalar
 // draws and packs the identical fault sets, across sizes that exercise
-// partial last words and multi-word rows.
+// partial last words and multi-word rows, on both sides of the sampler
+// crossover.
 func TestBernoulliBatchMatchesScalar(t *testing.T) {
 	for _, numCells := range []int{1, 17, 64, 65, 130, 300} {
-		for _, p := range []float64{0, 0.5, 0.9, 0.99, 1} {
+		for _, p := range crossoverPs() {
 			for _, n := range []int{1, 7, WordTrials} {
 				batchIn, scalarIn := NewInjector(99), NewInjector(99)
 				b := NewTrialBatch(numCells)
@@ -96,20 +110,21 @@ func TestBernoulliBatchNaN(t *testing.T) {
 	}
 }
 
-// TestBernoulliGeomBatchMatchesScalar pins the skip-sampling batch to n
-// successive BernoulliGeomN calls, including the q≥1 mark-all and q≤0
-// no-draw fast paths.
+// TestBernoulliGeomBatchMatchesScalar pins the skip-sampling side of the
+// crossover on its own, from q = skipMaxQ down to the smallest positive q,
+// where the geometric gap outgrows every array: n successive BernoulliN
+// calls and one batch draw the same gaps and mark the same cells.
 func TestBernoulliGeomBatchMatchesScalar(t *testing.T) {
 	for _, numCells := range []int{1, 64, 130} {
-		for _, p := range []float64{-0.5, 0, 0.5, 0.97, 1, math.NaN()} {
+		for _, p := range []float64{1 - skipMaxQ, 0.97, 0.999, math.Nextafter(1, 0)} {
 			n := 32
 			batchIn, scalarIn := NewInjector(7), NewInjector(7)
 			b := NewTrialBatch(numCells)
-			batchIn.BernoulliGeomBatch(numCells, p, n, b)
+			batchIn.BernoulliBatch(numCells, p, n, b)
 			b.Finalize()
 			fs := NewFaultSet(numCells)
 			for trial := 0; trial < n; trial++ {
-				fs = scalarIn.BernoulliGeomN(numCells, p, fs)
+				fs = scalarIn.BernoulliN(numCells, p, fs)
 				if b.Occupied() != 0 && !rowEquals(b, trial, fs) {
 					t.Fatalf("cells=%d p=%v trial %d: geom batch row differs", numCells, p, trial)
 				}
@@ -120,6 +135,38 @@ func TestBernoulliGeomBatchMatchesScalar(t *testing.T) {
 			if bg, sg := batchIn.rng.Float64(), scalarIn.rng.Float64(); bg != sg {
 				t.Fatalf("cells=%d p=%v: geom PRNG streams diverged", numCells, p)
 			}
+		}
+	}
+}
+
+// TestSamplerChoiceFollowsQ pins which sampler runs, by the draws it
+// consumes: the per-cell scan takes one per cell and trial, at every q above
+// skipMaxQ and for NaN; the skip-sampler takes one gap per fault plus one
+// per trial, at every q in (0, skipMaxQ]; q ≤ 0 draws nothing.
+func TestSamplerChoiceFollowsQ(t *testing.T) {
+	const numCells, n = 130, 40
+	for _, p := range crossoverPs() {
+		in, ref := NewInjector(5), NewInjector(5)
+		b := NewTrialBatch(numCells)
+		in.BernoulliBatch(numCells, p, n, b)
+		draws := 0
+		switch q := 1 - p; {
+		case q > skipMaxQ || math.IsNaN(q):
+			draws = n * numCells
+		case q > 0:
+			b.Finalize()
+			for trial := 0; trial < n; trial++ {
+				for _, w := range b.Row(trial) {
+					draws += bits.OnesCount64(w)
+				}
+			}
+			draws += n
+		}
+		for i := 0; i < draws; i++ {
+			ref.src.float64()
+		}
+		if got, want := in.rng.Float64(), ref.rng.Float64(); got != want {
+			t.Fatalf("p=%v: the batch did not consume the %d draws of its sampler", p, draws)
 		}
 	}
 }

@@ -115,22 +115,29 @@ func TestFaultyPartitionByRole(t *testing.T) {
 	}
 }
 
+// TestBernoulliRateApproximation checks the realized fault rate against
+// q = 1−p on both sides of the sampler crossover and at its extremes.
 func TestBernoulliRateApproximation(t *testing.T) {
 	arr := testArray(t)
-	in := NewInjector(1234)
-	const (
-		p      = 0.9
-		rounds = 400
-	)
-	total := 0
-	var fs *FaultSet
-	for i := 0; i < rounds; i++ {
-		fs = in.Bernoulli(arr, p, fs)
-		total += fs.Count()
-	}
-	rate := float64(total) / float64(rounds*arr.NumCells())
-	if math.Abs(rate-0.1) > 0.01 {
-		t.Errorf("empirical failure rate %.4f, want ≈ 0.10", rate)
+	const rounds = 400
+	for _, p := range crossoverPs() {
+		in := NewInjector(1234)
+		total := 0
+		var fs *FaultSet
+		for i := 0; i < rounds; i++ {
+			fs = in.Bernoulli(arr, p, fs)
+			total += fs.Count()
+		}
+		cells := float64(rounds * arr.NumCells())
+		rate := float64(total) / cells
+		q := math.Min(math.Max(1-p, 0), 1)
+		if math.IsNaN(p) {
+			q = 0
+		}
+		// 5 binomial sigmas, and at least one fault's worth for q near 0.
+		if tol := math.Max(5*math.Sqrt(q*(1-q)/cells), 1/cells); math.Abs(rate-q) > tol {
+			t.Errorf("p=%v: empirical failure rate %.5f, want %.5f ± %.5f", p, rate, q, tol)
+		}
 	}
 }
 

@@ -88,15 +88,19 @@ func sameFaults(a, b *FaultSet) bool {
 }
 
 // TestBernoulliGeomRate checks that the skip-sampler's realized fault rate
-// matches the target q = 1−p (same marginal distribution as BernoulliN).
+// matches the target q = 1−p (same marginal distribution as the per-cell
+// scan), overall and at the first and last cell.
 func TestBernoulliGeomRate(t *testing.T) {
 	const numCells, p, draws = 400, 0.95, 3000
+	if 1-p > skipMaxQ {
+		t.Fatalf("p=%v is not on the skip-sampling side of the crossover", p)
+	}
 	in := NewInjector(5)
 	var fs *FaultSet
 	total := 0
 	first, last := 0, 0
 	for i := 0; i < draws; i++ {
-		fs = in.BernoulliGeomN(numCells, p, fs)
+		fs = in.BernoulliN(numCells, p, fs)
 		total += fs.Count()
 		if fs.IsFaulty(0) {
 			first++
@@ -123,32 +127,32 @@ func TestBernoulliGeomRate(t *testing.T) {
 	}
 }
 
-// TestBernoulliGeomDeterministicAndEdges pins seed determinism, dst reuse,
-// the p-extremes, and the layout.Array wrapper.
+// TestBernoulliGeomDeterministicAndEdges pins seed determinism, dst reuse
+// and allocations on the skip-sampling side, and the p-extremes and NaN of
+// the sampler switch.
 func TestBernoulliGeomDeterministicAndEdges(t *testing.T) {
 	arr := testArray(t)
-	a := NewInjector(3).BernoulliGeom(arr, 0.9, nil)
-	b := NewInjector(3).BernoulliGeom(arr, 0.9, nil)
+	a := NewInjector(3).Bernoulli(arr, 0.95, nil)
+	b := NewInjector(3).Bernoulli(arr, 0.95, nil)
 	if !sameFaults(a, b) {
 		t.Fatal("same seed produced different skip-sampled fault sets")
 	}
-	reused := NewInjector(3).BernoulliGeom(arr, 0.9, NewFaultSet(arr.NumCells()))
+	reused := NewInjector(3).Bernoulli(arr, 0.95, NewFaultSet(arr.NumCells()))
 	if !sameFaults(a, reused) {
 		t.Fatal("dst reuse changed the draw")
 	}
-	if fs := NewInjector(1).BernoulliGeomN(50, 1.0, nil); fs.Count() != 0 {
+	if fs := NewInjector(1).BernoulliN(50, 1.0, nil); fs.Count() != 0 {
 		t.Fatalf("p=1 produced %d faults", fs.Count())
 	}
-	if fs := NewInjector(1).BernoulliGeomN(50, 0.0, nil); fs.Count() != 50 {
+	if fs := NewInjector(1).BernoulliN(50, 0.0, nil); fs.Count() != 50 {
 		t.Fatalf("p=0 produced %d faults, want all 50", fs.Count())
 	}
-	// NaN degrades to the empty set like BernoulliN, instead of panicking.
-	if fs := NewInjector(1).BernoulliGeomN(50, math.NaN(), nil); fs.Count() != 0 {
+	if fs := NewInjector(1).BernoulliN(50, math.NaN(), nil); fs.Count() != 0 {
 		t.Fatalf("p=NaN produced %d faults, want 0", fs.Count())
 	}
-	allocs := testing.AllocsPerRun(100, func() { a = NewInjector(2).BernoulliGeomN(arr.NumCells(), 0.95, a) })
+	allocs := testing.AllocsPerRun(100, func() { a = NewInjector(2).BernoulliN(arr.NumCells(), 0.95, a) })
 	if allocs > 3 { // the injector itself; the draw must not add to it
-		t.Fatalf("BernoulliGeomN allocates %.1f times per run", allocs)
+		t.Fatalf("skip-sampling BernoulliN allocates %.1f times per run", allocs)
 	}
 }
 

@@ -9,9 +9,8 @@ import (
 
 // The per-layer injection benchmarks time one 64-trial batch per
 // iteration on the paper's DTMB(2,6) array with 100 primaries, and report
-// the cost per trial alongside allocs. Compare BernoulliBatch with
-// BernoulliGeomBatch at the same p for the per-cell vs skip-sampling
-// trade-off.
+// the cost per trial alongside allocs. BenchmarkSamplers runs both
+// Bernoulli samplers at every p, the measurement behind skipMaxQ.
 
 func benchArray(b *testing.B) *layout.Array {
 	b.Helper()
@@ -47,13 +46,28 @@ func BenchmarkBernoulliBatch(b *testing.B) {
 	}
 }
 
-func BenchmarkBernoulliGeomBatch(b *testing.B) {
+// BenchmarkSamplers times the per-cell scan and the skip-sampler on the
+// same batches over p ∈ {0.5, …, 0.999}, on both sides of the crossover
+// BernoulliBatch switches at (q = skipMaxQ). Where the two cost the same
+// is where skipMaxQ belongs.
+func BenchmarkSamplers(b *testing.B) {
 	arr := benchArray(b)
-	for _, bp := range benchPs {
-		b.Run(bp.name, func(b *testing.B) {
-			in, tb := NewInjector(1), NewTrialBatch(arr.NumCells())
-			benchBatches(b, func() { in.BernoulliGeomBatch(arr.NumCells(), bp.p, WordTrials, tb) })
-		})
+	for _, p := range []float64{0.5, 0.8, 0.9, 0.95, 0.99, 0.999} {
+		for _, s := range []struct {
+			name   string
+			sample func(in *Injector, q float64, tb *TrialBatch)
+		}{
+			{"scan", func(in *Injector, q float64, tb *TrialBatch) { in.scanBatch(q, WordTrials, tb) }},
+			{"skip", func(in *Injector, q float64, tb *TrialBatch) { in.skipBatch(q, WordTrials, tb) }},
+		} {
+			b.Run(fmt.Sprintf("p=%g/%s", p, s.name), func(b *testing.B) {
+				in, tb := NewInjector(1), NewTrialBatch(arr.NumCells())
+				benchBatches(b, func() {
+					tb.Reset(WordTrials)
+					s.sample(in, 1-p, tb)
+				})
+			})
+		}
 	}
 }
 

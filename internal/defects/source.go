@@ -1,124 +1,42 @@
 package defects
 
-import "math/rand"
+import "math"
 
-// The fault-injection PRNG is math/rand's additive lagged-Fibonacci
-// generator (Mitchell & Reeds; lags 607 and 273), reproduced here so the hot
-// injection loops can draw without a call through the rand.Source
-// interface. Its stream is exactly rand.NewSource(seed)'s: every estimate,
-// golden fixture and served byte was computed from that stream, and
-// TestSourceMatchesStdlib pins the two draw for draw.
+// The fault-injection PRNG is an additive lagged-Fibonacci generator
+// (Mitchell & Reeds; lags 607 and 273, the generator behind math/rand's
+// source), kept inline so the hot injection loops can draw without a call
+// through the rand.Source interface. Seeding is its own: Seed fills the
+// 607-word register from SplitMix64 of the full 64-bit seed, so distinct
+// seeds select distinct streams. TestSourcePinnedStreams pins the first
+// outputs of a few seeds, and every estimate and golden fixture depends on
+// them.
 const (
-	rngLen   = 607
-	rngTap   = 273
-	rngMask  = 1<<63 - 1
-	int32max = 1<<31 - 1
+	rngLen  = 607
+	rngTap  = 273
+	rngMask = 1<<63 - 1
 )
 
-// source is the generator state, laid out as math/rand's rngSource. The
-// zero value is unusable; call Seed.
+// source is the generator state: the register vec and its cursor. The zero
+// value is unusable; call Seed.
 type source struct {
 	tap  int // index into vec
 	feed int // index into vec
 	vec  [rngLen]int64
 }
 
-// rngCooked is the table math/rand XORs into every freshly seeded register,
-// recovered from the stdlib generator itself (cookedTable) rather than
-// copied: 607 opaque constants would be one more thing to get wrong.
-var rngCooked = cookedTable()
-
-// cookedTable recovers math/rand's rngCooked table from one seeded stdlib
-// source. After Seed the register is seedWords(seed) XOR rngCooked, and
-// each draw adds vec[tap] into vec[feed] and returns the sum. One lag of
-// draws writes every register word exactly once, so the outputs are the
-// final register; undoing the additive steps newest-first restores the
-// seeded register, and XOR-ing away the seed words leaves the table.
-func cookedTable() [rngLen]int64 {
-	const seed = 1
-	std := rand.NewSource(seed).(rand.Source64)
-	s := source{tap: 0, feed: rngLen - rngTap}
-	for k := 0; k < rngLen; k++ {
-		s.tap, s.feed = back(s.tap), back(s.feed)
-		s.vec[s.feed] = int64(std.Uint64())
-	}
-	for k := 0; k < rngLen; k++ {
-		s.vec[s.feed] -= s.vec[s.tap]
-		s.tap, s.feed = forward(s.tap), forward(s.feed)
-	}
-	var words [rngLen]int64
-	seedWords(seed, &words)
-	for i := range s.vec {
-		s.vec[i] ^= words[i]
-	}
-	return s.vec
-}
-
-// back and forward step a register index one place down or up, wrapping.
-func back(i int) int {
-	if i--; i < 0 {
-		i += rngLen
-	}
-	return i
-}
-
-func forward(i int) int {
-	if i++; i == rngLen {
-		i = 0
-	}
-	return i
-}
-
-// seedrand is math/rand's seeding LCG, x ← 48271·x mod (2³¹−1), in
-// Schrage's overflow-free form.
-func seedrand(x int32) int32 {
-	const (
-		a = 48271
-		q = 44488
-		r = 3399
-	)
-	hi := x / q
-	lo := x % q
-	x = a*lo - r*hi
-	if x < 0 {
-		x += int32max
-	}
-	return x
-}
-
-// seedWords fills w with the seed-dependent half of a seeded register:
-// seed is reduced mod 2³¹−1 (0 maps to 89482311), the LCG is warmed up 20
-// steps, and each word packs three further LCG outputs.
-func seedWords(seed int64, w *[rngLen]int64) {
-	seed %= int32max
-	if seed < 0 {
-		seed += int32max
-	}
-	if seed == 0 {
-		seed = 89482311
-	}
-	x := int32(seed)
-	for i := -20; i < rngLen; i++ {
-		x = seedrand(x)
-		if i >= 0 {
-			u := int64(x) << 40
-			x = seedrand(x)
-			u ^= int64(x) << 20
-			x = seedrand(x)
-			u ^= int64(x)
-			w[i] = u
-		}
-	}
-}
-
-// Seed implements rand.Source: the register becomes exactly what
-// rand.NewSource(seed) starts from.
+// Seed implements rand.Source. The register is the SplitMix64 sequence
+// started at seed; each word is a bijection of the seed, so distinct seeds
+// give distinct registers and therefore distinct streams. Word 0 is forced
+// odd: an additive generator with an all-even register never sets its low
+// bit, and one odd word is what keeps the full period.
 func (s *source) Seed(seed int64) {
 	s.tap, s.feed = 0, rngLen-rngTap
-	seedWords(seed, &s.vec)
+	x := uint64(seed)
 	for i := range s.vec {
-		s.vec[i] ^= rngCooked[i]
+		x += 0x9e3779b97f4a7c15
+		s.vec[i] = int64(mix64(x))
 	}
+	s.vec[0] |= 1
 }
 
 // next advances the register one step from the cursor (tap, feed) and
@@ -167,6 +85,16 @@ func (s *source) float64() float64 {
 			return uniform(y)
 		}
 	}
+}
+
+// gap draws the number of healthy cells before the next fault when each
+// cell fails with probability q, given lnSurvive = ln(1−q): Geometric(q) as
+// floor(ln(1−U)/ln(1−q)), with U the next Float64 on [0,1). Rounding 1−U
+// to a float64 costs U's bits below 2⁻⁵³, which moves the fault rate only
+// for q within a few orders of magnitude of 2⁻⁵³; in exchange math.Log
+// runs about a third faster than math.Log1p(−U).
+func (s *source) gap(lnSurvive float64) float64 {
+	return math.Floor(math.Log(1-s.float64()) / lnSurvive)
 }
 
 // uniform is Float64's value for the Int63 output y < redrawFrom.

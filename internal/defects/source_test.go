@@ -8,51 +8,66 @@ import (
 	"dmfb/internal/stats"
 )
 
-// streamSeeds are the seeds the stream-identity tests cover: the Seed
-// reduction's edge cases (0, the 0-substitute 89482311, 2³¹−1 which reduces
-// to 0, negatives, the int64 extremes) plus a kernel-style chunk stream.
-func streamSeeds() []int64 {
-	seeds := []int64{0, 1, -1, 89482311, 2147483647, math.MinInt64, math.MaxInt64}
-	return append(seeds, stats.SeedStream(20240607, 100)...)
-}
-
-// TestSourceMatchesStdlib pins the embedded generator to
-// rand.New(rand.NewSource(seed)) draw for draw: the inlined Float64 the
-// injection loops use, and Int63, Uint64, Intn (power-of-two and not) and
-// NormFloat64 through the injector's rand.Rand view, with a Reseed midway.
-func TestSourceMatchesStdlib(t *testing.T) {
-	const draws = 4 * rngLen
-	ns := []int{64, 1000, 607, 1 << 20, 3}
-	for _, seed := range streamSeeds() {
-		in := NewInjector(seed)
-		ref := rand.New(rand.NewSource(seed))
-		for k := 0; k < draws; k++ {
-			if k == draws/2 {
-				reseed := seed ^ 0x5deece66d
-				in.Reseed(reseed)
-				ref.Seed(reseed)
-			}
-			var got, want float64
-			switch k % 6 {
-			case 0, 1:
-				got, want = in.src.float64(), ref.Float64()
-			case 2:
-				got, want = float64(in.rng.Int63()), float64(ref.Int63())
-			case 3:
-				n := ns[k%len(ns)]
-				got, want = float64(in.rng.Intn(n)), float64(ref.Intn(n))
-			case 4:
-				got, want = in.rng.NormFloat64(), ref.NormFloat64()
-			case 5:
-				if g, w := in.rng.Uint64(), ref.Uint64(); g != w {
-					t.Fatalf("seed %d draw %d: Uint64 %d, stdlib %d", seed, k, g, w)
+// TestSourcePinnedStreams pins the generator's first outputs for a few
+// seeds — 0, ±1, 2³¹−1 and the int64 extremes — so any change to the
+// seeding or the recurrence, which would move every estimate and golden
+// fixture, fails here first. A Reseed onto the same seed must restart the
+// same stream, and the seeded register must hold its forced odd word.
+func TestSourcePinnedStreams(t *testing.T) {
+	pinned := []struct {
+		seed int64
+		head [4]uint64
+	}{
+		{0, [4]uint64{0x9124196e08d5c11e, 0x496d7c3389758525, 0x9b181380bb454e4f, 0x27d8e62d724f8921}},
+		{1, [4]uint64{0x8bf219f719441865, 0x3e4e88aeb8c81014, 0x9481ca350740b058, 0x745f6ae86ecf4322}},
+		{-1, [4]uint64{0xaa22b6cdc5cf61e5, 0xf1748184c148192, 0x119bc2927d586159, 0x52114b077ae26869}},
+		{1<<31 - 1, [4]uint64{0xf4e12cb85807e218, 0x496a1ce5ffe71d10, 0x118964337885957c, 0x2f299722e84459d3}},
+		{math.MinInt64, [4]uint64{0xe7ee08b6e123a33e, 0xc954fef1760381e9, 0xaab1624004d1800e, 0x2966feef1769851a}},
+		{math.MaxInt64, [4]uint64{0x71d3ef91617bd9c, 0x8bc3fbd043ba0725, 0x90425d03579be66, 0x9fefd2b38815e14b}},
+	}
+	for _, pin := range pinned {
+		in := NewInjector(pin.seed ^ 0x5deece66d)
+		in.src.Uint64()
+		for round := 0; round < 2; round++ {
+			if round == 1 {
+				in = NewInjector(pin.seed)
+				if in.src.vec[0]&1 == 0 {
+					t.Fatalf("seed %d: register word 0 is even; the full period needs one odd word", pin.seed)
 				}
-				continue
+			} else {
+				in.Reseed(pin.seed)
 			}
-			if got != want {
-				t.Fatalf("seed %d draw %d (op %d): got %v, stdlib %v", seed, k, k%6, got, want)
+			for k, want := range pin.head {
+				if got := in.rng.Uint64(); got != want {
+					t.Fatalf("seed %d output %d: %#x, pinned %#x", pin.seed, k, got, want)
+				}
 			}
 		}
+	}
+}
+
+// TestSeedsSelectDistinctStreams checks the 64-bit seeding: seeds that
+// agree mod 2³¹−1, which math/rand's source maps onto one stream, start
+// distinct streams here, and so do the chunk seeds of a long SeedStream.
+func TestSeedsSelectDistinctStreams(t *testing.T) {
+	const mersenne31 = 1<<31 - 1
+	chunks := stats.SeedStream(20240607, 400)
+	for _, s := range append([]int64{0, 1, -1, 12345, math.MinInt64}, chunks[:20]...) {
+		if rand.NewSource(s).Int63() != rand.NewSource(s+mersenne31).Int63() {
+			t.Fatalf("seeds %d and %d+(2³¹−1) already differ under math/rand; the check is moot", s, s)
+		}
+		a, b := NewInjector(s), NewInjector(s+mersenne31)
+		if a.src.Uint64() == b.src.Uint64() && a.src.Uint64() == b.src.Uint64() {
+			t.Fatalf("seeds %d and %d+(2³¹−1) start the same stream", s, s)
+		}
+	}
+	first := make(map[uint64]int64, len(chunks))
+	for _, s := range chunks {
+		x := NewInjector(s).src.Uint64()
+		if prev, dup := first[x]; dup {
+			t.Fatalf("chunk seeds %d and %d start the same stream", prev, s)
+		}
+		first[x] = s
 	}
 }
 
@@ -60,9 +75,12 @@ func TestSourceMatchesStdlib(t *testing.T) {
 // (1 ≤ k ≤ rngTap) is v. Up to rngTap steps ahead, the words that output
 // is summed from are untouched by the draws before it.
 func forceAhead(s *source, k int, v int64) {
-	tap, feed := s.tap, s.feed
-	for j := 0; j < k; j++ {
-		tap, feed = back(tap), back(feed)
+	tap, feed := s.tap-k, s.feed-k
+	if tap < 0 {
+		tap += rngLen
+	}
+	if feed < 0 {
+		feed += rngLen
 	}
 	s.vec[feed] = v - s.vec[tap]
 }

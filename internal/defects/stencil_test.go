@@ -224,8 +224,8 @@ func TestBatchRejectsMismatchedSize(t *testing.T) {
 			t.Errorf("rejected %d-cell ClusteredBatch consumed draws", cells)
 		}
 		samplers := map[string]func(){
-			"BernoulliBatch":     func() { in.BernoulliBatch(arr.NumCells(), 0.9, WordTrials, b) },
-			"BernoulliGeomBatch": func() { in.BernoulliGeomBatch(arr.NumCells(), 0.9, WordTrials, b) },
+			"BernoulliBatch/scan": func() { in.BernoulliBatch(arr.NumCells(), 0.5, WordTrials, b) },
+			"BernoulliBatch/skip": func() { in.BernoulliBatch(arr.NumCells(), 0.99, WordTrials, b) },
 		}
 		for name, sample := range samplers {
 			func() {

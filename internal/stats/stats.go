@@ -22,12 +22,11 @@ func SplitMix64(state *uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// SeedStream returns n deterministic, distinct-in-practice 64-bit seeds
-// derived from seed. They are not guaranteed to select distinct PRNG
-// streams: math/rand (and defects.Injector, which reproduces its stream)
-// reduces every seed mod 2³¹−1, so two chunk seeds can land on the same
-// stream — odds about n²/2³² of any collision, ≈4·10⁻⁵ for a 400-chunk
-// estimate.
+// SeedStream returns n deterministic, pairwise distinct 64-bit seeds
+// derived from seed: the SplitMix64 outputs of n distinct states, through a
+// bijective mix. defects.Injector seeds from all 64 bits, so each seed
+// selects its own fault-injection stream. A math/rand source (NewRand)
+// reduces seeds mod 2³¹−1 and gives no such guarantee.
 func SeedStream(seed int64, n int) []int64 {
 	state := uint64(seed)
 	out := make([]int64, n)

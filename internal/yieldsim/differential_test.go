@@ -12,6 +12,8 @@ package yieldsim
 
 import (
 	"context"
+	"errors"
+	"math"
 	"testing"
 
 	"dmfb/internal/defects"
@@ -70,6 +72,23 @@ func differentialCases(t *testing.T) []estimatorCase {
 		{"local/bernoulli-high-p", func(mc *MonteCarlo) (Result, error) {
 			return mc.YieldContext(ctx, local, 0.999)
 		}},
+		// Either side of the Bernoulli samplers' crossover at q = 0.1 in
+		// package defects (skipMaxQ): per-cell scan, then skip-sampling.
+		{"local/bernoulli-scan-side", func(mc *MonteCarlo) (Result, error) {
+			return mc.YieldContext(ctx, local, 0.8999)
+		}},
+		{"local/bernoulli-skip-side", func(mc *MonteCarlo) (Result, error) {
+			return mc.YieldContext(ctx, local, 0.9001)
+		}},
+		{"local/bernoulli-all-fail", func(mc *MonteCarlo) (Result, error) {
+			return mc.YieldContext(ctx, local, 0) // q = 1
+		}},
+		{"local/bernoulli-nan", func(mc *MonteCarlo) (Result, error) {
+			if _, err := mc.YieldContext(ctx, local, math.NaN()); err == nil {
+				return Result{}, errors.New("NaN survival probability accepted")
+			}
+			return Result{}, nil
+		}},
 		{"hex/bernoulli", func(mc *MonteCarlo) (Result, error) {
 			return mc.YieldContext(ctx, hex, 0.93)
 		}},
@@ -88,22 +107,24 @@ func differentialCases(t *testing.T) []estimatorCase {
 		{"shifted/bernoulli", func(mc *MonteCarlo) (Result, error) {
 			return mc.ShiftedYield(pl, 0.94)
 		}},
+		{"shifted/bernoulli-scan-side", func(mc *MonteCarlo) (Result, error) {
+			return mc.ShiftedYield(pl, 0.8999)
+		}},
 		{"shifted/clustered", func(mc *MonteCarlo) (Result, error) {
 			return mc.ShiftedYieldModelContext(ctx, pl, 0.95, clustered)
 		}},
 	}
 }
 
-// configure builds a MonteCarlo for one differential run. FastSampling and
-// a worker count > 1 ride along on alternating seeds so both samplers and
-// the chunk-parallel scheduler sit under the equivalence.
+// configure builds a MonteCarlo for one differential run. A worker count
+// > 1 rides along on alternating seeds so the chunk-parallel scheduler sits
+// under the equivalence.
 func configureDifferential(seed int64, i int) *MonteCarlo {
 	mc := NewMonteCarlo(seed)
 	mc.Runs = 900 // 3 chunks of 256 + a 132-trial tail
 	mc.ChunkSize = 256
 	if i%2 == 1 {
 		mc.Workers = 4
-		mc.FastSampling = true
 	}
 	return mc
 }

@@ -123,15 +123,6 @@ type MonteCarlo struct {
 	// independent of Workers and GOMAXPROCS. Zero (the default) never stops
 	// early: the estimate runs all Runs trials.
 	Epsilon float64
-	// FastSampling switches Bernoulli fault injection to geometric
-	// skip-sampling (defects.BernoulliGeom): the same fault distribution
-	// with O(expected faults) PRNG draws per trial instead of one per cell
-	// (clearing the fault set stays O(cells)), which pays off at the high
-	// survival probabilities of realistic sweeps. It changes the PRNG
-	// draw order, so estimates differ trial-for-trial from the default
-	// per-cell scan (still deterministic in Seed/Runs/ChunkSize); leave it
-	// off where golden fixtures pin the default order.
-	FastSampling bool
 	// Metrics, when non-nil, receives kernel observations: trials, the
 	// all-healthy fast-path and matcher-invocation split, and per-chunk
 	// wall time. Workers accumulate in plain per-worker probes and flush
@@ -182,34 +173,6 @@ func (mc *MonteCarlo) chunkSize() int {
 // repair criterion.
 func (mc *MonteCarlo) sessionOptions() reconfig.Options {
 	return reconfig.Options{Scope: mc.Scope, Used: mc.Used}
-}
-
-// bernoulliSampler selects the Bernoulli injection routine over an array:
-// the per-cell scan by default (whose PRNG draw order golden fixtures
-// depend on), the geometric skip-sampler when FastSampling is set.
-func (mc *MonteCarlo) bernoulliSampler() func(*defects.Injector, *layout.Array, float64, *defects.FaultSet) *defects.FaultSet {
-	if mc.FastSampling {
-		return (*defects.Injector).BernoulliGeom
-	}
-	return (*defects.Injector).Bernoulli
-}
-
-// bernoulliSamplerN is bernoulliSampler for dense generically indexed cells.
-func (mc *MonteCarlo) bernoulliSamplerN() func(*defects.Injector, int, float64, *defects.FaultSet) *defects.FaultSet {
-	if mc.FastSampling {
-		return (*defects.Injector).BernoulliGeomN
-	}
-	return (*defects.Injector).BernoulliN
-}
-
-// bernoulliBatcher selects the word-packed Bernoulli injection routine: the
-// batched forms consume the identical PRNG stream as the scalar samplers
-// above, so switching between them never changes an estimate.
-func (mc *MonteCarlo) bernoulliBatcher() func(*defects.Injector, int, float64, int, *defects.TrialBatch) {
-	if mc.FastSampling {
-		return (*defects.Injector).BernoulliGeomBatch
-	}
-	return (*defects.Injector).BernoulliBatch
 }
 
 // enableMemo arms feasibility memoization on a worker's session when the
@@ -287,10 +250,9 @@ func (mc *MonteCarlo) yieldTrials(arr *layout.Array, p float64) trialFactory {
 		}
 		mc.enableMemo(sess, probe)
 		if mc.forceScalar {
-			sample := mc.bernoulliSampler()
 			fs := defects.NewFaultSet(numCells)
 			return perTrial(func(in *defects.Injector) (bool, error) {
-				fs = sample(in, arr, p, fs)
+				fs = in.Bernoulli(arr, p, fs)
 				if fs.Count() == 0 {
 					probe.allHealthy++
 				} else {
@@ -299,7 +261,6 @@ func (mc *MonteCarlo) yieldTrials(arr *layout.Array, p float64) trialFactory {
 				return sess.Feasible(fs)
 			}), nil
 		}
-		inject := mc.bernoulliBatcher()
 		tb := defects.NewTrialBatch(numCells)
 		return func(in *defects.Injector, runs int) (int, error) {
 			successes := 0
@@ -308,7 +269,7 @@ func (mc *MonteCarlo) yieldTrials(arr *layout.Array, p float64) trialFactory {
 				if n > defects.WordTrials {
 					n = defects.WordTrials
 				}
-				inject(in, numCells, p, n, tb)
+				in.BernoulliBatch(numCells, p, n, tb)
 				s, err := feasBatchVerdicts(tb, sess, probe, n)
 				if err != nil {
 					return 0, err
@@ -391,17 +352,15 @@ func (mc *MonteCarlo) noRedundancyTrials(arr *layout.Array, p float64) trialFact
 	}
 	return func(probe *kernelProbe) (batchFunc, error) {
 		if mc.forceScalar {
-			sample := mc.bernoulliSampler()
 			fs := defects.NewFaultSet(numCells)
 			return perTrial(func(in *defects.Injector) (bool, error) {
-				fs = sample(in, arr, p, fs)
+				fs = in.Bernoulli(arr, p, fs)
 				if fs.Count() == 0 {
 					probe.allHealthy++
 				}
 				return !fs.AnyFaultyPrimary(arr), nil
 			}), nil
 		}
-		inject := mc.bernoulliBatcher()
 		tb := defects.NewTrialBatch(numCells)
 		return func(in *defects.Injector, runs int) (int, error) {
 			successes := 0
@@ -410,7 +369,7 @@ func (mc *MonteCarlo) noRedundancyTrials(arr *layout.Array, p float64) trialFact
 				if n > defects.WordTrials {
 					n = defects.WordTrials
 				}
-				inject(in, numCells, p, n, tb)
+				in.BernoulliBatch(numCells, p, n, tb)
 				occ := tb.Occupied()
 				healthy := n - bits.OnesCount64(occ)
 				probe.allHealthy += uint64(healthy)
@@ -550,11 +509,10 @@ func (mc *MonteCarlo) shiftedTrials(pl sqgrid.Placement, p float64, model defect
 			}), nil
 		}, nil
 	}
-	sample := mc.bernoulliSamplerN()
 	return func(probe *kernelProbe) (batchFunc, error) {
 		fs := defects.NewFaultSet(n)
 		return perTrial(func(in *defects.Injector) (bool, error) {
-			fs = sample(in, n, p, fs)
+			fs = in.BernoulliN(n, p, fs)
 			if fs.Count() == 0 {
 				probe.allHealthy++
 			} else {

@@ -6,7 +6,6 @@ import (
 	"math"
 	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -493,35 +492,6 @@ func BenchmarkMonteCarloYieldDTMB26N100(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := mc.Yield(arr, 0.95); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFastSampling measures the FastSampling knob end to end: one
-// 10,000-run single-worker estimate on the hex DTMB(2,6) n=100 array with
-// per-cell versus geometric Bernoulli injection, at the survival
-// probabilities where skip-sampling should pay off.
-func BenchmarkFastSampling(b *testing.B) {
-	arr, err := layout.BuildHexagonWithPrimaryTarget(layout.DTMB26(), 100)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, p := range []float64{0.95, 0.99, 0.999} {
-		for _, sampler := range []struct {
-			name string
-			fast bool
-		}{{"per-cell", false}, {"geometric", true}} {
-			b.Run("p="+strconv.FormatFloat(p, 'g', -1, 64)+"/"+sampler.name, func(b *testing.B) {
-				mc := NewMonteCarlo(1)
-				mc.Runs = 10000
-				mc.Workers = 1
-				mc.FastSampling = sampler.fast
-				for i := 0; i < b.N; i++ {
-					if _, err := mc.YieldContext(context.Background(), arr, p); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
 		}
 	}
 }
