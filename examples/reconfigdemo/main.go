@@ -53,7 +53,7 @@ func main() {
 		{"fault in Module 1 (next to the spare row)", sqgrid.Coord{X: 3, Y: 6}},
 		{"fault in Module 3 (far from the spare row)", sqgrid.Coord{X: 3, Y: 1}},
 	} {
-		res, err := reconfig.ShiftedReplacement(p, scenario.fault, reconfig.ShiftOptions{})
+		res, err := reconfig.ShiftedReplacement(p, scenario.fault)
 		if err != nil {
 			log.Fatal(err)
 		}

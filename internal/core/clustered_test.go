@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -50,5 +51,8 @@ func TestBiochipInjectClustered(t *testing.T) {
 	// Invalid parameters are rejected.
 	if _, err := chip.InjectClustered(1, defects.ClusterParams{MeanDefects: -1, ClusterSize: 2}); err == nil {
 		t.Error("negative mean defect count accepted")
+	}
+	if _, err := chip.InjectClustered(1, defects.ClusterParams{MeanDefects: math.Inf(1), ClusterSize: 2}); err == nil {
+		t.Error("infinite mean defect count accepted")
 	}
 }

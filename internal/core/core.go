@@ -20,6 +20,7 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"math"
 	"sort"
 
 	"dmfb/internal/defects"
@@ -115,7 +116,7 @@ func (b *Biochip) resetPlan() {
 
 // InjectBernoulli fails every cell independently with probability 1−p.
 func (b *Biochip) InjectBernoulli(seed int64, p float64) error {
-	if p < 0 || p > 1 {
+	if math.IsNaN(p) || p < 0 || p > 1 {
 		return fmt.Errorf("core: survival probability %v outside [0,1]", p)
 	}
 	in := defects.NewInjector(seed)
@@ -395,7 +396,7 @@ func RecommendDesignContext(ctx context.Context, p float64, nPrimary int, sp Sim
 // manufacturing processes". ok is false when even DTMB(4,4) misses the
 // target; the returned analyses cover every design evaluated.
 func TargetYield(p, target float64, nPrimary, runs int, seed int64) (best layout.Design, ok bool, analyses []YieldAnalysis, err error) {
-	if target < 0 || target > 1 {
+	if math.IsNaN(target) || target < 0 || target > 1 {
 		return layout.Design{}, false, nil, fmt.Errorf("core: yield target %v outside [0,1]", target)
 	}
 	// AllDesigns is ordered by ascending RR (Table 1), so the first design

@@ -59,6 +59,9 @@ func TestInjectValidation(t *testing.T) {
 	if err := chip.InjectBernoulli(1, 1.5); err == nil {
 		t.Error("p>1 accepted")
 	}
+	if err := chip.InjectBernoulli(1, math.NaN()); err == nil {
+		t.Error("NaN p accepted")
+	}
 	if err := chip.InjectFixed(1, -3, defects.AllCells); err == nil {
 		t.Error("negative m accepted")
 	}
@@ -225,6 +228,9 @@ func TestTargetYieldPicksCheapestSufficientDesign(t *testing.T) {
 	}
 	if _, _, _, err := TargetYield(0.9, 1.5, 100, 100, 3); err == nil {
 		t.Error("invalid target accepted")
+	}
+	if _, _, _, err := TargetYield(0.9, math.NaN(), 100, 100, 3); err == nil {
+		t.Error("NaN target accepted")
 	}
 }
 

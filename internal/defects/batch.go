@@ -72,13 +72,6 @@ func (b *TrialBatch) checkCells(numCells int) {
 	}
 }
 
-// Mark marks the cell faulty in trial t of the current batch.
-func (b *TrialBatch) Mark(t int, id layout.CellID) {
-	bit := uint64(1) << uint(t)
-	b.cols[id] |= bit
-	b.occupied |= bit
-}
-
 // Occupied returns the trial mask of the batch: bit t is set iff trial t
 // drew at least one fault. Its zero bits (below N) are the all-healthy
 // trials, screened without ever materializing their fault sets.

@@ -35,11 +35,13 @@ type ClusterParams struct {
 
 // validate checks the parameter ranges.
 func (cp ClusterParams) validate() error {
-	if math.IsNaN(cp.MeanDefects) || cp.MeanDefects < 0 {
-		return fmt.Errorf("defects: mean defect count %v must be non-negative", cp.MeanDefects)
+	// An infinite mean would never drain the Poisson sampler's countdown
+	// (Inf − 256 = Inf), so finiteness is part of validity.
+	if math.IsNaN(cp.MeanDefects) || math.IsInf(cp.MeanDefects, 0) || cp.MeanDefects < 0 {
+		return fmt.Errorf("defects: mean defect count %v must be finite and non-negative", cp.MeanDefects)
 	}
-	if math.IsNaN(cp.ClusterSize) || cp.ClusterSize < 1 {
-		return fmt.Errorf("defects: cluster size %v must be at least 1", cp.ClusterSize)
+	if math.IsNaN(cp.ClusterSize) || math.IsInf(cp.ClusterSize, 0) || cp.ClusterSize < 1 {
+		return fmt.Errorf("defects: cluster size %v must be finite and at least 1", cp.ClusterSize)
 	}
 	return nil
 }

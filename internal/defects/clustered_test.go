@@ -147,6 +147,10 @@ func TestClusteredParamValidation(t *testing.T) {
 		{MeanDefects: 5, ClusterSize: 0.5},
 		{MeanDefects: math.NaN(), ClusterSize: 2},
 		{MeanDefects: 5, ClusterSize: math.NaN()},
+		{MeanDefects: math.Inf(1), ClusterSize: 2},
+		{MeanDefects: math.Inf(-1), ClusterSize: 2},
+		{MeanDefects: 5, ClusterSize: math.Inf(1)},
+		{MeanDefects: 5, ClusterSize: math.Inf(-1)},
 	}
 	for i, cp := range bad {
 		if _, _, err := in.Clustered(arr, cp, nil); err == nil {
@@ -154,6 +158,9 @@ func TestClusteredParamValidation(t *testing.T) {
 		}
 		if _, _, err := in.ClusteredGrid(10, 10, cp, nil); err == nil {
 			t.Errorf("case %d: invalid grid params %+v accepted", i, cp)
+		}
+		if _, err := in.ClusteredBatch(arr, cp, WordTrials, NewTrialBatch(arr.NumCells())); err == nil {
+			t.Errorf("case %d: invalid batch params %+v accepted", i, cp)
 		}
 	}
 	if _, _, err := in.ClusteredGrid(0, 10, ClusterParams{MeanDefects: 1, ClusterSize: 2}, nil); err == nil {

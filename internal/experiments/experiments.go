@@ -123,7 +123,7 @@ func Figure2() ([]Figure2Row, stats.Table, error) {
 	}
 	var rows []Figure2Row
 	for _, sc := range scenarios {
-		cmp, results, err := reconfig.CompareWithInterstitial(p, []sqgrid.Coord{sc.fault}, reconfig.ShiftOptions{})
+		cmp, results, err := reconfig.CompareWithInterstitial(p, []sqgrid.Coord{sc.fault})
 		if err != nil {
 			return nil, tb, err
 		}

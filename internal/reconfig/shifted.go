@@ -16,15 +16,6 @@ import (
 // this cascade drags fault-free modules into the reconfiguration, which is
 // precisely the cost interstitial redundancy avoids.
 
-// ShiftOptions tunes the baseline's behavior.
-type ShiftOptions struct {
-	// StopAtUnused lets the cascade terminate early at the first fault-free
-	// cell not used by any module (a hybrid of shifted replacement and the
-	// paper's "category 1" reconfiguration). The paper's pure scheme shifts
-	// all the way to the boundary spare row; leave false to reproduce it.
-	StopAtUnused bool
-}
-
 // ShiftResult reports the cost of repairing one fault by shifted replacement.
 type ShiftResult struct {
 	// OK reports whether the repair succeeded.
@@ -51,12 +42,12 @@ type shiftState struct {
 
 // ShiftedReplacement repairs a single faulty cell on a spare-row placement
 // and reports the reconfiguration cost.
-func ShiftedReplacement(p sqgrid.Placement, fault sqgrid.Coord, opts ShiftOptions) (ShiftResult, error) {
+func ShiftedReplacement(p sqgrid.Placement, fault sqgrid.Coord) (ShiftResult, error) {
 	session, err := NewShiftSession(p, []sqgrid.Coord{fault})
 	if err != nil {
 		return ShiftResult{}, err
 	}
-	return session.Repair(fault, opts), nil
+	return session.Repair(fault), nil
 }
 
 // ShiftSession repairs a set of faults one at a time, tracking consumed spare
@@ -88,7 +79,7 @@ func NewShiftSession(p sqgrid.Placement, faults []sqgrid.Coord) (*ShiftSession, 
 }
 
 // Repair runs shifted replacement for one registered fault.
-func (s *ShiftSession) Repair(fault sqgrid.Coord, opts ShiftOptions) ShiftResult {
+func (s *ShiftSession) Repair(fault sqgrid.Coord) ShiftResult {
 	st := &s.st
 	if !st.faulty[fault] {
 		return ShiftResult{OK: false, Reason: fmt.Sprintf("cell %v not registered as faulty", fault)}
@@ -137,9 +128,9 @@ func (s *ShiftSession) Repair(fault sqgrid.Coord, opts ShiftOptions) ShiftResult
 			cur = next
 			continue
 		}
-		// next is unused: with StopAtUnused the cascade can absorb here;
-		// otherwise it must reach a boundary spare row.
-		if opts.StopAtUnused || next.Y >= st.p.Grid.H-st.p.SpareRows {
+		// next is unused: the cascade still shifts on until it reaches a
+		// boundary spare row, as the paper's pure scheme does.
+		if next.Y >= st.p.Grid.H-st.p.SpareRows {
 			st.consumed[next] = true
 			break
 		}
@@ -179,7 +170,7 @@ type CostComparison struct {
 // replacement (deepest faults first, so column capacity is allocated
 // bottom-up) and totals the costs next to interstitial redundancy's
 // one-cell-per-fault cost.
-func CompareWithInterstitial(p sqgrid.Placement, faults []sqgrid.Coord, opts ShiftOptions) (CostComparison, []ShiftResult, error) {
+func CompareWithInterstitial(p sqgrid.Placement, faults []sqgrid.Coord) (CostComparison, []ShiftResult, error) {
 	session, err := NewShiftSession(p, faults)
 	if err != nil {
 		return CostComparison{}, nil, err
@@ -195,7 +186,7 @@ func CompareWithInterstitial(p sqgrid.Placement, faults []sqgrid.Coord, opts Shi
 	modules := map[string]bool{}
 	results := make([]ShiftResult, 0, len(ordered))
 	for _, f := range ordered {
-		res := session.Repair(f, opts)
+		res := session.Repair(f)
 		results = append(results, res)
 		if !res.OK {
 			cmp.ShiftedOK = false

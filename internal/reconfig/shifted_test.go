@@ -12,7 +12,7 @@ func TestFigure2FaultInModule1TouchesOnlyModule1(t *testing.T) {
 	// repaired by relocating Module 1 alone.
 	p := sqgrid.Figure2Placement()
 	fault := sqgrid.Coord{X: 3, Y: 6} // top row of Module 1
-	res, err := ShiftedReplacement(p, fault, ShiftOptions{})
+	res, err := ShiftedReplacement(p, fault)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestFigure2FaultInModule3DragsFaultFreeModules(t *testing.T) {
 	// fault-free Modules 1 and 2 — the cost interstitial redundancy avoids.
 	p := sqgrid.Figure2Placement()
 	fault := sqgrid.Coord{X: 3, Y: 1} // middle of Module 3
-	res, err := ShiftedReplacement(p, fault, ShiftOptions{})
+	res, err := ShiftedReplacement(p, fault)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,44 +55,12 @@ func TestFigure2FaultInModule3DragsFaultFreeModules(t *testing.T) {
 
 func TestFaultInUnusedCellCostsNothing(t *testing.T) {
 	p := sqgrid.Figure2Placement()
-	res, err := ShiftedReplacement(p, sqgrid.Coord{X: 0, Y: 4}, ShiftOptions{})
+	res, err := ShiftedReplacement(p, sqgrid.Coord{X: 0, Y: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.OK || res.CellsRemapped != 0 || len(res.ModulesReconfigured) != 0 {
 		t.Errorf("unused fault should be free: %+v", res)
-	}
-}
-
-func TestStopAtUnusedShortensChain(t *testing.T) {
-	// Insert a gap between Module 2 and Module 1 so the cascade can stop
-	// early when StopAtUnused is set.
-	p := sqgrid.Figure2Placement()
-	p.Modules[1].Y = 2 // Module 2 rows 2-4, gap at row 5
-	p.Modules[2].H = 2 // Module 3 rows 0-1
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	fault := sqgrid.Coord{X: 3, Y: 0} // Module 3
-
-	full, err := ShiftedReplacement(p, fault, ShiftOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	early, err := ShiftedReplacement(p, fault, ShiftOptions{StopAtUnused: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !full.OK || !early.OK {
-		t.Fatal("both repairs should succeed")
-	}
-	if early.CellsRemapped >= full.CellsRemapped {
-		t.Errorf("StopAtUnused (%d) should remap fewer cells than full shift (%d)",
-			early.CellsRemapped, full.CellsRemapped)
-	}
-	if len(early.ModulesReconfigured) >= len(full.ModulesReconfigured) {
-		t.Errorf("StopAtUnused should touch fewer modules: %v vs %v",
-			early.ModulesReconfigured, full.ModulesReconfigured)
 	}
 }
 
@@ -103,7 +71,7 @@ func TestCascadeBlockedByFaultyCellBelow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := session.Repair(sqgrid.Coord{X: 3, Y: 1}, ShiftOptions{})
+	res := session.Repair(sqgrid.Coord{X: 3, Y: 1})
 	if res.OK {
 		t.Error("cascade through a second faulty cell must fail")
 	}
@@ -121,11 +89,11 @@ func TestColumnCapacityExhausted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := session.Repair(sqgrid.Coord{X: 2, Y: 6}, ShiftOptions{})
+	first := session.Repair(sqgrid.Coord{X: 2, Y: 6})
 	if !first.OK {
 		t.Fatalf("first repair failed: %s", first.Reason)
 	}
-	second := session.Repair(sqgrid.Coord{X: 2, Y: 0}, ShiftOptions{})
+	second := session.Repair(sqgrid.Coord{X: 2, Y: 0})
 	if second.OK {
 		t.Error("second repair in same column should exhaust spare capacity")
 	}
@@ -137,7 +105,7 @@ func TestRepairUnregisteredFaultFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := session.Repair(sqgrid.Coord{X: 1, Y: 1}, ShiftOptions{})
+	res := session.Repair(sqgrid.Coord{X: 1, Y: 1})
 	if res.OK {
 		t.Error("unregistered fault accepted")
 	}
@@ -163,7 +131,7 @@ func TestNewShiftSessionValidation(t *testing.T) {
 func TestCompareWithInterstitialFigure2(t *testing.T) {
 	p := sqgrid.Figure2Placement()
 	faults := []sqgrid.Coord{{X: 3, Y: 1}} // Module 3 fault
-	cmp, results, err := CompareWithInterstitial(p, faults, ShiftOptions{})
+	cmp, results, err := CompareWithInterstitial(p, faults)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +154,7 @@ func TestCompareWithInterstitialMultiFaultOrdering(t *testing.T) {
 	// Deepest-first ordering lets two faults in different columns succeed.
 	p := sqgrid.Figure2Placement()
 	faults := []sqgrid.Coord{{X: 1, Y: 0}, {X: 5, Y: 7}}
-	cmp, results, err := CompareWithInterstitial(p, faults, ShiftOptions{})
+	cmp, results, err := CompareWithInterstitial(p, faults)
 	if err != nil {
 		t.Fatal(err)
 	}

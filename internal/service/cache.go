@@ -10,7 +10,8 @@ import (
 // cacheKey identifies one simulation result. Simulations are deterministic
 // in these fields (chunk-seeded Monte-Carlo is independent of worker count),
 // so equal keys mean equal results and caching is sound. kind separates the
-// endpoint namespaces; design is "*" for whole-design-space queries.
+// namespaces: "recommend" for whole-design-space queries (design "*"), and
+// for scenarios the kind scenarioKey derives from strategy and defect model.
 type cacheKey struct {
 	kind     string
 	design   string
@@ -18,12 +19,13 @@ type cacheKey struct {
 	p        float64
 	runs     int
 	seed     int64
-	// spare is the boundary spare-row count of shifted-replacement
-	// simulations ("shifted" kind); 0 for the interstitial kinds.
+	// spare is the boundary spare-row count of "shifted" scenarios; 0 for
+	// every other kind.
 	spare int
-	// model and clusterSize identify the spatial defect model of sweep
-	// points; both zero for the independent-model kinds that predate the
-	// defect-model axis ("yield", "recommend").
+	// model and clusterSize identify the spatial defect model of the
+	// "local-clustered", "hex" and "shifted" kinds; both zero for "yield"
+	// (local, independent model) and "recommend", whose keys predate the
+	// defect-model axis.
 	model       string
 	clusterSize float64
 	// epsilon is the precision target of adaptive estimates; 0 for fixed-run

@@ -3,6 +3,8 @@ package service
 import (
 	"testing"
 
+	"dmfb/internal/core"
+	"dmfb/internal/sweep"
 	"dmfb/internal/telemetry"
 )
 
@@ -13,8 +15,10 @@ func testCache(capacity int) (*resultCache, *telemetry.Registry) {
 	return newResultCache(capacity, m.cacheHits, m.cacheMisses), m.registry
 }
 
+// key is the yield-namespace key of a local, independent-model scenario.
 func key(design string, n int) cacheKey {
-	return cacheKey{kind: "yield", design: design, nPrimary: n, p: 0.95, runs: 1000, seed: 1}
+	sc := sweep.Scenario{Strategy: sweep.Local, Design: design, NPrimary: n, P: 0.95, DefectModel: sweep.Independent}
+	return scenarioKey(sweep.Point{Scenario: sc}, core.SimParams{Runs: 1000, Seed: 1})
 }
 
 func TestCacheHitMiss(t *testing.T) {

@@ -354,7 +354,8 @@ func (e *Engine) Recommend(ctx context.Context, req RecommendRequest) (Recommend
 			// after a recommendation is the natural next request, and the
 			// simulation parameters are identical. The namespace stores
 			// scenario-core results, so convert before seeding.
-			e.cache.Add(cacheKey{kind: "yield", design: yr.Design, nPrimary: req.NPrimary, p: req.P, runs: sp.Runs, seed: sp.Seed}, analysisPointResult(ya, sp.Seed))
+			pr := analysisPointResult(ya, sp.Seed)
+			e.cache.Add(scenarioKey(pr.Point, sp), pr)
 		}
 		return resp, nil
 	})

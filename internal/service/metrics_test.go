@@ -43,15 +43,23 @@ func sampleValue(exp *telemetry.Exposition, name, want string) float64 {
 
 // TestMetricsEndpoint drives real traffic through the production handler
 // and checks that GET /metrics serves a valid Prometheus exposition whose
-// numbers agree with the traffic: one simulated yield (a cache miss), one
-// repeat (a hit), with the kernel trial counter matching the run count.
+// numbers agree with the traffic: one scenario of each cache kind, each
+// simulated once (a miss) and repeated once (a hit), with the kernel trial
+// counter matching the run counts.
 func TestMetricsEndpoint(t *testing.T) {
 	e := NewEngine(EngineConfig{CacheSize: 16, DefaultRuns: 300})
 	h := NewHandler(e, nil, nil)
-	body := `{"design":"DTMB(2,6)","n_primary":60,"p":0.95,"runs":300,"seed":1}`
-	for i := 0; i < 2; i++ {
-		if w := doHandler(t, h, http.MethodPost, "/v1/yield", body, nil); w.Code != http.StatusOK {
-			t.Fatalf("yield request %d: status %d: %s", i, w.Code, w.Body)
+	scenarios := []struct{ kind, path, body string }{
+		{"yield", "/v1/yield", `{"design":"DTMB(2,6)","n_primary":60,"p":0.95,"runs":300,"seed":1}`},
+		{"local-clustered", "/v2/evaluate", `{"strategy":"local","design":"DTMB(2,6)","n_primary":60,"p":0.95,"defect_model":"clustered","runs":300,"seed":1}`},
+		{"hex", "/v2/evaluate", `{"strategy":"hex","design":"DTMB(2,6)","n_primary":60,"p":0.95,"runs":300,"seed":1}`},
+		{"shifted", "/v2/evaluate", `{"strategy":"shifted","n_primary":60,"p":0.95,"runs":300,"seed":1}`},
+	}
+	for _, sc := range scenarios {
+		for i := 0; i < 2; i++ {
+			if w := doHandler(t, h, http.MethodPost, sc.path, sc.body, nil); w.Code != http.StatusOK {
+				t.Fatalf("%s request %d: status %d: %s", sc.kind, i, w.Code, w.Body)
+			}
 		}
 	}
 	w := doHandler(t, h, http.MethodGet, "/metrics", "", nil)
@@ -95,25 +103,29 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("/metrics missing family %s", want)
 		}
 	}
-	if got := sampleValue(exp, "dmfb_kernel_trials_total", ""); got != 300 {
-		t.Errorf("kernel trials = %v, want 300 (one uncached simulation)", got)
+	if got := sampleValue(exp, "dmfb_kernel_trials_total", ""); got != 4*300 {
+		t.Errorf("kernel trials = %v, want 1200 (four uncached simulations)", got)
 	}
-	if got := sampleValue(exp, "dmfb_cache_misses_total", `kind="yield"`); got != 1 {
-		t.Errorf(`cache misses{kind="yield"} = %v, want 1`, got)
-	}
-	if got := sampleValue(exp, "dmfb_cache_hits_total", `kind="yield"`); got != 1 {
-		t.Errorf(`cache hits{kind="yield"} = %v, want 1`, got)
+	for _, sc := range scenarios {
+		label := `kind="` + sc.kind + `"`
+		if got := sampleValue(exp, "dmfb_cache_misses_total", label); got != 1 {
+			t.Errorf(`cache misses{%s} = %v, want 1`, label, got)
+		}
+		if got := sampleValue(exp, "dmfb_cache_hits_total", label); got != 1 {
+			t.Errorf(`cache hits{%s} = %v, want 1`, label, got)
+		}
 	}
 	// The scrape itself records its own metrics only after the handler
-	// returns, so at scrape time exactly the two yield POSTs had finished.
-	if got := sampleValue(exp, "dmfb_http_requests_total", `code="200"`); got != 2 {
-		t.Errorf(`http requests{code="200"} = %v, want 2`, got)
+	// returns, so at scrape time exactly the eight scenario POSTs had
+	// finished.
+	if got := sampleValue(exp, "dmfb_http_requests_total", `code="200"`); got != 8 {
+		t.Errorf(`http requests{code="200"} = %v, want 8`, got)
 	}
 	if got := sampleValue(exp, "dmfb_kernel_chunk_duration_seconds_count", ""); got == 0 {
 		t.Error("kernel chunk histogram recorded no chunks")
 	}
-	if got := sampleValue(exp, "dmfb_admission_wait_seconds_count", ""); got != 1 {
-		t.Errorf("admission waits = %v, want 1 (one uncached simulation)", got)
+	if got := sampleValue(exp, "dmfb_admission_wait_seconds_count", ""); got != 4 {
+		t.Errorf("admission waits = %v, want 4 (four uncached simulations)", got)
 	}
 }
 

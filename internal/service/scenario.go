@@ -218,56 +218,51 @@ func scenarioCells(sc sweep.Scenario) (int, error) {
 	return 0, nil
 }
 
-// evalScenario is the engine's scenario core: it routes one canonical
-// scenario to its cache namespace and evaluates it via the sweep dispatch
-// under the cache, single-flight, and admission layers. The v1 yield
-// endpoint, the v1 sweep stream, the v2 evaluate endpoint, and sweep jobs
-// are all adapters over this one entry point.
-//
-// Cache namespaces are preserved from the pre-v2 engine: a local-strategy,
-// independent-model scenario lives in the "yield" namespace keyed without
-// defect-model fields, so /v1/yield requests, /v2/evaluate calls, and sweep
-// grid points of the same scenario share one entry.
+// evalScenario is the engine's scenario core: it evaluates one canonical
+// scenario via the sweep dispatch under the cache, single-flight, and
+// admission layers. The v1 yield endpoint, the v1 sweep stream, the v2
+// evaluate endpoint, and sweep jobs are all adapters over this one entry
+// point.
 func (e *Engine) evalScenario(ctx context.Context, sc sweep.Scenario, sp core.SimParams) (sweep.PointResult, error) {
 	pt := sweep.Point{Scenario: sc}
-	switch {
-	case sc.Strategy == sweep.None:
+	if sc.Strategy == sweep.None {
 		// Closed form: too cheap to cache or bound.
 		return sweep.EvaluateScenario(ctx, sc, sp)
-	case sc.Strategy == sweep.Local && sc.DefectModel != sweep.Clustered:
-		return e.cachedScenario(ctx, cacheKey{
-			kind:     "yield",
-			design:   sc.Design,
-			nPrimary: sc.NPrimary,
-			p:        sc.P,
-			runs:     sp.Runs,
-			seed:     sp.Seed,
-			epsilon:  sp.Epsilon,
-		}, pt, sp)
-	case sc.Strategy == sweep.Local:
-		return e.cachedScenario(ctx, scenarioKey("local-clustered", pt, sp), pt, sp)
-	case sc.Strategy == sweep.Hex:
-		return e.cachedScenario(ctx, scenarioKey("hex", pt, sp), pt, sp)
-	default: // shifted
-		return e.cachedScenario(ctx, scenarioKey("shifted", pt, sp), pt, sp)
 	}
+	return e.cachedScenario(ctx, scenarioKey(pt, sp), pt, sp)
 }
 
-// scenarioKey builds the full-coordinate cache key of the kinds that carry
-// the defect-model axis.
-func scenarioKey(kind string, pt sweep.Point, sp core.SimParams) cacheKey {
-	return cacheKey{
-		kind:        kind,
-		design:      pt.Design,
-		nPrimary:    pt.NPrimary,
-		p:           pt.P,
-		runs:        sp.Runs,
-		seed:        sp.Seed,
-		spare:       pt.SpareRows,
-		model:       string(pt.DefectModel),
-		clusterSize: pt.ClusterSize,
-		epsilon:     sp.Epsilon,
+// scenarioKey builds the cache key of a Monte-Carlo scenario, the one place
+// a scenario's cache namespace is decided. A local-strategy,
+// independent-model scenario lives in the "yield" namespace keyed without
+// defect-model fields, so /v1/yield requests, /v1/recommend priming,
+// /v2/evaluate calls, and sweep grid points of the same scenario share one
+// entry. The other strategies carry every coordinate under their own kind:
+// "local-clustered", "hex" and "shifted".
+func scenarioKey(pt sweep.Point, sp core.SimParams) cacheKey {
+	key := cacheKey{
+		design:   pt.Design,
+		nPrimary: pt.NPrimary,
+		p:        pt.P,
+		runs:     sp.Runs,
+		seed:     sp.Seed,
+		epsilon:  sp.Epsilon,
 	}
+	switch {
+	case pt.Strategy == sweep.Local && pt.DefectModel != sweep.Clustered:
+		key.kind = "yield"
+		return key
+	case pt.Strategy == sweep.Local:
+		key.kind = "local-clustered"
+	case pt.Strategy == sweep.Hex:
+		key.kind = "hex"
+	default:
+		key.kind = "shifted"
+	}
+	key.spare = pt.SpareRows
+	key.model = string(pt.DefectModel)
+	key.clusterSize = pt.ClusterSize
+	return key
 }
 
 // cachedScenario evaluates a Monte-Carlo scenario through the result cache,

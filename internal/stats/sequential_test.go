@@ -70,13 +70,32 @@ func TestSequentialCI(t *testing.T) {
 	}
 }
 
+// poissonBinomialPMF returns the full probability mass function of the
+// number of successes among independent Bernoulli trials with the given
+// per-trial probabilities qs: pmf[k] = P(K = k), k = 0..len(qs). It is the
+// heterogeneous generalization of BinomialWeights, computed by the standard
+// O(n²) convolution recurrence, and serves as BinomialWeights' oracle:
+// BinomialWeights(n, q, 0) equals poissonBinomialPMF of n copies of q.
+func poissonBinomialPMF(qs []float64) []float64 {
+	pmf := make([]float64, 1, len(qs)+1)
+	pmf[0] = 1
+	for _, q := range qs {
+		pmf = append(pmf, 0)
+		for k := len(pmf) - 1; k > 0; k-- {
+			pmf[k] = pmf[k]*(1-q) + pmf[k-1]*q
+		}
+		pmf[0] *= 1 - q
+	}
+	return pmf
+}
+
 func TestBinomialWeightsAgainstPoissonBinomial(t *testing.T) {
 	const n, q = 40, 0.07
 	qs := make([]float64, n)
 	for i := range qs {
 		qs[i] = q
 	}
-	pmf := PoissonBinomialPMF(qs)
+	pmf := poissonBinomialPMF(qs)
 	weights, tail := BinomialWeights(n, q, 1e-12)
 	if tail > 1e-12 {
 		t.Fatalf("tail %v exceeds requested bound", tail)

@@ -7,7 +7,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"strings"
 )
 
@@ -25,8 +24,8 @@ func SplitMix64(state *uint64) uint64 {
 // SeedStream returns n deterministic, pairwise distinct 64-bit seeds
 // derived from seed: the SplitMix64 outputs of n distinct states, through a
 // bijective mix. defects.Injector seeds from all 64 bits, so each seed
-// selects its own fault-injection stream. A math/rand source (NewRand)
-// reduces seeds mod 2³¹−1 and gives no such guarantee.
+// selects its own fault-injection stream. A math/rand source reduces seeds
+// mod 2³¹−1 and gives no such guarantee.
 func SeedStream(seed int64, n int) []int64 {
 	state := uint64(seed)
 	out := make([]int64, n)
@@ -35,10 +34,6 @@ func SeedStream(seed int64, n int) []int64 {
 	}
 	return out
 }
-
-// NewRand returns a rand.Rand seeded with the given seed. Centralizing the
-// constructor keeps every simulation deterministic and greppable.
-func NewRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 // Mean returns the arithmetic mean of xs (0 for empty input).
 func Mean(xs []float64) float64 {
@@ -50,21 +45,6 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// StdDev returns the sample standard deviation of xs (0 for n < 2).
-func StdDev(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	ss := 0.0
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n-1))
 }
 
 // Proportion is a Monte-Carlo success proportion with its sample size.
@@ -200,25 +180,6 @@ func BinomialWeights(n int, q, maxTail float64) (weights []float64, tail float64
 		tail = 0
 	}
 	return weights, tail
-}
-
-// PoissonBinomialPMF returns the full probability mass function of the
-// number of successes among independent Bernoulli trials with the given
-// per-trial probabilities qs: pmf[k] = P(K = k), k = 0..len(qs). It is the
-// heterogeneous generalization of BinomialWeights, computed by the standard
-// O(n²) convolution recurrence; BinomialWeights(n, q, 0) equals
-// PoissonBinomialPMF of n copies of q.
-func PoissonBinomialPMF(qs []float64) []float64 {
-	pmf := make([]float64, 1, len(qs)+1)
-	pmf[0] = 1
-	for _, q := range qs {
-		pmf = append(pmf, 0)
-		for k := len(pmf) - 1; k > 0; k-- {
-			pmf[k] = pmf[k]*(1-q) + pmf[k-1]*q
-		}
-		pmf[0] *= 1 - q
-	}
-	return pmf
 }
 
 // Series is a named (x, y) sequence, one curve of a paper figure.

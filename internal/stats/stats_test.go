@@ -47,17 +47,9 @@ func TestMeanAndStdDev(t *testing.T) {
 	if Mean(nil) != 0 {
 		t.Error("Mean(nil) != 0")
 	}
-	if StdDev([]float64{5}) != 0 {
-		t.Error("StdDev of singleton != 0")
-	}
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if got := Mean(xs); math.Abs(got-5) > 1e-12 {
 		t.Errorf("Mean = %v, want 5", got)
-	}
-	// Sample std dev of this classic set is sqrt(32/7).
-	want := math.Sqrt(32.0 / 7.0)
-	if got := StdDev(xs); math.Abs(got-want) > 1e-12 {
-		t.Errorf("StdDev = %v, want %v", got, want)
 	}
 }
 
@@ -175,14 +167,5 @@ func TestLinspace(t *testing.T) {
 	}
 	if xs[4] != 1.0 {
 		t.Error("endpoint must be exact")
-	}
-}
-
-func TestNewRandDeterministic(t *testing.T) {
-	a, b := NewRand(123), NewRand(123)
-	for i := 0; i < 10; i++ {
-		if a.Int63() != b.Int63() {
-			t.Fatal("NewRand not deterministic")
-		}
 	}
 }

@@ -55,7 +55,7 @@ func (r PointResult) YieldResult() yieldsim.Result {
 }
 
 // Evaluate computes one grid point directly — no caching, no admission
-// control — through the same core/yieldsim code path the service engine
+// control — through the same yieldsim code path the service engine
 // uses, so both produce identical numbers for identical (point, params).
 func Evaluate(ctx context.Context, pt Point, sp core.SimParams) (PointResult, error) {
 	res, err := EvaluateScenario(ctx, pt.Scenario, sp)
@@ -68,10 +68,13 @@ func Evaluate(ctx context.Context, pt Point, sp core.SimParams) (PointResult, er
 
 // EvaluateScenario is the yieldsim dispatch at the heart of every
 // evaluation path: it routes one Scenario to its closed form or Monte-Carlo
-// kernel (interstitial, hexagonal-footprint, or shifted-replacement, under
-// either defect model) and assembles the resulting yield analysis. The
-// sweep runner, the service engine (with its cache in front), and the v2
-// evaluate endpoint all funnel through this one switch.
+// kernel and assembles the resulting yield analysis. Local and hex
+// scenarios differ only in the footprint of the array they build
+// (parallelogram or hexagon); both then run the same local-reconfiguration
+// kernel, YieldModelContext, under either defect model. Shifted scenarios
+// run the column-cascade kernel. The sweep runner, the service engine (with
+// its cache in front), and the v2 evaluate endpoint all funnel through this
+// one switch.
 func EvaluateScenario(ctx context.Context, sc Scenario, sp core.SimParams) (PointResult, error) {
 	// Normalize + validate up front so defaults (defect model, cluster size)
 	// apply on every path into the switch. Before this guard a zero
@@ -101,55 +104,24 @@ func EvaluateScenario(ctx context.Context, sc Scenario, sp core.SimParams) (Poin
 			EffectiveYield: y,
 			NoRedundancy:   y,
 		}, nil
-	case Local:
+	case Local, Hex:
 		design, err := layout.DesignByName(pt.Design)
 		if err != nil {
 			return PointResult{}, fmt.Errorf("sweep: %w", err)
 		}
-		if pt.DefectModel == Clustered {
-			arr, err := layout.BuildWithPrimaryTarget(design, pt.NPrimary)
-			if err != nil {
-				return PointResult{}, err
-			}
-			mc := sp.MonteCarlo()
-			res, err := mc.YieldModelContext(ctx, arr, pt.P, pt.Model())
-			if err != nil {
-				return PointResult{}, err
-			}
-			return modelPointResult(pt, sp, res, arr.NumPrimary(), arr.NumCells()), nil
+		build := layout.BuildWithPrimaryTarget
+		if pt.Strategy == Hex {
+			build = layout.BuildHexagonWithPrimaryTarget
 		}
-		chip, err := core.New(design, pt.NPrimary)
+		arr, err := build(design, pt.NPrimary)
 		if err != nil {
 			return PointResult{}, err
 		}
-		ya, err := chip.AnalyzeYieldContext(ctx, pt.P, sp)
+		res, err := sp.MonteCarlo().YieldModelContext(ctx, arr, pt.P, pt.Model())
 		if err != nil {
 			return PointResult{}, err
 		}
-		return PointResult{
-			Point:          pt,
-			NTotal:         ya.NTotal,
-			Runs:           ya.Runs,
-			Seed:           sp.Seed,
-			Successes:      ya.Successes,
-			Epsilon:        sp.Epsilon,
-			Yield:          ya.Yield,
-			CILo:           ya.CILo,
-			CIHi:           ya.CIHi,
-			EffectiveYield: ya.EffectiveYield,
-			NoRedundancy:   ya.NoRedundancy,
-		}, nil
-	case Hex:
-		design, err := layout.DesignByName(pt.Design)
-		if err != nil {
-			return PointResult{}, fmt.Errorf("sweep: %w", err)
-		}
-		mc := sp.MonteCarlo()
-		hy, err := mc.HexYieldContext(ctx, design, pt.NPrimary, pt.P, pt.Model())
-		if err != nil {
-			return PointResult{}, err
-		}
-		return modelPointResult(pt, sp, hy.Result, hy.NPrimary, hy.NTotal), nil
+		return modelPointResult(pt, sp, res, arr.NumPrimary(), arr.NumCells()), nil
 	case Shifted:
 		pl, err := sqgrid.PlacementWithPrimaryTarget(pt.NPrimary, pt.SpareRows)
 		if err != nil {

@@ -270,25 +270,36 @@ func TestEvaluateNoneMatchesClosedForm(t *testing.T) {
 }
 
 func TestEvaluateLocalMatchesCore(t *testing.T) {
-	sp := core.SimParams{Runs: 500, Seed: 99}
-	pt := Point{Scenario: Scenario{Strategy: Local, Design: "DTMB(2,6)", NPrimary: 40, P: 0.95}}
-	res, err := Evaluate(context.Background(), pt, sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chip, err := core.New(layout.DTMB26(), 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ya, err := chip.AnalyzeYieldContext(context.Background(), 0.95, sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Yield != ya.Yield || res.CILo != ya.CILo || res.EffectiveYield != ya.EffectiveYield {
-		t.Errorf("sweep %+v disagrees with core %+v", res, ya)
-	}
-	if res.Runs != 500 || res.NTotal != ya.NTotal {
-		t.Errorf("metadata %+v vs %+v", res, ya)
+	// A served local-strategy answer must equal the library's answer for
+	// the same design, n, p and simulation parameters, field by field,
+	// with and without a precision target.
+	for _, d := range layout.AllDesignsWithVariants() {
+		for _, n := range []int{40, 100} {
+			for _, p := range []float64{0.9, 0.99} {
+				for _, eps := range []float64{0, 0.01} {
+					sp := core.SimParams{Runs: 1000, Seed: 99, Epsilon: eps}
+					name := fmt.Sprintf("%s/n=%d/p=%v/eps=%v", d.Name, n, p, eps)
+					pt := Point{Scenario: Scenario{Strategy: Local, Design: d.Name, NPrimary: n, P: p}}
+					res, err := Evaluate(context.Background(), pt, sp)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					chip, err := core.New(d, n)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ya, err := chip.AnalyzeYieldContext(context.Background(), p, sp)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Successes != ya.Successes || res.Runs != ya.Runs || res.Yield != ya.Yield ||
+						res.CILo != ya.CILo || res.CIHi != ya.CIHi || res.EffectiveYield != ya.EffectiveYield ||
+						res.NoRedundancy != ya.NoRedundancy || res.NTotal != ya.NTotal {
+						t.Errorf("%s: sweep %+v disagrees with core %+v", name, res, ya)
+					}
+				}
+			}
+		}
 	}
 }
 

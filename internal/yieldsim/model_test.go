@@ -97,41 +97,48 @@ func TestYieldModelContextRejectsBadInputs(t *testing.T) {
 }
 
 func TestHexYieldContextDeterministicAndCounted(t *testing.T) {
-	run := func(workers int) HexYield {
+	// A hexagonal-footprint array runs through the same kernel as a
+	// parallelogram one: the estimate is worker-independent and the build
+	// keeps the primary target exactly, with the interstitial spares on top.
+	arr, err := layout.BuildHexagonWithPrimaryTarget(layout.DTMB26(), 80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(workers int) Result {
 		mc := NewMonteCarlo(17)
 		mc.Runs = 500
 		mc.Workers = workers
-		hy, err := mc.HexYieldContext(context.Background(), layout.DTMB26(), 80, 0.95, defects.Model{})
+		res, err := mc.YieldModelContext(context.Background(), arr, 0.95, defects.Model{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return hy
+		return res
 	}
 	a, b := run(1), run(6)
 	if a != b {
 		t.Errorf("hex estimate differs across workers: %+v vs %+v", a, b)
 	}
-	if a.NPrimary != 80 {
-		t.Errorf("NPrimary %d, want 80", a.NPrimary)
+	if a.Runs != 500 {
+		t.Errorf("Runs %d, want 500", a.Runs)
 	}
-	if a.NTotal <= a.NPrimary {
-		t.Errorf("NTotal %d not above NPrimary %d", a.NTotal, a.NPrimary)
+	if arr.NumPrimary() != 80 {
+		t.Errorf("NumPrimary %d, want 80", arr.NumPrimary())
 	}
-}
-
-func TestHexYieldContextPropagatesBuildErrors(t *testing.T) {
-	mc := NewMonteCarlo(1)
-	if _, err := mc.HexYieldContext(context.Background(), layout.DTMB26(), 0, 0.95, defects.Model{}); err == nil {
-		t.Error("n=0 accepted")
+	if arr.NumCells() <= arr.NumPrimary() {
+		t.Errorf("NumCells %d not above NumPrimary %d", arr.NumCells(), arr.NumPrimary())
 	}
 }
 
 func TestHexYieldContextCancellation(t *testing.T) {
+	arr, err := layout.BuildHexagonWithPrimaryTarget(layout.DTMB44(), 120)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	mc := NewMonteCarlo(1)
 	mc.Runs = 100000
-	if _, err := mc.HexYieldContext(ctx, layout.DTMB44(), 120, 0.9, clusteredModel(4)); err == nil {
+	if _, err := mc.YieldModelContext(ctx, arr, 0.9, clusteredModel(4)); err == nil {
 		t.Error("cancelled context did not abort the simulation")
 	}
 }

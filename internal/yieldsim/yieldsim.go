@@ -12,10 +12,12 @@
 // A third estimator, ShiftedYield, applies the same trial structure to the
 // boundary-spare-row arrays of the shifted-replacement baseline the paper
 // argues against (Fig. 2), so the two redundancy schemes can be compared on
-// equal footing in parameter sweeps. HexYieldContext runs the kernel over
-// DTMB arrays instantiated on a regular hexagonal chip footprint, and the
-// *ModelContext variants evaluate any of these under an explicit spatial
-// defect model (independent Bernoulli or clustered, defects.Model).
+// equal footing in parameter sweeps. The kernel takes any built array, so a
+// DTMB array on a regular hexagonal chip footprint
+// (layout.BuildHexagonWithPrimaryTarget) runs through the same
+// YieldModelContext as a parallelogram one. The *ModelContext variants
+// evaluate under an explicit spatial defect model (independent Bernoulli or
+// clustered, defects.Model).
 //
 // The effective yield EY = Y·n/N = Y/(1+RR) weighs yield against the area
 // overhead of redundancy (paper Fig. 10).
@@ -591,70 +593,4 @@ func (mc *MonteCarlo) clusteredTrials(arr *layout.Array, cp defects.ClusterParam
 			return successes, nil
 		}, nil
 	}
-}
-
-// HexYield is the outcome of a hexagonal-footprint yield estimate: the
-// Monte-Carlo result plus the realized cell counts of the hexagon build
-// (NTotal exceeds NPrimary by the interstitial spares).
-type HexYield struct {
-	Result
-	NPrimary, NTotal int
-}
-
-// HexYieldContext estimates the yield of design d instantiated over a
-// regular hexagonal chip footprint with nPrimary primary cells
-// (layout.BuildHexagonWithPrimaryTarget) under the given spatial defect
-// model. Repair is the same local-reconfiguration matcher over the
-// six-neighbor topology used for parallelogram arrays — the bipartite
-// matching is footprint-agnostic — so differences against YieldModelContext
-// at equal n isolate the boundary shape.
-func (mc *MonteCarlo) HexYieldContext(ctx context.Context, d layout.Design, nPrimary int, p float64, model defects.Model) (HexYield, error) {
-	arr, err := layout.BuildHexagonWithPrimaryTarget(d, nPrimary)
-	if err != nil {
-		return HexYield{}, err
-	}
-	res, err := mc.YieldModelContext(ctx, arr, p, model)
-	if err != nil {
-		return HexYield{}, err
-	}
-	return HexYield{Result: res, NPrimary: arr.NumPrimary(), NTotal: arr.NumCells()}, nil
-}
-
-// SweepPoint is one (p, yield) sample of a sweep.
-type SweepPoint struct {
-	P      float64
-	Result Result
-}
-
-// SweepYield estimates yield across the given survival probabilities,
-// returning one point per p.
-func (mc *MonteCarlo) SweepYield(arr *layout.Array, ps []float64) ([]SweepPoint, error) {
-	return mc.SweepYieldContext(context.Background(), arr, ps)
-}
-
-// SweepYieldContext is SweepYield with cancellation between points. A
-// context that is already cancelled fails before the first point is
-// evaluated (or any array work happens), not after it.
-func (mc *MonteCarlo) SweepYieldContext(ctx context.Context, arr *layout.Array, ps []float64) ([]SweepPoint, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	out := make([]SweepPoint, 0, len(ps))
-	for _, p := range ps {
-		res, err := mc.YieldContext(ctx, arr, p)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, SweepPoint{P: p, Result: res})
-	}
-	return out, nil
-}
-
-// SweepSeries converts sweep points to a stats.Series for tabulation.
-func SweepSeries(name string, pts []SweepPoint) stats.Series {
-	s := stats.Series{Name: name}
-	for _, pt := range pts {
-		s.Append(pt.P, pt.Result.Yield)
-	}
-	return s
 }

@@ -362,27 +362,6 @@ func TestRepairUsedScopeRaisesYield(t *testing.T) {
 	}
 }
 
-func TestSweepYieldAndSeries(t *testing.T) {
-	arr := buildArray(t, layout.DTMB26(), 60)
-	mc := NewMonteCarlo(2)
-	mc.Runs = 300
-	ps := []float64{0.9, 0.95, 1.0}
-	pts, err := mc.SweepYield(arr, ps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 3 {
-		t.Fatalf("got %d points", len(pts))
-	}
-	series := SweepSeries("test", pts)
-	if series.Len() != 3 || series.Name != "test" {
-		t.Error("series conversion wrong")
-	}
-	if y, ok := series.YAt(1.0); !ok || y != 1 {
-		t.Errorf("yield at p=1 should be 1, got %v", y)
-	}
-}
-
 func TestResultStringAndCI(t *testing.T) {
 	r := newResult(90, 100)
 	if r.Yield != 0.9 || r.CILo >= r.CIHi {
@@ -434,9 +413,6 @@ func TestMonteCarloContextCancellation(t *testing.T) {
 	}
 	if _, err := mc.NoRedundancyMCContext(ctx, arr, 0.95); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled context (no-redundancy): err = %v, want context.Canceled", err)
-	}
-	if _, err := mc.SweepYieldContext(ctx, arr, []float64{0.9}); !errors.Is(err, context.Canceled) {
-		t.Errorf("cancelled context (sweep): err = %v, want context.Canceled", err)
 	}
 }
 
@@ -684,7 +660,7 @@ func TestShiftedYieldMatchesShiftSessionReference(t *testing.T) {
 					if !fs.IsFaulty(layout.CellID(pl.Grid.Index(c))) {
 						continue
 					}
-					if res := session.Repair(c, reconfig.ShiftOptions{}); !res.OK {
+					if res := session.Repair(c); !res.OK {
 						return false, nil
 					}
 				}

@@ -14,9 +14,7 @@
 #
 #   scripts/bench.sh && git diff BENCH_*.json
 #
-# BENCH_COUNT overrides the repetition count (default 1). Passing a single
-# argument restores the historical single-suite behavior: emit only the
-# kernel suite to that path (BENCH_PATTERN still overrides its selection).
+# BENCH_COUNT overrides the repetition count (default 1).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -55,13 +53,8 @@ emit_suite() {
   cat "$out"
 }
 
-kernel_pattern="${BENCH_PATTERN:-HexYieldKernel|ClusteredDefectKernel|ClusteredInjector|AdaptiveHighSurvival|MonteCarloKernel}"
-if [ $# -ge 1 ]; then
-  emit_suite "dmfb hex + clustered-defect kernels" "$kernel_pattern" "$1"
-  exit 0
-fi
-
-emit_suite "dmfb hex + clustered-defect kernels" "$kernel_pattern" \
+emit_suite "dmfb hex + clustered-defect kernels" \
+  'HexYieldKernel|ClusteredDefectKernel|ClusteredInjector|AdaptiveHighSurvival|MonteCarloKernel' \
   BENCH_hex_cluster.json
 emit_suite "dmfb v2 job store + client streaming" \
   'JobStore|ClientJobStream' \
