@@ -196,7 +196,7 @@ func (in *Injector) skipBatch(q float64, n int, b *TrialBatch) {
 
 // ClusteredBatch fills the batch with n clustered-defect trials over the
 // array, the batched form of Clustered: each trial draws its own Poisson
-// cluster count, centers, and ring coins, in exactly the per-trial order of
+// cluster count, centers, and ring draws, in exactly the per-trial order of
 // n successive Clustered calls, so the batched and scalar paths consume the
 // identical PRNG stream. It returns the total number of clusters seeded
 // across the batch, or an error, before any draw, when the batch is sized

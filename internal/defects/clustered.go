@@ -132,14 +132,18 @@ func (in *Injector) ClusteredGrid(w, h int, cp ClusterParams, dst *FaultSet) (*F
 // the position-grid slots base[c]+delta[k]: ring r is the next growth·r
 // deltas, in hexgrid.Ring order on the hexagonal lattice and row-major on
 // the square one. The grid is padded by maxR on every side, so no probe
-// needs a bounds check; a slot off the array holds -1 and draws no coin.
-// thresholds[r] is below(decay^r), the ring's coin as a compare on the raw
-// draw, with decay^r accumulated ring by ring as a running product: the
-// float model's per-ring probability, bit for bit.
+// needs a bounds check; a slot off the array holds -1.
+//
+// Every slot of ring r fails with probability q = decay^r, with decay^r
+// accumulated ring by ring as a running product. For the j-th slot k of
+// ring r, cum[k] = 1−(1−q)^(j+1) is the probability that the next fault
+// among the ring's remaining slots falls within j+1 of them. The geometric
+// law is memoryless, so the same entries serve every restart within the
+// ring.
 //
 // An Injector keeps one stencil as scratch and rebuilds it only when the
 // array, grid size or decay changes; grid, base and delta share one backing
-// slice that is reused while large enough.
+// slice, and cum its own, each reused while large enough.
 type stencil struct {
 	// The key: the array (nil for a square grid), the unpadded bounding
 	// box — a square grid's size — and math.Float64bits of the decay.
@@ -147,15 +151,15 @@ type stencil struct {
 	w, h      int
 	decayBits uint64
 
-	numCells   int
-	growth     int // ring r holds growth·r positions: 6 hexagonal, 8 square
-	maxR       int
-	stride     int // row length of the padded grid
-	grid       []int32
-	base       []int32
-	delta      []int32
-	buf        []int32
-	thresholds [maxClusterRadius + 1]uint64
+	numCells int
+	growth   int // ring r holds growth·r positions: 6 hexagonal, 8 square
+	maxR     int
+	stride   int // row length of the padded grid
+	grid     []int32
+	base     []int32
+	delta    []int32
+	buf      []int32
+	cum      []float64 // per slot, aligned with delta
 }
 
 // hexStencil returns the injector's stencil for hexagonal clusters over arr.
@@ -223,8 +227,8 @@ func (in *Injector) squareStencil(w, h int, decay float64) *stencil {
 }
 
 // size keys the stencil, lays it out for numCells cells in a w×h bounding
-// box and rings of growth·r positions, clears the grid, and fills the
-// thresholds. Callers then place every cell and fill delta.
+// box and rings of growth·r positions, clears the grid, and fills cum.
+// Callers then place every cell and fill delta.
 func (st *stencil) size(arr *layout.Array, numCells, w, h, growth int, decay float64) {
 	maxR := clusterRadius(decay)
 	stride := w + 2*maxR
@@ -243,10 +247,18 @@ func (st *stencil) size(arr *layout.Array, numCells, w, h, growth int, decay flo
 	}
 	st.arr, st.w, st.h, st.decayBits = arr, w, h, math.Float64bits(decay)
 	st.numCells, st.growth, st.maxR, st.stride = numCells, growth, maxR, stride
-	prob := 1.0
+	if cap(st.cum) < rings {
+		st.cum = make([]float64, rings)
+	}
+	st.cum = st.cum[:rings]
+	prob, k := 1.0, 0
 	for r := 1; r <= maxR; r++ {
 		prob *= decay
-		st.thresholds[r] = below(prob)
+		survive, healthy := 1-prob, 1.0
+		for end := k + growth*r; k < end; k++ {
+			healthy *= survive
+			st.cum[k] = 1 - healthy
+		}
 	}
 }
 
@@ -259,16 +271,20 @@ func (st *stencil) place(id, x, y int) {
 
 // clusters fills the batch with n clustered-defect trials over the stencil
 // at Poisson cluster rate rate. Each trial draws its cluster count, then per
-// cluster its center and one coin per in-array ring position, ring by ring
-// — the trial-major order in which one-trial calls consume the stream, so a
-// batch and n single trials draw identically. It returns the number of
-// clusters seeded across the batch.
+// cluster its center and, ring by ring, where the next fault falls: one
+// uniform u picks the first slot j left in the ring with u < cum[j], and a
+// u at or above the table entry of the last slot left ends the ring. A
+// fault on a slot off the array marks nothing, so every in-array cell of
+// ring r still fails independently with probability decay^r, for one draw
+// per fault plus one per ring. Trials draw in trial-major order, the order
+// in which one-trial calls consume the stream, so a batch and n single
+// trials draw identically. It returns the number of clusters seeded across
+// the batch.
 func (in *Injector) clusters(st *stencil, rate float64, n int, b *TrialBatch) int {
 	b.Reset(n)
 	src := &in.src
-	grid, base, delta, cols := st.grid, st.base, st.delta, b.cols
+	grid, base, delta, cum, cols := st.grid, st.base, st.delta, st.cum, b.cols
 	numCells, growth, maxR := st.numCells, st.growth, st.maxR
-	thresholds := &st.thresholds
 	var occupied uint64
 	total := 0
 	for t := 0; t < n; t++ {
@@ -279,22 +295,33 @@ func (in *Injector) clusters(st *stencil, rate float64, n int, b *TrialBatch) in
 			center := in.rng.Intn(numCells)
 			cols[center] |= bit
 			occupied |= bit
-			// The ring coins draw with the cursor in locals; the cluster
-			// count and centers above go through the struct.
+			// The ring draws go with the cursor in locals; the cluster count
+			// and centers above go through the struct.
 			at := int(base[center])
 			tap, feed := src.tap, src.feed
-			k := 0
+			// Ring faults leave occupied alone: the center already set it.
+			start := 0
 			for r := 1; r <= maxR; r++ {
-				threshold := thresholds[r]
-				for end := k + growth*r; k < end; k++ {
+				end := start + growth*r
+				// k is the first slot left; a fault j−start slots past it
+				// moves k onto the fault, and k++ steps past it.
+				for k := start; k < end; k++ {
+					var y uint64
+					y, tap, feed = src.draw(tap, feed)
+					u := uniform(y)
+					if u >= cum[start+end-1-k] {
+						break // no fault in the end−k slots left
+					}
+					j := start
+					for u >= cum[j] {
+						j++
+					}
+					k += j - start
 					if id := grid[at+int(delta[k])]; id >= 0 {
-						var y uint64
-						y, tap, feed = src.draw(tap, feed)
-						m := bit & -((y - threshold) >> 63) // bit iff y < threshold
-						cols[id] |= m
-						occupied |= m
+						cols[id] |= bit
 					}
 				}
+				start = end
 			}
 			src.tap, src.feed = tap, feed
 		}
@@ -334,15 +361,13 @@ type Model struct {
 	ClusterSize float64
 }
 
-// Validate checks the model parameters.
+// Validate checks the model parameters: a clustered model needs a finite
+// cluster size of at least 1.
 func (m Model) Validate() error {
 	if !m.Clustered {
 		return nil
 	}
-	if math.IsNaN(m.ClusterSize) || m.ClusterSize < 1 {
-		return fmt.Errorf("defects: cluster size %v must be at least 1", m.ClusterSize)
-	}
-	return nil
+	return ClusterParams{ClusterSize: m.ClusterSize}.validate()
 }
 
 // Params converts the model at survival probability p on an array of

@@ -263,8 +263,10 @@ func TestModelValidateAndParams(t *testing.T) {
 	if err := (Model{}).Validate(); err != nil {
 		t.Errorf("zero model invalid: %v", err)
 	}
-	if err := (Model{Clustered: true, ClusterSize: 0.2}).Validate(); err == nil {
-		t.Error("cluster size 0.2 accepted")
+	for _, size := range []float64{0.2, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := (Model{Clustered: true, ClusterSize: size}).Validate(); err == nil {
+			t.Errorf("cluster size %v accepted", size)
+		}
 	}
 	cp := Model{Clustered: true, ClusterSize: 4}.Params(0.95, 200)
 	if math.Abs(cp.MeanDefects-10) > 1e-12 || cp.ClusterSize != 4 {

@@ -9,10 +9,38 @@ import (
 	"dmfb/internal/layout"
 )
 
+// refRing draws one ring of a reference cluster walk by the next-fault
+// rule: ring holds the ring's positions in walk order (layout.NoCell off the
+// array), each failing with probability q. A float draw u picks the first
+// position j left with u < 1−(1−q)^(j+1); a u at or above that bound for
+// the last position left ends the ring.
+func refRing(in *Injector, ring []layout.CellID, q float64, dst *FaultSet) {
+	cum := make([]float64, len(ring))
+	healthy := 1.0
+	for j := range cum {
+		healthy *= 1 - q
+		cum[j] = 1 - healthy
+	}
+	for left := ring; len(left) > 0; {
+		u := in.src.float64()
+		j := 0
+		for j < len(left) && u >= cum[j] {
+			j++
+		}
+		if j == len(left) {
+			return
+		}
+		if id := left[j]; id != layout.NoCell {
+			dst.MarkFaulty(id)
+		}
+		left = left[j+1:]
+	}
+}
+
 // refClustered is the reference ring walk the stencil replaces: each cluster
 // re-derives its rings from the center in hexgrid.Ring order, probes
-// Array.CellAt at every position, and flips one float coin per in-array
-// position against the running product decay^r.
+// Array.CellAt at every position, and draws each ring with refRing at the
+// running product decay^r.
 func refClustered(in *Injector, arr *layout.Array, cp ClusterParams) (*FaultSet, int) {
 	dst := NewFaultSet(arr.NumCells())
 	decay := cp.clusterDecay(6)
@@ -25,23 +53,24 @@ func refClustered(in *Injector, arr *layout.Array, cp ClusterParams) (*FaultSet,
 		prob := 1.0
 		for r := 1; r <= maxR; r++ {
 			prob *= decay
+			var ring []layout.CellID
 			cur := pos.Add(hexgrid.Directions[4].Scale(r))
 			for side := 0; side < 6; side++ {
 				for step := 0; step < r; step++ {
-					if id := arr.CellAt(cur); id != layout.NoCell && in.src.float64() < prob {
-						dst.MarkFaulty(id)
-					}
+					ring = append(ring, arr.CellAt(cur))
 					cur = cur.Neighbor(side)
 				}
 			}
+			refRing(in, ring, prob, dst)
 		}
 	}
 	return dst, clusters
 }
 
 // refClusteredGrid is the reference Chebyshev walk the square stencil
-// replaces: it scans all (2r+1)² offsets of ring r row-major and keeps the
-// in-grid ones with max(|dx|,|dy|) == r.
+// replaces: it scans all (2r+1)² offsets of ring r row-major, keeps those
+// with max(|dx|,|dy|) == r as the ring's positions, off-grid ones included,
+// and draws the ring with refRing.
 func refClusteredGrid(in *Injector, w, h int, cp ClusterParams) (*FaultSet, int) {
 	numCells := w * h
 	dst := NewFaultSet(numCells)
@@ -55,20 +84,20 @@ func refClusteredGrid(in *Injector, w, h int, cp ClusterParams) (*FaultSet, int)
 		prob := 1.0
 		for r := 1; r <= maxR; r++ {
 			prob *= decay
+			var ring []layout.CellID
 			for dy := -r; dy <= r; dy++ {
 				for dx := -r; dx <= r; dx++ {
 					if maxAbs(dx, dy) != r {
 						continue
 					}
-					x, y := cx+dx, cy+dy
-					if x < 0 || x >= w || y < 0 || y >= h {
-						continue
+					id := layout.NoCell
+					if x, y := cx+dx, cy+dy; x >= 0 && x < w && y >= 0 && y < h {
+						id = layout.CellID(y*w + x)
 					}
-					if in.src.float64() < prob {
-						dst.MarkFaulty(layout.CellID(y*w + x))
-					}
+					ring = append(ring, id)
 				}
 			}
+			refRing(in, ring, prob, dst)
 		}
 	}
 	return dst, clusters

@@ -124,6 +124,16 @@ func newCluster(t *testing.T, cfg Config, nWorkers int) *cluster {
 	for i := 0; i < nWorkers; i++ {
 		c.addWorker(t)
 	}
+	// Workers register from their own goroutines. Wait until all of them
+	// have, so a job created next cannot finish before the last one starts
+	// and every worker counts in the coordinator's Stats.
+	deadline := time.Now().Add(30 * time.Second)
+	for coord.Stats().WorkersActive < nWorkers {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d workers registered", coord.Stats().WorkersActive, nWorkers)
+		}
+		time.Sleep(time.Millisecond)
+	}
 	return c
 }
 

@@ -70,6 +70,8 @@ func TestSpecValidationModelAxes(t *testing.T) {
 		{DefectModels: []DefectModel{"weird"}},
 		{ClusterSize: 0.5, DefectModels: []DefectModel{Clustered}},
 		{ClusterSize: math.NaN(), DefectModels: []DefectModel{Clustered}},
+		{ClusterSize: math.Inf(1), DefectModels: []DefectModel{Clustered}},
+		{ClusterSize: math.Inf(-1), DefectModels: []DefectModel{Clustered}},
 		{Strategies: []Strategy{"hexagonal"}},
 	}
 	for i, s := range cases {
@@ -152,6 +154,8 @@ func TestEvaluateScenarioRejectsInvalid(t *testing.T) {
 	for name, sc := range map[string]Scenario{
 		"cluster size below 1": {Strategy: None, NPrimary: 40, P: 0.95, DefectModel: Clustered, ClusterSize: 0.5},
 		"cluster size NaN":     {Strategy: None, NPrimary: 40, P: 0.95, DefectModel: Clustered, ClusterSize: math.NaN()},
+		"cluster size +Inf":    {Strategy: None, NPrimary: 40, P: 0.95, DefectModel: Clustered, ClusterSize: math.Inf(1)},
+		"cluster size -Inf":    {Strategy: None, NPrimary: 40, P: 0.95, DefectModel: Clustered, ClusterSize: math.Inf(-1)},
 		"negative p":           {Strategy: None, NPrimary: 40, P: -0.1},
 		"no primaries":         {Strategy: None, NPrimary: 0, P: 0.95},
 	} {

@@ -210,8 +210,8 @@ func (s Spec) validate() error {
 			return fmt.Errorf("sweep: unknown defect model %q (want independent or clustered)", m)
 		}
 	}
-	if s.ClusterSize != s.ClusterSize || s.ClusterSize < 1 {
-		return fmt.Errorf("sweep: cluster size %v must be at least 1", s.ClusterSize)
+	if err := (defects.Model{Clustered: true, ClusterSize: s.ClusterSize}).Validate(); err != nil {
+		return fmt.Errorf("sweep: %w", err)
 	}
 	return nil
 }
@@ -328,11 +328,10 @@ func (sc Scenario) Validate() error {
 	if !sc.DefectModel.valid() {
 		return fmt.Errorf("sweep: unknown defect model %q (want independent or clustered)", sc.DefectModel)
 	}
-	if sc.DefectModel == Clustered {
-		if sc.ClusterSize != sc.ClusterSize || sc.ClusterSize < 1 {
-			return fmt.Errorf("sweep: cluster size %v must be at least 1", sc.ClusterSize)
-		}
-	} else if sc.ClusterSize != 0 {
+	if err := sc.Model().Validate(); err != nil {
+		return fmt.Errorf("sweep: %w", err)
+	}
+	if sc.DefectModel != Clustered && sc.ClusterSize != 0 {
 		return fmt.Errorf("sweep: cluster_size applies only to the clustered defect model")
 	}
 	return nil
