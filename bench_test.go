@@ -312,21 +312,6 @@ func BenchmarkAdaptiveHighSurvival(b *testing.B) {
 	})
 }
 
-// BenchmarkFootprintComparison regenerates the square-vs-hexagonal footprint
-// figure (local and hex sweep strategies through the sweep engine).
-func BenchmarkFootprintComparison(b *testing.B) {
-	cfg := benchCfg()
-	var tb stats.Table
-	for i := 0; i < b.N; i++ {
-		var err error
-		_, tb, err = experiments.FootprintComparison(cfg, []string{"DTMB(2,6)"}, []int{100}, []float64{0.92, 0.96})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	printArtifact("Footprint comparison (reduced runs)", tb.String())
-}
-
 // BenchmarkHexYieldKernel measures the Monte-Carlo yield kernel on a
 // hexagonal-footprint DTMB array (build cost excluded; the kernel and the
 // six-neighbor reconfiguration matcher dominate).

@@ -10,8 +10,10 @@
 //	plan, _ := chip.Reconfigure()                 // test & repair: local reconfiguration
 //	if plan.OK { /* chip shippable */ }
 //
-// and the design-space exploration entry points (Yield, EffectiveYield,
-// RecommendDesign) reproduce the decision procedure of paper §6: high
+// Faults come from one of three injection models (InjectBernoulli,
+// InjectFixed, InjectClustered) or from a test session's diagnosis
+// (SetFaulty). The design-space entry points, AnalyzeYield and
+// RecommendDesign, reproduce the decision procedure of paper §6: high
 // redundancy for low cell survival probability, low redundancy when cells
 // rarely fail.
 package core
@@ -151,17 +153,6 @@ func (b *Biochip) InjectClustered(seed int64, params defects.ClusterParams) (int
 	return clusters, nil
 }
 
-// InjectCatalog draws a realistic mixed catastrophic/parametric defect
-// catalog with expected size lambda and returns the recorded defects plus the
-// sub-tolerance parametric deviations that did not disable their cell.
-func (b *Biochip) InjectCatalog(seed int64, params defects.CatalogParams) ([]defects.Defect, []defects.Defect, error) {
-	in := defects.NewInjector(seed)
-	fs, sub := in.Catalog(b.arr, params)
-	b.faults = fs
-	b.resetPlan()
-	return fs.Defects(), sub, nil
-}
-
 // SetFaulty marks specific cells faulty (e.g. from a test session's
 // diagnosis instead of simulation).
 func (b *Biochip) SetFaulty(ids ...layout.CellID) error {
@@ -173,12 +164,6 @@ func (b *Biochip) SetFaulty(ids ...layout.CellID) error {
 	}
 	b.resetPlan()
 	return nil
-}
-
-// ClearFaults resets the chip to fault-free.
-func (b *Biochip) ClearFaults() {
-	b.faults.Clear()
-	b.resetPlan()
 }
 
 // Scope selects the reconfiguration repair criterion.
@@ -387,34 +372,4 @@ func RecommendDesignContext(ctx context.Context, p float64, nPrimary int, sp Sim
 		}
 	}
 	return rec, nil
-}
-
-// TargetYield returns the cheapest design (lowest redundancy ratio, hence
-// lowest area overhead) whose Monte-Carlo yield at survival probability p
-// meets the target — the paper's intent that "biochips with different
-// levels of redundancy can be designed to target given yield levels and
-// manufacturing processes". ok is false when even DTMB(4,4) misses the
-// target; the returned analyses cover every design evaluated.
-func TargetYield(p, target float64, nPrimary, runs int, seed int64) (best layout.Design, ok bool, analyses []YieldAnalysis, err error) {
-	if math.IsNaN(target) || target < 0 || target > 1 {
-		return layout.Design{}, false, nil, fmt.Errorf("core: yield target %v outside [0,1]", target)
-	}
-	// AllDesigns is ordered by ascending RR (Table 1), so the first design
-	// meeting the target is the cheapest.
-	for _, d := range layout.AllDesigns() {
-		chip, err := New(d, nPrimary)
-		if err != nil {
-			return layout.Design{}, false, analyses, err
-		}
-		ya, err := chip.AnalyzeYield(p, runs, seed)
-		if err != nil {
-			return layout.Design{}, false, analyses, err
-		}
-		analyses = append(analyses, ya)
-		if !ok && ya.Yield >= target {
-			best = d
-			ok = true
-		}
-	}
-	return best, ok, analyses, nil
 }

@@ -85,10 +85,6 @@ func TestSetFaultyAndClear(t *testing.T) {
 	if err := chip.SetFaulty(layout.CellID(99999)); err == nil {
 		t.Error("out-of-range cell accepted")
 	}
-	chip.ClearFaults()
-	if chip.Faults().Count() != 0 {
-		t.Error("ClearFaults incomplete")
-	}
 }
 
 func TestMarkUsedRules(t *testing.T) {
@@ -144,24 +140,6 @@ func TestScopedReconfiguration(t *testing.T) {
 	}
 }
 
-func TestInjectCatalog(t *testing.T) {
-	chip := newChip(t, layout.DTMB26(), 100)
-	recorded, sub, err := chip.InjectCatalog(8, defects.DefaultCatalogParams(10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recorded) == 0 {
-		t.Error("expected some defects at lambda=10")
-	}
-	_ = sub
-	if chip.Faults().Count() == 0 {
-		t.Error("catalog injection left chip fault-free")
-	}
-	if _, err := chip.Reconfigure(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestStatusString(t *testing.T) {
 	chip := newChip(t, layout.DTMB36(), 60)
 	s := chip.Status().String()
@@ -198,39 +176,6 @@ func TestAnalyzeYield(t *testing.T) {
 	}
 	if _, err := chip.AnalyzeYield(1.2, 100, 6); err == nil {
 		t.Error("invalid p accepted")
-	}
-}
-
-func TestTargetYieldPicksCheapestSufficientDesign(t *testing.T) {
-	// At p=0.95, n=100: DTMB(1,6) falls short of 0.90 but DTMB(2,6) or
-	// better makes it (Fig. 9 data), so the cheapest qualifying design must
-	// have RR between 1/3 and 1.
-	best, ok, analyses, err := TargetYield(0.95, 0.90, 100, 1500, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Fatal("no design met a reachable target")
-	}
-	if len(analyses) != 4 {
-		t.Errorf("%d analyses", len(analyses))
-	}
-	if best.RR() < 1.0/3-1e-9 {
-		t.Errorf("best design %s cheaper than plausible", best.Name)
-	}
-	// Unreachable target.
-	_, ok, _, err = TargetYield(0.50, 0.99, 100, 400, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Error("impossible target satisfied")
-	}
-	if _, _, _, err := TargetYield(0.9, 1.5, 100, 100, 3); err == nil {
-		t.Error("invalid target accepted")
-	}
-	if _, _, _, err := TargetYield(0.9, math.NaN(), 100, 100, 3); err == nil {
-		t.Error("NaN target accepted")
 	}
 }
 

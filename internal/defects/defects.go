@@ -24,29 +24,9 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
-	"sort"
 
 	"dmfb/internal/layout"
 )
-
-// Class separates catastrophic (hard) from parametric (soft) faults.
-type Class uint8
-
-const (
-	// Catastrophic faults cause complete malfunction of the cell.
-	Catastrophic Class = iota
-	// Parametric faults degrade performance; they make a cell faulty only
-	// when the deviation exceeds the system tolerance.
-	Parametric
-)
-
-// String names the class.
-func (c Class) String() string {
-	if c == Parametric {
-		return "parametric"
-	}
-	return "catastrophic"
-}
 
 // Kind enumerates the concrete manufacturing defects from the paper.
 type Kind uint8
@@ -92,51 +72,7 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// Class returns the fault class the defect kind belongs to.
-func (k Kind) Class() Class {
-	switch k {
-	case InsulatorThicknessDeviation, ElectrodeLengthDeviation, PlateGapDeviation:
-		return Parametric
-	default:
-		return Catastrophic
-	}
-}
-
-// CatastrophicKinds lists the hard-fault kinds.
-func CatastrophicKinds() []Kind {
-	return []Kind{DielectricBreakdown, ElectrodeShort, OpenConnection}
-}
-
-// ParametricKinds lists the soft-fault kinds.
-func ParametricKinds() []Kind {
-	return []Kind{InsulatorThicknessDeviation, ElectrodeLengthDeviation, PlateGapDeviation}
-}
-
-// Defect is one concrete manufacturing defect instance.
-type Defect struct {
-	Kind Kind
-	// Cell is the afflicted cell.
-	Cell layout.CellID
-	// Other is the second cell of an ElectrodeShort (NoCell otherwise).
-	Other layout.CellID
-	// Deviation is the relative parameter deviation of a parametric defect
-	// (e.g. +0.30 = 30% over nominal); zero for catastrophic defects.
-	Deviation float64
-}
-
-// String describes the defect.
-func (d Defect) String() string {
-	if d.Kind == ElectrodeShort {
-		return fmt.Sprintf("%s between cells %d and %d", d.Kind, d.Cell, d.Other)
-	}
-	if d.Kind.Class() == Parametric {
-		return fmt.Sprintf("%s at cell %d (%.1f%%)", d.Kind, d.Cell, d.Deviation*100)
-	}
-	return fmt.Sprintf("%s at cell %d", d.Kind, d.Cell)
-}
-
-// FaultSet records which cells of an array are faulty, plus the defects that
-// made them so. Membership is a bitset — one machine word covers 64 cells —
+// FaultSet records which cells of an array are faulty. Membership is a bitset — one machine word covers 64 cells —
 // so clearing, counting, and the all-healthy screen of the Monte-Carlo
 // kernel are word-parallel, and the bit pattern itself is the canonical key
 // for feasibility memoization (Words, Signature). The zero value is
@@ -145,7 +81,6 @@ type FaultSet struct {
 	numCells int
 	words    []uint64 // bit i of words[i/64] = cell i faulty
 	count    int
-	defects  []Defect
 }
 
 // NewFaultSet returns an empty fault set for an array with numCells cells.
@@ -168,13 +103,12 @@ func (f *FaultSet) MarkFaulty(id layout.CellID) {
 	}
 }
 
-// Clear resets every cell to fault-free and drops the defect list.
+// Clear resets every cell to fault-free.
 func (f *FaultSet) Clear() {
 	for i := range f.words {
 		f.words[i] = 0
 	}
 	f.count = 0
-	f.defects = f.defects[:0]
 }
 
 // IsFaulty reports whether the cell is faulty. The id must be in
@@ -222,20 +156,6 @@ func mix64(x uint64) uint64 {
 
 // Count returns the number of faulty cells.
 func (f *FaultSet) Count() int { return f.count }
-
-// Defects returns the recorded defect instances (may be shorter than Count
-// when faults were injected without defect records, e.g. in the fast
-// Monte-Carlo path).
-func (f *FaultSet) Defects() []Defect { return f.defects }
-
-// AddDefect records a defect and marks its cell(s) faulty.
-func (f *FaultSet) AddDefect(d Defect) {
-	f.defects = append(f.defects, d)
-	f.MarkFaulty(d.Cell)
-	if d.Kind == ElectrodeShort && d.Other != layout.NoCell {
-		f.MarkFaulty(d.Other)
-	}
-}
 
 // FaultyCells returns the faulty cell IDs in ascending order.
 func (f *FaultSet) FaultyCells() []layout.CellID {
@@ -290,8 +210,8 @@ func (f *FaultSet) FaultySpares(arr *layout.Array) []layout.CellID {
 // Injector draws random fault sets. Its PRNG stream is a pure function of
 // the seed, drawn from one embedded source: the injection loops call it
 // directly, without the rand.Source interface, and rng wraps the same
-// source for the cold draws (Intn, NormFloat64) — two views of one stream,
-// never two streams. Its scratch — the FixedCount pool, the clustered ring
+// source for the cold Intn draws — two views of one stream, never two
+// streams. Its scratch — the FixedCount pool, the clustered ring
 // stencil and the one-trial batch of the scalar clustered draws — holds no
 // random state, so results depend only on the seed and the calls since. It
 // is not safe for concurrent use; give each worker its own Injector (see
@@ -435,70 +355,6 @@ func (in *Injector) FixedCount(arr *layout.Array, m int, domain Domain, dst *Fau
 	return dst, nil
 }
 
-// CatalogParams tunes defect-catalog generation.
-type CatalogParams struct {
-	// Lambda is the expected number of defects on the array.
-	Lambda float64
-	// ParametricShare is the fraction of defects that are parametric.
-	ParametricShare float64
-	// Tolerance is the relative deviation above which a parametric defect
-	// makes its cell faulty (e.g. 0.15 = 15%).
-	Tolerance float64
-	// DeviationSigma is the standard deviation of parametric deviations.
-	DeviationSigma float64
-}
-
-// DefaultCatalogParams returns parameters producing a realistic mixed-defect
-// population: mostly catastrophic spot defects with a parametric tail.
-func DefaultCatalogParams(lambda float64) CatalogParams {
-	return CatalogParams{
-		Lambda:          lambda,
-		ParametricShare: 0.35,
-		Tolerance:       0.15,
-		DeviationSigma:  0.12,
-	}
-}
-
-// Catalog draws a full defect catalog: a Poisson(λ) number of spot defects,
-// each assigned a kind, location, and (for parametric defects) a Gaussian
-// deviation checked against the tolerance. Cells become faulty for every
-// catastrophic defect and for parametric defects beyond tolerance; a
-// sub-tolerance parametric defect is recorded but leaves the cell usable.
-func (in *Injector) Catalog(arr *layout.Array, params CatalogParams) (*FaultSet, []Defect) {
-	fs := NewFaultSet(arr.NumCells())
-	n := in.poisson(params.Lambda)
-	var subTolerance []Defect
-	for i := 0; i < n; i++ {
-		cell := layout.CellID(in.rng.Intn(arr.NumCells()))
-		if in.src.float64() < params.ParametricShare {
-			kinds := ParametricKinds()
-			d := Defect{
-				Kind:      kinds[in.rng.Intn(len(kinds))],
-				Cell:      cell,
-				Other:     layout.NoCell,
-				Deviation: in.rng.NormFloat64() * params.DeviationSigma,
-			}
-			if abs(d.Deviation) > params.Tolerance {
-				fs.AddDefect(d)
-			} else {
-				subTolerance = append(subTolerance, d)
-			}
-			continue
-		}
-		kinds := CatastrophicKinds()
-		d := Defect{Kind: kinds[in.rng.Intn(len(kinds))], Cell: cell, Other: layout.NoCell}
-		if d.Kind == ElectrodeShort {
-			nbrs := arr.Neighbors(cell)
-			if len(nbrs) > 0 {
-				d.Other = nbrs[in.rng.Intn(len(nbrs))]
-			}
-		}
-		fs.AddDefect(d)
-	}
-	sort.Slice(subTolerance, func(i, j int) bool { return subTolerance[i].Cell < subTolerance[j].Cell })
-	return fs, subTolerance
-}
-
 // poisson draws from Poisson(lambda). Knuth's product method underflows once
 // exp(−λ) leaves float64 range (λ ≳ 745), silently capping the draw near
 // 750, so large rates are split into independent chunks first —
@@ -530,13 +386,6 @@ func (in *Injector) poissonKnuth(lambda float64) int {
 		}
 		k++
 	}
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // poolOf returns the injector's cached draw buffer resliced to size,

@@ -17,48 +17,14 @@ func testArray(t *testing.T) *layout.Array {
 	return arr
 }
 
-func TestKindClassification(t *testing.T) {
-	for _, k := range CatastrophicKinds() {
-		if k.Class() != Catastrophic {
-			t.Errorf("%v classified %v", k, k.Class())
-		}
-	}
-	for _, k := range ParametricKinds() {
-		if k.Class() != Parametric {
-			t.Errorf("%v classified %v", k, k.Class())
-		}
-	}
-	if len(CatastrophicKinds()) != 3 || len(ParametricKinds()) != 3 {
-		t.Error("paper lists three defects per class")
-	}
-}
-
-func TestClassAndKindStrings(t *testing.T) {
-	if Catastrophic.String() != "catastrophic" || Parametric.String() != "parametric" {
-		t.Error("Class.String wrong")
-	}
-	for _, k := range append(CatastrophicKinds(), ParametricKinds()...) {
+func TestKindStrings(t *testing.T) {
+	for k := DielectricBreakdown; k <= PlateGapDeviation; k++ {
 		if s := k.String(); s == "" || strings.HasPrefix(s, "kind(") {
 			t.Errorf("Kind %d has no name", k)
 		}
 	}
 	if !strings.HasPrefix(Kind(200).String(), "kind(") {
 		t.Error("unknown kind should fall back to numeric form")
-	}
-}
-
-func TestDefectString(t *testing.T) {
-	d := Defect{Kind: ElectrodeShort, Cell: 3, Other: 4}
-	if !strings.Contains(d.String(), "3") || !strings.Contains(d.String(), "4") {
-		t.Errorf("short defect string %q lacks cells", d)
-	}
-	p := Defect{Kind: PlateGapDeviation, Cell: 7, Other: layout.NoCell, Deviation: 0.21}
-	if !strings.Contains(p.String(), "21.0%") {
-		t.Errorf("parametric defect string %q lacks deviation", p)
-	}
-	c := Defect{Kind: OpenConnection, Cell: 9, Other: layout.NoCell}
-	if !strings.Contains(c.String(), "cell 9") {
-		t.Errorf("catastrophic defect string %q", c)
 	}
 }
 
@@ -81,20 +47,8 @@ func TestFaultSetBasics(t *testing.T) {
 		t.Errorf("FaultyCells = %v", cells)
 	}
 	fs.Clear()
-	if fs.Count() != 0 || fs.IsFaulty(3) || len(fs.Defects()) != 0 {
+	if fs.Count() != 0 || fs.IsFaulty(3) {
 		t.Error("Clear incomplete")
-	}
-}
-
-func TestAddDefectShortMarksBothCells(t *testing.T) {
-	fs := NewFaultSet(10)
-	fs.AddDefect(Defect{Kind: ElectrodeShort, Cell: 2, Other: 5})
-	if !fs.IsFaulty(2) || !fs.IsFaulty(5) || fs.Count() != 2 {
-		t.Error("electrode short must fail both electrodes")
-	}
-	fs.AddDefect(Defect{Kind: OpenConnection, Cell: 8, Other: layout.NoCell})
-	if fs.Count() != 3 || len(fs.Defects()) != 2 {
-		t.Error("defect bookkeeping wrong")
 	}
 }
 
@@ -251,74 +205,6 @@ func TestFixedCountUniformity(t *testing.T) {
 func TestDomainString(t *testing.T) {
 	if AllCells.String() != "all-cells" || PrimariesOnly.String() != "primaries-only" {
 		t.Error("Domain.String wrong")
-	}
-}
-
-func TestCatalogPopulation(t *testing.T) {
-	arr := testArray(t)
-	in := NewInjector(606)
-	params := DefaultCatalogParams(12)
-	totalDefects := 0
-	totalSub := 0
-	for i := 0; i < 50; i++ {
-		fs, sub := in.Catalog(arr, params)
-		totalDefects += len(fs.Defects())
-		totalSub += len(sub)
-		for _, d := range fs.Defects() {
-			if d.Kind.Class() == Parametric && abs(d.Deviation) <= params.Tolerance {
-				t.Errorf("sub-tolerance parametric defect %v marked faulty", d)
-			}
-			if d.Kind == ElectrodeShort && d.Other != layout.NoCell {
-				// The short's partner must be an actual neighbor.
-				found := false
-				for _, nb := range arr.Neighbors(d.Cell) {
-					if nb == d.Other {
-						found = true
-						break
-					}
-				}
-				if !found {
-					t.Errorf("short partner %d not adjacent to %d", d.Other, d.Cell)
-				}
-			}
-		}
-		for _, d := range sub {
-			if d.Kind.Class() != Parametric {
-				t.Errorf("catastrophic defect %v in sub-tolerance list", d)
-			}
-			if fs.IsFaulty(d.Cell) {
-				// A cell may be faulty from another defect; only flag when
-				// the sub-tolerance defect is the sole defect on the cell.
-				solo := true
-				for _, dd := range fs.Defects() {
-					if dd.Cell == d.Cell || (dd.Kind == ElectrodeShort && dd.Other == d.Cell) {
-						solo = false
-						break
-					}
-				}
-				if solo {
-					t.Errorf("cell %d faulty with only sub-tolerance defect", d.Cell)
-				}
-			}
-		}
-	}
-	// Poisson(12) over 50 rounds: expect about 600 defect draws in total
-	// (faulty + sub-tolerance). Allow wide slack.
-	got := totalDefects + totalSub
-	if got < 400 || got > 800 {
-		t.Errorf("defect volume %d far from expectation 600", got)
-	}
-	if totalSub == 0 {
-		t.Error("expected some sub-tolerance parametric defects")
-	}
-}
-
-func TestCatalogZeroLambda(t *testing.T) {
-	arr := testArray(t)
-	in := NewInjector(3)
-	fs, sub := in.Catalog(arr, DefaultCatalogParams(0))
-	if fs.Count() != 0 || len(sub) != 0 {
-		t.Error("lambda=0 must produce no defects")
 	}
 }
 

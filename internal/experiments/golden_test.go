@@ -63,25 +63,3 @@ func TestGoldenFigure10(t *testing.T) {
 	}
 	checkGolden(t, "figure10.golden", tb.String())
 }
-
-// TestGoldenFootprintComparison locks the new square-vs-hexagonal footprint
-// figure, covering the hex build, the hex sweep strategy, and the shared
-// kernel in one fixture.
-func TestGoldenFootprintComparison(t *testing.T) {
-	_, tb, err := FootprintComparison(goldenCfg(),
-		[]string{"DTMB(2,6)", "DTMB(4,4)"}, []int{60}, []float64{0.92, 0.96})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "footprint.golden", tb.String())
-}
-
-// TestGoldenClusteredAblation locks the clustered-defect ablation, covering
-// the clustered injector end to end.
-func TestGoldenClusteredAblation(t *testing.T) {
-	tb, err := ClusteredDefectAblation(goldenCfg(), "", []float64{2, 6}, []float64{0.95})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "clustered.golden", tb.String())
-}

@@ -266,8 +266,11 @@ func ParseSpec(spec string, seed uint64) (*Injector, error) {
 		var rule Rule
 		if delayStr, found := cutDelay(&val); found {
 			d, err := time.ParseDuration(delayStr)
-			if err != nil || d < 0 {
+			if err != nil {
 				return nil, fmt.Errorf("faultinject: bad delay in %q: %v", part, err)
+			}
+			if d < 0 {
+				return nil, fmt.Errorf("faultinject: negative delay %v in %q", d, part)
 			}
 			rule.Delay = d
 		}
@@ -281,7 +284,9 @@ func ParseSpec(spec string, seed uint64) (*Injector, error) {
 			}
 		} else {
 			p, err := strconv.ParseFloat(val, 64)
-			if err != nil || p < 0 || p > 1 {
+			// The negated range test also rejects NaN, which ParseFloat
+			// accepts and which would arm a rule that never fires.
+			if err != nil || !(p >= 0 && p <= 1) {
 				return nil, fmt.Errorf("faultinject: bad probability %q in %q (want [0,1])", val, part)
 			}
 			rule.Prob = p

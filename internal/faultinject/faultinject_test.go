@@ -169,12 +169,18 @@ func TestParseSpecEmptyAndErrors(t *testing.T) {
 	if in, err := ParseSpec("  ", 0); err != nil || in != nil {
 		t.Fatalf("blank spec = (%v, %v), want (nil, nil)", in, err)
 	}
-	for _, bad := range []string{
-		"noequals", "=0.5", "point=", "point=1.5", "point=-0.1",
-		"point=abc", "point=#0", "point=#x", "point=0.5@nope", "point=0.5@-1s",
+	for _, tc := range []struct{ spec, want string }{
+		{"noequals", ""}, {"=0.5", ""}, {"point=", ""},
+		{"point=1.5", ""}, {"point=-0.1", ""}, {"point=abc", ""},
+		{"point=NaN", "probability"}, {"point=nan", "probability"},
+		{"point=#0", ""}, {"point=#x", ""}, {"point=0.5@nope", ""},
+		{"point=0.5@-1s", "negative delay -1s"},
 	} {
-		if _, err := ParseSpec(bad, 0); err == nil {
-			t.Errorf("ParseSpec(%q) accepted", bad)
+		_, err := ParseSpec(tc.spec, 0)
+		if err == nil {
+			t.Errorf("ParseSpec(%q) accepted", tc.spec)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("ParseSpec(%q) error %q does not mention %q", tc.spec, err, tc.want)
 		}
 	}
 }

@@ -1,5 +1,5 @@
 // Package fluidics is a cycle-accurate simulator for droplet transport on a
-// defect-tolerant microfluidic array. Each cycle the controller issues
+// defect-tolerant microfluidic array. Each cycle the caller issues
 // per-droplet commands (hold, move to an adjacent cell, merge, split); the
 // simulator enforces the device's physical rules:
 //
@@ -14,7 +14,7 @@
 //
 // The simulator is the substrate on which the bioassay workloads of the
 // case study execute, and what makes reconfiguration observable end to end:
-// after local reconfiguration the controller re-routes droplets around the
+// after local reconfiguration the caller re-routes droplets around the
 // faulty cells onto replacement spares.
 package fluidics
 

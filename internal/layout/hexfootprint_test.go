@@ -5,14 +5,20 @@ import (
 )
 
 func TestBuildHexagonWithPrimaryTargetExactCount(t *testing.T) {
+	// Realized hexagon sizes at n = 60, where the square-versus-hexagon
+	// footprint comparison was first tabulated.
+	wantCells := map[string]int{"DTMB(2,6)": 79, "DTMB(4,4)": 127}
 	for _, d := range AllDesigns() {
-		for _, n := range []int{1, 7, 40, 100} {
+		for _, n := range []int{1, 7, 40, 60, 100} {
 			arr, err := BuildHexagonWithPrimaryTarget(d, n)
 			if err != nil {
 				t.Fatalf("%s n=%d: %v", d.Name, n, err)
 			}
 			if arr.NumPrimary() != n {
 				t.Errorf("%s n=%d: got %d primaries", d.Name, n, arr.NumPrimary())
+			}
+			if want, ok := wantCells[d.Name]; ok && n == 60 && arr.NumCells() != want {
+				t.Errorf("%s n=%d: got %d cells, want %d", d.Name, n, arr.NumCells(), want)
 			}
 			if err := arr.Validate(); err != nil {
 				t.Errorf("%s n=%d: invalid array: %v", d.Name, n, err)

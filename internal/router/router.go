@@ -3,10 +3,8 @@
 // avoid faulty cells, and can be restricted to primary cells (spares are
 // reserved for reconfiguration) or to an assay's allotted footprint.
 //
-// Single-droplet routing is breadth-first / A* shortest path. Multi-droplet
-// routing is prioritized time-expanded routing with stalls: droplets are
-// routed one at a time against a reservation table that encodes the fluidic
-// non-interference rules, the standard approach in DMFB synthesis flows.
+// Routing is breadth-first shortest path; A* is kept as a reference
+// implementation that the tests compare against.
 package router
 
 import (
@@ -161,229 +159,6 @@ func AStarPath(arr *layout.Array, src, dst layout.CellID, c Constraints) ([]layo
 		}
 	}
 	return nil, fmt.Errorf("router: no route from %d to %d", src, dst)
-}
-
-// Request is one droplet's routing demand for MultiRoute.
-type Request struct {
-	Name     string
-	Src, Dst layout.CellID
-}
-
-// Schedule is a time-expanded multi-droplet plan: Steps[t][i] is the cell of
-// droplet i at time t (droplets may hold). All droplets start at t = 0 on
-// their sources; a droplet that has arrived stays on its destination.
-type Schedule struct {
-	Requests []Request
-	Steps    [][]layout.CellID
-}
-
-// Makespan returns the number of cycles in the schedule.
-func (s Schedule) Makespan() int { return len(s.Steps) - 1 }
-
-// PathOf returns droplet i's trajectory over time.
-func (s Schedule) PathOf(i int) []layout.CellID {
-	out := make([]layout.CellID, len(s.Steps))
-	for t := range s.Steps {
-		out[t] = s.Steps[t][i]
-	}
-	return out
-}
-
-// conflictsAt reports whether droplet cells a (at time t) and b (same time)
-// violate fluidic spacing.
-func conflictsAt(arr *layout.Array, a, b layout.CellID) bool {
-	if a == b {
-		return true
-	}
-	for _, nb := range arr.Neighbors(a) {
-		if nb == b {
-			return true
-		}
-	}
-	return false
-}
-
-// MultiRoute plans concurrent routes for several droplets with prioritized
-// time-expanded routing: requests are served in order, each against the
-// reservations of the earlier ones; a droplet may stall to let another pass.
-// maxExtra bounds the stall budget per droplet (0 picks a default).
-func MultiRoute(arr *layout.Array, reqs []Request, c Constraints, maxExtra int) (Schedule, error) {
-	if len(reqs) == 0 {
-		return Schedule{}, fmt.Errorf("router: no requests")
-	}
-	if maxExtra <= 0 {
-		maxExtra = 4 * len(reqs)
-	}
-	// Per-time occupied cells by earlier droplets. paths[i][t] = cell.
-	paths := make([][]layout.CellID, 0, len(reqs))
-	horizon := 0
-
-	for ri, req := range reqs {
-		if !c.usable(arr, req.Src) || !c.usable(arr, req.Dst) {
-			return Schedule{}, fmt.Errorf("router: request %q has unusable endpoints", req.Name)
-		}
-		// Time-expanded BFS over (cell, time); time capped by horizon of
-		// earlier paths plus shortest-path slack.
-		base, err := ShortestPath(arr, req.Src, req.Dst, c)
-		if err != nil {
-			return Schedule{}, fmt.Errorf("router: request %q: %w", req.Name, err)
-		}
-		limit := horizon + len(base) + maxExtra
-
-		type node struct {
-			cell layout.CellID
-			t    int
-		}
-		start := node{req.Src, 0}
-		type visitKey struct {
-			cell layout.CellID
-			t    int
-		}
-		prev := map[visitKey]node{{req.Src, 0}: start}
-		queue := []node{start}
-		var goal *node
-		cellAt := func(pi, t int) layout.CellID {
-			p := paths[pi]
-			if t < len(p) {
-				return p[t]
-			}
-			return p[len(p)-1] // arrived droplets park on their destination
-		}
-		feasible := func(cell layout.CellID, t int, from layout.CellID) bool {
-			if !c.usable(arr, cell) {
-				return false
-			}
-			for pi := range paths {
-				// Static spacing at time t.
-				if conflictsAt(arr, cell, cellAt(pi, t)) {
-					return false
-				}
-				// Head-on swap between t-1 and t.
-				if t > 0 && cellAt(pi, t) == from && cellAt(pi, t-1) == cell {
-					return false
-				}
-			}
-			return true
-		}
-		if !feasible(req.Src, 0, req.Src) {
-			return Schedule{}, fmt.Errorf("router: request %q source blocked at t=0", req.Name)
-		}
-		for len(queue) > 0 && goal == nil {
-			cur := queue[0]
-			queue = queue[1:]
-			if cur.t > limit {
-				break
-			}
-			// Arrived and stays clear forever after? Require clearance
-			// against parked earlier droplets.
-			if cur.cell == req.Dst {
-				ok := true
-				for pi := range paths {
-					if conflictsAt(arr, cur.cell, cellAt(pi, len(paths[pi])+horizon)) {
-						ok = false
-						break
-					}
-				}
-				if ok {
-					g := cur
-					goal = &g
-					break
-				}
-			}
-			next := append([]layout.CellID{cur.cell}, arr.Neighbors(cur.cell)...)
-			for _, nb := range next {
-				key := visitKey{nb, cur.t + 1}
-				if _, seen := prev[key]; seen {
-					continue
-				}
-				if cur.t+1 > limit || !feasible(nb, cur.t+1, cur.cell) {
-					continue
-				}
-				prev[key] = cur
-				queue = append(queue, node{nb, cur.t + 1})
-			}
-		}
-		if goal == nil {
-			return Schedule{}, fmt.Errorf("router: request %q unroutable within %d cycles", req.Name, limit)
-		}
-		// Reconstruct trajectory.
-		traj := make([]layout.CellID, goal.t+1)
-		cur := *goal
-		for {
-			traj[cur.t] = cur.cell
-			if cur.t == 0 {
-				break
-			}
-			cur = prev[visitKey{cur.cell, cur.t}]
-		}
-		paths = append(paths, traj)
-		if len(traj) > horizon {
-			horizon = len(traj)
-		}
-		_ = ri
-	}
-
-	// Assemble the common timeline.
-	sched := Schedule{Requests: reqs, Steps: make([][]layout.CellID, horizon)}
-	for t := 0; t < horizon; t++ {
-		row := make([]layout.CellID, len(paths))
-		for i, p := range paths {
-			if t < len(p) {
-				row[i] = p[t]
-			} else {
-				row[i] = p[len(p)-1]
-			}
-		}
-		sched.Steps[t] = row
-	}
-	return sched, nil
-}
-
-// Validate checks a schedule: adjacency of consecutive positions, usable
-// cells, pairwise spacing at every time, no swaps, and correct endpoints.
-func (s Schedule) Validate(arr *layout.Array, c Constraints) error {
-	if len(s.Steps) == 0 {
-		return fmt.Errorf("router: empty schedule")
-	}
-	for i, req := range s.Requests {
-		if s.Steps[0][i] != req.Src {
-			return fmt.Errorf("router: droplet %d starts at %d, want %d", i, s.Steps[0][i], req.Src)
-		}
-		if s.Steps[len(s.Steps)-1][i] != req.Dst {
-			return fmt.Errorf("router: droplet %d ends at %d, want %d", i, s.Steps[len(s.Steps)-1][i], req.Dst)
-		}
-	}
-	for t, row := range s.Steps {
-		for i, cell := range row {
-			if !c.usable(arr, cell) {
-				return fmt.Errorf("router: t=%d droplet %d on unusable cell %d", t, i, cell)
-			}
-			if t > 0 {
-				from := s.Steps[t-1][i]
-				if from != cell {
-					adjacent := false
-					for _, nb := range arr.Neighbors(from) {
-						if nb == cell {
-							adjacent = true
-							break
-						}
-					}
-					if !adjacent {
-						return fmt.Errorf("router: t=%d droplet %d jumps %d -> %d", t, i, from, cell)
-					}
-				}
-			}
-			for j := i + 1; j < len(row); j++ {
-				if conflictsAt(arr, cell, row[j]) {
-					return fmt.Errorf("router: t=%d droplets %d and %d violate spacing", t, i, j)
-				}
-				if t > 0 && s.Steps[t-1][i] == row[j] && s.Steps[t-1][j] == cell {
-					return fmt.Errorf("router: t=%d droplets %d and %d swap", t, i, j)
-				}
-			}
-		}
-	}
-	return nil
 }
 
 // ReachableFrom returns the cells reachable from src under the constraints,

@@ -201,92 +201,6 @@ func TestAllowedMaskConstraint(t *testing.T) {
 	}
 }
 
-func TestMultiRouteTwoCrossingDroplets(t *testing.T) {
-	arr := buildArray(t)
-	// Route two droplets with crossing straight lines; the planner must
-	// stall or detour to keep spacing.
-	reqs := []Request{
-		{Name: "west-east", Src: rowCell(t, arr, 5, 0), Dst: rowCell(t, arr, 5, 11)},
-		{Name: "east-west", Src: rowCell(t, arr, 7, 11), Dst: rowCell(t, arr, 7, 0)},
-	}
-	sched, err := MultiRoute(arr, reqs, Constraints{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sched.Validate(arr, Constraints{}); err != nil {
-		t.Fatal(err)
-	}
-	if sched.Makespan() < 11 {
-		t.Errorf("makespan %d below single-route distance", sched.Makespan())
-	}
-}
-
-// rowCell returns the cell at row r, q-index qi of the parallelogram.
-func rowCell(t *testing.T, arr *layout.Array, r, qi int) layout.CellID {
-	t.Helper()
-	for i := 0; i < arr.NumCells(); i++ {
-		pos := arr.Cell(layout.CellID(i)).Pos
-		if pos.R == r && pos.Q == qi {
-			return layout.CellID(i)
-		}
-	}
-	t.Fatalf("no cell at row %d q %d", r, qi)
-	return layout.NoCell
-}
-
-func TestMultiRouteManyDroplets(t *testing.T) {
-	arr := buildArray(t)
-	reqs := []Request{
-		{Name: "a", Src: rowCell(t, arr, 0, 0), Dst: rowCell(t, arr, 11, 11)},
-		{Name: "b", Src: rowCell(t, arr, 0, 11), Dst: rowCell(t, arr, 11, 0)},
-		{Name: "c", Src: rowCell(t, arr, 11, 5), Dst: rowCell(t, arr, 0, 5)},
-	}
-	sched, err := MultiRoute(arr, reqs, Constraints{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sched.Validate(arr, Constraints{}); err != nil {
-		t.Fatal(err)
-	}
-	for i := range reqs {
-		path := sched.PathOf(i)
-		if path[0] != reqs[i].Src || path[len(path)-1] != reqs[i].Dst {
-			t.Errorf("droplet %d endpoints wrong", i)
-		}
-	}
-}
-
-func TestMultiRouteValidation(t *testing.T) {
-	arr := buildArray(t)
-	if _, err := MultiRoute(arr, nil, Constraints{}, 0); err == nil {
-		t.Error("empty request list accepted")
-	}
-	fs := defects.NewFaultSet(arr.NumCells())
-	fs.MarkFaulty(0)
-	reqs := []Request{{Name: "x", Src: 0, Dst: 5}}
-	if _, err := MultiRoute(arr, reqs, Constraints{Faults: fs}, 0); err == nil {
-		t.Error("faulty source accepted")
-	}
-}
-
-func TestScheduleValidateCatchesCorruption(t *testing.T) {
-	arr := buildArray(t)
-	reqs := []Request{
-		{Name: "a", Src: rowCell(t, arr, 0, 0), Dst: rowCell(t, arr, 0, 5)},
-	}
-	sched, err := MultiRoute(arr, reqs, Constraints{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Teleport mid-schedule.
-	if len(sched.Steps) > 2 {
-		sched.Steps[1][0] = rowCell(t, arr, 11, 11)
-		if err := sched.Validate(arr, Constraints{}); err == nil {
-			t.Error("teleporting schedule accepted")
-		}
-	}
-}
-
 func TestReachableFrom(t *testing.T) {
 	arr := buildArray(t)
 	all := ReachableFrom(arr, 0, Constraints{})
