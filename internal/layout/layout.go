@@ -179,12 +179,14 @@ type Array struct {
 	primaries []CellID // IDs of primary cells, ascending
 	spares    []CellID // IDs of spare cells, ascending
 
-	// neighbors[id] lists the array-resident neighbors of cell id.
-	neighbors [][]CellID
-	// spareNbrs[id] lists adjacent spare cells (meaningful for primaries).
-	spareNbrs [][]CellID
-	// primaryNbrs[id] lists adjacent primary cells (meaningful for spares).
-	primaryNbrs [][]CellID
+	// Flat adjacency. Cell id's array-resident neighbours, in direction
+	// order, are nbrs[nbrOff[id]:nbrOff[id+1]]. byRole holds the same
+	// neighbours over the same range, spares first and then primaries,
+	// each group in direction order; spareEnd[id] is where its spares end.
+	nbrOff   []int32
+	spareEnd []int32
+	nbrs     []CellID
+	byRole   []CellID
 }
 
 // Build instantiates the design over the given region. Every region cell
@@ -196,22 +198,37 @@ func Build(d Design, region *hexgrid.Region) (*Array, error) {
 	if region == nil || region.Len() == 0 {
 		return nil, fmt.Errorf("layout: empty region for design %q", d.Name)
 	}
-	cells := region.Cells() // deterministic row-major order
-	arr := &Array{
-		design: d,
-		cells:  make([]Cell, 0, len(cells)),
-	}
-	for _, pos := range cells {
-		id := CellID(len(arr.cells))
-		role := Primary
-		if d.IsSpare(pos) {
-			role = Spare
+	pos := region.Cells() // deterministic row-major order
+	cells := make([]Cell, len(pos))
+	for i, p := range pos {
+		cells[i].Pos = p
+		if d.IsSpare(p) {
+			cells[i].Role = Spare
 		}
-		arr.cells = append(arr.cells, Cell{ID: id, Pos: pos, Role: role})
-		if role == Primary {
-			arr.primaries = append(arr.primaries, id)
+	}
+	return newArray(d, cells)
+}
+
+// newArray builds the array over cells whose Pos and Role are set and which
+// are in row-major axial order (R, then Q); it takes ownership of cells and
+// assigns their IDs.
+func newArray(d Design, cells []Cell) (*Array, error) {
+	arr := &Array{design: d, cells: cells}
+	nSpare := 0
+	for i := range cells {
+		cells[i].ID = CellID(i)
+		if cells[i].Role == Spare {
+			nSpare++
+		}
+	}
+	nPrimary := len(cells) - nSpare
+	ids := make([]CellID, len(cells))
+	arr.primaries, arr.spares = ids[:0:nPrimary], ids[nPrimary:nPrimary]
+	for i := range cells {
+		if cells[i].Role == Spare {
+			arr.spares = append(arr.spares, CellID(i))
 		} else {
-			arr.spares = append(arr.spares, id)
+			arr.primaries = append(arr.primaries, CellID(i))
 		}
 	}
 	if err := arr.buildGrid(); err != nil {
@@ -285,63 +302,196 @@ func BuildHexagon(d Design, radius int) (*Array, error) {
 
 // BuildWithPrimaryTarget builds an array with exactly nPrimary primary cells,
 // the parameter the paper sweeps ("n is the number of primary cells"). It
-// grows a parallelogram until at least nPrimary primaries exist, then trims
-// surplus primary cells from the region boundary (never spares, so the
-// redundancy structure of the remaining primaries is intact).
+// takes the smallest side×side parallelogram (side ≥ 2) holding at least
+// nPrimary primaries, then trims surplus primary cells from the region
+// boundary (never spares, so the redundancy structure of the remaining
+// primaries is intact).
 func BuildWithPrimaryTarget(d Design, nPrimary int) (*Array, error) {
-	if nPrimary <= 0 {
-		return nil, fmt.Errorf("layout: primary target %d must be positive", nPrimary)
-	}
-	// Estimate the region size from the design's spare density
-	// s/(s+p) per cell, then grow until the primary count suffices.
-	for side := 2; ; side++ {
-		region := hexgrid.Parallelogram(side, side)
-		arr, err := Build(d, region)
-		if err != nil {
-			return nil, err
-		}
-		if len(arr.primaries) < nPrimary {
-			continue
-		}
-		if len(arr.primaries) == nPrimary {
-			return arr, nil
-		}
-		trimmed, err := trimPrimaries(d, region, len(arr.primaries)-nPrimary)
-		if err != nil {
-			return nil, err
-		}
-		return trimmed, nil
-	}
+	return buildWithPrimaryTarget(d, nPrimary, parallelogram)
 }
 
 // BuildHexagonWithPrimaryTarget builds an array over a regular hexagonal
 // chip footprint with exactly nPrimary primary cells — the hexagonal-array
 // DTMB geometry of the companion fault-tolerance work, where the chip
-// outline follows the lattice instead of a rectangle. It grows the hexagon
-// radius until at least nPrimary primaries exist, then trims surplus
+// outline follows the lattice instead of a rectangle. It takes the smallest
+// hexagon radius holding at least nPrimary primaries, then trims surplus
 // primaries from the region boundary (never spares), exactly like
 // BuildWithPrimaryTarget does for parallelogram footprints. Relative to a
 // parallelogram of equal primary count the hexagon has proportionally fewer
 // boundary cells, so more of its primaries enjoy the full (s, p)
 // interstitial signature.
 func BuildHexagonWithPrimaryTarget(d Design, nPrimary int) (*Array, error) {
+	return buildWithPrimaryTarget(d, nPrimary, hexagon)
+}
+
+// footprint is a chip outline the primary-target builders grow one size at
+// a time: the side×side axial parallelogram from side 2, or the hexagon of
+// a radius about the origin from radius 0.
+type footprint uint8
+
+const (
+	parallelogram footprint = iota
+	hexagon
+)
+
+// first is the smallest size the footprint is built at.
+func (f footprint) first() int {
+	if f == parallelogram {
+		return 2
+	}
+	return 0
+}
+
+// shell counts the cells, and the primaries among them, that the footprint
+// gains in growing from size−1 to size.
+func (f footprint) shell(d Design, size int) (cells, primaries int) {
+	site := func(a hexgrid.Axial) {
+		cells++
+		if !d.IsSpare(a) {
+			primaries++
+		}
+	}
+	if f == parallelogram {
+		for q := 0; q < size; q++ {
+			site(hexgrid.Axial{Q: q, R: size - 1})
+		}
+		for r := 0; r < size-1; r++ {
+			site(hexgrid.Axial{Q: size - 1, R: r})
+		}
+		return cells, primaries
+	}
+	if size == 0 {
+		site(hexgrid.Axial{})
+		return cells, primaries
+	}
+	// The ring walk of hexgrid.Ring, without building the slice.
+	cur := hexgrid.Directions[4].Scale(size)
+	for side := 0; side < 6; side++ {
+		for step := 0; step < size; step++ {
+			site(cur)
+			cur = cur.Neighbor(side)
+		}
+	}
+	return cells, primaries
+}
+
+// box returns the footprint's square axial bounding box at size: q and r
+// both run over [lo, lo+w).
+func (f footprint) box(size int) (lo, w int) {
+	if f == parallelogram {
+		return 0, size
+	}
+	return -size, 2*size + 1
+}
+
+// contains reports whether a position inside box(size) is in the footprint.
+func (f footprint) contains(size int, a hexgrid.Axial) bool {
+	return f == parallelogram || a.Norm() <= size
+}
+
+// Bits of a site in the trimming bitmap.
+const (
+	siteMember uint8 = 1 << iota // in the region now
+	siteRound                    // in the region when the current round began
+	siteSpare                    // a spare site of the design
+)
+
+// buildWithPrimaryTarget picks the smallest footprint holding nPrimary
+// primaries by counting sites, trims the surplus on a bitmap, and builds
+// the array once.
+func buildWithPrimaryTarget(d Design, nPrimary int, f footprint) (*Array, error) {
 	if nPrimary <= 0 {
 		return nil, fmt.Errorf("layout: primary target %d must be positive", nPrimary)
 	}
-	for radius := 0; ; radius++ {
-		region := hexgrid.Hexagon(radius)
-		arr, err := Build(d, region)
-		if err != nil {
-			return nil, err
-		}
-		if len(arr.primaries) < nPrimary {
+	if d.IsSpare == nil {
+		return nil, fmt.Errorf("layout: design %q has no membership rule", d.Name)
+	}
+	size, cells, primaries := 0, 0, 0
+	for ; ; size++ {
+		c, p := f.shell(d, size)
+		cells, primaries = cells+c, primaries+p
+		if size < f.first() {
 			continue
 		}
-		if len(arr.primaries) == nPrimary {
-			return arr, nil
+		if primaries >= nPrimary {
+			break
 		}
-		return trimPrimaries(d, region, len(arr.primaries)-nPrimary)
+		// The growth would never end on a design with too few primary
+		// sites; stop at the density Build's position index tolerates.
+		if cells > gridMaxWaste*nPrimary {
+			return nil, fmt.Errorf("layout: %s: %d-cell footprint holds only %d of %d primaries",
+				d.Name, cells, primaries, nPrimary)
+		}
 	}
+
+	// The bitmap covers the bounding box padded by one site on every side,
+	// so every member's six neighbours are in range.
+	lo, w := f.box(size)
+	stride := w + 2
+	bits := make([]uint8, stride*stride)
+	for r := 0; r < w; r++ {
+		for q := 0; q < w; q++ {
+			pos := hexgrid.Axial{Q: lo + q, R: lo + r}
+			if !f.contains(size, pos) {
+				continue
+			}
+			b := siteMember
+			if d.IsSpare(pos) {
+				b |= siteSpare
+			}
+			bits[(r+1)*stride+q+1] = b
+		}
+	}
+
+	// Each round takes the boundary of the region as it stands when the
+	// round begins, in row-major order, and removes primaries from its end
+	// until the surplus is gone. Walking the bitmap backwards visits the
+	// boundary in that order; siteRound keeps the round's starting region
+	// so removals earlier in the walk do not put new cells on the boundary.
+	dirs := [6]int{1, 1 - stride, -stride, -1, stride - 1, stride}
+	excess := primaries - nPrimary
+	for left := excess; left > 0; {
+		for i, b := range bits {
+			if b&siteMember != 0 {
+				bits[i] = b | siteRound
+			} else {
+				bits[i] = b &^ siteRound
+			}
+		}
+		removed := false
+		for i := len(bits) - 1; i >= 0 && left > 0; i-- {
+			if bits[i]&(siteMember|siteSpare) != siteMember {
+				continue
+			}
+			for _, o := range dirs {
+				if bits[i+o]&siteRound == 0 {
+					bits[i] &^= siteMember
+					left--
+					removed = true
+					break
+				}
+			}
+		}
+		if !removed {
+			return nil, fmt.Errorf("layout: cannot trim %d more primaries", left)
+		}
+	}
+
+	out := make([]Cell, 0, cells-excess)
+	for r := 0; r < w; r++ {
+		for q := 0; q < w; q++ {
+			b := bits[(r+1)*stride+q+1]
+			if b&siteMember == 0 {
+				continue
+			}
+			c := Cell{Pos: hexgrid.Axial{Q: lo + q, R: lo + r}}
+			if b&siteSpare != 0 {
+				c.Role = Spare
+			}
+			out = append(out, c)
+		}
+	}
+	return newArray(d, out)
 }
 
 // BuildClusterCompleteDTMB16 builds a DTMB(1,6) array as a union of
@@ -377,49 +527,44 @@ func BuildClusterCompleteDTMB16(nClusters int) (*Array, error) {
 	return Build(d, region)
 }
 
-// trimPrimaries removes excess primary cells from the region's outer
-// boundary, scanning from the last row inward, and rebuilds the array.
-func trimPrimaries(d Design, region *hexgrid.Region, excess int) (*Array, error) {
-	r := region.Clone()
-	for excess > 0 {
-		removed := false
-		// Boundary returns deterministic row-major order; remove from the end
-		// (highest row) so trimming stays contiguous and predictable.
-		boundary := r.Boundary()
-		for i := len(boundary) - 1; i >= 0 && excess > 0; i-- {
-			pos := boundary[i]
-			if d.IsSpare(pos) {
-				continue
-			}
-			r.Remove(pos)
-			excess--
-			removed = true
-		}
-		if !removed {
-			return nil, fmt.Errorf("layout: cannot trim %d more primaries", excess)
-		}
-	}
-	return Build(d, r)
-}
-
+// buildAdjacency fills the flat adjacency in two passes over the position
+// index: the first sizes each cell's range, the second fills it.
 func (a *Array) buildAdjacency() {
 	n := len(a.cells)
-	a.neighbors = make([][]CellID, n)
-	a.spareNbrs = make([][]CellID, n)
-	a.primaryNbrs = make([][]CellID, n)
+	offs := make([]int32, 2*n+1)
+	a.nbrOff, a.spareEnd = offs[:n+1], offs[n+1:]
+	var total int32
 	for i := range a.cells {
-		c := &a.cells[i]
-		for _, npos := range c.Pos.Neighbors() {
+		a.nbrOff[i] = total
+		var nSpare int32
+		for _, npos := range a.cells[i].Pos.Neighbors() {
+			if nid := a.CellAt(npos); nid != NoCell {
+				total++
+				if a.cells[nid].Role == Spare {
+					nSpare++
+				}
+			}
+		}
+		a.spareEnd[i] = a.nbrOff[i] + nSpare
+	}
+	a.nbrOff[n] = total
+	flat := make([]CellID, 2*total)
+	a.nbrs, a.byRole = flat[:total], flat[total:]
+	for i := range a.cells {
+		k, s, p := a.nbrOff[i], a.nbrOff[i], a.spareEnd[i]
+		for _, npos := range a.cells[i].Pos.Neighbors() {
 			nid := a.CellAt(npos)
 			if nid == NoCell {
 				continue
 			}
-			a.neighbors[i] = append(a.neighbors[i], nid)
-			switch a.cells[nid].Role {
-			case Spare:
-				a.spareNbrs[i] = append(a.spareNbrs[i], nid)
-			case Primary:
-				a.primaryNbrs[i] = append(a.primaryNbrs[i], nid)
+			a.nbrs[k] = nid
+			k++
+			if a.cells[nid].Role == Spare {
+				a.byRole[s] = nid
+				s++
+			} else {
+				a.byRole[p] = nid
+				p++
 			}
 		}
 	}
@@ -459,15 +604,24 @@ func (a *Array) CellAt(pos hexgrid.Axial) CellID {
 
 // Neighbors returns the array-resident neighbors of id. The slice is owned by
 // the array and must not be modified.
-func (a *Array) Neighbors(id CellID) []CellID { return a.neighbors[id] }
+func (a *Array) Neighbors(id CellID) []CellID {
+	lo, hi := a.nbrOff[id], a.nbrOff[id+1]
+	return a.nbrs[lo:hi:hi]
+}
 
 // SpareNeighbors returns the spare cells adjacent to id (normally a primary).
 // The slice is owned by the array and must not be modified.
-func (a *Array) SpareNeighbors(id CellID) []CellID { return a.spareNbrs[id] }
+func (a *Array) SpareNeighbors(id CellID) []CellID {
+	lo, hi := a.nbrOff[id], a.spareEnd[id]
+	return a.byRole[lo:hi:hi]
+}
 
 // PrimaryNeighbors returns the primary cells adjacent to id (normally a
 // spare). The slice is owned by the array and must not be modified.
-func (a *Array) PrimaryNeighbors(id CellID) []CellID { return a.primaryNbrs[id] }
+func (a *Array) PrimaryNeighbors(id CellID) []CellID {
+	lo, hi := a.spareEnd[id], a.nbrOff[id+1]
+	return a.byRole[lo:hi:hi]
+}
 
 // RedundancyRatio returns the realized spare/primary ratio of this finite
 // array. It approaches Design().RR() as the array grows (Definition 2).
@@ -480,7 +634,7 @@ func (a *Array) RedundancyRatio() float64 {
 
 // IsInterior reports whether all six lattice neighbors of id are present in
 // the array. The DTMB (s, p) signature is guaranteed only for interior cells.
-func (a *Array) IsInterior(id CellID) bool { return len(a.neighbors[id]) == 6 }
+func (a *Array) IsInterior(id CellID) bool { return a.nbrOff[id+1]-a.nbrOff[id] == 6 }
 
 // SignatureStats summarizes how many interior cells match the design's
 // (s, p) signature; used by Validate and reported by the layout tool.
@@ -500,12 +654,12 @@ func (a *Array) Signature() SignatureStats {
 		switch a.cells[i].Role {
 		case Primary:
 			st.InteriorPrimaries++
-			if len(a.spareNbrs[i]) == a.design.S {
+			if len(a.SpareNeighbors(id)) == a.design.S {
 				st.MatchingPrimaries++
 			}
 		case Spare:
 			st.InteriorSpares++
-			if len(a.primaryNbrs[i]) == a.design.P {
+			if len(a.PrimaryNeighbors(id)) == a.design.P {
 				st.MatchingSpares++
 			}
 		}
@@ -531,7 +685,7 @@ func (a *Array) Validate() error {
 	// the signature check below enforces.
 	if a.design.P == 6 {
 		for _, s := range a.spares {
-			for _, nb := range a.neighbors[s] {
+			for _, nb := range a.Neighbors(s) {
 				if a.cells[nb].Role == Spare {
 					return fmt.Errorf("layout: adjacent spares %v and %v in %s",
 						a.cells[s].Pos, a.cells[nb].Pos, a.design.Name)

@@ -198,6 +198,9 @@ func TestBuildErrors(t *testing.T) {
 	if _, err := BuildWithPrimaryTarget(DTMB16(), 0); err == nil {
 		t.Error("zero primary target should fail")
 	}
+	if _, err := BuildHexagonWithPrimaryTarget(Design{Name: "broken"}, 10); err == nil {
+		t.Error("primary target on a design without rule should fail")
+	}
 	// Regions too sparse for the dense position index: two far-apart cells,
 	// and a long diagonal line.
 	islands := hexgrid.NewRegion()
@@ -413,15 +416,6 @@ func BenchmarkBuildParallelogram30(b *testing.B) {
 	d := DTMB26()
 	for i := 0; i < b.N; i++ {
 		if _, err := BuildParallelogram(d, 30, 30); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkBuildWithPrimaryTarget100(b *testing.B) {
-	d := DTMB36()
-	for i := 0; i < b.N; i++ {
-		if _, err := BuildWithPrimaryTarget(d, 100); err != nil {
 			b.Fatal(err)
 		}
 	}
