@@ -331,9 +331,9 @@ func BenchmarkHexYieldKernel(b *testing.B) {
 }
 
 // BenchmarkHexYieldKernelHighSurvival measures the same hex kernel at
-// p = 0.999, the near-perfect-process regime where most faulty draws repeat
-// a handful of 1–2 fault patterns — the workload the per-worker feasibility
-// memo targets (hit rate approaches 100%, vs near zero at p = 0.95).
+// p = 0.999, the near-perfect-process regime where most trials draw no
+// fault and the faulty ones carry 1–2 faults, so per-estimate set-up (the
+// worker's session, trial batch and injector) weighs more than at p = 0.95.
 func BenchmarkHexYieldKernelHighSurvival(b *testing.B) {
 	arr, err := layout.BuildHexagonWithPrimaryTarget(layout.DTMB26(), 100)
 	if err != nil {

@@ -1,6 +1,8 @@
 package dmfb_test
 
 import (
+	"fmt"
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -30,8 +32,65 @@ func TestEveryInternalPackageHasImporter(t *testing.T) {
 			importers[e.Name()] = 0
 		}
 	}
+	walkNonTestGo(t, parser.ImportsOnly, func(p string, f *ast.File) {
+		dir := filepath.ToSlash(filepath.Dir(p))
+		for _, imp := range f.Imports {
+			ip, err := strconv.Unquote(imp.Path.Value)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pkg, ok := strings.CutPrefix(ip, "dmfb/internal/")
+			if !ok || dir == path.Join("internal", pkg) {
+				continue
+			}
+			if _, tracked := importers[pkg]; tracked {
+				importers[pkg]++
+			}
+		}
+	})
+	var orphans []string
+	for pkg, n := range importers {
+		if n == 0 {
+			orphans = append(orphans, pkg)
+		}
+	}
+	sort.Strings(orphans)
+	if len(orphans) > 0 {
+		t.Errorf("internal packages with no non-test importer: %s", strings.Join(orphans, ", "))
+	}
+}
+
+// TestDeprecatedMemoStubHasNoCallers keeps the removed feasibility memo
+// from coming back through its deprecated stub: reconfig.Session.EnableMemo
+// and reconfig.DefaultMemoCapacity survive only for the perfbench module,
+// so no other non-test file may name them.
+func TestDeprecatedMemoStubHasNoCallers(t *testing.T) {
+	var callers []string
+	walkNonTestGo(t, parser.SkipObjectResolution, func(p string, f *ast.File) {
+		p = filepath.ToSlash(p)
+		if strings.HasPrefix(p, "perfbench/") || p == "internal/reconfig/session.go" {
+			return
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && (id.Name == "EnableMemo" || id.Name == "DefaultMemoCapacity") {
+				callers = append(callers, fmt.Sprintf("%s: %s", p, id.Name))
+			}
+			return true
+		})
+	})
+	if len(callers) > 0 {
+		t.Errorf("deprecated memo stub referenced by %s", strings.Join(callers, ", "))
+	}
+}
+
+// walkNonTestGo parses every non-test .go file of the module tree, the
+// nested perfbench module included, in the given parser mode and hands
+// each to fn with its path relative to the module root. Hidden
+// directories and testdata are skipped.
+func walkNonTestGo(t *testing.T, mode parser.Mode, fn func(p string, f *ast.File)) {
+	t.Helper()
 	fset := token.NewFileSet()
-	err = filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -44,37 +103,14 @@ func TestEveryInternalPackageHasImporter(t *testing.T) {
 		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
 			return nil
 		}
-		f, err := parser.ParseFile(fset, p, nil, parser.ImportsOnly)
+		f, err := parser.ParseFile(fset, p, nil, mode)
 		if err != nil {
 			return err
 		}
-		dir := filepath.ToSlash(filepath.Dir(p))
-		for _, imp := range f.Imports {
-			ip, err := strconv.Unquote(imp.Path.Value)
-			if err != nil {
-				return err
-			}
-			pkg, ok := strings.CutPrefix(ip, "dmfb/internal/")
-			if !ok || dir == path.Join("internal", pkg) {
-				continue
-			}
-			if _, tracked := importers[pkg]; tracked {
-				importers[pkg]++
-			}
-		}
+		fn(p, f)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	var orphans []string
-	for pkg, n := range importers {
-		if n == 0 {
-			orphans = append(orphans, pkg)
-		}
-	}
-	sort.Strings(orphans)
-	if len(orphans) > 0 {
-		t.Errorf("internal packages with no non-test importer: %s", strings.Join(orphans, ", "))
 	}
 }

@@ -19,8 +19,7 @@ const WordTrials = 64
 // fault anywhere and never need a FaultSet, a matcher, or even a transpose.
 // For the trials that did draw faults, Finalize transposes the packed bits
 // into row-major per-trial bitsets (Row), the same word layout as
-// FaultSet.Words, ready for word-parallel feasibility checks and
-// memoization keys.
+// FaultSet.Words, ready for word-parallel feasibility checks.
 //
 // A TrialBatch is reused across batches (Reset) and is not safe for
 // concurrent use; give each worker its own.

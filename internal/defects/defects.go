@@ -74,9 +74,8 @@ func (k Kind) String() string {
 
 // FaultSet records which cells of an array are faulty. Membership is a bitset — one machine word covers 64 cells —
 // so clearing, counting, and the all-healthy screen of the Monte-Carlo
-// kernel are word-parallel, and the bit pattern itself is the canonical key
-// for feasibility memoization (Words, Signature). The zero value is
-// unusable; use NewFaultSet.
+// kernel are word-parallel, and the bit pattern (Words) goes straight to
+// the feasibility check. The zero value is unusable; use NewFaultSet.
 type FaultSet struct {
 	numCells int
 	words    []uint64 // bit i of words[i/64] = cell i faulty
@@ -120,39 +119,9 @@ func (f *FaultSet) IsFaulty(id layout.CellID) bool {
 // Words exposes the fault bitset: bit i of Words()[i/64] is set iff cell i
 // is faulty. The slice is the set's backing store — callers must treat it
 // as read-only and must not retain it across a Clear or re-injection. It is
-// the zero-copy currency between batched injection, word-parallel
-// feasibility checks, and memoization keys.
+// the zero-copy currency between batched injection and word-parallel
+// feasibility checks.
 func (f *FaultSet) Words() []uint64 { return f.words }
-
-// Signature returns a 64-bit signature of the fault bit pattern, the
-// memoization key of reconfig feasibility caching. It depends only on the
-// final bit state, never on insertion order. For arrays of at most 64 cells
-// the pattern is one word and the signature is a bijection of it (see
-// mix64), so distinct fault sets are guaranteed distinct signatures; larger
-// arrays chain the per-word mixes, which is collision-resistant but not
-// provably injective — exact-match callers compare Words too.
-func (f *FaultSet) Signature() uint64 { return SignatureOfWords(f.words) }
-
-// SignatureOfWords is Signature over a raw fault bitset, for callers that
-// hold trial words without a FaultSet (the bit-packed trial path).
-func SignatureOfWords(words []uint64) uint64 {
-	h := uint64(0x9e3779b97f4a7c15)
-	for _, w := range words {
-		h = mix64(h ^ w)
-	}
-	return h
-}
-
-// mix64 is the splitmix64 finalizer: a bijection on 64-bit words with full
-// avalanche, so hashing a single word can never collide.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
 
 // Count returns the number of faulty cells.
 func (f *FaultSet) Count() int { return f.count }

@@ -1,70 +1,61 @@
 package defects
 
 import (
+	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dmfb/internal/layout"
 )
 
-// FuzzFaultSetSignature fuzzes the two properties feasibility memoization
-// rests on: within a single-word cell-ID space (≤ 64 cells, every array the
-// memo accepts a signature shortcut for) the signature is injective —
-// distinct fault sets can never collide — and for any size it is a pure
-// function of the final bit state, stable across insertion order. Corpus
-// seeds run in plain `go test`; `go test -fuzz FuzzFaultSetSignature`
+// FuzzFaultSetMarkFaulty fuzzes the properties the word-parallel
+// feasibility check rests on: a fault set's Words are exactly the marked
+// bit pattern, whatever order the cells were marked in and however often
+// each was marked, and Count is that pattern's population count. Both a
+// one-word (64-cell) and a two-word (128-cell) set are checked. Corpus
+// seeds run in plain `go test`; `go test -fuzz FuzzFaultSetMarkFaulty`
 // explores further.
-func FuzzFaultSetSignature(f *testing.F) {
+func FuzzFaultSetMarkFaulty(f *testing.F) {
 	f.Add(uint64(0), uint64(1), int64(1))
 	f.Add(uint64(1), uint64(2), int64(7))
 	f.Add(^uint64(0), ^uint64(0)>>1, int64(42))
 	f.Add(uint64(0x8000000000000001), uint64(0x0000000180000000), int64(-3))
 	f.Add(uint64(0xAAAAAAAAAAAAAAAA), uint64(0x5555555555555555), int64(99))
 	f.Fuzz(func(t *testing.T, a, b uint64, permSeed int64) {
-		const numCells = 64
-		fa := fromBits(numCells, a, nil)
-		fb := fromBits(numCells, b, nil)
-		if a != b && fa.Signature() == fb.Signature() {
-			t.Fatalf("signature collision within 64-cell space: %#x and %#x both map to %#x",
-				a, b, fa.Signature())
-		}
-		if a == b && fa.Signature() != fb.Signature() {
-			t.Fatalf("equal fault sets, unequal signatures: %#x vs %#x", fa.Signature(), fb.Signature())
-		}
-		// Insertion order must not matter: re-mark a's cells in a shuffled
-		// order (with duplicates, which MarkFaulty must absorb).
 		rng := rand.New(rand.NewSource(permSeed))
-		shuffled := fromBits(numCells, a, rng)
-		if shuffled.Signature() != fa.Signature() {
-			t.Fatalf("signature depends on insertion order: %#x vs %#x",
-				shuffled.Signature(), fa.Signature())
-		}
-		if shuffled.Count() != fa.Count() {
-			t.Fatalf("count depends on insertion order: %d vs %d", shuffled.Count(), fa.Count())
-		}
-		// The package-level form over raw words must agree with the method.
-		if got := SignatureOfWords(fa.Words()); got != fa.Signature() {
-			t.Fatalf("SignatureOfWords = %#x, Signature = %#x", got, fa.Signature())
-		}
-		// Multi-word stability: the same 64 bits placed in a 128-cell space
-		// must still be order-independent (injectivity is only promised for
-		// one word, order-independence always).
-		wide := fromBits(128, a, nil)
-		wideShuffled := fromBits(128, a, rng)
-		if wide.Signature() != wideShuffled.Signature() {
-			t.Fatal("multi-word signature depends on insertion order")
+		for _, want := range [][]uint64{{a}, {a, b}} {
+			numCells := 64 * len(want)
+			ordered := fromBits(numCells, want, nil)
+			// Re-mark the same cells in a shuffled order with duplicates,
+			// which MarkFaulty must absorb.
+			shuffled := fromBits(numCells, want, rng)
+			for _, fs := range []*FaultSet{ordered, shuffled} {
+				if !slices.Equal(fs.Words(), want) {
+					t.Fatalf("%d cells: Words %#x, marked %#x", numCells, fs.Words(), want)
+				}
+			}
+			pop := 0
+			for _, w := range want {
+				pop += bits.OnesCount64(w)
+			}
+			if ordered.Count() != pop || shuffled.Count() != pop {
+				t.Fatalf("%d cells: Count ordered %d, shuffled %d, want %d",
+					numCells, ordered.Count(), shuffled.Count(), pop)
+			}
 		}
 	})
 }
 
 // fromBits builds a fault set over numCells cells whose faulty cells are the
-// set bits of pattern, marking them in ascending order, or — when rng is
-// non-nil — in a shuffled order with each cell marked one extra time.
-func fromBits(numCells int, pattern uint64, rng *rand.Rand) *FaultSet {
+// set bits of pattern (bit i of pattern[i/64] = cell i), marking them in
+// ascending order, or — when rng is non-nil — in a shuffled order with each
+// cell marked one extra time.
+func fromBits(numCells int, pattern []uint64, rng *rand.Rand) *FaultSet {
 	fs := NewFaultSet(numCells)
-	ids := make([]layout.CellID, 0, 64)
-	for i := 0; i < 64 && i < numCells; i++ {
-		if pattern>>uint(i)&1 == 1 {
+	var ids []layout.CellID
+	for i := 0; i < numCells; i++ {
+		if pattern[i>>6]>>uint(i&63)&1 == 1 {
 			ids = append(ids, layout.CellID(i))
 		}
 	}

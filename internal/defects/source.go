@@ -39,6 +39,17 @@ func (s *source) Seed(seed int64) {
 	s.vec[0] |= 1
 }
 
+// mix64 is the splitmix64 finalizer: a bijection on 64-bit words with full
+// avalanche.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
+}
+
 // next advances the register one step from the cursor (tap, feed) and
 // returns the 64-bit output with the advanced cursor. Taking and returning
 // the cursor lets a hot loop keep it in registers across draws.

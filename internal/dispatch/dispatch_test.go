@@ -3,6 +3,7 @@ package dispatch
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -402,6 +403,35 @@ func TestWorkerHTTPEndpoints(t *testing.T) {
 	})
 	if !isStatus(err, http.StatusGone) {
 		t.Fatalf("unknown job submission: %v", err)
+	}
+}
+
+// TestWorkerEndpointsRejectOversizedBody pins the worker endpoints to the
+// service's body limit: a valid control message followed by more trailing
+// whitespace than the limit allows is answered 413 with the JSON error
+// envelope, as every service endpoint answers it, not 400.
+func TestWorkerEndpointsRejectOversizedBody(t *testing.T) {
+	cl := newCluster(t, Config{}, 0)
+	padding := strings.Repeat(" ", 2<<20)
+	for ep, msg := range map[string]string{
+		"/v2/workers/heartbeat": `{"worker_id":"w-1","lease_id":"lease-1"}`,
+		"/v2/workers/lease":     `{"worker_id":"w-1"}`,
+	} {
+		resp, err := http.Post(cl.srv.URL+ep, "application/json", strings.NewReader(msg+padding))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env struct {
+			Error string `json:"error"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&env)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status %d (%q), want 413", ep, resp.StatusCode, env.Error)
+		}
+		if err != nil || env.Error == "" {
+			t.Errorf("%s: error envelope %+v, decode err %v", ep, env, err)
+		}
 	}
 }
 

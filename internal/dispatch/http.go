@@ -1,10 +1,7 @@
 package dispatch
 
 import (
-	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
 	"net/http"
 
 	"dmfb/internal/service"
@@ -34,20 +31,20 @@ func (c *Coordinator) Routes() []service.Route {
 }
 
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
-	var req service.WorkerRegisterRequest
-	if !decodeBody(w, r, maxControlBody, &req) {
+	req, ok := service.DecodeRequest[service.WorkerRegisterRequest](w, r, maxControlBody)
+	if !ok {
 		return
 	}
-	writeJSON(w, http.StatusOK, c.register(req.Name))
+	service.WriteJSON(w, http.StatusOK, c.register(req.Name))
 }
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
-	var req service.LeaseRequest
-	if !decodeBody(w, r, maxControlBody, &req) {
+	req, ok := service.DecodeRequest[service.LeaseRequest](w, r, maxControlBody)
+	if !ok {
 		return
 	}
 	if req.WorkerID == "" {
-		writeJSON(w, http.StatusBadRequest, errBody{Error: "worker_id is required"})
+		writeError(w, http.StatusBadRequest, "worker_id is required")
 		return
 	}
 	lease := c.nextLease(req.WorkerID)
@@ -55,31 +52,31 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
-	writeJSON(w, http.StatusOK, lease)
+	service.WriteJSON(w, http.StatusOK, lease)
 }
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	var req service.HeartbeatRequest
-	if !decodeBody(w, r, maxControlBody, &req) {
+	req, ok := service.DecodeRequest[service.HeartbeatRequest](w, r, maxControlBody)
+	if !ok {
 		return
 	}
 	if err := c.heartbeat(req.WorkerID, req.LeaseID); err != nil {
-		writeJSON(w, dispatchStatus(err), errBody{Error: err.Error()})
+		writeError(w, dispatchStatus(err), err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	service.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 func (c *Coordinator) handleResults(w http.ResponseWriter, r *http.Request) {
-	var req service.ShardResultRequest
-	if !decodeBody(w, r, maxResultBody, &req) {
+	req, ok := service.DecodeRequest[service.ShardResultRequest](w, r, maxResultBody)
+	if !ok {
 		return
 	}
 	if err := c.submit(req); err != nil {
-		writeJSON(w, dispatchStatus(err), errBody{Error: err.Error()})
+		writeError(w, dispatchStatus(err), err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	service.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // dispatchStatus maps coordinator errors onto HTTP: vanished leases/jobs →
@@ -92,36 +89,8 @@ func dispatchStatus(err error) int {
 	return http.StatusBadRequest
 }
 
-// errBody is the same error envelope the service handlers use.
-type errBody struct {
-	Error string `json:"error"`
-}
-
-// decodeBody strictly decodes the request body into v, writing the error
-// response itself on failure. Mirrors the service package's strict decoding
-// (unknown fields and trailing data rejected).
-func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
-	body := http.MaxBytesReader(w, r.Body, limit)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		status := http.StatusBadRequest
-		if maxErr := new(http.MaxBytesError); errors.As(err, &maxErr) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeJSON(w, status, errBody{Error: fmt.Sprintf("invalid request body: %v", err)})
-		return false
-	}
-	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-		writeJSON(w, http.StatusBadRequest, errBody{Error: "invalid request body: trailing data"})
-		return false
-	}
-	return true
-}
-
-// writeJSON encodes v with the given status.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+// writeError writes the service's {"error": msg} envelope with the given
+// status.
+func writeError(w http.ResponseWriter, status int, msg string) {
+	service.WriteJSON(w, status, map[string]string{"error": msg})
 }

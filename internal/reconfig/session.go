@@ -43,12 +43,6 @@ type Session struct {
 	// same ascending order the primary list would produce.
 	targetMask []uint64
 	m          *matching.Matcher
-
-	// memo, when armed by EnableMemo, caches feasibility verdicts keyed by
-	// the exact fault words; the counters, when set, receive hit/miss
-	// increments (plain, non-atomic — sessions are single-worker).
-	memo                 feasMemo
-	memoHits, memoMisses *uint64
 }
 
 // NewSession builds a reusable reconfiguration session for the array under
@@ -102,7 +96,7 @@ func (s *Session) Feasible(fs *defects.FaultSet) (bool, error) {
 	if fs.Count() == 0 {
 		return true, nil
 	}
-	return s.feasible(fs.Words()), nil
+	return s.solve(fs.Words()), nil
 }
 
 // checkFaults rejects a fault set that is nil or sized for another array.
@@ -126,66 +120,28 @@ func (s *Session) FeasibleWords(words []uint64) (bool, error) {
 		return false, fmt.Errorf("reconfig: fault words sized %d, want %d",
 			len(words), len(s.targetMask))
 	}
-	return s.feasible(words), nil
+	return s.solve(words), nil
 }
 
-// EnableMemo arms feasibility memoization with the given entry capacity and
-// reports whether it took effect: memoization is only available for arrays
-// of at most MemoMaxCells cells (whose fault patterns fit the fixed memo
-// key) and positive capacities. Verdicts are cached per exact fault
-// pattern; the memo never changes a verdict, only its cost. Enabling resets
-// any previously cached entries.
-func (s *Session) EnableMemo(capacity int) bool {
-	if capacity <= 0 || s.arr.NumCells() > MemoMaxCells {
-		return false
-	}
-	s.memo.init(capacity)
-	return true
-}
+// DefaultMemoCapacity was the per-worker entry budget of the removed
+// feasibility memo.
+//
+// Deprecated: feasibility is no longer memoized, because a memoized verdict
+// cost more than a fresh solve; the constant is kept only for old callers.
+const DefaultMemoCapacity = 2048
 
-// SetMemoCounters wires per-session hit/miss counters: each memoized
-// Feasible increments *hits on a cache hit or *misses on a solver run. The
-// increments are plain stores — a session is single-worker by contract —
-// so the Monte-Carlo kernel points them at its per-worker probe and
-// flushes to shared atomics once per chunk. Either pointer may be nil.
-func (s *Session) SetMemoCounters(hits, misses *uint64) {
-	s.memoHits, s.memoMisses = hits, misses
-}
-
-// MemoLen returns the number of cached feasibility verdicts (0 when
-// memoization is disabled).
-func (s *Session) MemoLen() int { return s.memo.len() }
+// EnableMemo reports whether feasibility memoization took effect, which it
+// never does: every query runs the matcher.
+//
+// Deprecated: feasibility is no longer memoized, because a memoized verdict
+// cost more than a fresh solve; the method is kept only for old callers.
+func (s *Session) EnableMemo(capacity int) bool { return false }
 
 // GraphSignature returns the matching.Matcher signature of the repair graph
 // left by the most recent build — the differential suite's witness that
 // two feasibility paths built the identical graph. Queries answered without
-// building (all-healthy draws, memo hits) leave the previous graph in
-// place.
+// building (all-healthy draws) leave the previous graph in place.
 func (s *Session) GraphSignature() uint64 { return s.m.GraphSignature() }
-
-// feasible answers the feasibility query for a fault bitset, through the
-// memo when armed.
-func (s *Session) feasible(words []uint64) bool {
-	if !s.memo.enabled() {
-		return s.solve(words)
-	}
-	var key [memoWords]uint64
-	copy(key[:], words)
-	sig := defects.SignatureOfWords(words)
-	h := uint32(sig ^ sig>>32)
-	if ok, hit := s.memo.lookup(h, &key); hit {
-		if s.memoHits != nil {
-			*s.memoHits++
-		}
-		return ok
-	}
-	if s.memoMisses != nil {
-		*s.memoMisses++
-	}
-	ok := s.solve(words)
-	s.memo.insert(h, &key, ok)
-	return ok
-}
 
 // solve answers the feasibility query for a fault bitset on the matcher.
 func (s *Session) solve(words []uint64) bool {

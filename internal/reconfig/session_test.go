@@ -14,11 +14,7 @@ import (
 // patterns (Bernoulli at low/medium/high density, fixed-count, clustered),
 // and a spread of seeds — and both to the independent Kuhn reference
 // (kuhnPlan), which they must agree with because every maximum matching
-// has the same size. Alongside the direct session it drives a memoized
-// twin on the same draws, so every verdict is additionally pinned
-// memoized == direct == reference — with a capacity chosen small enough
-// that the LRU evicts constantly under the test's fault densities,
-// exercising the recycling path, not just warm hits.
+// has the same size.
 func TestDifferentialSessionFeasibleMatchesLocalReconfigure(t *testing.T) {
 	seeds := int64(25)
 	if testing.Short() {
@@ -33,28 +29,11 @@ func TestDifferentialSessionFeasibleMatchesLocalReconfigure(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		memoSess, err := NewSession(arr, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !memoSess.EnableMemo(32) {
-			t.Fatalf("%s: EnableMemo refused a %d-cell array", d.Name, arr.NumCells())
-		}
-		var hits, misses uint64
-		memoSess.SetMemoCounters(&hits, &misses)
 		check := func(fs *defects.FaultSet, pattern string, seed int64) {
 			t.Helper()
 			got, err := sess.Feasible(fs)
 			if err != nil {
 				t.Fatalf("%s %s seed %d: Feasible: %v", d.Name, pattern, seed, err)
-			}
-			memoGot, err := memoSess.Feasible(fs)
-			if err != nil {
-				t.Fatalf("%s %s seed %d: memoized Feasible: %v", d.Name, pattern, seed, err)
-			}
-			if memoGot != got {
-				t.Fatalf("%s %s seed %d: memoized Feasible=%v, direct=%v (%d faults)",
-					d.Name, pattern, seed, memoGot, got, fs.Count())
 			}
 			plan, err := LocalReconfigure(arr, fs, Options{})
 			if err != nil {
@@ -90,12 +69,6 @@ func TestDifferentialSessionFeasibleMatchesLocalReconfigure(t *testing.T) {
 				t.Fatal(err)
 			}
 			check(fs, "clustered", seed)
-		}
-		if misses == 0 {
-			t.Errorf("%s: memoized twin never ran the solver", d.Name)
-		}
-		if memoSess.MemoLen() > 32 {
-			t.Errorf("%s: memo holds %d entries, capacity 32", d.Name, memoSess.MemoLen())
 		}
 	}
 }
@@ -171,129 +144,6 @@ func TestDifferentialFeasibleWordsMatchesFaultSet(t *testing.T) {
 					d.Name, seed)
 			}
 		}
-	}
-}
-
-// TestSessionMemoLRUBehavior exercises the memo mechanics directly: a hit
-// must skip the solver (observable through the counters), capacity must
-// bound residency with least-recently-used eviction, and a re-queried
-// evictee must re-run the solver and still agree.
-func TestSessionMemoLRUBehavior(t *testing.T) {
-	arr, err := layout.BuildWithPrimaryTarget(layout.DTMB26(), 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := NewSession(arr, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sess.EnableMemo(2) {
-		t.Fatal("EnableMemo(2) refused")
-	}
-	var hits, misses uint64
-	sess.SetMemoCounters(&hits, &misses)
-	pattern := func(ids ...layout.CellID) *defects.FaultSet {
-		fs := defects.NewFaultSet(arr.NumCells())
-		for _, id := range ids {
-			fs.MarkFaulty(id)
-		}
-		return fs
-	}
-	p := arr.Primaries()
-	a, b, c := pattern(p[0]), pattern(p[1]), pattern(p[2])
-	mustFeasible := func(fs *defects.FaultSet) bool {
-		t.Helper()
-		ok, err := sess.Feasible(fs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ok
-	}
-	okA := mustFeasible(a) // miss, cached
-	mustFeasible(b)        // miss, cached (memo full)
-	if hits != 0 || misses != 2 {
-		t.Fatalf("after two distinct queries: hits=%d misses=%d, want 0/2", hits, misses)
-	}
-	if got := mustFeasible(a); got != okA {
-		t.Fatalf("memo hit verdict %v, want %v", got, okA)
-	}
-	if hits != 1 || misses != 2 {
-		t.Fatalf("after repeat query: hits=%d misses=%d, want 1/2", hits, misses)
-	}
-	mustFeasible(c) // miss; evicts b (a was touched more recently)
-	mustFeasible(a) // must still be cached
-	if hits != 2 || misses != 3 {
-		t.Fatalf("after eviction round: hits=%d misses=%d, want 2/3", hits, misses)
-	}
-	mustFeasible(b) // evicted: must miss and re-solve
-	if hits != 2 || misses != 4 {
-		t.Fatalf("evictee requery: hits=%d misses=%d, want 2/4", hits, misses)
-	}
-	if sess.MemoLen() != 2 {
-		t.Fatalf("memo holds %d entries, want capacity 2", sess.MemoLen())
-	}
-	// All-healthy draws bypass the memo entirely.
-	mustFeasible(defects.NewFaultSet(arr.NumCells()))
-	if hits != 2 || misses != 4 {
-		t.Fatalf("all-healthy query touched the memo: hits=%d misses=%d", hits, misses)
-	}
-	// Oversized arrays and bad capacities refuse memoization.
-	if sess.EnableMemo(0) {
-		t.Fatal("EnableMemo(0) accepted")
-	}
-	big, err := layout.BuildWithPrimaryTarget(layout.DTMB26(), 400)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if big.NumCells() <= MemoMaxCells {
-		t.Fatalf("test premise broken: %d cells should exceed MemoMaxCells", big.NumCells())
-	}
-	bigSess, err := NewSession(big, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bigSess.EnableMemo(64) {
-		t.Fatalf("EnableMemo accepted a %d-cell array beyond MemoMaxCells=%d", big.NumCells(), MemoMaxCells)
-	}
-}
-
-// TestSessionMemoizedFeasibleZeroAllocs extends the steady-state
-// zero-allocation pin to the memoized path: hits, misses, and evictions
-// must all run entirely in the preallocated arena (capacity far below the
-// draw diversity, so eviction churn is constant).
-func TestSessionMemoizedFeasibleZeroAllocs(t *testing.T) {
-	arr, err := layout.BuildWithPrimaryTarget(layout.DTMB26(), 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := NewSession(arr, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sess.EnableMemo(16) {
-		t.Fatal("EnableMemo refused")
-	}
-	var hits, misses uint64
-	sess.SetMemoCounters(&hits, &misses)
-	in := defects.NewInjector(1)
-	var fs *defects.FaultSet
-	for i := 0; i < 64; i++ { // warm scratch and fill the memo
-		fs = in.Bernoulli(arr, 0.92, fs)
-		if _, err := sess.Feasible(fs); err != nil {
-			t.Fatal(err)
-		}
-	}
-	allocs := testing.AllocsPerRun(300, func() {
-		fs = in.Bernoulli(arr, 0.92, fs)
-		if _, err := sess.Feasible(fs); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("memoized Feasible allocates %.1f times per run, want 0", allocs)
-	}
-	if misses == 0 {
-		t.Fatal("memoized run never missed — eviction path untested")
 	}
 }
 

@@ -35,7 +35,7 @@ func FuzzSweepRequestDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body string) {
 		r := httptest.NewRequest(http.MethodPost, "/v1/sweep", strings.NewReader(body))
 		w := httptest.NewRecorder()
-		req, ok := decodeRequest[SweepRequest](w, r)
+		req, ok := DecodeRequest[SweepRequest](w, r, maxBodyBytes)
 		if !ok {
 			if w.Code == http.StatusOK {
 				t.Fatalf("decode failed but wrote status 200 for body %q", body)

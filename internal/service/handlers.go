@@ -52,24 +52,24 @@ func NewMux(e *Engine, jobs *Store, extra ...Route) *http.ServeMux {
 		return e.Reconfigure(r.Context(), req)
 	}))
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, e.Stats())
+		WriteJSON(w, http.StatusOK, e.Stats())
 	})
 	mux.Handle("GET /metrics", e.Registry().Handler())
 	mux.HandleFunc("POST /v2/evaluate", jsonHandler(func(r *http.Request, req ScenarioRequest) (ScenarioRecord, error) {
 		return e.EvaluateScenario(r.Context(), req)
 	}))
 	mux.HandleFunc("POST /v2/jobs", func(w http.ResponseWriter, r *http.Request) {
-		req, ok := decodeRequest[SweepRequest](w, r)
+		req, ok := DecodeRequest[SweepRequest](w, r, maxBodyBytes)
 		if !ok {
 			return
 		}
 		job, err := jobs.Create(r.Context(), req)
 		if err != nil {
-			writeJSON(w, errStatus(err), errorBody{Error: err.Error()})
+			WriteJSON(w, errStatus(err), errorBody{Error: err.Error()})
 			return
 		}
 		w.Header().Set("Location", "/v2/jobs/"+job.ID())
-		writeJSON(w, http.StatusAccepted, job.Status())
+		WriteJSON(w, http.StatusAccepted, job.Status())
 	})
 	mux.HandleFunc("GET /v2/jobs/{id}", jobHandler(jobs, func(_ *http.Request, j *Job) (JobStatus, error) {
 		return j.Status(), nil
@@ -79,7 +79,7 @@ func NewMux(e *Engine, jobs *Store, extra ...Route) *http.ServeMux {
 	}))
 	mux.HandleFunc("GET /v2/jobs/{id}/results", jobResultsHandler(e, jobs))
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	// Liveness (/healthz) answers "is the process up"; readiness answers "can
 	// it take traffic" — false while the durable store replays its on-disk
@@ -87,10 +87,10 @@ func NewMux(e *Engine, jobs *Store, extra ...Route) *http.ServeMux {
 	// registration loop steer around a coordinator that isn't serving.
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
 		if !jobs.Ready() {
-			writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "not ready"})
+			WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "not ready"})
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+		WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 	})
 	return mux
 }
@@ -108,15 +108,15 @@ func jobHandler(jobs *Store, fn func(*http.Request, *Job) (JobStatus, error)) ht
 	return func(w http.ResponseWriter, r *http.Request) {
 		j, err := jobs.Get(r.PathValue("id"))
 		if err != nil {
-			writeJSON(w, errStatus(err), errorBody{Error: err.Error()})
+			WriteJSON(w, errStatus(err), errorBody{Error: err.Error()})
 			return
 		}
 		st, err := fn(r, j)
 		if err != nil {
-			writeJSON(w, errStatus(err), errorBody{Error: err.Error()})
+			WriteJSON(w, errStatus(err), errorBody{Error: err.Error()})
 			return
 		}
-		writeJSON(w, http.StatusOK, st)
+		WriteJSON(w, http.StatusOK, st)
 	}
 }
 
@@ -129,14 +129,14 @@ func jobResultsHandler(e *Engine, jobs *Store) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		j, err := jobs.Get(r.PathValue("id"))
 		if err != nil {
-			writeJSON(w, errStatus(err), errorBody{Error: err.Error()})
+			WriteJSON(w, errStatus(err), errorBody{Error: err.Error()})
 			return
 		}
 		cursor := 0
 		if s := r.URL.Query().Get("cursor"); s != "" {
 			cursor, err = strconv.Atoi(s)
 			if err != nil || cursor < 0 {
-				writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("invalid cursor %q", s)})
+				WriteJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("invalid cursor %q", s)})
 				return
 			}
 		}
@@ -161,10 +161,13 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-// decodeRequest strictly decodes the request body into Req. On failure it
-// writes the JSON error response itself and reports ok = false.
-func decodeRequest[Req any](w http.ResponseWriter, r *http.Request) (req Req, ok bool) {
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+// DecodeRequest strictly decodes a request body of at most limit bytes
+// into Req: unknown fields and trailing data are rejected with 400, a body
+// over the limit with 413. On failure it writes the JSON error response
+// itself and reports ok = false. The worker endpoints of package dispatch
+// decode through it too, so every endpoint rejects a body the same way.
+func DecodeRequest[Req any](w http.ResponseWriter, r *http.Request, limit int64) (req Req, ok bool) {
+	body := http.MaxBytesReader(w, r.Body, limit)
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
@@ -172,7 +175,7 @@ func decodeRequest[Req any](w http.ResponseWriter, r *http.Request) (req Req, ok
 		if maxErr := new(http.MaxBytesError); errors.As(err, &maxErr) {
 			status = http.StatusRequestEntityTooLarge
 		}
-		writeJSON(w, status, errorBody{Error: fmt.Sprintf("invalid request body: %v", err)})
+		WriteJSON(w, status, errorBody{Error: fmt.Sprintf("invalid request body: %v", err)})
 		return req, false
 	}
 	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
@@ -180,7 +183,7 @@ func decodeRequest[Req any](w http.ResponseWriter, r *http.Request) (req Req, ok
 		if maxErr := new(http.MaxBytesError); errors.As(err, &maxErr) {
 			status = http.StatusRequestEntityTooLarge
 		}
-		writeJSON(w, status, errorBody{Error: "invalid request body: trailing data"})
+		WriteJSON(w, status, errorBody{Error: "invalid request body: trailing data"})
 		return req, false
 	}
 	return req, true
@@ -190,17 +193,17 @@ func decodeRequest[Req any](w http.ResponseWriter, r *http.Request) (req Req, ok
 // response, mapping errors to HTTP statuses.
 func jsonHandler[Req, Resp any](fn func(*http.Request, Req) (Resp, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		req, ok := decodeRequest[Req](w, r)
+		req, ok := DecodeRequest[Req](w, r, maxBodyBytes)
 		if !ok {
 			return
 		}
 		resp, err := fn(r, req)
 		if err != nil {
 			status := errStatus(err)
-			writeJSON(w, status, errorBody{Error: err.Error()})
+			WriteJSON(w, status, errorBody{Error: err.Error()})
 			return
 		}
-		writeJSON(w, http.StatusOK, resp)
+		WriteJSON(w, http.StatusOK, resp)
 	}
 }
 
@@ -212,18 +215,18 @@ func jsonHandler[Req, Resp any](fn func(*http.Request, Req) (Resp, error)) http.
 // distinguishes a truncated sweep from a finished one.
 func sweepHandler(e *Engine) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		req, ok := decodeRequest[SweepRequest](w, r)
+		req, ok := DecodeRequest[SweepRequest](w, r, maxBodyBytes)
 		if !ok {
 			return
 		}
 		if req.Distributed {
 			err := invalidf("distributed mode requires an asynchronous job (POST /v2/jobs)")
-			writeJSON(w, errStatus(err), errorBody{Error: err.Error()})
+			WriteJSON(w, errStatus(err), errorBody{Error: err.Error()})
 			return
 		}
 		plan, err := e.PlanSweep(req)
 		if err != nil {
-			writeJSON(w, errStatus(err), errorBody{Error: err.Error()})
+			WriteJSON(w, errStatus(err), errorBody{Error: err.Error()})
 			return
 		}
 		w.Header().Set("Content-Type", "application/x-ndjson")
@@ -268,8 +271,8 @@ func errStatus(err error) int {
 	}
 }
 
-// writeJSON encodes v with the given status.
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON encodes v as the response body with the given status.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)

@@ -78,8 +78,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"dmfb_kernel_trials_total",
 		"dmfb_kernel_trials_all_healthy_total",
 		"dmfb_kernel_matcher_invocations_total",
-		"dmfb_kernel_memo_hits_total",
-		"dmfb_kernel_memo_misses_total",
 		"dmfb_kernel_chunk_duration_seconds",
 		"dmfb_cache_hits_total",
 		"dmfb_cache_misses_total",

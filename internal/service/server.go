@@ -239,7 +239,7 @@ func withMiddleware(next http.Handler, logger *slog.Logger, m *serviceMetrics) h
 		if r.Method == http.MethodPost {
 			ct, _, err := mime.ParseMediaType(r.Header.Get("Content-Type"))
 			if err != nil || ct != "application/json" {
-				writeJSON(sw, http.StatusUnsupportedMediaType,
+				WriteJSON(sw, http.StatusUnsupportedMediaType,
 					errorBody{Error: "Content-Type must be application/json"})
 				finish()
 				return

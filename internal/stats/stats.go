@@ -120,8 +120,9 @@ func (p Proportion) Contains(v float64) bool {
 // never per trial, but does not correct for it. Nor is the stopped estimate
 // unbiased in general: the stopping time depends on the data, so the
 // proportion at the stopping boundary can be biased even though every
-// fixed-size prefix is not. Neither effect has been measured yet; ROADMAP
-// item 4 (statistical conformance) plans to.
+// fixed-size prefix is not. TestConformanceFixedRun checks coverage and
+// bias of the fixed-run path only; ROADMAP item 2 records the measured bias
+// of the early-stopped estimate near p → 1 and plans its test and fix.
 type SequentialCI struct {
 	// Epsilon is the target 95% half-width; zero or negative disables the
 	// rule (Satisfied never fires).

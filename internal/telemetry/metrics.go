@@ -19,13 +19,6 @@ type KernelMetrics struct {
 	// MatcherInvocations counts trials that reached a reconfiguration
 	// feasibility decision (matching or column-cascade analysis).
 	MatcherInvocations *Counter
-	// MemoHits counts feasibility decisions served from the per-worker
-	// fault-pattern memo without running the matcher; MemoMisses counts the
-	// solver runs that populated it. Hits + misses stays below
-	// MatcherInvocations on paths where memoization is unavailable (large
-	// arrays) or disabled.
-	MemoHits   *Counter
-	MemoMisses *Counter
 	// ChunkSeconds observes the wall time of each completed kernel chunk;
 	// its Count is the number of chunks executed.
 	ChunkSeconds *Histogram
@@ -49,8 +42,6 @@ func NewKernelMetrics(r *Registry) *KernelMetrics {
 		Trials:             r.Counter("dmfb_kernel_trials_total", "Monte-Carlo trials completed."),
 		AllHealthy:         r.Counter("dmfb_kernel_trials_all_healthy_total", "Trials that drew zero faults and skipped the matcher."),
 		MatcherInvocations: r.Counter("dmfb_kernel_matcher_invocations_total", "Trials that reached a reconfiguration feasibility decision."),
-		MemoHits:           r.Counter("dmfb_kernel_memo_hits_total", "Feasibility decisions served from the fault-pattern memo."),
-		MemoMisses:         r.Counter("dmfb_kernel_memo_misses_total", "Feasibility memo misses that ran the matcher and populated the cache."),
 		ChunkSeconds:       r.Histogram("dmfb_kernel_chunk_duration_seconds", "Wall time of one Monte-Carlo kernel chunk.", nil),
 		EarlyStops:         r.Counter("dmfb_kernel_early_stops_total", "Precision-targeted estimates that met epsilon before the trial budget."),
 		RealizedRuns:       r.Histogram("dmfb_kernel_realized_runs", "Realized trial count of one precision-targeted estimate.", realizedRunsBuckets),

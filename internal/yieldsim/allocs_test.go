@@ -11,6 +11,7 @@ package yieldsim
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"dmfb/internal/defects"
@@ -22,7 +23,7 @@ import (
 // allocations per 64-trial block: one measured run covers injection, the
 // all-healthy screen, the transpose, and every feasibility verdict of a
 // word-packed program, or 64 trials of a per-trial one. The program is
-// warmed first so its scratch (fault set or trial batch, session, memo,
+// warmed first so its scratch (fault set or trial batch, session,
 // injector pool) has reached its steady size.
 func assertZeroAllocTrials(t *testing.T, name string, factory trialFactory) {
 	t.Helper()
@@ -92,6 +93,49 @@ func TestSteadyStateTrialsZeroAllocs(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) { assertZeroAllocTrials(t, tc.name, tc.factory) })
+	}
+}
+
+// TestEstimateSetupBytes pins what one whole estimate allocates: the
+// worker's session, trial batch and injector plus the scheduler's ledger.
+// At p = 0.95 and 256 trials on a 100-primary array that set-up dominates,
+// so a per-worker cache or arena grown back into the kernel fails here.
+func TestEstimateSetupBytes(t *testing.T) {
+	const (
+		estimates = 20
+		maxBytes  = 32 << 10
+	)
+	local, err := layout.BuildWithPrimaryTarget(layout.DTMB26(), 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hex, err := layout.BuildHexagonWithPrimaryTarget(layout.DTMB26(), 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		arr  *layout.Array
+	}{{"local", local}, {"hex", hex}} {
+		mc := NewMonteCarlo(1)
+		mc.Workers = 1
+		mc.Runs = 256
+		if _, err := mc.Yield(tc.arr, 0.95); err != nil { // warm-up
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < estimates; i++ {
+			if _, err := mc.Yield(tc.arr, 0.95); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		per := (after.TotalAlloc - before.TotalAlloc) / estimates
+		t.Logf("%s: %d bytes per estimate", tc.name, per)
+		if per > maxBytes {
+			t.Errorf("%s: one estimate allocates %d bytes, want <= %d", tc.name, per, maxBytes)
+		}
 	}
 }
 

@@ -48,7 +48,7 @@ var conformanceGrid = []struct {
 }{
 	{0.85, 2},    // 14 cells
 	{0.95, 8},    // 56 cells
-	{0.99, 40},   // 280 cells, above the feasibility memo's cell cap
+	{0.99, 40},   // 280 cells, five-word fault rows
 	{0.999, 100}, // 700 cells
 }
 

@@ -1,14 +1,13 @@
 package yieldsim
 
-// Differential harness for the bit-parallel trial path and the feasibility
-// memo. The kernel's contract is that neither optimization is observable in
-// any estimate: a word-packed batch consumes the injector's PRNG stream in
-// exactly the order 64 successive scalar trials would (trial-major,
-// cell-minor), and the memo caches verdicts of a pure function. These tests
-// pin both equivalences as bit-identical Results across every estimator
-// strategy, defect model, and a spread of seeds — so a future batching or
-// caching change that shifts a single draw or verdict fails here, not in a
-// statistical tolerance band.
+// Differential harness for the bit-parallel trial path. The kernel's
+// contract is that batching is not observable in any estimate: a
+// word-packed batch consumes the injector's PRNG stream in exactly the
+// order 64 successive scalar trials would (trial-major, cell-minor). These
+// tests pin that equivalence as bit-identical Results across every
+// estimator strategy, defect model, and a spread of seeds — so a future
+// batching change that shifts a single draw or verdict fails here, not in
+// a statistical tolerance band.
 
 import (
 	"context"
@@ -19,7 +18,6 @@ import (
 	"dmfb/internal/defects"
 	"dmfb/internal/layout"
 	"dmfb/internal/sqgrid"
-	"dmfb/internal/telemetry"
 )
 
 // differentialSeeds returns the seed spread: 5 seeds normally, 2 under
@@ -57,7 +55,7 @@ func differentialCases(t *testing.T) []estimatorCase {
 		t.Fatal(err)
 	}
 	if big.NumCells() <= 256 {
-		t.Fatalf("big array has %d cells, want > 256 to cover the memo-refused path", big.NumCells())
+		t.Fatalf("big array has %d cells, want > 256 for fault rows of more than four words", big.NumCells())
 	}
 	pl, err := sqgrid.PlacementWithPrimaryTarget(90, 2)
 	if err != nil {
@@ -156,42 +154,11 @@ func TestDifferentialBatchMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestDifferentialMemoDoesNotChangeEstimates pins the memo's transparency:
-// disabling feasibility memoization changes no Result bit on either the
-// batch or the scalar path.
-func TestDifferentialMemoDoesNotChangeEstimates(t *testing.T) {
-	cases := differentialCases(t)
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			for i, seed := range differentialSeeds(t) {
-				for _, scalar := range []bool{false, true} {
-					memo := configureDifferential(seed, i)
-					memo.forceScalar = scalar
-					got, err := tc.eval(memo)
-					if err != nil {
-						t.Fatal(err)
-					}
-					bare := configureDifferential(seed, i)
-					bare.forceScalar = scalar
-					bare.noMemo = true
-					want, err := tc.eval(bare)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got != want {
-						t.Fatalf("seed %d scalar=%v: memoized %+v != unmemoized %+v",
-							seed, scalar, got, want)
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestDifferentialWorkerByteIdentity extends the share-nothing pin to the
-// batch+memo kernel under the clustered model: the estimate is a function of
+// batch kernel under the clustered model: the estimate is a function of
 // (Seed, Runs, ChunkSize) only, never of Workers, even though each worker
-// owns a private memo whose hit pattern depends on its chunk assignment.
+// owns a private session and trial batch and serves whichever chunks it
+// claims.
 func TestDifferentialWorkerByteIdentity(t *testing.T) {
 	hex, err := layout.BuildHexagonWithPrimaryTarget(layout.DTMB26(), 100)
 	if err != nil {
@@ -216,56 +183,5 @@ func TestDifferentialWorkerByteIdentity(t *testing.T) {
 		if got != want {
 			t.Fatalf("workers=%d: %+v != single-worker %+v", workers, got, want)
 		}
-	}
-}
-
-// TestMemoCountersAccounting checks the memo telemetry identities on a
-// memoizable array: every matcher-path decision is either a hit or a miss
-// (hits + misses == matcher invocations), and at high survival probability
-// the hit rate dominates — the regime the memo exists for.
-func TestMemoCountersAccounting(t *testing.T) {
-	arr, err := layout.BuildWithPrimaryTarget(layout.DTMB26(), 80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := telemetry.NewRegistry()
-	mc := NewMonteCarlo(5)
-	mc.Runs = 4000
-	mc.Metrics = telemetry.NewKernelMetrics(r)
-	if _, err := mc.Yield(arr, 0.998); err != nil {
-		t.Fatal(err)
-	}
-	m := mc.Metrics
-	hits, misses := m.MemoHits.Value(), m.MemoMisses.Value()
-	matcher := m.MatcherInvocations.Value()
-	if hits+misses != matcher {
-		t.Errorf("memo hits %d + misses %d != matcher invocations %d", hits, misses, matcher)
-	}
-	if matcher == 0 {
-		t.Fatal("no faulty trials at p=0.998 with 4000 runs; raise Runs")
-	}
-	if hits <= misses {
-		t.Errorf("memo hits %d <= misses %d at p=0.998; expected hit-dominated", hits, misses)
-	}
-
-	// A >MemoMaxCells array refuses the memo: counters stay zero while the
-	// matcher still runs.
-	big, err := layout.BuildWithPrimaryTarget(layout.DTMB26(), 400)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2 := telemetry.NewRegistry()
-	mc2 := NewMonteCarlo(5)
-	mc2.Runs = 1000
-	mc2.Metrics = telemetry.NewKernelMetrics(r2)
-	if _, err := mc2.Yield(big, 0.95); err != nil {
-		t.Fatal(err)
-	}
-	if h, ms := mc2.Metrics.MemoHits.Value(), mc2.Metrics.MemoMisses.Value(); h != 0 || ms != 0 {
-		t.Errorf("memo counters %d/%d on a %d-cell array, want 0/0 (memo refused)",
-			h, ms, big.NumCells())
-	}
-	if mc2.Metrics.MatcherInvocations.Value() == 0 {
-		t.Error("matcher invocations = 0 on the big array")
 	}
 }

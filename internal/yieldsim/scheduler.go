@@ -73,11 +73,6 @@ type kernelProbe struct {
 	allHealthy uint64
 	// matcher counts trials that reached a feasibility decision.
 	matcher uint64
-	// memoHits and memoMisses split the feasibility decisions of memoizing
-	// sessions: verdicts served from the fault-pattern cache vs solver
-	// runs. Both stay zero on paths without memoization. The session
-	// increments them directly (reconfig.Session.SetMemoCounters).
-	memoHits, memoMisses uint64
 
 	// metrics and spans are the estimate's sinks, resolved once per
 	// estimate; spans is nil unless the logger is enabled at debug. traceID
@@ -120,8 +115,6 @@ func (p *kernelProbe) flush(ctx context.Context, chunk, trials, successes int, s
 		m.Trials.Add(uint64(trials))
 		m.AllHealthy.Add(p.allHealthy)
 		m.MatcherInvocations.Add(p.matcher)
-		m.MemoHits.Add(p.memoHits)
-		m.MemoMisses.Add(p.memoMisses)
 		m.ChunkSeconds.Observe(elapsed.Seconds())
 	}
 	if p.spans != nil {
@@ -132,12 +125,10 @@ func (p *kernelProbe) flush(ctx context.Context, chunk, trials, successes int, s
 			slog.Int("successes", successes),
 			slog.Uint64("all_healthy", p.allHealthy),
 			slog.Uint64("matcher", p.matcher),
-			slog.Uint64("memo_hits", p.memoHits),
-			slog.Uint64("memo_misses", p.memoMisses),
 			slog.Float64("duration_ms", float64(elapsed.Microseconds())/1000),
 		)
 	}
-	p.allHealthy, p.matcher, p.memoHits, p.memoMisses = 0, 0, 0, 0
+	p.allHealthy, p.matcher = 0, 0
 }
 
 // commitLedger is the shared state of one estimate. Workers record each

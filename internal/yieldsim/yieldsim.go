@@ -140,14 +140,12 @@ type MonteCarlo struct {
 	Logger *slog.Logger
 
 	// forceScalar runs trials one at a time through the scalar injection
-	// path instead of 64-per-word batches, and noMemo disables feasibility
-	// memoization. Both are test-only knobs: the differential suite flips
-	// them to pin batched == scalar estimates and memoized == direct
-	// verdicts. The batch path consumes the identical PRNG stream as the
-	// scalar path (trial-major, cell-minor — see defects.BernoulliBatch),
-	// so the knobs never change an estimate, only the machinery behind it.
+	// path instead of 64-per-word batches. It is a test-only knob: the
+	// differential suite flips it to pin batched == scalar estimates. The
+	// batch path consumes the identical PRNG stream as the scalar path
+	// (trial-major, cell-minor — see defects.BernoulliBatch), so the knob
+	// never changes an estimate, only the machinery behind it.
 	forceScalar bool
-	noMemo      bool
 }
 
 // NewMonteCarlo returns a simulator with the paper's defaults (10000 runs).
@@ -175,19 +173,6 @@ func (mc *MonteCarlo) chunkSize() int {
 // repair criterion.
 func (mc *MonteCarlo) sessionOptions() reconfig.Options {
 	return reconfig.Options{Scope: mc.Scope, Used: mc.Used}
-}
-
-// enableMemo arms feasibility memoization on a worker's session when the
-// array is small enough and the simulator hasn't opted out, pointing the
-// hit/miss counters at the worker's probe. On large arrays EnableMemo
-// refuses and the session simply solves every query.
-func (mc *MonteCarlo) enableMemo(sess *reconfig.Session, probe *kernelProbe) {
-	if mc.noMemo {
-		return
-	}
-	if sess.EnableMemo(reconfig.DefaultMemoCapacity) {
-		sess.SetMemoCounters(&probe.memoHits, &probe.memoMisses)
-	}
 }
 
 // feasBatchVerdicts scores one injected batch: all-healthy trials (clear
@@ -236,7 +221,7 @@ func (mc *MonteCarlo) YieldContext(ctx context.Context, arr *layout.Array, p flo
 
 // yieldTrials is the factory of the steady-state Bernoulli trial program:
 // inject i.i.d. faults 64 trials per machine word, screen the all-healthy
-// trials with one popcount, and ask the worker's (memoizing) session for a
+// trials with one popcount, and ask the worker's session for a
 // word-parallel feasibility verdict on the rest. Each worker owns its
 // batch and session; after the factory's one-time construction the trial
 // path is allocation-free (pinned by the allocs regression tests). The
@@ -250,7 +235,6 @@ func (mc *MonteCarlo) yieldTrials(arr *layout.Array, p float64) trialFactory {
 		if err != nil {
 			return nil, err
 		}
-		mc.enableMemo(sess, probe)
 		if mc.forceScalar {
 			fs := defects.NewFaultSet(numCells)
 			return perTrial(func(in *defects.Injector) (bool, error) {
@@ -301,8 +285,7 @@ func (mc *MonteCarlo) YieldFixedFaultsContext(ctx context.Context, arr *layout.A
 // fixedFaultsTrials is the factory of the fixed-count trial: exactly m
 // faults per draw (from the injector's cached pool), then a session
 // verdict. The draw has no batched form (partial Fisher–Yates is
-// inherently per-trial), but the session still memoizes: with m small the
-// pattern space is tiny and repeats are the common case.
+// inherently per-trial).
 func (mc *MonteCarlo) fixedFaultsTrials(arr *layout.Array, m int, domain defects.Domain) trialFactory {
 	opts := mc.sessionOptions()
 	return func(probe *kernelProbe) (batchFunc, error) {
@@ -310,7 +293,6 @@ func (mc *MonteCarlo) fixedFaultsTrials(arr *layout.Array, m int, domain defects
 		if err != nil {
 			return nil, err
 		}
-		mc.enableMemo(sess, probe)
 		fs := defects.NewFaultSet(arr.NumCells())
 		return perTrial(func(in *defects.Injector) (bool, error) {
 			next, err := in.FixedCount(arr, m, domain, fs)
@@ -547,7 +529,7 @@ func (mc *MonteCarlo) YieldModelContext(ctx context.Context, arr *layout.Array, 
 
 // clusteredTrials is the factory of the clustered-defect trial program:
 // word-packed center-seeded cluster draws, an all-healthy popcount screen,
-// then memoized session verdicts for the occupied trials.
+// then session verdicts for the occupied trials.
 func (mc *MonteCarlo) clusteredTrials(arr *layout.Array, cp defects.ClusterParams) trialFactory {
 	opts := mc.sessionOptions()
 	numCells := arr.NumCells()
@@ -556,7 +538,6 @@ func (mc *MonteCarlo) clusteredTrials(arr *layout.Array, cp defects.ClusterParam
 		if err != nil {
 			return nil, err
 		}
-		mc.enableMemo(sess, probe)
 		if mc.forceScalar {
 			fs := defects.NewFaultSet(numCells)
 			return perTrial(func(in *defects.Injector) (bool, error) {
