@@ -76,6 +76,12 @@ func (b *TrialBatch) checkCells(numCells int) {
 // trials, screened without ever materializing their fault sets.
 func (b *TrialBatch) Occupied() uint64 { return b.occupied }
 
+// Cols returns the batch's column plane: bit t of Cols()[i] is set iff cell
+// i is faulty in trial t, and bits at or above N are clear. It is valid
+// from injection until the next Reset, needs no Finalize, and callers must
+// treat it as read-only.
+func (b *TrialBatch) Cols() []uint64 { return b.cols }
+
 // AllHealthy returns the number of trials in the batch that drew no fault.
 func (b *TrialBatch) AllHealthy() int { return b.n - bits.OnesCount64(b.occupied) }
 

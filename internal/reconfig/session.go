@@ -25,9 +25,11 @@ import (
 //
 // Feasible then runs entirely in scratch and materializes no Plan, no
 // assignments, and no Hall witness; its verdict is LocalReconfigure's
-// plan.OK by construction. Use LocalReconfigure when the caller needs the
-// plan itself (API responses, the case-study tools); use a Session when
-// only the verdict matters.
+// plan.OK by construction. Screen settles a whole 64-trial batch before
+// the matcher, leaving it only the trials whose faults contend for
+// spares. Use LocalReconfigure when the caller needs the plan itself (API
+// responses, the case-study tools); use a Session when only the verdict
+// matters.
 //
 // A Session is not safe for concurrent use. Workers sharing an array must
 // each own a Session; the array itself is read-only and freely shared.
@@ -42,6 +44,11 @@ type Session struct {
 	// against the fault words yields the trial's targets, scanned in the
 	// same ascending order the primary list would produce.
 	targetMask []uint64
+	// free and seen are Screen's per-batch scratch, carved from
+	// targetMask's allocation: free[slot] is the trial word in which spare
+	// slot is healthy and has at most one faulty primary neighbour, valid
+	// once bit slot of seen is set.
+	free, seen []uint64
 	m          *matching.Matcher
 }
 
@@ -62,7 +69,9 @@ func NewSession(arr *layout.Array, opts Options) (*Session, error) {
 	for slot, id := range arr.Spares() {
 		spareSlot[id] = int32(slot)
 	}
-	targetMask := make([]uint64, (arr.NumCells()+63)/64)
+	nWords, nSpare := (arr.NumCells()+63)/64, arr.NumSpare()
+	words := make([]uint64, nWords+nSpare+(nSpare+63)/64)
+	targetMask := words[:nWords:nWords]
 	for _, id := range arr.Primaries() {
 		if opts.Scope == RepairUsed && !opts.Used[id] {
 			continue
@@ -77,6 +86,8 @@ func NewSession(arr *layout.Array, opts Options) (*Session, error) {
 		arr:        arr,
 		spareSlot:  spareSlot,
 		targetMask: targetMask,
+		free:       words[nWords : nWords+nSpare : nWords+nSpare],
+		seen:       words[nWords+nSpare:],
 		m:          matching.NewMatcher(arr.NumPrimary(), arr.NumSpare(), maxEdges),
 	}, nil
 }
@@ -123,6 +134,60 @@ func (s *Session) FeasibleWords(words []uint64) (bool, error) {
 	return s.solve(words), nil
 }
 
+// Screen judges up to 64 trials at once on a defects.TrialBatch column
+// plane (cols[i] bit t = cell i faulty in trial t), before any transpose.
+// It returns two disjoint trial masks: fail, the trials in which some
+// faulty target has no healthy adjacent spare (infeasible, Hall's
+// condition on that one target), and open, the other trials in which some
+// faulty target has no exclusive healthy spare — a healthy adjacent spare
+// with no other faulty primary neighbour. Only open trials need the
+// matcher: in every other trial that drew a fault each faulty target takes
+// its exclusive spare, no spare is claimed twice, and the trial is
+// feasible. Contention is counted over all of a spare's primary
+// neighbours, in scope or not, which can only leave more trials open.
+//
+// Each spare's exclusive-healthy word is computed at most once per call,
+// when a faulty target first reaches it. Screen allocates nothing. It
+// panics unless len(cols) is the array's cell count.
+func (s *Session) Screen(cols []uint64) (fail, open uint64) {
+	if len(cols) != s.arr.NumCells() {
+		panic("reconfig: screened columns sized for a different array")
+	}
+	for i := range s.seen {
+		s.seen[i] = 0
+	}
+	for w, tm := range s.targetMask {
+		for ; tm != 0; tm &= tm - 1 {
+			c := layout.CellID(w<<6 + bits.TrailingZeros64(tm))
+			f := cols[c]
+			if f == 0 {
+				continue
+			}
+			var healthy, exclusive uint64
+			for _, sp := range s.arr.SpareNeighbors(c) {
+				slot := s.spareSlot[sp]
+				if bit := uint64(1) << (uint(slot) & 63); s.seen[slot>>6]&bit == 0 {
+					s.seen[slot>>6] |= bit
+					// ones/twos: the trials with at least one, and at
+					// least two, faulty primary neighbours of sp.
+					var ones, twos uint64
+					for _, p := range s.arr.PrimaryNeighbors(sp) {
+						x := cols[p]
+						twos |= ones & x
+						ones |= x
+					}
+					s.free[slot] = ^cols[sp] &^ twos
+				}
+				healthy |= ^cols[sp]
+				exclusive |= s.free[slot]
+			}
+			fail |= f &^ healthy
+			open |= f &^ exclusive
+		}
+	}
+	return fail, open &^ fail
+}
+
 // DefaultMemoCapacity was the per-worker entry budget of the removed
 // feasibility memo.
 //
@@ -140,7 +205,8 @@ func (s *Session) EnableMemo(capacity int) bool { return false }
 // GraphSignature returns the matching.Matcher signature of the repair graph
 // left by the most recent build — the differential suite's witness that
 // two feasibility paths built the identical graph. Queries answered without
-// building (all-healthy draws) leave the previous graph in place.
+// building (all-healthy draws, and trials Screen settles) leave the
+// previous graph in place.
 func (s *Session) GraphSignature() uint64 { return s.m.GraphSignature() }
 
 // solve answers the feasibility query for a fault bitset on the matcher.

@@ -462,6 +462,7 @@ func (e *Engine) Stats() StatsResponse {
 
 		KernelTrials:             count("dmfb_kernel_trials_total"),
 		KernelAllHealthy:         count("dmfb_kernel_trials_all_healthy_total"),
+		KernelScreened:           count("dmfb_kernel_trials_screened_total"),
 		KernelMatcherInvocations: count("dmfb_kernel_matcher_invocations_total"),
 		KernelChunks:             e.metrics.kernel.ChunkSeconds.Count(),
 		KernelEarlyStops:         count("dmfb_kernel_early_stops_total"),

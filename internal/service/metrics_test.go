@@ -77,6 +77,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	for _, want := range []string{
 		"dmfb_kernel_trials_total",
 		"dmfb_kernel_trials_all_healthy_total",
+		"dmfb_kernel_trials_screened_total",
 		"dmfb_kernel_matcher_invocations_total",
 		"dmfb_kernel_chunk_duration_seconds",
 		"dmfb_cache_hits_total",
@@ -151,9 +152,12 @@ func TestStatsReportsKernelAndStreamCounters(t *testing.T) {
 	if st.KernelTrials != 400 {
 		t.Errorf("stats kernel_trials = %d, want 400", st.KernelTrials)
 	}
-	if st.KernelAllHealthy+st.KernelMatcherInvocations != st.KernelTrials {
-		t.Errorf("all_healthy %d + matcher %d != trials %d",
-			st.KernelAllHealthy, st.KernelMatcherInvocations, st.KernelTrials)
+	if st.KernelAllHealthy+st.KernelScreened+st.KernelMatcherInvocations != st.KernelTrials {
+		t.Errorf("all_healthy %d + screened %d + matcher %d != trials %d",
+			st.KernelAllHealthy, st.KernelScreened, st.KernelMatcherInvocations, st.KernelTrials)
+	}
+	if st.KernelScreened == 0 {
+		t.Error("stats kernel_screened = 0, want > 0 (p=0.9 and 0.95 draw uncontested faults)")
 	}
 	if st.KernelChunks == 0 {
 		t.Error("stats kernel_chunks = 0, want > 0")

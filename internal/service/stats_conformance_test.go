@@ -37,6 +37,7 @@ var statsFamilies = map[string]string{
 	"points_evaluated":             "dmfb_job_points_evaluated_total",
 	"kernel_trials":                "dmfb_kernel_trials_total",
 	"kernel_all_healthy":           "dmfb_kernel_trials_all_healthy_total",
+	"kernel_screened":              "dmfb_kernel_trials_screened_total",
 	"kernel_matcher_invocations":   "dmfb_kernel_matcher_invocations_total",
 	"kernel_chunks":                "dmfb_kernel_chunk_duration_seconds_count",
 	"kernel_early_stops":           "dmfb_kernel_early_stops_total",

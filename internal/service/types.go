@@ -318,10 +318,11 @@ type StatsResponse struct {
 	PointsEvaluated uint64 `json:"points_evaluated"`
 
 	// Kernel counters aggregate Monte-Carlo work across every endpoint:
-	// total trials, the all-healthy fast-path vs matcher-invocation split,
-	// and the number of executed kernel chunks.
+	// total trials, their split into all-healthy, batch-screened and
+	// matcher-decided trials, and the number of executed kernel chunks.
 	KernelTrials             uint64 `json:"kernel_trials"`
 	KernelAllHealthy         uint64 `json:"kernel_all_healthy"`
+	KernelScreened           uint64 `json:"kernel_screened"`
 	KernelMatcherInvocations uint64 `json:"kernel_matcher_invocations"`
 	KernelChunks             uint64 `json:"kernel_chunks"`
 	// KernelEarlyStops counts precision-targeted estimates that met their

@@ -16,8 +16,12 @@ type KernelMetrics struct {
 	// AllHealthy counts trials whose fault draw came up empty, taking the
 	// all-healthy fast path that skips the matcher.
 	AllHealthy *Counter
-	// MatcherInvocations counts trials that reached a reconfiguration
-	// feasibility decision (matching or column-cascade analysis).
+	// Screened counts faulty trials a word-parallel batch screen settled
+	// (every faulty primary has an exclusive healthy spare, or some faulty
+	// primary has no healthy spare) without a per-trial decision.
+	Screened *Counter
+	// MatcherInvocations counts trials decided one at a time: by the
+	// reconfiguration matcher or by the shifted column-cascade analysis.
 	MatcherInvocations *Counter
 	// ChunkSeconds observes the wall time of each completed kernel chunk;
 	// its Count is the number of chunks executed.
@@ -41,7 +45,8 @@ func NewKernelMetrics(r *Registry) *KernelMetrics {
 	return &KernelMetrics{
 		Trials:             r.Counter("dmfb_kernel_trials_total", "Monte-Carlo trials completed."),
 		AllHealthy:         r.Counter("dmfb_kernel_trials_all_healthy_total", "Trials that drew zero faults and skipped the matcher."),
-		MatcherInvocations: r.Counter("dmfb_kernel_matcher_invocations_total", "Trials that reached a reconfiguration feasibility decision."),
+		Screened:           r.Counter("dmfb_kernel_trials_screened_total", "Faulty trials the batch spare screen settled without the matcher."),
+		MatcherInvocations: r.Counter("dmfb_kernel_matcher_invocations_total", "Trials decided one at a time by the reconfiguration matcher or column-cascade analysis."),
 		ChunkSeconds:       r.Histogram("dmfb_kernel_chunk_duration_seconds", "Wall time of one Monte-Carlo kernel chunk.", nil),
 		EarlyStops:         r.Counter("dmfb_kernel_early_stops_total", "Precision-targeted estimates that met epsilon before the trial budget."),
 		RealizedRuns:       r.Histogram("dmfb_kernel_realized_runs", "Realized trial count of one precision-targeted estimate.", realizedRunsBuckets),

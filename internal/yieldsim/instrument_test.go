@@ -48,32 +48,52 @@ func TestInstrumentationDoesNotPerturbEstimate(t *testing.T) {
 }
 
 // TestKernelMetricsAccounting checks the bookkeeping identities: every trial
-// is counted once, and the all-healthy/matcher split partitions the trials
-// for the Bernoulli path.
+// is counted once, and the all-healthy/screened/matcher split partitions the
+// trials for the Bernoulli path. The scalar path draws the same fault sets
+// one trial at a time, so it screens nothing and sends to the matcher
+// exactly the trials the batch path screened or matched.
 func TestKernelMetricsAccounting(t *testing.T) {
 	arr, err := layout.BuildWithPrimaryTarget(layout.DTMB26(), 60)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := telemetry.NewRegistry()
-	mc := NewMonteCarlo(5)
-	mc.Runs = 2500
-	mc.ChunkSize = 300
-	mc.Metrics = telemetry.NewKernelMetrics(r)
-	if _, err := mc.Yield(arr, 0.9); err != nil {
-		t.Fatal(err)
+	estimate := func(scalar bool) *telemetry.KernelMetrics {
+		t.Helper()
+		mc := NewMonteCarlo(5)
+		mc.Runs = 2500
+		mc.ChunkSize = 300
+		mc.Metrics = telemetry.NewKernelMetrics(telemetry.NewRegistry())
+		mc.forceScalar = scalar
+		if _, err := mc.Yield(arr, 0.9); err != nil {
+			t.Fatal(err)
+		}
+		return mc.Metrics
 	}
-	m := mc.Metrics
+	m := estimate(false)
 	if got := m.Trials.Value(); got != 2500 {
 		t.Errorf("trials counter = %d, want 2500", got)
 	}
-	if sum := m.AllHealthy.Value() + m.MatcherInvocations.Value(); sum != 2500 {
-		t.Errorf("all_healthy %d + matcher %d != 2500 trials",
-			m.AllHealthy.Value(), m.MatcherInvocations.Value())
+	if sum := m.AllHealthy.Value() + m.Screened.Value() + m.MatcherInvocations.Value(); sum != 2500 {
+		t.Errorf("all_healthy %d + screened %d + matcher %d != 2500 trials",
+			m.AllHealthy.Value(), m.Screened.Value(), m.MatcherInvocations.Value())
+	}
+	if m.Screened.Value() == 0 || m.MatcherInvocations.Value() == 0 {
+		t.Errorf("screened %d, matcher %d: want both tiers used at p = 0.9",
+			m.Screened.Value(), m.MatcherInvocations.Value())
 	}
 	wantChunks := uint64((2500 + 299) / 300)
 	if got := m.ChunkSeconds.Count(); got != wantChunks {
 		t.Errorf("chunk histogram count = %d, want %d", got, wantChunks)
+	}
+	s := estimate(true)
+	if s.Screened.Value() != 0 {
+		t.Errorf("scalar path screened %d trials, want 0", s.Screened.Value())
+	}
+	if s.AllHealthy.Value() != m.AllHealthy.Value() ||
+		s.MatcherInvocations.Value() != m.Screened.Value()+m.MatcherInvocations.Value() {
+		t.Errorf("scalar all_healthy %d, matcher %d; batch all_healthy %d, screened+matcher %d",
+			s.AllHealthy.Value(), s.MatcherInvocations.Value(),
+			m.AllHealthy.Value(), m.Screened.Value()+m.MatcherInvocations.Value())
 	}
 }
 

@@ -32,9 +32,10 @@ import (
 // the number that survived. Word-packed implementations pack the block into
 // 64-trial machine words (defects.TrialBatch): injection is trial-major so
 // the PRNG stream matches the per-trial path draw for draw, the all-healthy
-// screen is one popcount per word of trials, and only trials that drew
-// faults reach a feasibility check. Draws with no word-packed form run
-// through perTrial.
+// screen is one popcount per word of trials, the session's Screen settles
+// every trial whose faults do not contend for spares on the column plane,
+// and only the contested rest is transposed and reaches the matcher. Draws
+// with no word-packed form run through perTrial.
 type batchFunc func(in *defects.Injector, runs int) (int, error)
 
 // perTrial adapts a one-trial-per-call body to a batchFunc. Factories call it
@@ -71,7 +72,11 @@ type kernelProbe struct {
 	// allHealthy counts trials whose fault draw came up empty (the fast
 	// path that never consults the matcher or cascade analysis).
 	allHealthy uint64
-	// matcher counts trials that reached a feasibility decision.
+	// screened counts faulty trials a batch Screen settled without a
+	// per-trial decision; per-trial paths leave it at zero.
+	screened uint64
+	// matcher counts trials decided one at a time, by the matcher or by
+	// the shifted column-cascade analysis.
 	matcher uint64
 
 	// metrics and spans are the estimate's sinks, resolved once per
@@ -114,6 +119,7 @@ func (p *kernelProbe) flush(ctx context.Context, chunk, trials, successes int, s
 	if m := p.metrics; m != nil {
 		m.Trials.Add(uint64(trials))
 		m.AllHealthy.Add(p.allHealthy)
+		m.Screened.Add(p.screened)
 		m.MatcherInvocations.Add(p.matcher)
 		m.ChunkSeconds.Observe(elapsed.Seconds())
 	}
@@ -124,11 +130,12 @@ func (p *kernelProbe) flush(ctx context.Context, chunk, trials, successes int, s
 			slog.Int("trials", trials),
 			slog.Int("successes", successes),
 			slog.Uint64("all_healthy", p.allHealthy),
+			slog.Uint64("screened", p.screened),
 			slog.Uint64("matcher", p.matcher),
 			slog.Float64("duration_ms", float64(elapsed.Microseconds())/1000),
 		)
 	}
-	p.allHealthy, p.matcher = 0, 0
+	p.allHealthy, p.screened, p.matcher = 0, 0, 0
 }
 
 // commitLedger is the shared state of one estimate. Workers record each

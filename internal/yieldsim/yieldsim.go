@@ -125,10 +125,10 @@ type MonteCarlo struct {
 	// independent of Workers and GOMAXPROCS. Zero (the default) never stops
 	// early: the estimate runs all Runs trials.
 	Epsilon float64
-	// Metrics, when non-nil, receives kernel observations: trials, the
-	// all-healthy fast-path and matcher-invocation split, and per-chunk
-	// wall time. Workers accumulate in plain per-worker probes and flush
-	// once per chunk, so the steady-state trial path stays allocation- and
+	// Metrics, when non-nil, receives kernel observations: trials, their
+	// all-healthy / screened / matcher split, and per-chunk wall time.
+	// Workers accumulate in plain per-worker probes and flush once per
+	// chunk, so the steady-state trial path stays allocation- and
 	// atomic-free (pinned by the allocs regression tests). nil disables
 	// instrumentation entirely.
 	Metrics *telemetry.KernelMetrics
@@ -175,20 +175,30 @@ func (mc *MonteCarlo) sessionOptions() reconfig.Options {
 	return reconfig.Options{Scope: mc.Scope, Used: mc.Used}
 }
 
-// feasBatchVerdicts scores one injected batch: all-healthy trials (clear
-// bits of the occupied mask) succeed without any feasibility machinery;
-// the rest are transposed into per-trial fault words and judged by the
-// session, word layout to word layout with no FaultSet in between.
+// feasBatchVerdicts scores one injected batch in three tiers. All-healthy
+// trials (clear bits of the occupied mask) succeed without any feasibility
+// machinery. The session's Screen then settles, on the column plane and for
+// all 64 trials at once, every occupied trial in which each faulty target
+// has an exclusive healthy spare (feasible) or some faulty target has no
+// healthy spare at all (infeasible). Only the open rest — trials whose
+// faults contend for spares — are transposed into per-trial fault words and
+// judged by the matcher, word layout to word layout with no FaultSet in
+// between; a batch with nothing open skips the transpose.
 func feasBatchVerdicts(b *defects.TrialBatch, sess *reconfig.Session, probe *kernelProbe, n int) (int, error) {
 	occ := b.Occupied()
 	healthy := n - bits.OnesCount64(occ)
 	probe.allHealthy += uint64(healthy)
-	successes := healthy
 	if occ == 0 {
+		return healthy, nil
+	}
+	fail, open := sess.Screen(b.Cols())
+	probe.screened += uint64(bits.OnesCount64(occ &^ open))
+	successes := healthy + bits.OnesCount64(occ&^open&^fail)
+	if open == 0 {
 		return successes, nil
 	}
 	b.Finalize()
-	for m := occ; m != 0; m &= m - 1 {
+	for m := open; m != 0; m &= m - 1 {
 		t := bits.TrailingZeros64(m)
 		probe.matcher++
 		ok, err := sess.FeasibleWords(b.Row(t))
@@ -221,12 +231,12 @@ func (mc *MonteCarlo) YieldContext(ctx context.Context, arr *layout.Array, p flo
 
 // yieldTrials is the factory of the steady-state Bernoulli trial program:
 // inject i.i.d. faults 64 trials per machine word, screen the all-healthy
-// trials with one popcount, and ask the worker's session for a
-// word-parallel feasibility verdict on the rest. Each worker owns its
-// batch and session; after the factory's one-time construction the trial
-// path is allocation-free (pinned by the allocs regression tests). The
-// scalar program behind forceScalar draws the identical PRNG stream and
-// produces the identical estimate.
+// trials with one popcount, settle the uncontested rest with the session's
+// word-parallel Screen, and run the matcher on the contested trials only.
+// Each worker owns its batch and session; after the factory's one-time
+// construction the trial path is allocation-free (pinned by the allocs
+// regression tests). The scalar program behind forceScalar draws the
+// identical PRNG stream and produces the identical estimate.
 func (mc *MonteCarlo) yieldTrials(arr *layout.Array, p float64) trialFactory {
 	opts := mc.sessionOptions()
 	numCells := arr.NumCells()
@@ -529,7 +539,8 @@ func (mc *MonteCarlo) YieldModelContext(ctx context.Context, arr *layout.Array, 
 
 // clusteredTrials is the factory of the clustered-defect trial program:
 // word-packed center-seeded cluster draws, an all-healthy popcount screen,
-// then session verdicts for the occupied trials.
+// the session's word-parallel Screen, then matcher verdicts for the
+// contested trials.
 func (mc *MonteCarlo) clusteredTrials(arr *layout.Array, cp defects.ClusterParams) trialFactory {
 	opts := mc.sessionOptions()
 	numCells := arr.NumCells()
