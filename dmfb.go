@@ -12,7 +12,7 @@
 //
 // The facade re-exports the main entry points; the full machinery lives in
 // the internal packages (layout, defects, matching, reconfig, yieldsim,
-// chip, fluidics, bioassay, ...; see DESIGN.md):
+// chip, sweep, service, ...; see DESIGN.md):
 //
 //	chip, _ := dmfb.New(dmfb.DTMB26(), 100) // 100 primaries + interstitial spares
 //	chip.InjectBernoulli(1, 0.95)           // manufacturing defects (p = cell survival)

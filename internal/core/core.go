@@ -10,12 +10,11 @@
 //	plan, _ := chip.Reconfigure()                 // test & repair: local reconfiguration
 //	if plan.OK { /* chip shippable */ }
 //
-// Faults come from one of three injection models (InjectBernoulli,
-// InjectFixed, InjectClustered) or from a test session's diagnosis
-// (SetFaulty). The design-space entry points, AnalyzeYield and
-// RecommendDesign, reproduce the decision procedure of paper §6: high
-// redundancy for low cell survival probability, low redundancy when cells
-// rarely fail.
+// Faults come from one of two injection models (InjectBernoulli,
+// InjectFixed) or are marked directly (SetFaulty). The design-space entry
+// points, AnalyzeYield and RecommendDesign, reproduce the decision procedure
+// of paper §6: high redundancy for low cell survival probability, low
+// redundancy when cells rarely fail.
 package core
 
 import (
@@ -139,22 +138,8 @@ func (b *Biochip) InjectFixed(seed int64, m int, domain defects.Domain) error {
 	return nil
 }
 
-// InjectClustered seeds spatially correlated defect clusters (center-seeded,
-// geometric radius decay) with the given expected defect count and cluster
-// size, returning the number of clusters that struck the array.
-func (b *Biochip) InjectClustered(seed int64, params defects.ClusterParams) (int, error) {
-	in := defects.NewInjector(seed)
-	fs, clusters, err := in.Clustered(b.arr, params, b.faults)
-	if err != nil {
-		return 0, err
-	}
-	b.faults = fs
-	b.resetPlan()
-	return clusters, nil
-}
-
-// SetFaulty marks specific cells faulty (e.g. from a test session's
-// diagnosis instead of simulation).
+// SetFaulty marks specific cells faulty, e.g. fault locations reported by
+// testing, instead of simulating them.
 func (b *Biochip) SetFaulty(ids ...layout.CellID) error {
 	for _, id := range ids {
 		if id < 0 || int(id) >= b.arr.NumCells() {

@@ -7,6 +7,7 @@ import (
 
 	"dmfb/internal/defects"
 	"dmfb/internal/layout"
+	"dmfb/internal/yieldsim"
 )
 
 func newChip(t testing.TB, d layout.Design, n int) *Biochip {
@@ -196,5 +197,38 @@ func TestRecommendDesignExtremes(t *testing.T) {
 	if low.Best.RR() <= high.Best.RR() {
 		t.Errorf("low-p best %s (RR %.2f) should be more redundant than high-p best %s (RR %.2f)",
 			low.Best.Name, low.Best.RR(), high.Best.Name, high.Best.RR())
+	}
+}
+
+// TestYieldConsistencyAcrossEntryPoints cross-checks the three routes to a
+// yield number: direct Monte-Carlo, the core Biochip analysis, and (for
+// DTMB(1,6) cluster-complete arrays) the closed form.
+func TestYieldConsistencyAcrossEntryPoints(t *testing.T) {
+	arr, err := layout.BuildClusterCompleteDTMB16(15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		p    = 0.98
+		runs = 6000
+		seed = 5
+	)
+	mc := yieldsim.NewMonteCarlo(seed)
+	mc.Runs = runs
+	res, err := mc.Yield(arr, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	an, err := FromArray(arr).AnalyzeYield(p, runs, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if an.Successes != res.Successes || an.Runs != res.Runs || an.CILo != res.CILo || an.CIHi != res.CIHi {
+		t.Errorf("Biochip analysis %d/%d [%v, %v] differs from direct Monte-Carlo %d/%d [%v, %v]",
+			an.Successes, an.Runs, an.CILo, an.CIHi, res.Successes, res.Runs, res.CILo, res.CIHi)
+	}
+	analytic := yieldsim.ClusterYieldDTMB16(p, arr.NumPrimary())
+	if analytic < res.CILo-0.02 || analytic > res.CIHi+0.02 {
+		t.Errorf("analytic %v outside MC interval [%v, %v]", analytic, res.CILo, res.CIHi)
 	}
 }

@@ -63,3 +63,13 @@ func TestGoldenFigure10(t *testing.T) {
 	}
 	checkGolden(t, "figure10.golden", tb.String())
 }
+
+// TestGoldenFigure13 locks the case-study table of the paper's Fig. 13: the
+// redesigned chip's yield under exactly m faults, for every default policy.
+func TestGoldenFigure13(t *testing.T) {
+	_, tb, err := Figure13(goldenCfg(), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "figure13.golden", tb.String())
+}

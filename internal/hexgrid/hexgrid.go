@@ -3,8 +3,7 @@
 //
 // Cells are addressed with axial coordinates (Q, R). The six neighbors of a
 // cell are obtained by adding the six direction vectors in Directions. The
-// package also supports cube coordinates (for distance and rotation math) and
-// odd-r offset coordinates (for rectangular chip footprints), plus region
+// package also provides hex distance, rings and spirals, and the region
 // builders used by the layout package to instantiate DTMB arrays.
 package hexgrid
 
@@ -50,20 +49,6 @@ func (a Axial) Neighbors() [6]Axial {
 	return n
 }
 
-// Cube is a cell address in cube coordinates (X+Y+Z == 0).
-type Cube struct {
-	X, Y, Z int
-}
-
-// ToCube converts axial to cube coordinates.
-func (a Axial) ToCube() Cube { return Cube{a.Q, -a.Q - a.R, a.R} }
-
-// ToAxial converts cube to axial coordinates.
-func (c Cube) ToAxial() Axial { return Axial{c.X, c.Z} }
-
-// Valid reports whether the cube coordinate satisfies X+Y+Z == 0.
-func (c Cube) Valid() bool { return c.X+c.Y+c.Z == 0 }
-
 // abs returns the absolute value of x.
 func abs(x int) int {
 	if x < 0 {
@@ -80,91 +65,6 @@ func (a Axial) Norm() int {
 
 // Distance returns the hex (droplet-move) distance between a and b.
 func (a Axial) Distance(b Axial) int { return a.Sub(b).Norm() }
-
-// RotateCW rotates the coordinate 60 degrees clockwise about the origin.
-func (a Axial) RotateCW() Axial {
-	c := a.ToCube()
-	return Cube{-c.Z, -c.X, -c.Y}.ToAxial()
-}
-
-// RotateCCW rotates the coordinate 60 degrees counterclockwise about the
-// origin.
-func (a Axial) RotateCCW() Axial {
-	c := a.ToCube()
-	return Cube{-c.Y, -c.Z, -c.X}.ToAxial()
-}
-
-// OffsetCoord is an odd-r offset coordinate: Row indexes lattice rows and Col
-// indexes cells within a row, with odd rows shifted right by half a cell.
-// Offset coordinates describe rectangular chip footprints naturally.
-type OffsetCoord struct {
-	Col, Row int
-}
-
-// ToAxial converts an odd-r offset coordinate to axial.
-func (o OffsetCoord) ToAxial() Axial {
-	q := o.Col - (o.Row-(o.Row&1))/2
-	return Axial{q, o.Row}
-}
-
-// ToOffset converts an axial coordinate to odd-r offset.
-func (a Axial) ToOffset() OffsetCoord {
-	col := a.Q + (a.R-(a.R&1))/2
-	return OffsetCoord{col, a.R}
-}
-
-// Lerp linearly interpolates between cell centers a and b at parameter t and
-// rounds to the nearest cell. Used by Line.
-func lerpRound(a, b Cube, t float64) Cube {
-	fx := float64(a.X) + (float64(b.X)-float64(a.X))*t
-	fy := float64(a.Y) + (float64(b.Y)-float64(a.Y))*t
-	fz := float64(a.Z) + (float64(b.Z)-float64(a.Z))*t
-	return cubeRound(fx, fy, fz)
-}
-
-// cubeRound rounds fractional cube coordinates to the nearest valid cell.
-func cubeRound(fx, fy, fz float64) Cube {
-	rx, ry, rz := round(fx), round(fy), round(fz)
-	dx, dy, dz := absF(float64(rx)-fx), absF(float64(ry)-fy), absF(float64(rz)-fz)
-	switch {
-	case dx > dy && dx > dz:
-		rx = -ry - rz
-	case dy > dz:
-		ry = -rx - rz
-	default:
-		rz = -rx - ry
-	}
-	return Cube{rx, ry, rz}
-}
-
-func round(f float64) int {
-	if f >= 0 {
-		return int(f + 0.5)
-	}
-	return -int(-f + 0.5)
-}
-
-func absF(f float64) float64 {
-	if f < 0 {
-		return -f
-	}
-	return f
-}
-
-// Line returns the cells on a straight line from a to b inclusive, a useful
-// first approximation of a droplet transport path on a defect-free array.
-func Line(a, b Axial) []Axial {
-	n := a.Distance(b)
-	if n == 0 {
-		return []Axial{a}
-	}
-	ca, cb := a.ToCube(), b.ToCube()
-	out := make([]Axial, 0, n+1)
-	for i := 0; i <= n; i++ {
-		out = append(out, lerpRound(ca, cb, float64(i)/float64(n)).ToAxial())
-	}
-	return out
-}
 
 // Ring returns the cells at exactly the given hex distance from center, in
 // walk order. Ring(c, 0) returns just the center. The ring at radius r > 0
@@ -297,26 +197,6 @@ func (r *Region) Boundary() []Axial {
 	return out
 }
 
-// Interior returns the cells of the region all of whose neighbors are also in
-// the region, in deterministic order.
-func (r *Region) Interior() []Axial {
-	var out []Axial
-	for c := range r.cells {
-		inside := true
-		for _, n := range c.Neighbors() {
-			if !r.Contains(n) {
-				inside = false
-				break
-			}
-		}
-		if inside {
-			out = append(out, c)
-		}
-	}
-	SortAxial(out)
-	return out
-}
-
 // Connected reports whether the region is connected under 6-adjacency. An
 // empty region is considered connected. Droplets cannot jump between
 // disconnected components, so chip footprints must be connected.
@@ -378,18 +258,6 @@ func Hexagon(radius int) *Region {
 	r := NewRegion()
 	for _, c := range Spiral(Axial{}, radius) {
 		r.Add(c)
-	}
-	return r
-}
-
-// OffsetRectangle returns a rectangular (odd-r offset) region with cols in
-// [0,w) and rows in [0,h), matching a physically rectangular chip outline.
-func OffsetRectangle(w, h int) *Region {
-	r := NewRegion()
-	for row := 0; row < h; row++ {
-		for col := 0; col < w; col++ {
-			r.Add(OffsetCoord{col, row}.ToAxial())
-		}
 	}
 	return r
 }

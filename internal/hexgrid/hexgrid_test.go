@@ -107,52 +107,6 @@ func TestNeighborsAtDistanceOne(t *testing.T) {
 	}
 }
 
-func TestCubeAxialRoundTrip(t *testing.T) {
-	f := func(a Axial) bool {
-		c := a.ToCube()
-		return c.Valid() && c.ToAxial() == a
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestOffsetAxialRoundTrip(t *testing.T) {
-	f := func(a Axial) bool { return a.ToOffset().ToAxial() == a }
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-	g := func(col, row int16) bool {
-		o := OffsetCoord{int(col), int(row)}
-		return o.ToAxial().ToOffset() == o
-	}
-	if err := quick.Check(g, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestRotationPreservesNormAndHasOrderSix(t *testing.T) {
-	f := func(a Axial) bool {
-		cw := a.RotateCW()
-		if cw.Norm() != a.Norm() {
-			return false
-		}
-		// Six clockwise rotations return to the start.
-		x := a
-		for i := 0; i < 6; i++ {
-			x = x.RotateCW()
-		}
-		if x != a {
-			return false
-		}
-		// CCW inverts CW.
-		return cw.RotateCCW() == a
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestRingSizeAndDistance(t *testing.T) {
 	center := Axial{2, -5}
 	for radius := 0; radius <= 6; radius++ {
@@ -198,36 +152,6 @@ func TestSpiralSizeAndCoverage(t *testing.T) {
 			}
 			seen[c] = true
 		}
-	}
-}
-
-func TestLineEndpointsAndStepSize(t *testing.T) {
-	f := func(a, b Axial) bool {
-		line := Line(a, b)
-		if len(line) != a.Distance(b)+1 {
-			return false
-		}
-		if line[0] != a || line[len(line)-1] != b {
-			return false
-		}
-		for i := 1; i < len(line); i++ {
-			if line[i-1].Distance(line[i]) != 1 {
-				return false
-			}
-		}
-		return true
-	}
-	cfg := &quick.Config{MaxCount: 200}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestLineDegenerate(t *testing.T) {
-	a := Axial{7, -7}
-	line := Line(a, a)
-	if len(line) != 1 || line[0] != a {
-		t.Errorf("Line(a,a) = %v, want [a]", line)
 	}
 }
 
@@ -291,24 +215,15 @@ func TestRegionBounds(t *testing.T) {
 	}
 }
 
-func TestBoundaryAndInteriorPartitionHexagon(t *testing.T) {
-	r := Hexagon(3)
-	boundary := r.Boundary()
-	interior := r.Interior()
-	if len(boundary)+len(interior) != r.Len() {
-		t.Fatalf("boundary %d + interior %d != total %d", len(boundary), len(interior), r.Len())
-	}
-	// For Hexagon(3) the boundary is exactly the radius-3 ring (18 cells) and
-	// the interior is Hexagon(2) (19 cells).
+func TestBoundaryOfHexagonIsOuterRing(t *testing.T) {
+	// For Hexagon(3) the boundary is exactly the radius-3 ring (18 cells).
+	boundary := Hexagon(3).Boundary()
 	if len(boundary) != 18 {
 		t.Errorf("boundary size %d, want 18", len(boundary))
 	}
-	if len(interior) != 19 {
-		t.Errorf("interior size %d, want 19", len(interior))
-	}
-	for _, c := range interior {
-		if c.Norm() > 2 {
-			t.Errorf("interior cell %v has norm %d > 2", c, c.Norm())
+	for _, c := range boundary {
+		if c.Norm() != 3 {
+			t.Errorf("boundary cell %v has norm %d, want 3", c, c.Norm())
 		}
 	}
 }
@@ -324,7 +239,8 @@ func TestConnected(t *testing.T) {
 	if split.Connected() {
 		t.Error("two distant cells should not be connected")
 	}
-	line := NewRegion(Line(Axial{0, 0}, Axial{6, -3})...)
+	line := NewRegion(Axial{0, 0}, Axial{1, 0}, Axial{2, -1}, Axial{3, -1},
+		Axial{4, -2}, Axial{5, -2}, Axial{6, -3})
 	if !line.Connected() {
 		t.Error("line region should be connected")
 	}
@@ -353,23 +269,6 @@ func TestHexagonSize(t *testing.T) {
 		want := 1 + 3*radius*(radius+1)
 		if got := Hexagon(radius).Len(); got != want {
 			t.Errorf("Hexagon(%d).Len() = %d, want %d", radius, got, want)
-		}
-	}
-}
-
-func TestOffsetRectangleShapeAndConnectivity(t *testing.T) {
-	r := OffsetRectangle(5, 4)
-	if r.Len() != 20 {
-		t.Fatalf("OffsetRectangle(5,4) has %d cells, want 20", r.Len())
-	}
-	if !r.Connected() {
-		t.Error("offset rectangle should be connected")
-	}
-	// Every cell must map back into the rectangle in offset space.
-	for _, c := range r.Cells() {
-		o := c.ToOffset()
-		if o.Col < 0 || o.Col >= 5 || o.Row < 0 || o.Row >= 4 {
-			t.Errorf("cell %v -> offset %v outside rectangle", c, o)
 		}
 	}
 }

@@ -40,19 +40,6 @@ func (c Coord) Neighbors4() [4]Coord {
 	return out
 }
 
-// Manhattan returns the L1 distance between two cells, the minimum number of
-// droplet moves on a defect-free square array.
-func (c Coord) Manhattan(d Coord) int {
-	return absInt(c.X-d.X) + absInt(c.Y-d.Y)
-}
-
-func absInt(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
 // Grid is a W×H array of square electrodes.
 type Grid struct {
 	W, H int
@@ -96,9 +83,6 @@ func (m Module) Cells() []Coord {
 	return out
 }
 
-// Area returns the number of cells the module occupies.
-func (m Module) Area() int { return m.W * m.H }
-
 // Contains reports whether the module covers c.
 func (m Module) Contains(c Coord) bool {
 	return c.X >= m.X && c.X < m.X+m.W && c.Y >= m.Y && c.Y < m.Y+m.H
@@ -107,13 +91,6 @@ func (m Module) Contains(c Coord) bool {
 // Overlaps reports whether two modules share any cell.
 func (m Module) Overlaps(o Module) bool {
 	return m.X < o.X+o.W && o.X < m.X+m.W && m.Y < o.Y+o.H && o.Y < m.Y+m.H
-}
-
-// Translate returns the module moved by (dx, dy).
-func (m Module) Translate(dx, dy int) Module {
-	m.X += dx
-	m.Y += dy
-	return m
 }
 
 // Placement is a set of modules on a grid, optionally with reserved spare
