@@ -35,15 +35,19 @@ func screenArrays(t testing.TB, n int) []*layout.Array {
 // batches, and both repair scopes (RepairUsed with a random half of the
 // primaries in use). Every trial Screen fails must be infeasible, every
 // occupied trial it neither fails nor leaves open must be feasible, and the
-// two masks must be disjoint and inside the occupied mask. Across the grid
-// the screen must settle trials both ways, so a screen that leaves every
-// trial open cannot pass.
+// two masks must be disjoint and inside the occupied mask. Every DTMB(1,6)
+// batch must come back with nothing open: each of its primaries has at most
+// one spare, so the target rule decides every trial. Across the grid the
+// screen must settle trials both ways, so a screen that leaves every trial
+// open cannot pass, and at p >= 0.95 it may leave at most 2% of occupied
+// trials open (it leaves about 0.5%; without the peeling rounds' spare
+// rule, about 9%).
 func TestDifferentialScreenMatchesSolve(t *testing.T) {
 	batches := 8
 	if testing.Short() {
 		batches = 2
 	}
-	var settledOK, settledFail int
+	var settledOK, settledFail, occHigh, openHigh int
 	rng := rand.New(rand.NewSource(11))
 	for _, n := range []int{7, 100, 240} {
 		for _, arr := range screenArrays(t, n) {
@@ -77,6 +81,10 @@ func TestDifferentialScreenMatchesSolve(t *testing.T) {
 								t.Fatalf("%s batch %d: fail %#x, open %#x, occupied %#x: masks overlap or leave the occupied trials",
 									name, k, fail, open, occ)
 							}
+							if arr.Design().Name == layout.DTMB16().Name && open != 0 {
+								t.Fatalf("%s batch %d: open %#x, want every DTMB(1,6) trial decided",
+									name, k, open)
+							}
 							tb.Finalize()
 							for m := occ &^ open; m != 0; m &= m - 1 {
 								tr := bits.TrailingZeros64(m)
@@ -89,6 +97,10 @@ func TestDifferentialScreenMatchesSolve(t *testing.T) {
 										name, k, tr, wantFail, ok)
 								}
 							}
+							if p >= 0.95 {
+								occHigh += bits.OnesCount64(occ)
+								openHigh += bits.OnesCount64(open)
+							}
 							settledFail += bits.OnesCount64(fail)
 							settledOK += bits.OnesCount64(occ &^ open &^ fail)
 						}
@@ -100,6 +112,10 @@ func TestDifferentialScreenMatchesSolve(t *testing.T) {
 	if settledOK == 0 || settledFail == 0 {
 		t.Fatalf("screen settled %d feasible and %d infeasible trials over the grid, want both > 0",
 			settledOK, settledFail)
+	}
+	if openHigh*50 > occHigh {
+		t.Fatalf("at p >= 0.95 the screen left %d of %d occupied trials open, want at most 2%%",
+			openHigh, occHigh)
 	}
 }
 
@@ -150,34 +166,67 @@ func TestSessionScreenRejectsMismatchedColumns(t *testing.T) {
 // screenSink keeps BenchmarkSessionScreen's results live.
 var screenSink uint64
 
-// BenchmarkSessionScreen times one Screen over a 64-trial Bernoulli batch
-// on the hexagonal n = 240 array, cycling through 16 pre-injected batches.
-// Run it with -cpu 1.
+// BenchmarkSessionScreen times one Screen over a 64-trial batch on the
+// hexagonal n = 240 array, cycling through 16 pre-injected batches:
+// Bernoulli at two survival probabilities, and clustered (size 4) at
+// p = 0.95, where the screen leaves the most trials to peel. open/op is
+// the mean number of trials per batch left to the matcher. Run it with
+// -cpu 1.
 func BenchmarkSessionScreen(b *testing.B) {
 	for _, d := range []layout.Design{layout.DTMB26(), layout.DTMB44()} {
 		arr, err := layout.BuildHexagonWithPrimaryTarget(d, 240)
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, p := range []float64{0.95, 0.999} {
-			b.Run(fmt.Sprintf("%s/p=%v", d.Name, p), func(b *testing.B) {
+		for _, c := range []struct {
+			name      string
+			p         float64
+			clustered bool
+		}{{"p=0.95", 0.95, false}, {"p=0.999", 0.999, false}, {"clustered/p=0.95", 0.95, true}} {
+			b.Run(d.Name+"/"+c.name, func(b *testing.B) {
 				sess, err := NewSession(arr, Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
 				in := defects.NewInjector(7)
+				cp := defects.Model{Clustered: true, ClusterSize: 4}.Params(c.p, arr.NumCells())
 				ring := make([]*defects.TrialBatch, 16)
 				for i := range ring {
 					ring[i] = defects.NewTrialBatch(arr.NumCells())
-					in.BernoulliBatch(arr.NumCells(), p, defects.WordTrials, ring[i])
+					if !c.clustered {
+						in.BernoulliBatch(arr.NumCells(), c.p, defects.WordTrials, ring[i])
+					} else if _, err := in.ClusteredBatch(arr, cp, defects.WordTrials, ring[i]); err != nil {
+						b.Fatal(err)
+					}
 				}
+				open := 0
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					fail, open := sess.Screen(ring[i%len(ring)].Cols())
-					screenSink += fail | open
+					f, o := sess.Screen(ring[i%len(ring)].Cols())
+					screenSink += f | o
+					open += bits.OnesCount64(o)
 				}
+				b.ReportMetric(float64(open)/float64(b.N), "open/op")
 			})
+		}
+	}
+}
+
+// TestNewSessionAllocs pins NewSession's allocation budget on every
+// canonical design and both footprints. Screen's scratch — its live words
+// and its worklist — is carved from allocations the session already makes.
+func TestNewSessionAllocs(t *testing.T) {
+	const want = 6
+	for _, arr := range screenArrays(t, 100) {
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := NewSession(arr, Options{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != want {
+			t.Errorf("%s on %d cells: NewSession allocates %.0f times, want %d",
+				arr.Design().Name, arr.NumCells(), allocs, want)
 		}
 	}
 }

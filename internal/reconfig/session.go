@@ -26,10 +26,10 @@ import (
 // Feasible then runs entirely in scratch and materializes no Plan, no
 // assignments, and no Hall witness; its verdict is LocalReconfigure's
 // plan.OK by construction. Screen settles a whole 64-trial batch before
-// the matcher, leaving it only the trials whose faults contend for
-// spares. Use LocalReconfigure when the caller needs the plan itself (API
-// responses, the case-study tools); use a Session when only the verdict
-// matters.
+// the matcher by exact degree-1 peeling (Karp–Sipser), leaving it only
+// the core its rules cannot decide — about 1% of faulty trials. Use
+// LocalReconfigure when the caller needs the plan itself (API responses,
+// the case-study tools); use a Session when only the verdict matters.
 //
 // A Session is not safe for concurrent use. Workers sharing an array must
 // each own a Session; the array itself is read-only and freely shared.
@@ -44,12 +44,17 @@ type Session struct {
 	// against the fault words yields the trial's targets, scanned in the
 	// same ascending order the primary list would produce.
 	targetMask []uint64
-	// free and seen are Screen's per-batch scratch, carved from
-	// targetMask's allocation: free[slot] is the trial word in which spare
-	// slot is healthy and has at most one faulty primary neighbour, valid
-	// once bit slot of seen is set.
-	free, seen []uint64
-	m          *matching.Matcher
+	// free, seen, liveS and liveT are Screen's per-batch scratch, carved
+	// from targetMask's allocation. free[slot] is the trial word in which
+	// spare slot is healthy and has at most one faulty primary neighbour,
+	// and liveS[slot] starts as the word in which it is healthy; both are
+	// valid once bit slot of seen is set. liveT[id] is the word in which
+	// target id is faulty and still unmatched, all-zero between calls.
+	free, seen, liveS, liveT []uint64
+	// work is Screen's worklist of targets with live lanes, carved from
+	// spareSlot's allocation with room for every primary.
+	work []int32
+	m    *matching.Matcher
 }
 
 // NewSession builds a reusable reconfiguration session for the array under
@@ -62,16 +67,18 @@ func NewSession(arr *layout.Array, opts Options) (*Session, error) {
 		return nil, fmt.Errorf("reconfig: RepairUsed requires Used mask of %d cells, got %d",
 			arr.NumCells(), len(opts.Used))
 	}
-	spareSlot := make([]int32, arr.NumCells())
+	nCells, nSpare := arr.NumCells(), arr.NumSpare()
+	slots := make([]int32, nCells+arr.NumPrimary())
+	spareSlot := slots[:nCells:nCells]
 	for i := range spareSlot {
 		spareSlot[i] = -1
 	}
 	for slot, id := range arr.Spares() {
 		spareSlot[id] = int32(slot)
 	}
-	nWords, nSpare := (arr.NumCells()+63)/64, arr.NumSpare()
-	words := make([]uint64, nWords+nSpare+(nSpare+63)/64)
-	targetMask := words[:nWords:nWords]
+	nWords := (nCells + 63) / 64
+	words := make([]uint64, nWords+nCells+2*nSpare+(nSpare+63)/64)
+	targetMask := carve(&words, nWords)
 	for _, id := range arr.Primaries() {
 		if opts.Scope == RepairUsed && !opts.Used[id] {
 			continue
@@ -82,14 +89,26 @@ func NewSession(arr *layout.Array, opts Options) (*Session, error) {
 	for _, id := range arr.Primaries() {
 		maxEdges += len(arr.SpareNeighbors(id))
 	}
+	liveT, free, liveS := carve(&words, nCells), carve(&words, nSpare), carve(&words, nSpare)
 	return &Session{
 		arr:        arr,
 		spareSlot:  spareSlot,
 		targetMask: targetMask,
-		free:       words[nWords : nWords+nSpare : nWords+nSpare],
-		seen:       words[nWords+nSpare:],
+		free:       free,
+		seen:       words,
+		liveS:      liveS,
+		liveT:      liveT,
+		work:       slots[nCells:nCells],
 		m:          matching.NewMatcher(arr.NumPrimary(), arr.NumSpare(), maxEdges),
 	}, nil
+}
+
+// carve cuts the next n words off *words, capacity-limited so appends
+// cannot spill into the rest.
+func carve(words *[]uint64, n int) []uint64 {
+	w := (*words)[:n:n]
+	*words = (*words)[n:]
+	return w
 }
 
 // Array returns the array the session is bound to.
@@ -136,19 +155,28 @@ func (s *Session) FeasibleWords(words []uint64) (bool, error) {
 
 // Screen judges up to 64 trials at once on a defects.TrialBatch column
 // plane (cols[i] bit t = cell i faulty in trial t), before any transpose.
-// It returns two disjoint trial masks: fail, the trials in which some
-// faulty target has no healthy adjacent spare (infeasible, Hall's
-// condition on that one target), and open, the other trials in which some
-// faulty target has no exclusive healthy spare — a healthy adjacent spare
-// with no other faulty primary neighbour. Only open trials need the
-// matcher: in every other trial that drew a fault each faulty target takes
-// its exclusive spare, no spare is claimed twice, and the trial is
-// feasible. Contention is counted over all of a spare's primary
-// neighbours, in scope or not, which can only leave more trials open.
+// It returns two disjoint trial masks: fail, the trials that are
+// infeasible, and open, the core — the other trials the degree-1 rules
+// below leave undecided. Only open trials need the matcher; every other
+// trial that drew a fault is feasible.
 //
-// Each spare's exclusive-healthy word is computed at most once per call,
-// when a faulty target first reaches it. Screen allocates nothing. It
-// panics unless len(cols) is the array's cell count.
+// Every trial (lane) is peeled by Karp and Sipser's degree-1 rules on its
+// repair graph, all 64 lanes at once in per-cell live words. The first
+// round matches each faulty target to an exclusive healthy spare — a
+// healthy adjacent spare with no other faulty primary neighbour, counted
+// over all primaries, in scope or not — and fails a trial in which some
+// faulty target has no healthy spare at all. If that leaves nothing open,
+// Screen returns. Otherwise the targets left without an exclusive spare
+// go on a worklist, and rounds over it apply three rules until no live
+// word changes: a live target with no live spare fails its trial, a live
+// target with exactly one live spare takes it, and a live spare with
+// exactly one live target takes it. Each claim removes a pair that some
+// maximum matching contains, so the rest of the trial is feasible iff the
+// trial was, and every verdict is exact.
+//
+// Each spare's words are computed at most once per call, when a faulty
+// target first reaches it. Screen allocates nothing. It panics unless
+// len(cols) is the array's cell count.
 func (s *Session) Screen(cols []uint64) (fail, open uint64) {
 	if len(cols) != s.arr.NumCells() {
 		panic("reconfig: screened columns sized for a different array")
@@ -156,6 +184,7 @@ func (s *Session) Screen(cols []uint64) (fail, open uint64) {
 	for i := range s.seen {
 		s.seen[i] = 0
 	}
+	work := s.work[:0]
 	for w, tm := range s.targetMask {
 		for ; tm != 0; tm &= tm - 1 {
 			c := layout.CellID(w<<6 + bits.TrailingZeros64(tm))
@@ -177,15 +206,89 @@ func (s *Session) Screen(cols []uint64) (fail, open uint64) {
 						ones |= x
 					}
 					s.free[slot] = ^cols[sp] &^ twos
+					s.liveS[slot] = ^cols[sp]
 				}
 				healthy |= ^cols[sp]
 				exclusive |= s.free[slot]
 			}
 			fail |= f &^ healthy
-			open |= f &^ exclusive
+			if live := f &^ exclusive; live != 0 {
+				s.liveT[c] = live
+				open |= live
+				work = append(work, int32(c))
+			}
 		}
 	}
+	if open&^fail != 0 {
+		fail, open = s.peel(work, fail)
+	}
+	for _, c := range work {
+		s.liveT[c] = 0
+	}
 	return fail, open &^ fail
+}
+
+// peel runs Screen's degree-1 rounds over the worklist targets and
+// returns fail grown by the trials a target rule failed, and the core:
+// the trials in which some target is still live. Targets whose live word
+// empties drop off the worklist, which is compacted in place.
+func (s *Session) peel(work []int32, fail uint64) (uint64, uint64) {
+	for changed := true; changed; {
+		changed = false
+		k := 0
+		for _, c := range work {
+			id := layout.CellID(c)
+			live := s.liveT[id] &^ fail
+			spares := s.arr.SpareNeighbors(id)
+			// Target rule: no live spare fails the lane; exactly one is
+			// taken, and it is the only spare whose word has that lane.
+			var ones, twos uint64
+			for _, sp := range spares {
+				ls := s.liveS[s.spareSlot[sp]]
+				twos |= ones & ls
+				ones |= ls
+			}
+			fail |= live &^ ones
+			if one := live & ones &^ twos; one != 0 {
+				for _, sp := range spares {
+					s.liveS[s.spareSlot[sp]] &^= one
+				}
+			}
+			// Spare rule, on the lanes with two or more live spares: a
+			// live spare whose only live target is c.
+			live &= twos
+			for _, sp := range spares {
+				if live == 0 {
+					break
+				}
+				var others uint64
+				for _, p := range s.arr.PrimaryNeighbors(sp) {
+					if p != id {
+						others |= s.liveT[p]
+					}
+				}
+				slot := s.spareSlot[sp]
+				if take := s.liveS[slot] & live &^ others; take != 0 {
+					s.liveS[slot] &^= take
+					live &^= take
+				}
+			}
+			if live != s.liveT[id] {
+				changed = true
+			}
+			s.liveT[id] = live
+			if live != 0 {
+				work[k] = c
+				k++
+			}
+		}
+		work = work[:k]
+	}
+	var open uint64
+	for _, c := range work {
+		open |= s.liveT[c]
+	}
+	return fail, open
 }
 
 // DefaultMemoCapacity was the per-worker entry budget of the removed

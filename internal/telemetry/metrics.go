@@ -17,8 +17,8 @@ type KernelMetrics struct {
 	// all-healthy fast path that skips the matcher.
 	AllHealthy *Counter
 	// Screened counts faulty trials a word-parallel batch screen settled
-	// (every faulty primary has an exclusive healthy spare, or some faulty
-	// primary has no healthy spare) without a per-trial decision.
+	// without a per-trial decision: by exclusive spares, or by the exact
+	// degree-1 peeling rounds that follow them.
 	Screened *Counter
 	// MatcherInvocations counts trials decided one at a time: by the
 	// reconfiguration matcher or by the shifted column-cascade analysis.
@@ -45,7 +45,7 @@ func NewKernelMetrics(r *Registry) *KernelMetrics {
 	return &KernelMetrics{
 		Trials:             r.Counter("dmfb_kernel_trials_total", "Monte-Carlo trials completed."),
 		AllHealthy:         r.Counter("dmfb_kernel_trials_all_healthy_total", "Trials that drew zero faults and skipped the matcher."),
-		Screened:           r.Counter("dmfb_kernel_trials_screened_total", "Faulty trials the batch spare screen settled without the matcher."),
+		Screened:           r.Counter("dmfb_kernel_trials_screened_total", "Faulty trials the batch screen settled without the matcher, by exclusive spares or degree-1 peeling."),
 		MatcherInvocations: r.Counter("dmfb_kernel_matcher_invocations_total", "Trials decided one at a time by the reconfiguration matcher or column-cascade analysis."),
 		ChunkSeconds:       r.Histogram("dmfb_kernel_chunk_duration_seconds", "Wall time of one Monte-Carlo kernel chunk.", nil),
 		EarlyStops:         r.Counter("dmfb_kernel_early_stops_total", "Precision-targeted estimates that met epsilon before the trial budget."),

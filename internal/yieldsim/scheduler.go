@@ -33,8 +33,8 @@ import (
 // 64-trial machine words (defects.TrialBatch): injection is trial-major so
 // the PRNG stream matches the per-trial path draw for draw, the all-healthy
 // screen is one popcount per word of trials, the session's Screen settles
-// every trial whose faults do not contend for spares on the column plane,
-// and only the contested rest is transposed and reaches the matcher. Draws
+// on the column plane every trial its exact degree-1 peeling decides, and
+// only the undecided core is transposed and reaches the matcher. Draws
 // with no word-packed form run through perTrial.
 type batchFunc func(in *defects.Injector, runs int) (int, error)
 
@@ -72,8 +72,9 @@ type kernelProbe struct {
 	// allHealthy counts trials whose fault draw came up empty (the fast
 	// path that never consults the matcher or cascade analysis).
 	allHealthy uint64
-	// screened counts faulty trials a batch Screen settled without a
-	// per-trial decision; per-trial paths leave it at zero.
+	// screened counts faulty trials a batch Screen settled, peeled ones
+	// included, without a per-trial decision; per-trial paths leave it at
+	// zero.
 	screened uint64
 	// matcher counts trials decided one at a time, by the matcher or by
 	// the shifted column-cascade analysis.

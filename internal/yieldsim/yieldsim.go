@@ -178,12 +178,12 @@ func (mc *MonteCarlo) sessionOptions() reconfig.Options {
 // feasBatchVerdicts scores one injected batch in three tiers. All-healthy
 // trials (clear bits of the occupied mask) succeed without any feasibility
 // machinery. The session's Screen then settles, on the column plane and for
-// all 64 trials at once, every occupied trial in which each faulty target
-// has an exclusive healthy spare (feasible) or some faulty target has no
-// healthy spare at all (infeasible). Only the open rest — trials whose
-// faults contend for spares — are transposed into per-trial fault words and
-// judged by the matcher, word layout to word layout with no FaultSet in
-// between; a batch with nothing open skips the transpose.
+// all 64 trials at once, every occupied trial its exclusive-spare round and
+// degree-1 peeling decide, feasible or not; all of them count as screened.
+// Only the open rest — the core, about 1% of faulty trials — is transposed
+// into per-trial fault words and judged by the matcher, word layout to word
+// layout with no FaultSet in between; a batch with nothing open skips the
+// transpose.
 func feasBatchVerdicts(b *defects.TrialBatch, sess *reconfig.Session, probe *kernelProbe, n int) (int, error) {
 	occ := b.Occupied()
 	healthy := n - bits.OnesCount64(occ)
@@ -231,8 +231,8 @@ func (mc *MonteCarlo) YieldContext(ctx context.Context, arr *layout.Array, p flo
 
 // yieldTrials is the factory of the steady-state Bernoulli trial program:
 // inject i.i.d. faults 64 trials per machine word, screen the all-healthy
-// trials with one popcount, settle the uncontested rest with the session's
-// word-parallel Screen, and run the matcher on the contested trials only.
+// trials with one popcount, settle the rest with the session's
+// word-parallel peeling Screen, and run the matcher on its core only.
 // Each worker owns its batch and session; after the factory's one-time
 // construction the trial path is allocation-free (pinned by the allocs
 // regression tests). The scalar program behind forceScalar draws the
@@ -336,14 +336,11 @@ func (mc *MonteCarlo) NoRedundancyMCContext(ctx context.Context, arr *layout.Arr
 
 // noRedundancyTrials is the factory of the baseline trial program: the
 // chip survives iff no primary is faulty. The batched form screens healthy
-// trials on the occupied mask and settles the rest with one AND against a
-// shared read-only primary bitset — no matcher, no session, no FaultSet.
+// trials on the occupied mask and fails the rest on the column plane: the
+// OR of the primary columns is the word of trials with a faulty primary —
+// no transpose, no matcher, no session, no FaultSet.
 func (mc *MonteCarlo) noRedundancyTrials(arr *layout.Array, p float64) trialFactory {
 	numCells := arr.NumCells()
-	primaryMask := make([]uint64, (numCells+63)/64) // read-only across workers
-	for _, id := range arr.Primaries() {
-		primaryMask[id>>6] |= uint64(1) << (uint(id) & 63)
-	}
 	return func(probe *kernelProbe) (batchFunc, error) {
 		if mc.forceScalar {
 			fs := defects.NewFaultSet(numCells)
@@ -364,27 +361,13 @@ func (mc *MonteCarlo) noRedundancyTrials(arr *layout.Array, p float64) trialFact
 					n = defects.WordTrials
 				}
 				in.BernoulliBatch(numCells, p, n, tb)
-				occ := tb.Occupied()
-				healthy := n - bits.OnesCount64(occ)
-				probe.allHealthy += uint64(healthy)
-				successes += healthy
-				if occ == 0 {
-					continue
+				probe.allHealthy += uint64(tb.AllHealthy())
+				var failed uint64
+				cols := tb.Cols()
+				for _, id := range arr.Primaries() {
+					failed |= cols[id]
 				}
-				tb.Finalize()
-				for m := occ; m != 0; m &= m - 1 {
-					row := tb.Row(bits.TrailingZeros64(m))
-					primaryFault := false
-					for w, pm := range primaryMask {
-						if row[w]&pm != 0 {
-							primaryFault = true
-							break
-						}
-					}
-					if !primaryFault {
-						successes++
-					}
-				}
+				successes += n - bits.OnesCount64(failed)
 			}
 			return successes, nil
 		}, nil
@@ -539,8 +522,8 @@ func (mc *MonteCarlo) YieldModelContext(ctx context.Context, arr *layout.Array, 
 
 // clusteredTrials is the factory of the clustered-defect trial program:
 // word-packed center-seeded cluster draws, an all-healthy popcount screen,
-// the session's word-parallel Screen, then matcher verdicts for the
-// contested trials.
+// the session's word-parallel peeling Screen, then matcher verdicts for
+// its core.
 func (mc *MonteCarlo) clusteredTrials(arr *layout.Array, cp defects.ClusterParams) trialFactory {
 	opts := mc.sessionOptions()
 	numCells := arr.NumCells()
