@@ -37,6 +37,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "dtmb-case:", err)
 		os.Exit(1)
 	}
+	if *runs < 1 {
+		fail(fmt.Errorf("-runs must be at least 1, got %d", *runs))
+	}
 	all := !(*fig13 || *base || *demo)
 
 	if all || *base {

@@ -9,28 +9,20 @@ import (
 	"os"
 	"path"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
 )
 
 // TestEveryInternalPackageHasImporter keeps the module free of packages
-// that nothing runs: each internal/<pkg> must be imported by at least one
-// non-test file outside that package. The walk covers the whole module
-// tree, the nested perfbench module included, since it builds against the
-// root module's internal packages.
+// that nothing runs: each internal/<pkg> must be reachable, through the
+// imports of non-test files, from a root outside internal/ and examples/.
+// The roots are the root package and every package under client/, cmd/,
+// scripts/ and perfbench/; a package only an example keeps alive fails.
+// The walk covers the nested perfbench module too, since it builds
+// against the root module's internal packages.
 func TestEveryInternalPackageHasImporter(t *testing.T) {
-	entries, err := os.ReadDir("internal")
-	if err != nil {
-		t.Fatal(err)
-	}
-	importers := map[string]int{} // internal package name -> importing files
-	for _, e := range entries {
-		if e.IsDir() {
-			importers[e.Name()] = 0
-		}
-	}
+	imports := map[string][]string{} // package dir -> imported package dirs
 	walkNonTestGo(t, parser.ImportsOnly, func(p string, f *ast.File) {
 		dir := filepath.ToSlash(filepath.Dir(p))
 		for _, imp := range f.Imports {
@@ -38,24 +30,46 @@ func TestEveryInternalPackageHasImporter(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pkg, ok := strings.CutPrefix(ip, "dmfb/internal/")
-			if !ok || dir == path.Join("internal", pkg) {
-				continue
-			}
-			if _, tracked := importers[pkg]; tracked {
-				importers[pkg]++
+			if ip == "dmfb" {
+				imports[dir] = append(imports[dir], ".")
+			} else if rel, ok := strings.CutPrefix(ip, "dmfb/"); ok {
+				imports[dir] = append(imports[dir], rel)
 			}
 		}
 	})
-	var orphans []string
-	for pkg, n := range importers {
-		if n == 0 {
-			orphans = append(orphans, pkg)
+	reached := map[string]bool{}
+	var queue []string
+	for dir := range imports {
+		root, _, _ := strings.Cut(dir, "/")
+		switch root {
+		case ".", "client", "cmd", "scripts", "perfbench":
+			reached[dir] = true
+			queue = append(queue, dir)
 		}
 	}
-	sort.Strings(orphans)
+	for len(queue) > 0 {
+		dir := queue[0]
+		queue = queue[1:]
+		for _, dep := range imports[dir] {
+			if !reached[dep] {
+				reached[dep] = true
+				queue = append(queue, dep)
+			}
+		}
+	}
+	entries, err := os.ReadDir("internal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var orphans []string
+	for _, e := range entries {
+		if e.IsDir() && !reached[path.Join("internal", e.Name())] {
+			orphans = append(orphans, e.Name())
+		}
+	}
 	if len(orphans) > 0 {
-		t.Errorf("internal packages with no non-test importer: %s", strings.Join(orphans, ", "))
+		t.Errorf("internal packages unreachable from the root package, client/, cmd/, scripts/ or perfbench/: %s",
+			strings.Join(orphans, ", "))
 	}
 }
 
