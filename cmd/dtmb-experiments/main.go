@@ -18,7 +18,7 @@ import (
 func main() {
 	var (
 		quick = flag.Bool("quick", false, "reduced Monte-Carlo runs for a fast pass")
-		runs  = flag.Int("runs", 0, "override Monte-Carlo runs per point")
+		runs  = flag.Int("runs", 0, "override Monte-Carlo runs per point (0 keeps the default)")
 		seed  = flag.Int64("seed", 0, "override experiment seed")
 		t1    = flag.Bool("table1", false, "only Table 1 (redundancy ratios)")
 		f2    = flag.Bool("fig2", false, "only Figure 2 (shifted replacement)")
@@ -32,6 +32,13 @@ func main() {
 	)
 	flag.Parse()
 
+	fail := func(err error) {
+		fmt.Fprintln(os.Stderr, "dtmb-experiments:", err)
+		os.Exit(1)
+	}
+	if *runs < 0 {
+		fail(fmt.Errorf("-runs must not be negative, got %d", *runs))
+	}
 	cfg := experiments.Default()
 	if *quick {
 		cfg = experiments.Quick()
@@ -44,10 +51,6 @@ func main() {
 	}
 
 	all := !(*t1 || *f2 || *f7 || *f8 || *f9 || *f10 || *base || *f13 || *abl)
-	fail := func(err error) {
-		fmt.Fprintln(os.Stderr, "dtmb-experiments:", err)
-		os.Exit(1)
-	}
 
 	if all || *t1 {
 		fmt.Println(experiments.Table1().String())

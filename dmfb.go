@@ -29,8 +29,10 @@
 // asynchronous sweeps whose NDJSON result streams are cursor-resumable with
 // byte identity — over HTTP/JSON, backed by internal/service: a batched
 // Monte-Carlo engine with a bounded worker pool, an LRU result cache,
-// single-flight deduplication of concurrent identical requests, and an
-// in-memory job store drained by graceful shutdown. Package dmfb/client is
+// single-flight deduplication of concurrent identical requests, and a job
+// store, in memory or durable on disk, drained by graceful shutdown; a
+// leasing coordinator can hand job shards to cmd/dtmb-worker processes
+// (internal/dispatch). Package dmfb/client is
 // the typed Go client of both surfaces, resuming interrupted job streams
 // automatically. The Monte-Carlo kernel is chunk-seeded, so estimates are
 // deterministic in (seed, runs, chunk size) regardless of parallelism;

@@ -1,13 +1,10 @@
 // Package defects models manufacturing defects of digital microfluidic
 // biochips and injects them into defect-tolerant arrays for yield analysis.
 //
-// Following the paper (§4) and the analog fault-classification tradition it
-// cites, faults are either catastrophic (dielectric breakdown, a short
-// between adjacent electrodes, an open in the electrode's control-line
-// connection — the cell stops transporting droplets entirely) or parametric
-// (geometry deviations: insulator thickness, electrode length, plate gap —
-// the cell degrades and counts as faulty only when the deviation exceeds the
-// performance tolerance).
+// Following the paper (§4), a cell is faulty when it suffers a catastrophic
+// defect (dielectric breakdown, an electrode short, an open control line)
+// or a parametric deviation beyond the performance tolerance; the yield
+// model needs only that binary outcome, not the defect's cause.
 //
 // The yield analysis assumption of the paper is implemented directly: every
 // cell, primary or spare, fails independently with the same probability
@@ -27,50 +24,6 @@ import (
 
 	"dmfb/internal/layout"
 )
-
-// Kind enumerates the concrete manufacturing defects from the paper.
-type Kind uint8
-
-const (
-	// DielectricBreakdown shorts droplet and electrode; the droplet
-	// electrolyzes and cannot move further.
-	DielectricBreakdown Kind = iota
-	// ElectrodeShort merges two adjacent electrodes into one long electrode;
-	// droplets resting on it cannot overlap a neighbor, so actuation fails
-	// on both cells.
-	ElectrodeShort
-	// OpenConnection breaks the metal line between electrode and control
-	// source; the electrode can never be activated.
-	OpenConnection
-	// InsulatorThicknessDeviation is a parametric deviation of the Parylene C
-	// insulator thickness (nominal ~800 nm).
-	InsulatorThicknessDeviation
-	// ElectrodeLengthDeviation is a parametric deviation of the electrode
-	// pitch.
-	ElectrodeLengthDeviation
-	// PlateGapDeviation is a parametric deviation of the spacing between the
-	// top and bottom glass plates.
-	PlateGapDeviation
-)
-
-// String names the defect kind.
-func (k Kind) String() string {
-	switch k {
-	case DielectricBreakdown:
-		return "dielectric-breakdown"
-	case ElectrodeShort:
-		return "electrode-short"
-	case OpenConnection:
-		return "open-connection"
-	case InsulatorThicknessDeviation:
-		return "insulator-thickness-deviation"
-	case ElectrodeLengthDeviation:
-		return "electrode-length-deviation"
-	case PlateGapDeviation:
-		return "plate-gap-deviation"
-	}
-	return fmt.Sprintf("kind(%d)", uint8(k))
-}
 
 // FaultSet records which cells of an array are faulty. Membership is a bitset — one machine word covers 64 cells —
 // so clearing, counting, and the all-healthy screen of the Monte-Carlo

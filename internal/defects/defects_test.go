@@ -2,7 +2,6 @@ package defects
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"dmfb/internal/layout"
@@ -15,17 +14,6 @@ func testArray(t *testing.T) *layout.Array {
 		t.Fatal(err)
 	}
 	return arr
-}
-
-func TestKindStrings(t *testing.T) {
-	for k := DielectricBreakdown; k <= PlateGapDeviation; k++ {
-		if s := k.String(); s == "" || strings.HasPrefix(s, "kind(") {
-			t.Errorf("Kind %d has no name", k)
-		}
-	}
-	if !strings.HasPrefix(Kind(200).String(), "kind(") {
-		t.Error("unknown kind should fall back to numeric form")
-	}
 }
 
 func TestFaultSetBasics(t *testing.T) {

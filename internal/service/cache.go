@@ -4,34 +4,38 @@ import (
 	"container/list"
 	"sync"
 
+	"dmfb/internal/sweep"
 	"dmfb/internal/telemetry"
 )
 
-// cacheKey identifies one simulation result. Simulations are deterministic
-// in these fields (chunk-seeded Monte-Carlo is independent of worker count),
-// so equal keys mean equal results and caching is sound. kind separates the
-// namespaces: "recommend" for whole-design-space queries (design "*"), and
-// for scenarios the kind scenarioKey derives from strategy and defect model.
+// cacheKey identifies one simulation result: a normalized Monte-Carlo
+// scenario plus the parameters the estimate is deterministic in
+// (chunk-seeded Monte-Carlo is independent of worker count), so equal keys
+// mean equal results and caching is sound. Every endpoint that evaluates
+// the same scenario — /v1/yield, /v1/recommend, /v1/sweep, /v2/evaluate
+// and jobs — shares its one entry.
 type cacheKey struct {
-	kind     string
-	design   string
-	nPrimary int
-	p        float64
-	runs     int
-	seed     int64
-	// spare is the boundary spare-row count of "shifted" scenarios; 0 for
-	// every other kind.
-	spare int
-	// model and clusterSize identify the spatial defect model of the
-	// "local-clustered", "hex" and "shifted" kinds; both zero for "yield"
-	// (local, independent model) and "recommend", whose keys predate the
-	// defect-model axis.
-	model       string
-	clusterSize float64
+	sc   sweep.Scenario
+	runs int
+	seed int64
 	// epsilon is the precision target of adaptive estimates; 0 for fixed-run
-	// requests (including every v1 request), which keeps pre-epsilon keys
-	// shared with epsilon-free v2 requests.
+	// requests (including every v1 request).
 	epsilon float64
+}
+
+// kind names the key's namespace in the per-kind hit/miss series: "yield"
+// for the local strategy under the independent model (the /v1/yield
+// scenario), "local-clustered", "hex" and "shifted" for the rest.
+func (k cacheKey) kind() string {
+	switch {
+	case k.sc.Strategy == sweep.Local && k.sc.DefectModel == sweep.Clustered:
+		return "local-clustered"
+	case k.sc.Strategy == sweep.Local:
+		return "yield"
+	case k.sc.Strategy == sweep.Hex:
+		return "hex"
+	}
+	return "shifted"
 }
 
 // resultCache is a mutex-guarded LRU of finished responses. Get counts
@@ -73,9 +77,9 @@ func newResultCache(capacity int, hits, misses *telemetry.CounterVec) *resultCac
 func (c *resultCache) Get(k cacheKey) (any, bool) {
 	v, ok := c.peek(k)
 	if ok {
-		c.hits.With(k.kind).Inc()
+		c.hits.With(k.kind()).Inc()
 	} else {
-		c.misses.With(k.kind).Inc()
+		c.misses.With(k.kind()).Inc()
 	}
 	return v, ok
 }

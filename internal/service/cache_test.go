@@ -18,7 +18,7 @@ func testCache(capacity int) (*resultCache, *telemetry.Registry) {
 // key is the yield-namespace key of a local, independent-model scenario.
 func key(design string, n int) cacheKey {
 	sc := sweep.Scenario{Strategy: sweep.Local, Design: design, NPrimary: n, P: 0.95, DefectModel: sweep.Independent}
-	return scenarioKey(sweep.Point{Scenario: sc}, core.SimParams{Runs: 1000, Seed: 1})
+	return scenarioKey(sc, core.SimParams{Runs: 1000, Seed: 1})
 }
 
 func TestCacheHitMiss(t *testing.T) {

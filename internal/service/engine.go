@@ -232,27 +232,9 @@ func isContextErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// yieldResponse converts a core analysis to the wire type.
-func yieldResponse(ya core.YieldAnalysis, runs int, seed int64) YieldResponse {
-	return YieldResponse{
-		Design:         ya.Design,
-		NPrimary:       ya.NPrimary,
-		NTotal:         ya.NTotal,
-		P:              ya.P,
-		Runs:           runs,
-		Seed:           seed,
-		Yield:          ya.Yield,
-		CILo:           ya.CILo,
-		CIHi:           ya.CIHi,
-		EffectiveYield: ya.EffectiveYield,
-		NoRedundancy:   ya.NoRedundancy,
-	}
-}
-
 // yieldResponseOf converts an evaluated local-strategy scenario to the v1
-// wire type; with analysisPointResult it round-trips exactly (the wire type
-// simply never carries the success count), which is what keeps the v1
-// adapter byte-identical to the pre-scenario handlers.
+// wire type, which simply never carries the success count; that keeps the
+// v1 adapters byte-identical to the pre-scenario handlers.
 func yieldResponseOf(res sweep.PointResult) YieldResponse {
 	return YieldResponse{
 		Design:         res.Design,
@@ -270,29 +252,10 @@ func yieldResponseOf(res sweep.PointResult) YieldResponse {
 	}
 }
 
-// analysisPointResult converts a core yield analysis to the scenario-core
-// result type the "yield" cache namespace stores. Built from the analysis —
-// not the v1 wire response — so the raw success count survives into the
-// cache (the v1 wire type never carried it).
-func analysisPointResult(ya core.YieldAnalysis, seed int64) sweep.PointResult {
-	return sweep.PointResult{
-		Point: sweep.Point{Scenario: sweep.Scenario{
-			Strategy:    sweep.Local,
-			Design:      ya.Design,
-			NPrimary:    ya.NPrimary,
-			P:           ya.P,
-			DefectModel: sweep.Independent,
-		}},
-		NTotal:         ya.NTotal,
-		Runs:           ya.Runs,
-		Seed:           seed,
-		Successes:      ya.Successes,
-		Yield:          ya.Yield,
-		CILo:           ya.CILo,
-		CIHi:           ya.CIHi,
-		EffectiveYield: ya.EffectiveYield,
-		NoRedundancy:   ya.NoRedundancy,
-	}
+// yieldScenario is the scenario of a /v1/yield request: the local
+// strategy under the independent defect model.
+func yieldScenario(design string, nPrimary int, p float64) sweep.Scenario {
+	return sweep.Scenario{Strategy: sweep.Local, Design: design, NPrimary: nPrimary, P: p, DefectModel: sweep.Independent}
 }
 
 // Yield estimates one design's yield, serving repeats from the cache. It is
@@ -310,13 +273,7 @@ func (e *Engine) Yield(ctx context.Context, req YieldRequest) (YieldResponse, er
 	if err := validateWork(sp.Runs, req.NPrimary); err != nil {
 		return YieldResponse{}, err
 	}
-	res, err := e.evalScenario(ctx, sweep.Scenario{
-		Strategy:    sweep.Local,
-		Design:      design.Name,
-		NPrimary:    req.NPrimary,
-		P:           req.P,
-		DefectModel: sweep.Independent,
-	}, sp)
+	res, err := e.evalScenario(ctx, yieldScenario(design.Name, req.NPrimary, req.P), sp)
 	if err != nil {
 		return YieldResponse{}, err
 	}
@@ -325,45 +282,37 @@ func (e *Engine) Yield(ctx context.Context, req YieldRequest) (YieldResponse, er
 
 // Recommend evaluates all canonical designs and names the effective-yield
 // winner — identical inputs return exactly what core.RecommendDesign does.
+// Each design is evaluated as the /v1/yield scenario of its parameters, so
+// a recommendation and the per-design yields share cache entries both ways.
+// The response is cached iff every design was; its analyses always report
+// cached: false, as the v1 wire contract has it.
 func (e *Engine) Recommend(ctx context.Context, req RecommendRequest) (RecommendResponse, error) {
 	if err := req.validate(); err != nil {
 		return RecommendResponse{}, err
 	}
 	sp := e.simParams(req.Runs, req.Seed, 0)
+	designs := layout.AllDesigns()
 	// A recommendation simulates every canonical design, so the work cap
 	// applies to the whole fan-out, not a single design's share.
-	if err := validateWork(sp.Runs*len(layout.AllDesigns()), req.NPrimary); err != nil {
+	if err := validateWork(sp.Runs*len(designs), req.NPrimary); err != nil {
 		return RecommendResponse{}, err
 	}
-	key := cacheKey{kind: "recommend", design: "*", nPrimary: req.NPrimary, p: req.P, runs: sp.Runs, seed: sp.Seed}
-	v, cached, err := e.cachedCompute(ctx, key, func() (any, error) {
-		// req is fully validated above; any failure here (array construction
-		// or simulation on canonical designs) is a server-side error.
-		rec, err := core.RecommendDesignContext(ctx, req.P, req.NPrimary, sp)
+	resp := RecommendResponse{Cached: true}
+	bestEY := -1.0
+	for _, d := range designs {
+		res, err := e.evalScenario(ctx, yieldScenario(d.Name, req.NPrimary, req.P), sp)
 		if err != nil {
-			return nil, err
+			return RecommendResponse{}, err
 		}
-		resp := RecommendResponse{Best: rec.Best.Name}
-		for _, ya := range rec.Analyses {
-			yr := yieldResponse(ya, sp.Runs, sp.Seed)
-			resp.Analyses = append(resp.Analyses, yr)
-			if yr.Design == resp.Best {
-				resp.BestEffectiveYield = yr.EffectiveYield
-			}
-			// Prime the per-design yield cache: drilling into one design
-			// after a recommendation is the natural next request, and the
-			// simulation parameters are identical. The namespace stores
-			// scenario-core results, so convert before seeding.
-			pr := analysisPointResult(ya, sp.Seed)
-			e.cache.Add(scenarioKey(pr.Point, sp), pr)
+		resp.Cached = resp.Cached && res.Cached
+		yr := yieldResponseOf(res)
+		yr.Cached = false
+		resp.Analyses = append(resp.Analyses, yr)
+		if yr.EffectiveYield > bestEY {
+			bestEY = yr.EffectiveYield
+			resp.Best, resp.BestEffectiveYield = yr.Design, yr.EffectiveYield
 		}
-		return resp, nil
-	})
-	if err != nil {
-		return RecommendResponse{}, err
 	}
-	resp := v.(RecommendResponse)
-	resp.Cached = cached
 	return resp, nil
 }
 

@@ -1,13 +1,19 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"dmfb/internal/core"
+	"dmfb/internal/layout"
+	"dmfb/internal/telemetry"
 )
 
 // testEngine uses small run counts so tests stay fast.
@@ -94,6 +100,64 @@ func TestRecommendPrimesPerDesignYieldCache(t *testing.T) {
 	}
 	if got := e.Stats().Completed; got != computed {
 		t.Errorf("follow-up yields ran %d extra simulations", got-computed)
+	}
+}
+
+// TestRecommendSharesYieldCache pins /v1/recommend to the /v1/yield
+// scenarios of its parameters: after a /v1/yield of every design, the
+// recommendation runs no simulation and is cached; a cold recommendation
+// looks each design up in the "yield" namespace and has no namespace of
+// its own.
+func TestRecommendSharesYieldCache(t *testing.T) {
+	const params = `"n_primary":60,"p":0.95,"runs":400,"seed":11`
+	e := testEngine(16)
+	h := NewHandler(e, nil, nil)
+	for _, d := range layout.AllDesigns() {
+		body := `{"design":"` + d.Name + `",` + params + `}`
+		if w := doHandler(t, h, http.MethodPost, "/v1/yield", body, nil); w.Code != http.StatusOK {
+			t.Fatalf("%s: /v1/yield status %d: %s", d.Name, w.Code, w.Body)
+		}
+	}
+	completed := e.Stats().Completed
+	w := doHandler(t, h, http.MethodPost, "/v1/recommend", `{`+params+`}`, nil)
+	if w.Code != http.StatusOK {
+		t.Fatalf("/v1/recommend status %d: %s", w.Code, w.Body)
+	}
+	var rec RecommendResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &rec); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Stats().Completed; got != completed {
+		t.Errorf("recommend after per-design yields ran %d simulations, want 0", got-completed)
+	}
+	if !rec.Cached {
+		t.Error("recommend over cached designs reported cached: false")
+	}
+	for _, a := range rec.Analyses {
+		if a.Cached {
+			t.Errorf("%s: analysis entry reported cached: true", a.Design)
+		}
+	}
+
+	cold := testEngine(16)
+	if _, err := cold.Recommend(context.Background(), RecommendRequest{P: 0.95, NPrimary: 60, Runs: 400, Seed: 11}); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := cold.Registry().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	exp, err := telemetry.ParseExposition(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sampleValue(exp, "dmfb_cache_misses_total", `kind="yield"`); got != 4 {
+		t.Errorf(`cold recommend: cache misses{kind="yield"} = %v, want 4`, got)
+	}
+	for _, s := range exp.Samples {
+		if strings.Contains(s.Labels, `kind="recommend"`) {
+			t.Errorf("cold recommend exposed a recommend cache series: %s{%s}", s.Name, s.Labels)
+		}
 	}
 }
 

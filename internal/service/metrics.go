@@ -20,8 +20,9 @@ type serviceMetrics struct {
 	// the request wall-time histogram. Both are recorded by the middleware.
 	httpRequests *telemetry.CounterVec
 	httpDuration *telemetry.Histogram
-	// cacheHits/cacheMisses count result-cache lookups by cache namespace
-	// ("yield", "recommend", "hex", ...), recorded inside the cache.
+	// cacheHits/cacheMisses count result-cache lookups by the kind the key
+	// derives from its scenario ("yield", "local-clustered", "hex",
+	// "shifted"), recorded inside the cache.
 	cacheHits   *telemetry.CounterVec
 	cacheMisses *telemetry.CounterVec
 	// admissionWait observes how long each admitted simulation waited on the

@@ -220,69 +220,28 @@ func scenarioCells(sc sweep.Scenario) (int, error) {
 
 // evalScenario is the engine's scenario core: it evaluates one canonical
 // scenario via the sweep dispatch under the cache, single-flight, and
-// admission layers. The v1 yield endpoint, the v1 sweep stream, the v2
-// evaluate endpoint, and sweep jobs are all adapters over this one entry
-// point.
+// admission layers. The v1 yield and recommend endpoints, the v1 sweep
+// stream, the v2 evaluate endpoint, and sweep jobs are all adapters over
+// this one entry point. Results are index-free; sweep callers stamp the
+// grid index.
 func (e *Engine) evalScenario(ctx context.Context, sc sweep.Scenario, sp core.SimParams) (sweep.PointResult, error) {
-	pt := sweep.Point{Scenario: sc}
 	if sc.Strategy == sweep.None {
 		// Closed form: too cheap to cache or bound.
 		return sweep.EvaluateScenario(ctx, sc, sp)
 	}
-	return e.cachedScenario(ctx, scenarioKey(pt, sp), pt, sp)
-}
-
-// scenarioKey builds the cache key of a Monte-Carlo scenario, the one place
-// a scenario's cache namespace is decided. A local-strategy,
-// independent-model scenario lives in the "yield" namespace keyed without
-// defect-model fields, so /v1/yield requests, /v1/recommend priming,
-// /v2/evaluate calls, and sweep grid points of the same scenario share one
-// entry. The other strategies carry every coordinate under their own kind:
-// "local-clustered", "hex" and "shifted".
-func scenarioKey(pt sweep.Point, sp core.SimParams) cacheKey {
-	key := cacheKey{
-		design:   pt.Design,
-		nPrimary: pt.NPrimary,
-		p:        pt.P,
-		runs:     sp.Runs,
-		seed:     sp.Seed,
-		epsilon:  sp.Epsilon,
-	}
-	switch {
-	case pt.Strategy == sweep.Local && pt.DefectModel != sweep.Clustered:
-		key.kind = "yield"
-		return key
-	case pt.Strategy == sweep.Local:
-		key.kind = "local-clustered"
-	case pt.Strategy == sweep.Hex:
-		key.kind = "hex"
-	default:
-		key.kind = "shifted"
-	}
-	key.spare = pt.SpareRows
-	key.model = string(pt.DefectModel)
-	key.clusterSize = pt.ClusterSize
-	return key
-}
-
-// cachedScenario evaluates a Monte-Carlo scenario through the result cache,
-// single-flight layer, and admission semaphore under the given key.
-func (e *Engine) cachedScenario(ctx context.Context, key cacheKey, pt sweep.Point, sp core.SimParams) (sweep.PointResult, error) {
-	v, cached, err := e.cachedCompute(ctx, key, func() (any, error) {
-		res, err := sweep.EvaluateScenario(ctx, pt.Scenario, sp)
-		if err != nil {
-			return nil, err
-		}
-		// The same scenario appears at different indices in different
-		// sweeps; cache it index-free.
-		res.Index = 0
-		return res, nil
+	v, cached, err := e.cachedCompute(ctx, scenarioKey(sc, sp), func() (any, error) {
+		return sweep.EvaluateScenario(ctx, sc, sp)
 	})
 	if err != nil {
 		return sweep.PointResult{}, err
 	}
 	res := v.(sweep.PointResult)
-	res.Index = pt.Index
 	res.Cached = cached
 	return res, nil
+}
+
+// scenarioKey builds the cache key of a Monte-Carlo scenario, the one place
+// a cache key is made.
+func scenarioKey(sc sweep.Scenario, sp core.SimParams) cacheKey {
+	return cacheKey{sc: sc.Normalize(), runs: sp.Runs, seed: sp.Seed, epsilon: sp.Epsilon}
 }

@@ -74,17 +74,17 @@ func TestSteadyStateTrialsZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clusterParams := defects.ClusterParams{MeanDefects: 7, ClusterSize: 4}
+	clustered := defects.Model{Clustered: true, ClusterSize: 4}
 	cases := []struct {
 		name    string
 		factory trialFactory
 	}{
-		{"local/bernoulli", mc.yieldTrials(local, 0.95)},
-		{"local/bernoulli-scalar", scalar.yieldTrials(local, 0.95)},
-		{"local/bernoulli-scan-side", mc.yieldTrials(local, 0.85)},
-		{"hex/bernoulli", mc.yieldTrials(hex, 0.95)},
-		{"hex/clustered", mc.clusteredTrials(hex, clusterParams)},
-		{"hex/clustered-scalar", scalar.clusteredTrials(hex, clusterParams)},
+		{"local/bernoulli", mc.localTrials(local, 0.95, defects.Model{})},
+		{"local/bernoulli-scalar", scalar.localTrials(local, 0.95, defects.Model{})},
+		{"local/bernoulli-scan-side", mc.localTrials(local, 0.85, defects.Model{})},
+		{"hex/bernoulli", mc.localTrials(hex, 0.95, defects.Model{})},
+		{"hex/clustered", mc.localTrials(hex, 0.95, clustered)},
+		{"hex/clustered-scalar", scalar.localTrials(hex, 0.95, clustered)},
 		{"local/fixed-count", mc.fixedFaultsTrials(local, 12, defects.AllCells)},
 		{"local/no-redundancy", mc.noRedundancyTrials(local, 0.95)},
 		{"local/no-redundancy-scalar", scalar.noRedundancyTrials(local, 0.95)},

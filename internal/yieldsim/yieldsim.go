@@ -223,58 +223,7 @@ func (mc *MonteCarlo) Yield(arr *layout.Array, p float64) (Result, error) {
 // YieldContext is Yield with cancellation: a cancelled ctx aborts the
 // simulation between chunks and returns ctx.Err().
 func (mc *MonteCarlo) YieldContext(ctx context.Context, arr *layout.Array, p float64) (Result, error) {
-	if math.IsNaN(p) || p < 0 || p > 1 {
-		return Result{}, fmt.Errorf("yieldsim: survival probability %v outside [0,1]", p)
-	}
-	return mc.run(ctx, mc.yieldTrials(arr, p))
-}
-
-// yieldTrials is the factory of the steady-state Bernoulli trial program:
-// inject i.i.d. faults 64 trials per machine word, screen the all-healthy
-// trials with one popcount, settle the rest with the session's
-// word-parallel peeling Screen, and run the matcher on its core only.
-// Each worker owns its batch and session; after the factory's one-time
-// construction the trial path is allocation-free (pinned by the allocs
-// regression tests). The scalar program behind forceScalar draws the
-// identical PRNG stream and produces the identical estimate.
-func (mc *MonteCarlo) yieldTrials(arr *layout.Array, p float64) trialFactory {
-	opts := mc.sessionOptions()
-	numCells := arr.NumCells()
-	return func(probe *kernelProbe) (batchFunc, error) {
-		sess, err := reconfig.NewSession(arr, opts)
-		if err != nil {
-			return nil, err
-		}
-		if mc.forceScalar {
-			fs := defects.NewFaultSet(numCells)
-			return perTrial(func(in *defects.Injector) (bool, error) {
-				fs = in.Bernoulli(arr, p, fs)
-				if fs.Count() == 0 {
-					probe.allHealthy++
-				} else {
-					probe.matcher++
-				}
-				return sess.Feasible(fs)
-			}), nil
-		}
-		tb := defects.NewTrialBatch(numCells)
-		return func(in *defects.Injector, runs int) (int, error) {
-			successes := 0
-			for off := 0; off < runs; off += defects.WordTrials {
-				n := runs - off
-				if n > defects.WordTrials {
-					n = defects.WordTrials
-				}
-				in.BernoulliBatch(numCells, p, n, tb)
-				s, err := feasBatchVerdicts(tb, sess, probe, n)
-				if err != nil {
-					return 0, err
-				}
-				successes += s
-			}
-			return successes, nil
-		}, nil
-	}
+	return mc.YieldModelContext(ctx, arr, p, defects.Model{})
 }
 
 // YieldFixedFaults estimates the yield of the array when exactly m cells
@@ -507,26 +456,31 @@ func (mc *MonteCarlo) shiftedTrials(pl sqgrid.Placement, p float64, model defect
 // point-for-point along the p axis. The chunk-seeded kernel keeps either
 // estimate deterministic in (Seed, Runs, ChunkSize) regardless of Workers.
 func (mc *MonteCarlo) YieldModelContext(ctx context.Context, arr *layout.Array, p float64, model defects.Model) (Result, error) {
-	if !model.Clustered {
-		return mc.YieldContext(ctx, arr, p)
-	}
 	if math.IsNaN(p) || p < 0 || p > 1 {
 		return Result{}, fmt.Errorf("yieldsim: survival probability %v outside [0,1]", p)
 	}
 	if err := model.Validate(); err != nil {
 		return Result{}, err
 	}
-	cp := model.Params(p, arr.NumCells())
-	return mc.run(ctx, mc.clusteredTrials(arr, cp))
+	return mc.run(ctx, mc.localTrials(arr, p, model))
 }
 
-// clusteredTrials is the factory of the clustered-defect trial program:
-// word-packed center-seeded cluster draws, an all-healthy popcount screen,
-// the session's word-parallel peeling Screen, then matcher verdicts for
-// its core.
-func (mc *MonteCarlo) clusteredTrials(arr *layout.Array, cp defects.ClusterParams) trialFactory {
+// localTrials is the factory of the local-reconfiguration trial program:
+// draw 64 trials per machine word under the model (i.i.d. Bernoulli
+// faults, or center-seeded clusters), screen the all-healthy trials with
+// one popcount, settle the rest with the session's word-parallel peeling
+// Screen, and run the matcher on its core only. Each worker owns its batch
+// and session; after the factory's one-time construction the trial path is
+// allocation-free (pinned by the allocs regression tests). The scalar
+// program behind forceScalar draws the identical PRNG stream and produces
+// the identical estimate.
+func (mc *MonteCarlo) localTrials(arr *layout.Array, p float64, model defects.Model) trialFactory {
 	opts := mc.sessionOptions()
 	numCells := arr.NumCells()
+	var cp defects.ClusterParams
+	if model.Clustered {
+		cp = model.Params(p, numCells)
+	}
 	return func(probe *kernelProbe) (batchFunc, error) {
 		sess, err := reconfig.NewSession(arr, opts)
 		if err != nil {
@@ -535,11 +489,15 @@ func (mc *MonteCarlo) clusteredTrials(arr *layout.Array, cp defects.ClusterParam
 		if mc.forceScalar {
 			fs := defects.NewFaultSet(numCells)
 			return perTrial(func(in *defects.Injector) (bool, error) {
-				next, _, err := in.Clustered(arr, cp, fs)
-				if err != nil {
-					return false, err
+				if model.Clustered {
+					next, _, err := in.Clustered(arr, cp, fs)
+					if err != nil {
+						return false, err
+					}
+					fs = next
+				} else {
+					fs = in.Bernoulli(arr, p, fs)
 				}
-				fs = next
 				if fs.Count() == 0 {
 					probe.allHealthy++
 				} else {
@@ -556,8 +514,12 @@ func (mc *MonteCarlo) clusteredTrials(arr *layout.Array, cp defects.ClusterParam
 				if n > defects.WordTrials {
 					n = defects.WordTrials
 				}
-				if _, err := in.ClusteredBatch(arr, cp, n, tb); err != nil {
-					return 0, err
+				if model.Clustered {
+					if _, err := in.ClusteredBatch(arr, cp, n, tb); err != nil {
+						return 0, err
+					}
+				} else {
+					in.BernoulliBatch(numCells, p, n, tb)
 				}
 				s, err := feasBatchVerdicts(tb, sess, probe, n)
 				if err != nil {
