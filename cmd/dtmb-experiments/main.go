@@ -19,7 +19,7 @@ func main() {
 	var (
 		quick = flag.Bool("quick", false, "reduced Monte-Carlo runs for a fast pass")
 		runs  = flag.Int("runs", 0, "override Monte-Carlo runs per point (0 keeps the default)")
-		seed  = flag.Int64("seed", 0, "override experiment seed")
+		seed  = flag.Int64("seed", 0, "override the experiment seed (any value, 0 included; unset keeps the default)")
 		t1    = flag.Bool("table1", false, "only Table 1 (redundancy ratios)")
 		f2    = flag.Bool("fig2", false, "only Figure 2 (shifted replacement)")
 		f7    = flag.Bool("fig7", false, "only Figure 7 (DTMB(1,6) analytical yield)")
@@ -46,9 +46,11 @@ func main() {
 	if *runs > 0 {
 		cfg.Runs = *runs
 	}
-	if *seed != 0 {
-		cfg.Seed = *seed
-	}
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "seed" {
+			cfg.Seed = *seed
+		}
+	})
 
 	all := !(*t1 || *f2 || *f7 || *f8 || *f9 || *f10 || *base || *f13 || *abl)
 

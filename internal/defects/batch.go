@@ -2,7 +2,6 @@ package defects
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 
 	"dmfb/internal/layout"
@@ -185,17 +184,35 @@ func (in *Injector) scanBatch(q float64, n int, b *TrialBatch) {
 
 // skipBatch is the skip-sampler over a freshly reset batch, for 0 < q < 1:
 // each trial jumps from fault to fault by geometric gaps, O(q·numCells)
-// draws per trial.
+// draws per trial. The gaps come from the injector's geoTable, rebuilt only
+// when q or the cell count changes; they equal source.gap's on every draw.
 func (in *Injector) skipBatch(q float64, n int, b *TrialBatch) {
-	lnSurvive, end := math.Log1p(-q), float64(len(b.cols))
+	cols := b.cols
+	numCells := len(cols)
+	geo := &in.geo
+	if geo.q != q || geo.numCells != numCells {
+		geo.build(q, numCells)
+	}
+	src := &in.src
+	tap, feed := src.tap, src.feed
 	var occupied uint64
 	for t := 0; t < n; t++ {
 		bit := uint64(1) << uint(t)
-		for i := in.src.gap(lnSurvive); i < end; i += 1 + in.src.gap(lnSurvive) {
-			b.cols[int(i)] |= bit
+		for i := -1; ; {
+			var y uint64
+			y, tap, feed = src.draw(tap, feed)
+			k, ok := geo.lookup(y)
+			if !ok {
+				k = geo.exact(y)
+			}
+			if i += 1 + k; i >= numCells {
+				break
+			}
+			cols[i] |= bit
 			occupied |= bit
 		}
 	}
+	src.tap, src.feed = tap, feed
 	b.occupied = occupied
 }
 

@@ -47,12 +47,12 @@ func TestTranspose64(t *testing.T) {
 
 // crossoverPs are survival probabilities on both sides of the sampler
 // crossover: q just above skipMaxQ (per-cell scan), q at and just below it
-// (skip-sampling), and the extremes the switch must route: q ≥ 1, q ≤ 0,
-// NaN and the smallest positive q.
+// and the kernel's working range (skip-sampling), and the extremes the
+// switch must route: q ≥ 1, q ≤ 0, NaN and the smallest positive q.
 func crossoverPs() []float64 {
 	return []float64{
 		-0.5, 0, 0.5, 1 - skipMaxQ*(1+1e-6), // per-cell scan
-		1 - skipMaxQ, 1 - skipMaxQ*(1-1e-6), 0.99, math.Nextafter(1, 0), // skip-sampling
+		1 - skipMaxQ, 1 - skipMaxQ*(1-1e-6), 0.95, 0.99, 0.999, math.Nextafter(1, 0), // skip-sampling
 		1, math.NaN(), // no fault
 	}
 }
@@ -63,7 +63,7 @@ func crossoverPs() []float64 {
 // partial last words and multi-word rows, on both sides of the sampler
 // crossover.
 func TestBernoulliBatchMatchesScalar(t *testing.T) {
-	for _, numCells := range []int{1, 17, 64, 65, 130, 300} {
+	for _, numCells := range []int{1, 17, 64, 65, 130, 300, 1000} {
 		for _, p := range crossoverPs() {
 			for _, n := range []int{1, 7, WordTrials} {
 				batchIn, scalarIn := NewInjector(99), NewInjector(99)

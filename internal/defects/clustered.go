@@ -285,11 +285,12 @@ func (in *Injector) clusters(st *stencil, rate float64, n int, b *TrialBatch) in
 	src := &in.src
 	grid, base, delta, cum, cols := st.grid, st.base, st.delta, st.cum, b.cols
 	numCells, growth, maxR := st.numCells, st.growth, st.maxR
+	law := newPoissonLaw(rate)
 	var occupied uint64
 	total := 0
 	for t := 0; t < n; t++ {
 		bit := uint64(1) << uint(t)
-		clusters := in.poisson(rate)
+		clusters := in.drawPoisson(law)
 		total += clusters
 		for c := 0; c < clusters; c++ {
 			center := in.rng.Intn(numCells)

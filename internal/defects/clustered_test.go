@@ -238,6 +238,10 @@ func TestClusterDecaySolvesExpectedSize(t *testing.T) {
 	}
 }
 
+// poisson draws one Poisson(lambda) count the way a clustered batch draws
+// its cluster counts.
+func (in *Injector) poisson(lambda float64) int { return in.drawPoisson(newPoissonLaw(lambda)) }
+
 // TestPoissonLargeLambda regresses the underflow of Knuth's product method:
 // past λ ≈ 745, exp(−λ) leaves float64 range and the naive sampler caps its
 // draws near 750. The chunked sampler must track the mean at rates the

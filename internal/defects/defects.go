@@ -134,13 +134,13 @@ func (f *FaultSet) FaultySpares(arr *layout.Array) []layout.CellID {
 // directly, without the rand.Source interface, and rng wraps the same
 // source for the cold Intn draws — two views of one stream, never two
 // streams. Its scratch — the FixedCount pool, the clustered ring
-// stencil and the one-trial batch of the scalar clustered draws — holds no
-// random state, so results depend only on the seed and the calls since. It
-// is not safe for concurrent use; give each worker its own Injector (see
-// stats.SeedStream).
+// stencil, the one-trial batch of the scalar clustered draws and the
+// skip-sampler's gap table — holds no random state, so results depend only
+// on the seed and the calls since. It is not safe for concurrent use; give
+// each worker its own Injector (see stats.SeedStream).
 type Injector struct {
 	src source
-	rng *rand.Rand // rand.New(&src)
+	rng rand.Rand // *rand.New(&src), held by value: one allocation per injector
 	// pool is the scratch permutation buffer of FixedCount draws, refilled
 	// from the domain on every call so results stay independent of call
 	// history while the allocation is paid once.
@@ -150,35 +150,42 @@ type Injector struct {
 	ring stencil
 	// one is the one-trial batch Clustered and ClusteredGrid draw through.
 	one *TrialBatch
+	// geo is the skip-sampler's gap table, rebuilt only when the fault
+	// probability or the cell count changes.
+	geo geoTable
 }
 
 // NewInjector returns an injector with a deterministic PRNG stream.
 func NewInjector(seed int64) *Injector {
 	in := &Injector{}
 	in.src.Seed(seed)
-	in.rng = rand.New(&in.src)
+	in.rng = *rand.New(&in.src)
 	return in
 }
 
 // Reseed rewinds the injector onto a fresh deterministic PRNG stream, as if
 // newly constructed with NewInjector(seed), while keeping its scratch: the
-// FixedCount pool and the clustered ring stencil and batch. The chunked
-// Monte-Carlo kernel reseeds one worker-owned injector per chunk instead of
-// allocating a new one (the generator state is ~5 KB), so a worker builds
-// its ring stencil once per estimate. The seed is used in full: distinct
-// 64-bit seeds, such as the chunk seeds of stats.SeedStream, select
-// distinct streams.
+// FixedCount pool, the clustered ring stencil and batch, and the gap table.
+// The chunked Monte-Carlo kernel reseeds one worker-owned injector per chunk
+// instead of allocating a new one (the generator state is ~5 KB), so a
+// worker builds its ring stencil or gap table once per estimate. The seed
+// is used in full: distinct 64-bit seeds, such as the chunk seeds of
+// stats.SeedStream, select distinct streams.
 func (in *Injector) Reseed(seed int64) { in.rng.Seed(seed) }
 
 // skipMaxQ is the largest fault probability q = 1−p at which Bernoulli
 // injection skip-samples: below it faults are rare, and jumping from one to
-// the next by a geometric gap (one draw and one logarithm per fault) beats
-// one draw per cell. Above it the per-cell scan wins. BenchmarkSamplers
-// times both on 64-trial batches of DTMB(2,6) with 136 cells. On a 2-vCPU
-// Intel Xeon VM (go1.24.0, -cpu 1, median of 8 rounds) scan/skip cost, in
-// ns per trial, 382/1568 at p = 0.5, 422/721 at 0.8, 360/366 at 0.9,
-// 432/230 at 0.95, 409/89 at 0.99 and 363/32 at 0.999. They cross at
-// q ≈ 0.1; a finer run put the crossover between q = 0.10 and 0.12.
+// the next by a geometric gap (one draw per fault) beats one draw per cell.
+// Above it the per-cell scan runs. BenchmarkSamplers times both on 64-trial
+// batches of DTMB(2,6) with 136 cells. The constant was set where they
+// crossed while every batch gap took a logarithm, at q ≈ 0.1. With the gap
+// table (geotable.go) the skip-sampler costs about a third of that: on a
+// 2-vCPU Intel Xeon VM (go1.24.0, -cpu 1, median of 8 rounds) scan/skip
+// cost, in ns per trial, 565/666 at p = 0.5, 635/320 at 0.8, 394/154 at
+// 0.9, 610/91 at 0.95, 480/51 at 0.99 and 669/19 at 0.999 (the scan's
+// spread is the shared machine's), so they now cross between q = 0.3 and
+// 0.4. The constant stays: moving it changes which draws an estimate
+// consumes, and so every estimate between the two values.
 const skipMaxQ = 0.1
 
 // Bernoulli marks every cell of the array faulty independently with
@@ -277,28 +284,52 @@ func (in *Injector) FixedCount(arr *layout.Array, m int, domain Domain, dst *Fau
 	return dst, nil
 }
 
-// poisson draws from Poisson(lambda). Knuth's product method underflows once
-// exp(−λ) leaves float64 range (λ ≳ 745), silently capping the draw near
-// 750, so large rates are split into independent chunks first —
-// Poisson(a+b) = Poisson(a) + Poisson(b) — keeping the sampler exact at the
-// array-scale rates the clustered-defect model produces.
-func (in *Injector) poisson(lambda float64) int {
-	const chunk = 256 // exp(-256) ≈ 1.5e-111, far from underflow
-	k := 0
-	for lambda > chunk {
-		k += in.poissonKnuth(chunk)
-		lambda -= chunk
-	}
-	return k + in.poissonKnuth(lambda)
+// poissonChunk is the largest rate Knuth's product method draws at once.
+// The method underflows once exp(−λ) leaves float64 range (λ ≳ 745),
+// silently capping the draw near 750, so a larger rate is split into
+// independent chunks first — Poisson(a+b) = Poisson(a) + Poisson(b) —
+// keeping the sampler exact at the array-scale rates the clustered-defect
+// model produces. exp(−256) ≈ 1.5e-111 is far from underflow.
+const poissonChunk = 256
+
+// expNegChunk is Knuth's stopping product for one whole chunk.
+var expNegChunk = math.Exp(-poissonChunk)
+
+// poissonLaw is Poisson(lambda) prepared for repeated draws: the whole
+// chunks of the rate and the stopping product exp(−tail) of the rest, so a
+// batch of trials at one rate pays for math.Exp once.
+type poissonLaw struct {
+	chunks  int     // Poisson(poissonChunk) terms
+	tail    float64 // the rest of the rate; no term when ≤ 0
+	expTail float64 // exp(−tail)
 }
 
-// poissonKnuth draws from Poisson(lambda) by Knuth's product method; lambda
-// must be small enough that exp(−lambda) is comfortably representable.
-func (in *Injector) poissonKnuth(lambda float64) int {
-	if lambda <= 0 {
-		return 0
+func newPoissonLaw(lambda float64) poissonLaw {
+	law := poissonLaw{}
+	for lambda > poissonChunk {
+		law.chunks++
+		lambda -= poissonChunk
 	}
-	l := math.Exp(-lambda)
+	law.tail, law.expTail = lambda, math.Exp(-lambda)
+	return law
+}
+
+// drawPoisson draws one count from the law.
+func (in *Injector) drawPoisson(law poissonLaw) int {
+	k := 0
+	for c := 0; c < law.chunks; c++ {
+		k += in.poissonKnuth(expNegChunk)
+	}
+	if law.tail > 0 {
+		k += in.poissonKnuth(law.expTail)
+	}
+	return k
+}
+
+// poissonKnuth draws from Poisson(λ) by Knuth's product method, given its
+// stopping product l = exp(−λ) for a λ small enough that l is comfortably
+// representable.
+func (in *Injector) poissonKnuth(l float64) int {
 	k := 0
 	p := 1.0
 	for {

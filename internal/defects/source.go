@@ -100,12 +100,20 @@ func (s *source) float64() float64 {
 
 // gap draws the number of healthy cells before the next fault when each
 // cell fails with probability q, given lnSurvive = ln(1−q): Geometric(q) as
-// floor(ln(1−U)/ln(1−q)), with U the next Float64 on [0,1). Rounding 1−U
-// to a float64 costs U's bits below 2⁻⁵³, which moves the fault rate only
-// for q within a few orders of magnitude of 2⁻⁵³; in exchange math.Log
-// runs about a third faster than math.Log1p(−U).
+// logGap of the next Float64. It is the scalar reference path: BernoulliN
+// draws through it, and the batch skip-sampler's geoTable must reproduce
+// it draw for draw.
 func (s *source) gap(lnSurvive float64) float64 {
-	return math.Floor(math.Log(1-s.float64()) / lnSurvive)
+	return logGap(s.float64(), lnSurvive)
+}
+
+// logGap is floor(ln(1−u)/ln(1−q)) for a uniform u on [0,1), given
+// lnSurvive = ln(1−q). Rounding 1−u to a float64 costs u's bits below
+// 2⁻⁵³, which moves the fault rate only for q within a few orders of
+// magnitude of 2⁻⁵³; in exchange math.Log runs about a third faster than
+// math.Log1p(−u).
+func logGap(u, lnSurvive float64) float64 {
+	return math.Floor(math.Log(1-u) / lnSurvive)
 }
 
 // uniform is Float64's value for the Int63 output y < redrawFrom.

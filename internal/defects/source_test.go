@@ -88,7 +88,7 @@ func forceAhead(s *source, k int, v int64) {
 // cloneInjector returns an injector on a copy of in's generator state.
 func cloneInjector(in *Injector) *Injector {
 	c := &Injector{src: in.src}
-	c.rng = rand.New(&c.src)
+	c.rng = *rand.New(&c.src)
 	return c
 }
 
