@@ -384,8 +384,11 @@ func (c *Client) RegisterWorker(ctx context.Context, req WorkerRegisterRequest) 
 }
 
 // LeaseShard asks the coordinator for one shard of work via
-// POST /v2/workers/lease. A (nil, nil) return means no work is currently
-// available (HTTP 204); the worker should back off — with jitter — and retry.
+// POST /v2/workers/lease. The coordinator holds the request until work
+// arrives or its hold bound passes; a (nil, nil) return means none arrived
+// (HTTP 204), and the worker should ask again at once. Only an error (a
+// transport fault, or 503 from a coordinator shutting down) calls for a
+// jittered backoff before the next try.
 func (c *Client) LeaseShard(ctx context.Context, workerID string) (*ShardLease, error) {
 	in := service.LeaseRequest{WorkerID: workerID}
 	buf, err := json.Marshal(&in)

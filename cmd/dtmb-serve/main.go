@@ -147,6 +147,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "dtmb-serve:", err)
 		os.Exit(1)
 	}
+	if coord != nil {
+		// Closing the coordinator answers the workers' held lease requests,
+		// so their connections go idle as soon as the drain starts.
+		srv.RegisterOnShutdown(coord.Close)
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

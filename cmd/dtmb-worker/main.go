@@ -51,7 +51,7 @@ func main() {
 		cacheSize     = flag.Int("cache-size", 1024, "LRU result-cache capacity (entries)")
 		workers       = flag.Int("workers", 0, "goroutines per simulation (0 = GOMAXPROCS); does not affect results")
 		maxConcurrent = flag.Int("max-concurrent", 0, "simulations admitted at once (0 = 2)")
-		poll          = flag.Duration("poll", 500*time.Millisecond, "mean idle interval between lease attempts (full jitter over [0, 2×poll))")
+		poll          = flag.Duration("poll", 500*time.Millisecond, "retry backoff base after a failed coordinator call (full jitter over [0, 2×poll)); an idle worker waits in a held lease request, re-sent at once after a 204")
 		logLevel      = flag.String("log-level", "info", "log verbosity: debug, info, warn, or error")
 		chaos         = flag.String("chaos", "", "fault-injection schedule for the worker loop and its coordinator transport, e.g. 'worker.crash=0.3,transport.5xx=0.05' (testing only)")
 		chaosSeed     = flag.Uint64("chaos-seed", 1, "seed for the -chaos schedule's deterministic PRNGs")

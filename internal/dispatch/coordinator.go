@@ -72,6 +72,11 @@ func (c Config) withDefaults() Config {
 // the worker knows to abandon the shard rather than retry.
 var errGone = errors.New("dispatch: lease or job gone")
 
+// errClosed refuses new jobs, and answers lease requests that find no work,
+// once the coordinator is closed; the HTTP layer maps it to 503, which
+// workers back off on.
+var errClosed = errors.New("dispatch: coordinator is shut down")
+
 // shardState is a shard's position in the lease state machine.
 type shardState int
 
@@ -133,6 +138,10 @@ type Coordinator struct {
 	workers  map[string]*workerState
 	seq      int // worker and lease ID sequence
 	closed   bool
+	// wake is the held-lease doorbell: closed and replaced (ringLocked)
+	// whenever a lease request that found nothing might now find work — a
+	// job registered, a shard re-pended — or the coordinator closed.
+	wake chan struct{}
 
 	shardsLeased      atomic.Uint64
 	shardsCompleted   atomic.Uint64
@@ -158,6 +167,7 @@ func NewCoordinator(cfg Config) *Coordinator {
 		jobs:        make(map[string]*jobRun),
 		leases:      make(map[string]*lease),
 		workers:     make(map[string]*workerState),
+		wake:        make(chan struct{}),
 		stopJanitor: make(chan struct{}),
 		janitorDone: make(chan struct{}),
 	}
@@ -186,8 +196,10 @@ func NewCoordinator(cfg Config) *Coordinator {
 	return c
 }
 
-// Close stops the lease janitor. Jobs still in RunJob keep draining (their
-// shards just stop expiring); callers shut the job store down first.
+// Close stops the lease janitor and answers every held lease request: a
+// request that finds no work on a closed coordinator gets errClosed (503)
+// instead of waiting. Jobs still in RunJob keep draining (their shards just
+// stop expiring); callers shut the job store down first.
 func (c *Coordinator) Close() {
 	c.mu.Lock()
 	if c.closed {
@@ -195,9 +207,17 @@ func (c *Coordinator) Close() {
 		return
 	}
 	c.closed = true
+	c.ringLocked()
 	c.mu.Unlock()
 	close(c.stopJanitor)
 	<-c.janitorDone
+}
+
+// ringLocked wakes every held lease request to look for work again.
+// Requires c.mu.
+func (c *Coordinator) ringLocked() {
+	close(c.wake)
+	c.wake = make(chan struct{})
 }
 
 // janitor periodically reclaims expired leases so a worker that died
@@ -226,6 +246,7 @@ func (c *Coordinator) janitor() {
 func (c *Coordinator) expireLeases(now time.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	repended := false
 	for id, l := range c.leases {
 		if now.Before(l.expires) {
 			continue
@@ -236,12 +257,16 @@ func (c *Coordinator) expireLeases(now time.Time) {
 			if sh.state == shardLeased && sh.leaseID == id {
 				sh.state = shardPending
 				sh.leaseID = ""
+				repended = true
 			}
 		}
 		c.shardsExpired.Add(1)
 		c.cfg.Logger.Info("shard lease expired",
 			slog.String("lease", id), slog.String("job", l.jobID),
 			slog.Int("shard", l.shardIdx), slog.String("worker", l.workerID))
+	}
+	if repended {
+		c.ringLocked()
 	}
 }
 
@@ -270,7 +295,7 @@ func (c *Coordinator) RunJob(ctx context.Context, jobID string, plan *service.Sw
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return errors.New("dispatch: coordinator is shut down")
+		return errClosed
 	}
 	if _, dup := c.jobs[jobID]; dup {
 		c.mu.Unlock()
@@ -278,6 +303,7 @@ func (c *Coordinator) RunJob(ctx context.Context, jobID string, plan *service.Sw
 	}
 	c.jobs[jobID] = jr
 	c.jobOrder = append(c.jobOrder, jobID)
+	c.ringLocked()
 	c.mu.Unlock()
 	defer c.releaseJob(jobID)
 	for {
@@ -363,11 +389,53 @@ func (c *Coordinator) touchWorkerLocked(workerID string) {
 	c.workers[workerID] = &workerState{lastSeen: time.Now()}
 }
 
+// leaseHold bounds how long a lease request waits for work before it is
+// answered "no work": half the lease TTL, so a held worker is seen well
+// inside its 3×TTL liveness window, and at most 10s, well inside a worker's
+// 30s per-attempt timeout.
+func leaseHold(ttl time.Duration) time.Duration { return min(ttl/2, 10*time.Second) }
+
+// awaitLease is nextLease held open: when no shard is pending it waits for
+// the doorbell and looks again, until it leases a shard, the hold bound
+// passes or ctx ends (nil, nil: no work), or the coordinator is closed
+// (errClosed).
+func (c *Coordinator) awaitLease(ctx context.Context, workerID string) (*service.ShardLease, error) {
+	hold := time.NewTimer(leaseHold(c.cfg.LeaseTTL))
+	defer hold.Stop()
+	for {
+		if ctx.Err() != nil {
+			return nil, nil // the worker hung up; lease nothing to it
+		}
+		c.mu.Lock()
+		l := c.nextLeaseLocked(workerID)
+		wake, closed := c.wake, c.closed
+		c.mu.Unlock()
+		switch {
+		case l != nil:
+			return l, nil
+		case closed:
+			return nil, errClosed
+		}
+		select {
+		case <-wake:
+		case <-hold.C:
+			return nil, nil
+		case <-ctx.Done():
+			return nil, nil
+		}
+	}
+}
+
 // nextLease hands workerID the first pending shard in job-arrival order, or
 // nil when no work is available.
 func (c *Coordinator) nextLease(workerID string) *service.ShardLease {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.nextLeaseLocked(workerID)
+}
+
+// nextLeaseLocked is nextLease under c.mu.
+func (c *Coordinator) nextLeaseLocked(workerID string) *service.ShardLease {
 	c.touchWorkerLocked(workerID)
 jobLoop:
 	for _, jid := range c.jobOrder {

@@ -95,6 +95,7 @@ type cluster struct {
 	store  *service.Store
 	coord  *Coordinator
 	srv    *httptest.Server
+	leases *leaseCounter
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -108,9 +109,10 @@ func newCluster(t *testing.T, cfg Config, nWorkers int) *cluster {
 	cfg.Registry = e.Registry()
 	coord := NewCoordinator(cfg)
 	store := service.NewJobStore(e, service.JobStoreConfig{Runner: coord})
-	srv := httptest.NewServer(service.NewMux(e, store, coord.Routes()...))
+	leases := &leaseCounter{next: service.NewMux(e, store, coord.Routes()...)}
+	srv := httptest.NewServer(leases)
 	ctx, cancel := context.WithCancel(context.Background())
-	c := &cluster{engine: e, store: store, coord: coord, srv: srv, ctx: ctx, cancel: cancel}
+	c := &cluster{engine: e, store: store, coord: coord, srv: srv, leases: leases, ctx: ctx, cancel: cancel}
 	t.Cleanup(func() {
 		cancel()
 		c.wg.Wait()
@@ -143,6 +145,12 @@ func newCluster(t *testing.T, cfg Config, nWorkers int) *cluster {
 // heartbeats stop; the lease janitor redispatches whatever it held).
 func (c *cluster) addWorker(t *testing.T) context.CancelFunc {
 	t.Helper()
+	return c.addWorkerPoll(t, 20*time.Millisecond)
+}
+
+// addWorkerPoll is addWorker with the given retry backoff base.
+func (c *cluster) addWorkerPoll(t *testing.T, poll time.Duration) context.CancelFunc {
+	t.Helper()
 	c.nextID++
 	name := fmt.Sprintf("w%d", c.nextID)
 	wctx, wcancel := context.WithCancel(c.ctx)
@@ -153,13 +161,50 @@ func (c *cluster) addWorker(t *testing.T) context.CancelFunc {
 			Coordinator: c.srv.URL,
 			Name:        name,
 			Engine:      service.EngineConfig{CacheSize: 64},
-			Poll:        20 * time.Millisecond,
+			Poll:        poll,
 		})
 		if err != nil && wctx.Err() == nil {
 			t.Errorf("worker %s: %v", name, err)
 		}
 	}()
 	return wcancel
+}
+
+// leaseCounter wraps a coordinator's mux and counts the lease requests it
+// receives, and the most it ever held open at once.
+type leaseCounter struct {
+	next                 http.Handler
+	calls, open, maxOpen atomic.Int64
+}
+
+func (lc *leaseCounter) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path == "/v2/workers/lease" {
+		lc.calls.Add(1)
+		n := lc.open.Add(1)
+		defer lc.open.Add(-1)
+		for {
+			m := lc.maxOpen.Load()
+			if n <= m || lc.maxOpen.CompareAndSwap(m, n) {
+				break
+			}
+		}
+	}
+	lc.next.ServeHTTP(w, r)
+}
+
+// waitLeaseHeld waits until the cluster has received n lease requests and
+// then 20ms more, so that the last is being held: a coordinator that
+// answered it at once would have sent its worker to sleep by then.
+func (c *cluster) waitLeaseHeld(t *testing.T, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for c.leases.calls.Load() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d lease requests arrived", c.leases.calls.Load(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond)
 }
 
 // assertGolden checks full-stream byte identity plus the cursor contract:
@@ -370,7 +415,8 @@ func TestSubmitValidationAndIdempotency(t *testing.T) {
 }
 
 func TestWorkerHTTPEndpoints(t *testing.T) {
-	cl := newCluster(t, Config{}, 0)
+	// A short TTL keeps the idle lease's hold (TTL/2) at 100ms.
+	cl := newCluster(t, Config{LeaseTTL: 200 * time.Millisecond}, 0)
 	cli := client.New(cl.srv.URL)
 	ctx := context.Background()
 
@@ -384,7 +430,8 @@ func TestWorkerHTTPEndpoints(t *testing.T) {
 	if reg.WorkerID == "" || reg.LeaseTTLMillis <= 0 {
 		t.Fatalf("register response: %+v", reg)
 	}
-	// No jobs: the lease endpoint answers 204 → nil lease, nil error.
+	// No jobs: once the hold passes the lease endpoint answers 204 → nil
+	// lease, nil error.
 	lease, err := cli.LeaseShard(ctx, reg.WorkerID)
 	if err != nil || lease != nil {
 		t.Fatalf("idle lease: %+v, %v", lease, err)

@@ -18,7 +18,8 @@ const (
 // for the serving mux:
 //
 //	POST /v2/workers/register   announce a worker, get an ID and lease TTL
-//	POST /v2/workers/lease      pull one shard lease (204 when no work)
+//	POST /v2/workers/lease      pull one shard lease, held until work arrives
+//	                            (204 when none does within the hold bound)
 //	POST /v2/workers/heartbeat  renew a lease (410 when it is gone)
 //	POST /v2/workers/results    submit a completed shard's records
 func (c *Coordinator) Routes() []service.Route {
@@ -47,7 +48,11 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "worker_id is required")
 		return
 	}
-	lease := c.nextLease(req.WorkerID)
+	lease, err := c.awaitLease(r.Context(), req.WorkerID)
+	if err != nil {
+		writeError(w, http.StatusServiceUnavailable, err.Error())
+		return
+	}
 	if lease == nil {
 		w.WriteHeader(http.StatusNoContent)
 		return

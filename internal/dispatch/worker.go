@@ -25,10 +25,12 @@ type WorkerConfig struct {
 	// the lease, so only capacity knobs (workers, cache size, concurrency)
 	// matter here.
 	Engine service.EngineConfig
-	// Poll is the mean idle interval between lease attempts when no work is
-	// available or the coordinator is unreachable; each sleep is a full-jitter
-	// draw uniform over [0, 2·Poll) to decorrelate a worker fleet. 0 means
-	// 500ms.
+	// Poll is the base of the retry backoff. An idle worker does not poll:
+	// the coordinator holds its lease request until work arrives or the
+	// hold bound passes, and the worker re-leases at once after that 204.
+	// Only a failed call (coordinator unreachable, not ready, or shutting
+	// down) sleeps, a full-jitter draw uniform over [0, 2·Poll) that
+	// decorrelates a worker fleet. 0 means 500ms.
 	Poll time.Duration
 	// Logger receives worker lifecycle events; nil discards them.
 	Logger *slog.Logger
@@ -46,9 +48,10 @@ type WorkerConfig struct {
 // them through the local engine (cache, single-flight, admission, and
 // telemetry all apply), and submit results. Lease evaluation heartbeats at
 // TTL/3; a 410 on heartbeat aborts the shard (someone else owns it now).
-// Every retry and idle sleep draws full jitter from the worker's retry
-// policy, so a restarted coordinator is not hit by the whole fleet in
-// lockstep.
+// The coordinator holds an idle worker's lease request until work arrives,
+// so a 204 is followed by the next lease request at once. Every retry after
+// a failed call draws full jitter from the worker's retry policy, so a
+// restarted coordinator is not hit by the whole fleet in lockstep.
 func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	logger := cfg.Logger
 	if logger == nil {
@@ -60,10 +63,10 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	}
 	// One policy governs every retried call in the worker: lease-paced
 	// backoff base, a bounded attempt count, and a per-attempt timeout so a
-	// stalled coordinator never wedges the loop (all worker calls are fast
-	// control-plane exchanges; shard evaluation happens locally). Idle
-	// sleeps draw its second step, Backoff(1): full jitter over [0, 2·poll),
-	// so the mean idle interval is poll.
+	// stalled coordinator never wedges the loop (all worker calls are
+	// control-plane exchanges; shard evaluation happens locally, and a held
+	// lease request answers within leaseHold's 10s). Sleeps after a failed
+	// call draw its second step, Backoff(1): full jitter over [0, 2·poll).
 	policy := client.Policy{
 		MaxAttempts:    4,
 		BaseBackoff:    poll,
@@ -106,26 +109,33 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	// Every lease of one job carries the identical request, and re-planning
 	// a 20k-point grid per shard would be waste, so the last plan is kept.
 	var plans planSlot
+	// A 204 sooner than half the hold bound comes from a coordinator that
+	// does not hold lease requests (an older build); it is paced like a
+	// failed call instead of re-leased in a hot loop.
+	early := leaseHold(time.Duration(reg.LeaseTTLMillis)*time.Millisecond) / 2
 	for {
-		lease, err := cli.LeaseShard(ctx, reg.WorkerID)
+		asked := time.Now()
+		actx, cancel := context.WithTimeout(ctx, policy.AttemptTimeout)
+		lease, err := cli.LeaseShard(actx, reg.WorkerID)
+		cancel()
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		if err != nil {
-			// Coordinator briefly unreachable (restart, network): back off
-			// and retry — the lease endpoint re-registers unknown worker IDs,
-			// so no re-registration dance is needed.
-			logger.Debug("lease attempt failed", slog.String("error", err.Error()))
+		if err != nil || (lease == nil && time.Since(asked) < early) {
+			// Coordinator briefly unreachable (restart, network) or shutting
+			// down (503): back off and retry — the lease endpoint
+			// re-registers unknown worker IDs, so no re-registration dance
+			// is needed.
+			if err != nil {
+				logger.Debug("lease attempt failed", slog.String("error", err.Error()))
+			}
 			if err := sleepCtx(ctx, policy.Backoff(1)); err != nil {
 				return err
 			}
 			continue
 		}
 		if lease == nil {
-			if err := sleepCtx(ctx, policy.Backoff(1)); err != nil {
-				return err
-			}
-			continue
+			continue // the hold bound passed with no work; ask again
 		}
 		if err := evalLease(ctx, cli, engine, &plans, reg.WorkerID, lease, policy, cfg.Inject, logger); err != nil {
 			if ctx.Err() != nil {

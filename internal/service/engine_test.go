@@ -449,3 +449,21 @@ func TestResolveDesignAliases(t *testing.T) {
 		t.Errorf("unknown design err = %v", err)
 	}
 }
+
+// TestResolveDesignAllocatesNothing pins the prebuilt name index: resolving
+// a lower-case alias, which every cached request does, allocates nothing,
+// and the unknown-design error still lists every design in order.
+func TestResolveDesignAllocatesNothing(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := resolveDesign("dtmb26"); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("resolveDesign(\"dtmb26\") allocates %v times, want 0", n)
+	}
+	_, err := resolveDesign("DTMB(9,9)")
+	want := `invalid request: unknown design "DTMB(9,9)" (try DTMB(1,6), DTMB(2,6), DTMB(3,6), DTMB(4,4), DTMB(2,6)alt)`
+	if err == nil || err.Error() != want {
+		t.Errorf("unknown design error = %v, want %s", err, want)
+	}
+}

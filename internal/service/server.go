@@ -135,6 +135,13 @@ func (s *Server) Serve() error {
 	return nil
 }
 
+// RegisterOnShutdown registers f to run when Shutdown begins draining
+// requests, after running jobs are cancelled. A handler that holds its
+// request open waiting for work (the dispatch coordinator's lease long
+// poll) registers its wake-up here; otherwise its connection would not go
+// idle until the hold ran out.
+func (s *Server) RegisterOnShutdown(f func()) { s.http.RegisterOnShutdown(f) }
+
 // Run serves until ctx is cancelled, then shuts down gracefully within
 // grace, draining in-flight requests and running jobs.
 func (s *Server) Run(ctx context.Context, grace time.Duration) error {

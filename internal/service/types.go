@@ -83,22 +83,38 @@ func validateEpsilon(eps float64) error {
 	return nil
 }
 
+// designsByName maps every accepted spelling of a design, lower-cased — the
+// paper's name ("dtmb(2,6)") and its compact alias ("dtmb26") — to the
+// design; designNames lists the paper's names for the unknown-design error.
+// Both are built once: resolveDesign runs on every request, cache hits
+// included.
+var designsByName, designNames = indexDesigns()
+
+func indexDesigns() (map[string]layout.Design, string) {
+	all := layout.AllDesignsWithVariants()
+	byName := make(map[string]layout.Design, 2*len(all))
+	names := make([]string, len(all))
+	compact := strings.NewReplacer("(", "", ")", "", ",", "")
+	for i, d := range all {
+		canonical := strings.ToLower(d.Name)
+		for _, key := range []string{canonical, compact.Replace(canonical)} {
+			if _, taken := byName[key]; !taken { // the first design listed wins
+				byName[key] = d
+			}
+		}
+		names[i] = d.Name
+	}
+	return byName, strings.Join(names, ", ")
+}
+
 // resolveDesign maps a wire-level design name to a layout.Design. It accepts
 // the paper's names ("DTMB(2,6)") and compact aliases ("dtmb26"),
 // case-insensitively.
 func resolveDesign(name string) (layout.Design, error) {
-	all := layout.AllDesignsWithVariants()
-	want := strings.ToLower(strings.TrimSpace(name))
-	names := make([]string, 0, len(all))
-	for _, d := range all {
-		canonical := strings.ToLower(d.Name)
-		compact := strings.NewReplacer("(", "", ")", "", ",", "").Replace(canonical)
-		if want == canonical || want == compact {
-			return d, nil
-		}
-		names = append(names, d.Name)
+	if d, ok := designsByName[strings.ToLower(strings.TrimSpace(name))]; ok {
+		return d, nil
 	}
-	return layout.Design{}, invalidf("unknown design %q (try %s)", name, strings.Join(names, ", "))
+	return layout.Design{}, invalidf("unknown design %q (try %s)", name, designNames)
 }
 
 // YieldRequest asks for a Monte-Carlo yield estimate of one design.
