@@ -22,6 +22,7 @@ import (
 	"dmfb/internal/matching"
 	"dmfb/internal/reconfig"
 	"dmfb/internal/service"
+	"dmfb/internal/sqgrid"
 	"dmfb/internal/stats"
 	"dmfb/internal/yieldsim"
 )
@@ -365,6 +366,34 @@ func BenchmarkClusteredDefectKernel(b *testing.B) {
 		if _, err := mc.YieldModelContext(context.Background(), arr, 0.95, model); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkShiftedKernel measures the shifted-replacement yield kernel
+// (injection plus the word-parallel column walk) on one worker, at n = 100
+// with one spare row and p = 0.95, under both defect models.
+func BenchmarkShiftedKernel(b *testing.B) {
+	pl, err := sqgrid.PlacementWithPrimaryTarget(100, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		model defects.Model
+	}{
+		{"independent", defects.Model{}},
+		{"clustered", defects.Model{Clustered: true, ClusterSize: 4}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			mc := yieldsim.NewMonteCarlo(1)
+			mc.Runs = 10000
+			mc.Workers = 1
+			for i := 0; i < b.N; i++ {
+				if _, err := mc.ShiftedYieldModelContext(context.Background(), pl, 0.95, tc.model); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

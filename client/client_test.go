@@ -432,3 +432,22 @@ func TestClientResumesAfterKilledConnections(t *testing.T) {
 		t.Error("stream against a dead network succeeded")
 	}
 }
+
+// TestLeaseShardIgnoresUnknownFields pins the lenient lease decoding that
+// keeps workers compatible with coordinators that still send a
+// "chunk_size" lease field: the field is ignored and the lease is used.
+func TestLeaseShardIgnoresUnknownFields(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = w.Write([]byte(`{"lease_id":"lease-7","job_id":"job-1","shard":3,"start":6,"end":8,` +
+			`"request":{"runs":300,"seed":7},"chunk_size":1024,"ttl_ms":10000}`))
+	}))
+	defer srv.Close()
+	lease, err := client.New(srv.URL).LeaseShard(context.Background(), "worker-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lease.LeaseID != "lease-7" || lease.Start != 6 || lease.End != 8 || lease.Request.Runs != 300 || lease.TTLMillis != 10000 {
+		t.Errorf("lease = %+v", lease)
+	}
+}

@@ -62,7 +62,6 @@ func main() {
 		cacheSize     = flag.Int("cache-size", 1024, "LRU result-cache capacity (entries)")
 		defaultRuns   = flag.Int("default-runs", 10000, "Monte-Carlo runs when a request omits runs")
 		workers       = flag.Int("workers", 0, "goroutines per simulation (0 = GOMAXPROCS); does not affect results")
-		chunkSize     = flag.Int("chunk-size", 0, "Monte-Carlo trials per work unit (0 = yieldsim default); part of the determinism contract")
 		maxConcurrent = flag.Int("max-concurrent", 0, "simulations admitted at once (0 = 2; each simulation already parallelizes across cores)")
 		maxJobs       = flag.Int("max-jobs", 0, "sweep jobs retained in memory, running and finished combined (0 = 128)")
 		maxResultMB   = flag.Int("max-result-mb", 0, "MiB of encoded job results retained by finished jobs before oldest-first eviction (0 = 64)")
@@ -121,7 +120,6 @@ func main() {
 			CacheSize:     *cacheSize,
 			DefaultRuns:   *defaultRuns,
 			Workers:       *workers,
-			ChunkSize:     *chunkSize,
 			MaxConcurrent: *maxConcurrent,
 			Registry:      registry,
 		},

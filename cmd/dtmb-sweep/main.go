@@ -7,7 +7,7 @@
 // It drives the same sweep engine as the sweep endpoints of dtmb-serve,
 // including its result cache and admission control, so repeated grid points
 // cost one simulation. Because the Monte-Carlo kernel is chunk-seeded,
-// output is byte-identical for a given (grid, runs, seed, chunk size)
+// output is byte-identical for a given (grid, runs, seed, epsilon)
 // regardless of -workers or GOMAXPROCS.
 //
 // With -server the grid is not evaluated in-process: the sweep runs as an
@@ -56,7 +56,7 @@ type options struct {
 	runs                            int
 	epsilon                         float64
 	seed                            int64
-	workers, chunkSize              int
+	workers                         int
 	format, outPath                 string
 	server                          string
 }
@@ -79,10 +79,9 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.Float64Var(&o.epsilon, "epsilon", 0, "target 95% CI half-width per grid point; >0 stops each estimate early once reached, with -runs as the trial budget")
 	fs.Int64Var(&o.seed, "seed", 20050307, "PRNG seed (same seed, same grid: same output)")
 	fs.IntVar(&o.workers, "workers", 0, "goroutines per simulation (0 = GOMAXPROCS); never affects results")
-	fs.IntVar(&o.chunkSize, "chunk-size", 0, "trials per Monte-Carlo work unit (0 = default 256); part of the determinism contract")
 	fs.StringVar(&o.format, "format", "csv", "output format: csv or ndjson")
 	fs.StringVar(&o.outPath, "o", "", "output file (default stdout)")
-	fs.StringVar(&o.server, "server", "", "dtmb-serve base URL; when set, run the sweep as a remote /v2 job instead of in-process (ignores -workers and -chunk-size)")
+	fs.StringVar(&o.server, "server", "", "dtmb-serve base URL; when set, run the sweep as a remote /v2 job instead of in-process (ignores -workers)")
 	return &o
 }
 
@@ -168,7 +167,6 @@ func main() {
 	engine := service.NewEngine(service.EngineConfig{
 		DefaultRuns: o.runs,
 		Workers:     o.workers,
-		ChunkSize:   o.chunkSize,
 	})
 	plan, err := engine.PlanSweep(req)
 	if err != nil {

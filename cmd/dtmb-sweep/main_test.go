@@ -40,8 +40,8 @@ func TestHelpNamesAllStrategiesAndAxes(t *testing.T) {
 // TestRemoteSweepMatchesLocalBytes runs the same grid through both of
 // main's paths — the in-process engine and a remote /v2 job streamed by the
 // typed client — into the CSV emitter, and asserts identical bytes. The
-// engine configurations match (same default runs, default chunk size), so
-// the chunk-seeded kernel pins every digit.
+// engine configurations match (same default runs), so the chunk-seeded
+// kernel pins every digit.
 func TestRemoteSweepMatchesLocalBytes(t *testing.T) {
 	req := service.SweepRequest{
 		Strategies:   []string{"none", "local", "shifted", "hex"},

@@ -35,7 +35,7 @@
 // (internal/dispatch). Package dmfb/client is
 // the typed Go client of both surfaces, resuming interrupted job streams
 // automatically. The Monte-Carlo kernel is chunk-seeded, so estimates are
-// deterministic in (seed, runs, chunk size) regardless of parallelism;
+// deterministic in (seed, runs, epsilon) regardless of parallelism;
 // identical requests are therefore cacheable, sweep output is
 // byte-reproducible, and a served answer equals the library answer for the
 // same parameters. DESIGN.md documents the architecture and API.md the full

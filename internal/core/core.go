@@ -252,15 +252,14 @@ type YieldAnalysis struct {
 }
 
 // SimParams configures the Monte-Carlo simulation behind a yield analysis.
-// The zero value means the paper's defaults: 10000 runs, seed 0, GOMAXPROCS
-// workers, and yieldsim.DefaultChunkSize chunks. Because chunked seeding
-// makes estimates independent of Workers, two analyses with equal (Runs,
-// Seed, ChunkSize) agree exactly regardless of parallelism.
+// The zero value means the paper's defaults: 10000 runs, seed 0 and
+// GOMAXPROCS workers. Because chunked seeding makes estimates independent of
+// Workers, two analyses with equal (Runs, Seed, Epsilon) agree exactly
+// regardless of parallelism.
 type SimParams struct {
-	Runs      int
-	Seed      int64
-	Workers   int
-	ChunkSize int
+	Runs    int
+	Seed    int64
+	Workers int
 	// Epsilon, when positive, makes the simulation precision-targeted: it
 	// stops at the first deterministic chunk boundary where the Wilson 95%
 	// half-width reaches Epsilon, with Runs acting as the trial budget. The
@@ -285,7 +284,6 @@ func (sp SimParams) MonteCarlo() *yieldsim.MonteCarlo {
 		mc.Runs = sp.Runs
 	}
 	mc.Workers = sp.Workers
-	mc.ChunkSize = sp.ChunkSize
 	mc.Epsilon = sp.Epsilon
 	mc.Metrics = sp.Metrics
 	mc.Logger = sp.Logger

@@ -232,3 +232,21 @@ func (in *Injector) ClusteredBatch(arr *layout.Array, cp ClusterParams, n int, b
 	}
 	return in.clusters(in.hexStencil(arr, cp.clusterDecay(6)), cp.clusterRate(), n, b), nil
 }
+
+// ClusteredGridBatch is the batched form of ClusteredGrid: n clustered-defect
+// trials over a row-major w×h grid, drawn in exactly the per-trial order of n
+// successive ClusteredGrid calls. It returns the total number of clusters
+// seeded across the batch, or an error, before any draw, for an invalid grid
+// or a batch sized for a different cell count.
+func (in *Injector) ClusteredGridBatch(w, h int, cp ClusterParams, n int, b *TrialBatch) (int, error) {
+	if err := cp.validate(); err != nil {
+		return 0, err
+	}
+	if w <= 0 || h <= 0 {
+		return 0, fmt.Errorf("defects: invalid grid %dx%d", w, h)
+	}
+	if b.NumCells() != w*h {
+		return 0, fmt.Errorf("defects: batch sized for %d cells, grid has %d", b.NumCells(), w*h)
+	}
+	return in.clusters(in.squareStencil(w, h, cp.clusterDecay(8)), cp.clusterRate(), n, b), nil
+}

@@ -172,43 +172,72 @@ func TestSamplerChoiceFollowsQ(t *testing.T) {
 }
 
 // TestClusteredBatchMatchesScalar pins clustered batch injection to n
-// successive Clustered calls on a real array: identical fault patterns,
-// identical cluster counts, identical stream position.
+// successive one-trial draws, on a real hexagonal array (Clustered) and on a
+// square grid (ClusteredGrid): identical fault patterns, identical cluster
+// counts, identical stream position.
 func TestClusteredBatchMatchesScalar(t *testing.T) {
 	arr, err := layout.BuildWithPrimaryTarget(layout.DTMB26(), 60)
 	if err != nil {
 		t.Fatal(err)
 	}
+	const gw, gh = 11, 9
 	cp := ClusterParams{MeanDefects: 5, ClusterSize: 4}
-	const n = WordTrials
-	batchIn, scalarIn := NewInjector(11), NewInjector(11)
-	b := NewTrialBatch(arr.NumCells())
-	batchClusters, err := batchIn.ClusteredBatch(arr, cp, n, b)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name     string
+		numCells int
+		batch    func(in *Injector, cp ClusterParams, n int, b *TrialBatch) (int, error)
+		scalar   func(in *Injector, fs *FaultSet) (*FaultSet, int, error)
+	}{
+		{"hex", arr.NumCells(),
+			func(in *Injector, cp ClusterParams, n int, b *TrialBatch) (int, error) {
+				return in.ClusteredBatch(arr, cp, n, b)
+			},
+			func(in *Injector, fs *FaultSet) (*FaultSet, int, error) { return in.Clustered(arr, cp, fs) }},
+		{"square-grid", gw * gh,
+			func(in *Injector, cp ClusterParams, n int, b *TrialBatch) (int, error) {
+				return in.ClusteredGridBatch(gw, gh, cp, n, b)
+			},
+			func(in *Injector, fs *FaultSet) (*FaultSet, int, error) { return in.ClusteredGrid(gw, gh, cp, fs) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const n = WordTrials
+			batchIn, scalarIn := NewInjector(11), NewInjector(11)
+			b := NewTrialBatch(tc.numCells)
+			batchClusters, err := tc.batch(batchIn, cp, n, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.Finalize()
+			fs := NewFaultSet(tc.numCells)
+			scalarClusters := 0
+			for trial := 0; trial < n; trial++ {
+				next, c, err := tc.scalar(scalarIn, fs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fs = next
+				scalarClusters += c
+				if !rowEquals(b, trial, fs) {
+					t.Fatalf("trial %d: clustered batch row differs from scalar draw", trial)
+				}
+			}
+			if batchClusters != scalarClusters {
+				t.Fatalf("batch seeded %d clusters, scalar %d", batchClusters, scalarClusters)
+			}
+			if bg, sg := batchIn.rng.Float64(), scalarIn.rng.Float64(); bg != sg {
+				t.Fatal("clustered PRNG streams diverged")
+			}
+			if _, err := tc.batch(batchIn, ClusterParams{MeanDefects: -1, ClusterSize: 4}, 1, b); err == nil {
+				t.Fatal("invalid cluster params accepted")
+			}
+			if _, err := tc.batch(batchIn, cp, 1, NewTrialBatch(tc.numCells+1)); err == nil {
+				t.Fatal("batch sized for another cell count accepted")
+			}
+		})
 	}
-	b.Finalize()
-	fs := NewFaultSet(arr.NumCells())
-	scalarClusters := 0
-	for trial := 0; trial < n; trial++ {
-		next, c, err := scalarIn.Clustered(arr, cp, fs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fs = next
-		scalarClusters += c
-		if !rowEquals(b, trial, fs) {
-			t.Fatalf("trial %d: clustered batch row differs from scalar draw", trial)
-		}
-	}
-	if batchClusters != scalarClusters {
-		t.Fatalf("batch seeded %d clusters, scalar %d", batchClusters, scalarClusters)
-	}
-	if bg, sg := batchIn.rng.Float64(), scalarIn.rng.Float64(); bg != sg {
-		t.Fatal("clustered PRNG streams diverged")
-	}
-	if _, err := batchIn.ClusteredBatch(arr, ClusterParams{MeanDefects: -1, ClusterSize: 4}, 1, b); err == nil {
-		t.Fatal("invalid cluster params accepted")
+	in := NewInjector(1)
+	if _, err := in.ClusteredGridBatch(0, gh, cp, 1, NewTrialBatch(1)); err == nil {
+		t.Fatal("empty grid accepted")
 	}
 }
 

@@ -393,7 +393,6 @@ func shardRecords(t *testing.T, e *service.Engine, l *service.ShardLease) []serv
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan.SetChunkSize(l.ChunkSize)
 	var records []service.SweepRecord
 	if err := e.RunSweepRange(context.Background(), plan, l.Start, l.End, func(rec service.SweepRecord) error {
 		rec.Cached = false

@@ -6,13 +6,12 @@
 // stream is byte-identical to single-process execution at every cursor.
 //
 // The determinism argument: the chunk-seeded Monte-Carlo kernel makes every
-// grid point a pure function of (scenario, runs, seed, epsilon, chunk size),
-// independent of worker count and host. A lease pins all of those — the
-// forwarded request carries the coordinator-resolved run count, and the
-// lease's chunk size overrides the worker's own default — so any worker
-// (or the same shard evaluated twice after a lease expiry) produces
-// identical records, and merging shards in index order reproduces the local
-// stream exactly.
+// grid point a pure function of (scenario, runs, seed, epsilon), independent
+// of worker count and host. A lease pins all of those — the forwarded
+// request carries the coordinator-resolved run count — so any worker (or
+// the same shard evaluated twice after a lease expiry) produces identical
+// records, and merging shards in index order reproduces the local stream
+// exactly.
 package dispatch
 
 import (
@@ -101,13 +100,12 @@ type shard struct {
 // cursor. RunJob's goroutine is the only consumer; workers (via Submit) are
 // the producers.
 type jobRun struct {
-	id        string
-	req       service.SweepRequest // forwarded in every lease, runs resolved
-	chunkSize int
-	shards    []*shard
-	nextEmit  int           // first shard not yet merged
-	ready     chan struct{} // 1-buffered doorbell: a mergeable shard exists or the job failed
-	failed    error         // terminal quarantine diagnosis; stops leasing and RunJob
+	id       string
+	req      service.SweepRequest // forwarded in every lease, runs resolved
+	shards   []*shard
+	nextEmit int           // first shard not yet merged
+	ready    chan struct{} // 1-buffered doorbell: a mergeable shard exists or the job failed
+	failed   error         // terminal quarantine diagnosis; stops leasing and RunJob
 }
 
 // lease is one outstanding shard lease.
@@ -283,10 +281,9 @@ func (c *Coordinator) RunJob(ctx context.Context, jobID string, plan *service.Sw
 		return nil // nothing left to evaluate (resume found a complete log)
 	}
 	jr := &jobRun{
-		id:        jobID,
-		req:       req,
-		chunkSize: plan.SimParams().ChunkSize,
-		ready:     make(chan struct{}, 1),
+		id:    jobID,
+		req:   req,
+		ready: make(chan struct{}, 1),
 	}
 	for s := start; s < total; s += c.cfg.ShardSize {
 		end := min(s+c.cfg.ShardSize, total)
@@ -490,7 +487,6 @@ jobLoop:
 				Start:     sh.start,
 				End:       sh.end,
 				Request:   jr.req,
-				ChunkSize: jr.chunkSize,
 				TTLMillis: c.cfg.LeaseTTL.Milliseconds(),
 			}
 		}

@@ -360,7 +360,6 @@ func TestSubmitValidationAndIdempotency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan.SetChunkSize(held.ChunkSize)
 	var records []service.SweepRecord
 	if err := e.RunSweepRange(context.Background(), plan, held.Start, held.End, func(rec service.SweepRecord) error {
 		rec.Cached = false

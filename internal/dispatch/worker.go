@@ -21,9 +21,8 @@ type WorkerConfig struct {
 	// Name is an optional human-readable label for the coordinator's logs.
 	Name string
 	// Engine tunes the worker's local simulation engine. Determinism-relevant
-	// parameters (runs, seed, epsilon, chunk size) are always overridden by
-	// the lease, so only capacity knobs (workers, cache size, concurrency)
-	// matter here.
+	// parameters (runs, seed, epsilon) always come from the lease, so only
+	// capacity knobs (workers, cache size, concurrency) matter here.
 	Engine service.EngineConfig
 	// Poll is the base of the retry backoff. An idle worker does not poll:
 	// the coordinator holds its lease request until work arrives or the
@@ -253,30 +252,26 @@ func evalLease(ctx context.Context, cli *client.Client, engine *service.Engine, 
 
 // planSlot holds the plan of the last lease a worker evaluated, so the
 // worker's memory does not grow with the jobs it serves. The plan is reused
-// only for a lease of the same job with the same request and chunk size: an
-// in-memory coordinator numbers jobs from job-1 again after a restart, so a
-// job ID alone does not identify a request.
+// only for a lease of the same job with the same request: an in-memory
+// coordinator numbers jobs from job-1 again after a restart, so a job ID
+// alone does not identify a request.
 type planSlot struct {
-	jobID     string
-	req       service.SweepRequest
-	chunkSize int
-	plan      *service.SweepPlan
+	jobID string
+	req   service.SweepRequest
+	plan  *service.SweepPlan
 }
 
 // get returns the plan for lease, re-planning when the slot holds another
 // lease's.
 func (s *planSlot) get(engine *service.Engine, lease *client.ShardLease) (*service.SweepPlan, error) {
-	if s.plan != nil && s.jobID == lease.JobID && s.chunkSize == lease.ChunkSize && reflect.DeepEqual(s.req, lease.Request) {
+	if s.plan != nil && s.jobID == lease.JobID && reflect.DeepEqual(s.req, lease.Request) {
 		return s.plan, nil
 	}
 	plan, err := engine.PlanSweep(lease.Request)
 	if err != nil {
 		return nil, fmt.Errorf("plan leased sweep: %w", err)
 	}
-	// The lease's chunk size is the coordinator's — part of the determinism
-	// contract, never this worker's own default.
-	plan.SetChunkSize(lease.ChunkSize)
-	*s = planSlot{jobID: lease.JobID, req: lease.Request, chunkSize: lease.ChunkSize, plan: plan}
+	*s = planSlot{jobID: lease.JobID, req: lease.Request, plan: plan}
 	return plan, nil
 }
 

@@ -17,8 +17,8 @@ var update = flag.Bool("update", false, "rewrite golden files")
 
 // goldenCfg is the reduced-but-deterministic configuration the fixtures are
 // generated with. The chunk-seeded kernel makes every byte a pure function
-// of (Runs, Seed, ChunkSize) — Workers and GOMAXPROCS never leak in — which
-// is what makes byte-exact fixtures sound.
+// of (Runs, Seed) — Workers and GOMAXPROCS never leak in — which is what
+// makes byte-exact fixtures sound.
 func goldenCfg() Config { return Config{Runs: 250, Seed: 20050307} }
 
 func checkGolden(t *testing.T, name, got string) {

@@ -46,15 +46,6 @@ type Plan struct {
 	HallWitness []layout.CellID
 }
 
-// Replacements returns the assignment as a map from faulty primary to spare.
-func (p Plan) Replacements() map[layout.CellID]layout.CellID {
-	m := make(map[layout.CellID]layout.CellID, len(p.Assignments))
-	for _, a := range p.Assignments {
-		m[a.Faulty] = a.Spare
-	}
-	return m
-}
-
 // CellsRemapped returns the number of cells whose function moves — for local
 // reconfiguration exactly one per repaired fault, the property that makes
 // interstitial redundancy cheap.

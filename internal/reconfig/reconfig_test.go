@@ -514,14 +514,6 @@ func TestVerifyRejectsCorruptPlans(t *testing.T) {
 	}
 }
 
-func TestReplacementsMap(t *testing.T) {
-	p := Plan{Assignments: []Assignment{{Faulty: 1, Spare: 2}, {Faulty: 3, Spare: 4}}}
-	m := p.Replacements()
-	if len(m) != 2 || m[1] != 2 || m[3] != 4 {
-		t.Errorf("Replacements = %v", m)
-	}
-}
-
 func BenchmarkLocalReconfigure35Faults(b *testing.B) {
 	arr, err := layout.BuildWithPrimaryTarget(layout.DTMB26(), 252)
 	if err != nil {

@@ -62,9 +62,9 @@ type LeaseRequest struct {
 
 // ShardLease is one unit of leased work: a contiguous, index-ordered slice
 // [start, end) of a job's deterministic grid. The embedded request carries
-// fully resolved simulation parameters (runs, seed, epsilon) and ChunkSize
-// pins the kernel's work-unit size, so the worker's evaluation is
-// bit-identical to the coordinator evaluating the same points locally.
+// fully resolved simulation parameters (runs, seed, epsilon), which are all
+// an estimate depends on, so the worker's evaluation is bit-identical to
+// the coordinator evaluating the same points locally.
 type ShardLease struct {
 	LeaseID string `json:"lease_id"`
 	JobID   string `json:"job_id"`
@@ -76,9 +76,6 @@ type ShardLease struct {
 	// worker re-plans it (grid expansion is deterministic) and evaluates
 	// points [start, end).
 	Request SweepRequest `json:"request"`
-	// ChunkSize is the coordinator's Monte-Carlo chunk size — part of the
-	// determinism contract, so it must override the worker's own default.
-	ChunkSize int `json:"chunk_size,omitempty"`
 	// TTLMillis echoes the lease time-to-live for heartbeat pacing.
 	TTLMillis int64 `json:"ttl_ms"`
 }

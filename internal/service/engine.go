@@ -25,10 +25,6 @@ type EngineConfig struct {
 	// Workers bounds per-simulation parallelism; 0 means GOMAXPROCS. It does
 	// not affect results — the chunk-seeded kernel is worker-independent.
 	Workers int
-	// ChunkSize is the Monte-Carlo work-unit size; 0 means
-	// yieldsim.DefaultChunkSize. Part of the determinism contract: change it
-	// and cached results for the same seed change.
-	ChunkSize int
 	// MaxConcurrent bounds simulations executing at once; excess requests
 	// queue on the semaphore (respecting cancellation). 0 means 2: each
 	// simulation already fans out across GOMAXPROCS workers, so a small
@@ -128,13 +124,12 @@ func (e *Engine) simParams(runs int, seed int64, epsilon float64) core.SimParams
 		runs = e.cfg.DefaultRuns
 	}
 	return core.SimParams{
-		Runs:      runs,
-		Seed:      seed,
-		Workers:   e.cfg.Workers,
-		ChunkSize: e.cfg.ChunkSize,
-		Epsilon:   epsilon,
-		Metrics:   e.metrics.kernel,
-		Logger:    e.logger,
+		Runs:    runs,
+		Seed:    seed,
+		Workers: e.cfg.Workers,
+		Epsilon: epsilon,
+		Metrics: e.metrics.kernel,
+		Logger:  e.logger,
 	}
 }
 

@@ -18,8 +18,8 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite golden wire-format files")
 
 // goldenEngine builds an engine with the fixed configuration the goldens
-// were generated under. Determinism contract: DefaultRuns, ChunkSize, and
-// the request seeds pin the bytes; Workers does not affect them.
+// were generated under. Determinism contract: DefaultRuns and the request
+// seeds pin the bytes; Workers does not affect them.
 func goldenEngine() *Engine {
 	return NewEngine(EngineConfig{CacheSize: 64, DefaultRuns: 300})
 }

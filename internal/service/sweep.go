@@ -22,15 +22,9 @@ type SweepPlan struct {
 func (p *SweepPlan) NumPoints() int { return len(p.points) }
 
 // SimParams exposes the plan's resolved simulation parameters (run count,
-// seed, epsilon, chunk size). The dispatch coordinator reads them to pin the
-// determinism-relevant values into shard leases.
+// seed, epsilon). The job store reads them to pin the resolved run count
+// into a job's request.
 func (p *SweepPlan) SimParams() core.SimParams { return p.sp }
-
-// SetChunkSize overrides the plan's Monte-Carlo chunk size. Workers apply
-// the coordinator's chunk size from the lease — chunk size is part of the
-// determinism contract, so a worker's own default must never leak into a
-// distributed evaluation.
-func (p *SweepPlan) SetChunkSize(n int) { p.sp.ChunkSize = n }
 
 // PlanSweep validates a sweep request — design aliases, axis bounds, grid
 // size, and total simulation work — and expands it into its ordered points.

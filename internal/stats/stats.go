@@ -35,18 +35,6 @@ func SeedStream(seed int64, n int) []int64 {
 	return out
 }
 
-// Mean returns the arithmetic mean of xs (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
 // Proportion is a Monte-Carlo success proportion with its sample size.
 type Proportion struct {
 	Successes, Trials int

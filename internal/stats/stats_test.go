@@ -43,16 +43,6 @@ func TestSplitMix64AdvancesState(t *testing.T) {
 	}
 }
 
-func TestMeanAndStdDev(t *testing.T) {
-	if Mean(nil) != 0 {
-		t.Error("Mean(nil) != 0")
-	}
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := Mean(xs); math.Abs(got-5) > 1e-12 {
-		t.Errorf("Mean = %v, want 5", got)
-	}
-}
-
 func TestProportionValue(t *testing.T) {
 	if (Proportion{}).Value() != 0 {
 		t.Error("empty proportion should be 0")

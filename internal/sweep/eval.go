@@ -72,7 +72,7 @@ func Evaluate(ctx context.Context, pt Point, sp core.SimParams) (PointResult, er
 // scenarios differ only in the footprint of the array they build
 // (parallelogram or hexagon); both then run the same local-reconfiguration
 // kernel, YieldModelContext, under either defect model. Shifted scenarios
-// run the column-cascade kernel. The sweep runner, the service engine (with
+// run the column-walk kernel, ShiftedYieldModelContext. The sweep runner, the service engine (with
 // its cache in front), and the v2 evaluate endpoint all funnel through this
 // one switch.
 func EvaluateScenario(ctx context.Context, sc Scenario, sp core.SimParams) (PointResult, error) {

@@ -17,11 +17,12 @@ type KernelMetrics struct {
 	// all-healthy fast path that skips the matcher.
 	AllHealthy *Counter
 	// Screened counts faulty trials a word-parallel batch screen settled
-	// without a per-trial decision: by exclusive spares, or by the exact
-	// degree-1 peeling rounds that follow them.
+	// without a per-trial decision: by exclusive spares, by the exact
+	// degree-1 peeling rounds that follow them, or by the shifted strategy's
+	// column walk.
 	Screened *Counter
-	// MatcherInvocations counts trials decided one at a time: by the
-	// reconfiguration matcher or by the shifted column-cascade analysis.
+	// MatcherInvocations counts trials decided one at a time by the
+	// reconfiguration matcher.
 	MatcherInvocations *Counter
 	// ChunkSeconds observes the wall time of each completed kernel chunk;
 	// its Count is the number of chunks executed.
@@ -45,8 +46,8 @@ func NewKernelMetrics(r *Registry) *KernelMetrics {
 	return &KernelMetrics{
 		Trials:             r.Counter("dmfb_kernel_trials_total", "Monte-Carlo trials completed."),
 		AllHealthy:         r.Counter("dmfb_kernel_trials_all_healthy_total", "Trials that drew zero faults and skipped the matcher."),
-		Screened:           r.Counter("dmfb_kernel_trials_screened_total", "Faulty trials the batch screen settled without the matcher, by exclusive spares or degree-1 peeling."),
-		MatcherInvocations: r.Counter("dmfb_kernel_matcher_invocations_total", "Trials decided one at a time by the reconfiguration matcher or column-cascade analysis."),
+		Screened:           r.Counter("dmfb_kernel_trials_screened_total", "Faulty trials the batch screen settled without the matcher, by exclusive spares, degree-1 peeling or the shifted column walk."),
+		MatcherInvocations: r.Counter("dmfb_kernel_matcher_invocations_total", "Trials decided one at a time by the reconfiguration matcher."),
 		ChunkSeconds:       r.Histogram("dmfb_kernel_chunk_duration_seconds", "Wall time of one Monte-Carlo kernel chunk.", nil),
 		EarlyStops:         r.Counter("dmfb_kernel_early_stops_total", "Precision-targeted estimates that met epsilon before the trial budget."),
 		RealizedRuns:       r.Histogram("dmfb_kernel_realized_runs", "Realized trial count of one precision-targeted estimate.", realizedRunsBuckets),

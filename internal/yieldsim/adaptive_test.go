@@ -4,7 +4,7 @@ package yieldsim
 // sampling. The contract has two halves: with the rule disabled (or never
 // firing) the estimate is bit-identical to a fixed-run one, and with the
 // rule firing the realized count and estimate depend only on
-// (Seed, Epsilon, Runs, ChunkSize) — never on Workers or GOMAXPROCS.
+// (Seed, Epsilon, Runs) — never on Workers or GOMAXPROCS.
 
 import (
 	"context"
@@ -142,7 +142,6 @@ func TestAdaptiveRealizedCountIsChunkAligned(t *testing.T) {
 	}
 	mc := NewMonteCarlo(7)
 	mc.Runs = 100000
-	mc.ChunkSize = 300
 	mc.Epsilon = 0.01
 	res, err := mc.Yield(arr, 0.99)
 	if err != nil {
@@ -151,8 +150,8 @@ func TestAdaptiveRealizedCountIsChunkAligned(t *testing.T) {
 	if res.Runs >= mc.Runs {
 		t.Fatalf("never stopped early (%d trials)", res.Runs)
 	}
-	if res.Runs%300 != 0 {
-		t.Errorf("realized count %d is not a multiple of the 300-trial chunk", res.Runs)
+	if res.Runs%DefaultChunkSize != 0 {
+		t.Errorf("realized count %d is not a multiple of the %d-trial chunk", res.Runs, DefaultChunkSize)
 	}
 }
 

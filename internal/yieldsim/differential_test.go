@@ -102,6 +102,10 @@ func differentialCases(t *testing.T) []estimatorCase {
 		{"local/fixed-count", func(mc *MonteCarlo) (Result, error) {
 			return mc.YieldFixedFaults(local, 9, defects.AllCells)
 		}},
+		// The shifted kernel has no scalar program, so both sides of these
+		// cases run the column walk and pin worker invariance only;
+		// TestShiftedYieldMatchesShiftSessionReference pins the walk to
+		// scalar draws and a ShiftSession verdict.
 		{"shifted/bernoulli", func(mc *MonteCarlo) (Result, error) {
 			return mc.ShiftedYield(pl, 0.94)
 		}},
@@ -119,8 +123,7 @@ func differentialCases(t *testing.T) []estimatorCase {
 // under the equivalence.
 func configureDifferential(seed int64, i int) *MonteCarlo {
 	mc := NewMonteCarlo(seed)
-	mc.Runs = 900 // 3 chunks of 256 + a 132-trial tail
-	mc.ChunkSize = 256
+	mc.Runs = 3*DefaultChunkSize + 132 // 3 full chunks + a 132-trial tail
 	if i%2 == 1 {
 		mc.Workers = 4
 	}
@@ -156,7 +159,7 @@ func TestDifferentialBatchMatchesScalar(t *testing.T) {
 
 // TestDifferentialWorkerByteIdentity extends the share-nothing pin to the
 // batch kernel under the clustered model: the estimate is a function of
-// (Seed, Runs, ChunkSize) only, never of Workers, even though each worker
+// (Seed, Runs) only, never of Workers, even though each worker
 // owns a private session and trial batch and serves whichever chunks it
 // claims.
 func TestDifferentialWorkerByteIdentity(t *testing.T) {

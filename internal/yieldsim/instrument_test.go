@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"dmfb/internal/layout"
+	"dmfb/internal/sqgrid"
 	"dmfb/internal/telemetry"
 )
 
@@ -51,7 +52,8 @@ func TestInstrumentationDoesNotPerturbEstimate(t *testing.T) {
 // is counted once, and the all-healthy/screened/matcher split partitions the
 // trials for the Bernoulli path. The scalar path draws the same fault sets
 // one trial at a time, so it screens nothing and sends to the matcher
-// exactly the trials the batch path screened or matched.
+// exactly the trials the batch path screened or matched. The shifted
+// strategy partitions its trials into all-healthy and screened alone.
 func TestKernelMetricsAccounting(t *testing.T) {
 	arr, err := layout.BuildWithPrimaryTarget(layout.DTMB26(), 60)
 	if err != nil {
@@ -61,7 +63,6 @@ func TestKernelMetricsAccounting(t *testing.T) {
 		t.Helper()
 		mc := NewMonteCarlo(5)
 		mc.Runs = 2500
-		mc.ChunkSize = 300
 		mc.Metrics = telemetry.NewKernelMetrics(telemetry.NewRegistry())
 		mc.forceScalar = scalar
 		if _, err := mc.Yield(arr, 0.9); err != nil {
@@ -81,7 +82,7 @@ func TestKernelMetricsAccounting(t *testing.T) {
 		t.Errorf("screened %d, matcher %d: want both tiers used at p = 0.9",
 			m.Screened.Value(), m.MatcherInvocations.Value())
 	}
-	wantChunks := uint64((2500 + 299) / 300)
+	const wantChunks = 10 // 9 full chunks of DefaultChunkSize + a 196-trial tail
 	if got := m.ChunkSeconds.Count(); got != wantChunks {
 		t.Errorf("chunk histogram count = %d, want %d", got, wantChunks)
 	}
@@ -94,6 +95,30 @@ func TestKernelMetricsAccounting(t *testing.T) {
 		t.Errorf("scalar all_healthy %d, matcher %d; batch all_healthy %d, screened+matcher %d",
 			s.AllHealthy.Value(), s.MatcherInvocations.Value(),
 			m.AllHealthy.Value(), m.Screened.Value()+m.MatcherInvocations.Value())
+	}
+
+	// The shifted column walk settles every faulty trial on the column
+	// plane: none reaches the matcher.
+	pl, err := sqgrid.PlacementWithPrimaryTarget(60, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc := NewMonteCarlo(5)
+	mc.Runs = 2500
+	mc.Metrics = telemetry.NewKernelMetrics(telemetry.NewRegistry())
+	if _, err := mc.ShiftedYield(pl, 0.99); err != nil {
+		t.Fatal(err)
+	}
+	sh := mc.Metrics
+	if got := sh.Trials.Value(); got != 2500 {
+		t.Errorf("shifted trials counter = %d, want 2500", got)
+	}
+	if sh.MatcherInvocations.Value() != 0 {
+		t.Errorf("shifted matcher = %d, want 0", sh.MatcherInvocations.Value())
+	}
+	if sh.AllHealthy.Value()+sh.Screened.Value() != 2500 || sh.AllHealthy.Value() == 0 || sh.Screened.Value() == 0 {
+		t.Errorf("shifted all_healthy %d + screened %d: want both tiers used, summing to 2500 trials",
+			sh.AllHealthy.Value(), sh.Screened.Value())
 	}
 }
 
@@ -108,8 +133,7 @@ func TestKernelChunkSpansCarryTraceID(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	mc := NewMonteCarlo(3)
-	mc.Runs = 600
-	mc.ChunkSize = 200
+	mc.Runs = 2*DefaultChunkSize + 88
 	mc.Workers = 1
 	mc.Logger = slog.New(slog.NewJSONHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug}))
 	ctx := telemetry.WithTraceID(context.Background(), "trace-xyz")
@@ -139,7 +163,7 @@ func TestKernelChunkSpansCarryTraceID(t *testing.T) {
 		}
 	}
 	if spans != 3 {
-		t.Errorf("kernel_chunk spans = %d, want 3 (600 runs / 200 chunk)", spans)
+		t.Errorf("kernel_chunk spans = %d, want 3 (two full chunks and a tail)", spans)
 	}
 }
 

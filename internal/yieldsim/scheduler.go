@@ -1,20 +1,21 @@
 package yieldsim
 
 // The Monte-Carlo scheduler. Every estimator in this package runs through
-// run: the trial budget is split into fixed-size chunks, each owning a PRNG
-// stream derived from Seed, pulled by a bounded worker pool, and folded into
-// the estimate by an index-ordered commit ledger. A fixed-run estimate and a
-// precision-targeted one are the same loop; they differ only in the stopping
-// rule the ledger checks at every committed chunk boundary
-// (stats.SequentialCI{Epsilon}), which never fires at Epsilon = 0.
+// run: the trial budget is split into chunks of DefaultChunkSize trials,
+// each owning a PRNG stream derived from Seed, pulled by a bounded worker
+// pool, and folded into the estimate by an index-ordered commit ledger. A
+// fixed-run estimate and a precision-targeted one are the same loop; they
+// differ only in the stopping rule the ledger checks at every committed
+// chunk boundary (stats.SequentialCI{Epsilon}), which never fires at
+// Epsilon = 0.
 //
 // Committing in chunk-INDEX order (not completion order) is what makes the
 // estimate deterministic: per-chunk success counts are functions of the
 // chunk seeds alone, so the first boundary at which the rule fires — and
 // with it the realized trial count and the estimate — is a pure function of
-// (Seed, Epsilon, Runs, ChunkSize). Worker count and goroutine scheduling
-// only decide how many chunks beyond the stopping boundary were
-// speculatively computed and discarded, never what the estimate is.
+// (Seed, Epsilon, Runs). Worker count and goroutine scheduling only decide
+// how many chunks beyond the stopping boundary were speculatively computed
+// and discarded, never what the estimate is.
 
 import (
 	"context"
@@ -70,14 +71,13 @@ type trialFactory func(probe *kernelProbe) (batchFunc, error)
 // per chunk.
 type kernelProbe struct {
 	// allHealthy counts trials whose fault draw came up empty (the fast
-	// path that never consults the matcher or cascade analysis).
+	// path that never consults a screen or the matcher).
 	allHealthy uint64
-	// screened counts faulty trials a batch Screen settled, peeled ones
-	// included, without a per-trial decision; per-trial paths leave it at
-	// zero.
+	// screened counts faulty trials a word-parallel verdict settled without
+	// a per-trial decision: a batch Screen, peeled ones included, or the
+	// shifted column walk. Per-trial paths leave it at zero.
 	screened uint64
-	// matcher counts trials decided one at a time, by the matcher or by
-	// the shifted column-cascade analysis.
+	// matcher counts trials decided one at a time by the matcher.
 	matcher uint64
 
 	// metrics and spans are the estimate's sinks, resolved once per
@@ -144,9 +144,9 @@ func (p *kernelProbe) flush(ctx context.Context, chunk, trials, successes int, s
 // contiguous, testing the stopping rule at every boundary they fold in. The
 // mutable fields are guarded by mu.
 type commitLedger struct {
-	rule          stats.SequentialCI
-	budget, chunk int
-	stop          func() // cancels the remaining work
+	rule   stats.SequentialCI
+	budget int
+	stop   func() // cancels the remaining work
 
 	mu   sync.Mutex
 	succ []int // per-chunk success counts; -1 while the chunk is pending
@@ -162,7 +162,9 @@ type commitLedger struct {
 
 // runs is chunk c's trial count: the last chunk is short when the budget is
 // not a chunk multiple.
-func (l *commitLedger) runs(c int) int { return min(l.chunk, l.budget-c*l.chunk) }
+func (l *commitLedger) runs(c int) int {
+	return min(DefaultChunkSize, l.budget-c*DefaultChunkSize)
+}
 
 // record stores chunk c's outcome and extends the committed prefix in index
 // order. It returns true once the estimate is frozen, which tells the
@@ -209,12 +211,10 @@ func (mc *MonteCarlo) run(ctx context.Context, factory trialFactory) (Result, er
 	// error empties the worker pool early, so no goroutine outlives this call.
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	chunk := mc.chunkSize()
-	numChunks := (mc.Runs + chunk - 1) / chunk
+	numChunks := (mc.Runs + DefaultChunkSize - 1) / DefaultChunkSize
 	ledger := &commitLedger{
 		rule:   stats.SequentialCI{Epsilon: mc.Epsilon},
 		budget: mc.Runs,
-		chunk:  chunk,
 		stop:   cancel,
 		succ:   make([]int, numChunks),
 	}

@@ -94,6 +94,9 @@ func (r Result) String() string {
 // DefaultChunkSize is the number of trials in one work unit of the chunked
 // Monte-Carlo scheduler. Small enough that cancellation is responsive and
 // chunks load-balance across workers, large enough to amortize PRNG setup.
+// Each chunk owns a PRNG stream derived from Seed, so with the work unit
+// fixed an estimate is a pure function of (Seed, Runs, Epsilon) —
+// independent of Workers and of goroutine scheduling.
 const DefaultChunkSize = 256
 
 // MonteCarlo runs reconfiguration-feasibility yield simulations. The zero
@@ -105,13 +108,9 @@ type MonteCarlo struct {
 	Runs int
 	// Seed makes every estimate reproducible.
 	Seed int64
-	// Workers bounds parallelism; 0 means GOMAXPROCS.
+	// Workers bounds parallelism; 0 means GOMAXPROCS. It never changes an
+	// estimate.
 	Workers int
-	// ChunkSize is the number of trials per scheduler work unit; 0 means
-	// DefaultChunkSize. Each chunk owns a PRNG stream derived from Seed, so
-	// an estimate is deterministic in (Seed, Runs, ChunkSize) — independent
-	// of Workers and of goroutine scheduling.
-	ChunkSize int
 	// Scope and Used configure the repair criterion (default: RepairAll).
 	Scope reconfig.Scope
 	Used  []bool
@@ -121,9 +120,9 @@ type MonteCarlo struct {
 	// chunks reaches Epsilon, with Runs as the trial budget. The stopping
 	// rule is evaluated in chunk-index order regardless of which worker
 	// finishes a chunk first, so the realized trial count — and therefore the
-	// estimate — is deterministic in (Seed, Epsilon, Runs, ChunkSize),
-	// independent of Workers and GOMAXPROCS. Zero (the default) never stops
-	// early: the estimate runs all Runs trials.
+	// estimate — is deterministic in (Seed, Epsilon, Runs), independent of
+	// Workers and GOMAXPROCS. Zero (the default) never stops early: the
+	// estimate runs all Runs trials.
 	Epsilon float64
 	// Metrics, when non-nil, receives kernel observations: trials, their
 	// all-healthy / screened / matcher split, and per-chunk wall time.
@@ -159,14 +158,6 @@ func (mc *MonteCarlo) workerCount() int {
 		return mc.Workers
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// chunkSize resolves the scheduler work-unit size.
-func (mc *MonteCarlo) chunkSize() int {
-	if mc.ChunkSize > 0 {
-		return mc.ChunkSize
-	}
-	return DefaultChunkSize
 }
 
 // sessionOptions assembles the reconfiguration options of the simulator's
@@ -358,8 +349,9 @@ func (mc *MonteCarlo) ShiftedYieldModelContext(ctx context.Context, pl sqgrid.Pl
 }
 
 // shiftedTrials validates the shifted-replacement inputs and returns the
-// per-worker trial factory (the column-cascade closed form plus the
-// model's injector).
+// per-worker trial factory: 64 trials per machine word under the model
+// (i.i.d. Bernoulli faults, or Chebyshev-ring clusters on the square grid)
+// and a verdict on the column plane.
 func (mc *MonteCarlo) shiftedTrials(pl sqgrid.Placement, p float64, model defects.Model) (trialFactory, error) {
 	if math.IsNaN(p) || p < 0 || p > 1 {
 		return nil, fmt.Errorf("yieldsim: survival probability %v outside [0,1]", p)
@@ -373,79 +365,60 @@ func (mc *MonteCarlo) shiftedTrials(pl sqgrid.Placement, p float64, model defect
 	if pl.SpareRows < 1 {
 		return nil, fmt.Errorf("yieldsim: shifted replacement needs at least one spare row")
 	}
-	// Under the strict scheme survival decomposes per column (cascades are
-	// strictly vertical): a column with no faulty working cell is fine; one
-	// with two or more fails (the shallower cascade is blocked by the deeper
-	// fault); one with exactly one fault at row y survives iff every cell
-	// from y+1 down to the first spare row is fault-free (any faulty cell —
-	// working, unused, or spare — blocks the cascade, whose absorber is the
-	// column's first spare cell). This closed form of the ShiftSession
-	// semantics keeps the trial allocation-free; the equivalence is pinned
-	// by a reference test against reconfig.ShiftSession.
-	used := make([]bool, pl.Grid.NumCells()) // read-only across workers
+	// Under the strict scheme cascades are strictly vertical, any faulty cell
+	// (working, unused, or spare) blocks one, and a column's first spare cell
+	// absorbs it. So a trial fails iff some faulty used cell has a faulty
+	// cell below it, down to and including the first spare row: of two
+	// faulty used cells in a column the upper one has, and so does the
+	// deepest one of a blocked cascade. Each column is walked bottom-up from
+	// its first spare cell with a running OR of the column words below, one
+	// word operation per cell for 64 trials. The verdict is pinned by a
+	// reference test against reconfig.ShiftSession.
+	numCells := pl.Grid.NumCells()
+	used := make([]bool, numCells) // read-only across workers
 	for _, c := range pl.UsedCells() {
 		used[pl.Grid.Index(c)] = true
 	}
 	w, h := pl.Grid.W, pl.Grid.H
 	firstSpare := h - pl.SpareRows
-	n := pl.Grid.NumCells()
-	cascadesRepairAll := func(fs *defects.FaultSet) bool {
-		if fs.Count() == 0 {
-			return true
-		}
-		for x := 0; x < w; x++ {
-			faultyUsed, deepest := 0, -1
-			for y := 0; y < firstSpare; y++ {
-				id := layout.CellID(y*w + x)
-				if used[id] && fs.IsFaulty(id) {
-					faultyUsed++
-					deepest = y
-				}
-			}
-			if faultyUsed == 0 {
-				continue
-			}
-			if faultyUsed > 1 {
-				return false
-			}
-			for y := deepest + 1; y <= firstSpare; y++ {
-				if fs.IsFaulty(layout.CellID(y*w + x)) {
-					return false
-				}
-			}
-		}
-		return true
-	}
+	var cp defects.ClusterParams
 	if model.Clustered {
-		cp := model.Params(p, n)
-		return func(probe *kernelProbe) (batchFunc, error) {
-			fs := defects.NewFaultSet(n)
-			return perTrial(func(in *defects.Injector) (bool, error) {
-				next, _, err := in.ClusteredGrid(w, h, cp, fs)
-				if err != nil {
-					return false, err
-				}
-				fs = next
-				if fs.Count() == 0 {
-					probe.allHealthy++
-				} else {
-					probe.matcher++
-				}
-				return cascadesRepairAll(fs), nil
-			}), nil
-		}, nil
+		cp = model.Params(p, numCells)
 	}
 	return func(probe *kernelProbe) (batchFunc, error) {
-		fs := defects.NewFaultSet(n)
-		return perTrial(func(in *defects.Injector) (bool, error) {
-			fs = in.BernoulliN(n, p, fs)
-			if fs.Count() == 0 {
-				probe.allHealthy++
-			} else {
-				probe.matcher++
+		tb := defects.NewTrialBatch(numCells)
+		return func(in *defects.Injector, runs int) (int, error) {
+			successes := 0
+			for off := 0; off < runs; off += defects.WordTrials {
+				n := min(runs-off, defects.WordTrials)
+				if model.Clustered {
+					if _, err := in.ClusteredGridBatch(w, h, cp, n, tb); err != nil {
+						return 0, err
+					}
+				} else {
+					in.BernoulliBatch(numCells, p, n, tb)
+				}
+				occ := tb.Occupied()
+				faulty := bits.OnesCount64(occ)
+				probe.allHealthy += uint64(n - faulty)
+				probe.screened += uint64(faulty)
+				var fail uint64
+				if occ != 0 {
+					cols := tb.Cols()
+					for x := 0; x < w; x++ {
+						below := cols[firstSpare*w+x]
+						for id := (firstSpare-1)*w + x; id >= 0; id -= w {
+							if used[id] {
+								fail |= cols[id] & below
+							}
+							below |= cols[id]
+						}
+					}
+				}
+				successes += n - bits.OnesCount64(fail)
 			}
-			return cascadesRepairAll(fs), nil
-		}), nil
+			return successes, nil
+		}, nil
 	}, nil
 }
 
@@ -454,7 +427,7 @@ func (mc *MonteCarlo) shiftedTrials(pl sqgrid.Placement, p float64, model defect
 // and the clustered model draws hexagonal-ring clusters targeting the same
 // expected defect density (1−p)·N, so the two models are comparable
 // point-for-point along the p axis. The chunk-seeded kernel keeps either
-// estimate deterministic in (Seed, Runs, ChunkSize) regardless of Workers.
+// estimate deterministic in (Seed, Runs) regardless of Workers.
 func (mc *MonteCarlo) YieldModelContext(ctx context.Context, arr *layout.Array, p float64, model defects.Model) (Result, error) {
 	if math.IsNaN(p) || p < 0 || p > 1 {
 		return Result{}, fmt.Errorf("yieldsim: survival probability %v outside [0,1]", p)

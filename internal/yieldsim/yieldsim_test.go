@@ -377,15 +377,15 @@ func TestResultStringAndCI(t *testing.T) {
 }
 
 func TestMonteCarloDeterministicAcrossWorkerCounts(t *testing.T) {
-	// Chunked seeding makes the estimate a function of (Seed, Runs,
-	// ChunkSize) only: any worker count must reproduce it exactly.
+	// Chunked seeding makes the estimate a function of (Seed, Runs) only:
+	// any worker count must reproduce it exactly. Eight chunks, the last one
+	// short, so every worker count serves several.
 	arr := buildArray(t, layout.DTMB36(), 60)
 	var want int
 	for i, workers := range []int{1, 2, 3, 8} {
 		mc := NewMonteCarlo(42)
-		mc.Runs = 500
+		mc.Runs = 7*DefaultChunkSize + 52
 		mc.Workers = workers
-		mc.ChunkSize = 64
 		res, err := mc.Yield(arr, 0.93)
 		if err != nil {
 			t.Fatal(err)
@@ -424,8 +424,7 @@ func TestTrialErrorDoesNotLeakGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for _, epsilon := range []float64{0, 0.01} {
 		mc := NewMonteCarlo(1)
-		mc.Runs = 10000
-		mc.ChunkSize = 8 // many chunks, so the producer outlives the first error
+		mc.Runs = 40 * DefaultChunkSize // many chunks, so the producer outlives the first error
 		mc.Epsilon = epsilon
 		for i := 0; i < 20; i++ {
 			// m > NumCells makes the very first trial of every worker error.
@@ -610,25 +609,27 @@ func TestShiftedYieldCancellation(t *testing.T) {
 	}
 }
 
-// TestShiftedYieldMatchesShiftSessionReference pins the allocation-free
-// column-scan trial inside ShiftedYieldContext to the authoritative
-// reconfig.ShiftSession semantics: estimating through mc.run with a
-// session-driven trial must give the identical Result for identical
-// (seed, runs, chunk size).
+// TestShiftedYieldMatchesShiftSessionReference pins the word-parallel
+// column walk inside ShiftedYieldModelContext to the authoritative
+// reconfig.ShiftSession semantics: estimating through mc.run with a scalar
+// draw and a session-driven trial must give the identical Result for
+// identical (seed, runs), under both defect models and on both sides of the
+// Bernoulli samplers' crossover (p = 0.8 scans, p = 0.9 and 0.99 skip).
 func TestShiftedYieldMatchesShiftSessionReference(t *testing.T) {
+	models := []struct {
+		name  string
+		model defects.Model
+		ps    []float64
+	}{
+		{"independent", defects.Model{}, []float64{0.8, 0.9, 0.99}},
+		{"clustered", clusteredModel(3), []float64{0.8, 0.9, 0.99}},
+	}
 	for _, tc := range []struct{ n, rows int }{{10, 1}, {24, 1}, {24, 2}, {36, 3}} {
 		pl, err := sqgrid.PlacementWithPrimaryTarget(tc.n, tc.rows)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mc := NewMonteCarlo(123)
-		mc.Runs = 800
-		got, err := mc.ShiftedYield(pl, 0.9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Reference estimator: same kernel, trial driven by ShiftSession
-		// with deepest-first repairs.
+		// Reference trial: ShiftSession with deepest-first repairs.
 		order := pl.UsedCells()
 		sort.Slice(order, func(i, j int) bool {
 			if order[i].Y != order[j].Y {
@@ -636,42 +637,66 @@ func TestShiftedYieldMatchesShiftSessionReference(t *testing.T) {
 			}
 			return order[i].X < order[j].X
 		})
+		w, h := pl.Grid.W, pl.Grid.H
 		numCells := pl.Grid.NumCells()
-		ref := NewMonteCarlo(123)
-		ref.Runs = 800
-		want, err := ref.run(context.Background(), func(_ *kernelProbe) (batchFunc, error) {
-			fs := defects.NewFaultSet(numCells)
-			return perTrial(func(in *defects.Injector) (bool, error) {
-				fs = in.BernoulliN(numCells, 0.9, fs)
-				if fs.Count() == 0 {
-					return true, nil
-				}
-				faults := make([]sqgrid.Coord, 0, fs.Count())
-				for i := 0; i < numCells; i++ {
-					if fs.IsFaulty(layout.CellID(i)) {
-						faults = append(faults, pl.Grid.CoordOf(i))
-					}
-				}
-				session, err := reconfig.NewShiftSession(pl, faults)
-				if err != nil {
-					return false, err
-				}
-				for _, c := range order {
-					if !fs.IsFaulty(layout.CellID(pl.Grid.Index(c))) {
-						continue
-					}
-					if res := session.Repair(c); !res.OK {
-						return false, nil
-					}
-				}
+		repairsAll := func(fs *defects.FaultSet) (bool, error) {
+			if fs.Count() == 0 {
 				return true, nil
-			}), nil
-		})
-		if err != nil {
-			t.Fatal(err)
+			}
+			faults := make([]sqgrid.Coord, 0, fs.Count())
+			for i := 0; i < numCells; i++ {
+				if fs.IsFaulty(layout.CellID(i)) {
+					faults = append(faults, pl.Grid.CoordOf(i))
+				}
+			}
+			session, err := reconfig.NewShiftSession(pl, faults)
+			if err != nil {
+				return false, err
+			}
+			for _, c := range order {
+				if !fs.IsFaulty(layout.CellID(pl.Grid.Index(c))) {
+					continue
+				}
+				if res := session.Repair(c); !res.OK {
+					return false, nil
+				}
+			}
+			return true, nil
 		}
-		if got != want {
-			t.Errorf("n=%d rows=%d: column-scan %+v != session reference %+v", tc.n, tc.rows, got, want)
+		for _, m := range models {
+			for _, p := range m.ps {
+				mc := NewMonteCarlo(123)
+				mc.Runs = 800
+				got, err := mc.ShiftedYieldModelContext(context.Background(), pl, p, m.model)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cp := m.model.Params(p, numCells)
+				ref := NewMonteCarlo(123)
+				ref.Runs = 800
+				want, err := ref.run(context.Background(), func(_ *kernelProbe) (batchFunc, error) {
+					fs := defects.NewFaultSet(numCells)
+					return perTrial(func(in *defects.Injector) (bool, error) {
+						if m.model.Clustered {
+							next, _, err := in.ClusteredGrid(w, h, cp, fs)
+							if err != nil {
+								return false, err
+							}
+							fs = next
+						} else {
+							fs = in.BernoulliN(numCells, p, fs)
+						}
+						return repairsAll(fs)
+					}), nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Errorf("n=%d rows=%d %s p=%v: column walk %+v != session reference %+v",
+						tc.n, tc.rows, m.name, p, got, want)
+				}
+			}
 		}
 	}
 }
