@@ -250,3 +250,34 @@ func (in *Injector) ClusteredGridBatch(w, h int, cp ClusterParams, n int, b *Tri
 	}
 	return in.clusters(in.squareStencil(w, h, cp.clusterDecay(8)), cp.clusterRate(), n, b), nil
 }
+
+// FixedCountBatch fills the batch with n fixed-count trials over the array,
+// the batched form of FixedCount: each trial refills the pool from the
+// domain and draws exactly m distinct cells by partial Fisher–Yates,
+// consuming the identical Intn sequence as n successive FixedCount calls,
+// and sets its bit in each drawn cell's column word. It returns an error,
+// before any draw, for an unknown domain, an m outside [0, domain size] or
+// a batch sized for a different cell count than the array's.
+func (in *Injector) FixedCountBatch(arr *layout.Array, m int, domain Domain, n int, b *TrialBatch) error {
+	if b.NumCells() != arr.NumCells() {
+		return fmt.Errorf("defects: batch sized for %d cells, array has %d", b.NumCells(), arr.NumCells())
+	}
+	b.Reset(n)
+	cols := b.cols
+	for t := 0; t < n; t++ {
+		pool, err := in.fixedPool(arr, m, domain)
+		if err != nil {
+			return err // only the first trial can fail, and it has drawn nothing
+		}
+		bit := uint64(1) << uint(t)
+		for i := 0; i < m; i++ {
+			j := i + in.rng.Intn(len(pool)-i)
+			pool[i], pool[j] = pool[j], pool[i]
+			cols[pool[i]] |= bit
+		}
+	}
+	if m > 0 {
+		b.occupied = ^uint64(0) >> uint(WordTrials-n)
+	}
+	return nil
+}

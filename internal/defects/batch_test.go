@@ -241,6 +241,83 @@ func TestClusteredBatchMatchesScalar(t *testing.T) {
 	}
 }
 
+// TestFixedCountBatchMatchesScalar pins fixed-count batch injection to n
+// successive FixedCount calls from the same seed, in both domains, at m
+// from 0 to the whole domain, on arrays with one-word and more-than-four-
+// word fault rows: identical fault patterns, identical occupied mask,
+// identical stream position. Invalid requests fail before any draw.
+func TestFixedCountBatchMatchesScalar(t *testing.T) {
+	small, err := layout.BuildWithPrimaryTarget(layout.DTMB26(), 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big, err := layout.BuildWithPrimaryTarget(layout.DTMB26(), 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if small.NumCells() > 64 || big.NumCells() <= 4*64 {
+		t.Fatalf("arrays of %d and %d cells, want one-word and more-than-four-word rows",
+			small.NumCells(), big.NumCells())
+	}
+	for _, arr := range []*layout.Array{small, big} {
+		for _, domain := range []Domain{AllCells, PrimariesOnly} {
+			size := arr.NumCells()
+			if domain == PrimariesOnly {
+				size = arr.NumPrimary()
+			}
+			for _, m := range []int{0, 1, size / 2, size} {
+				for _, n := range []int{1, 7, WordTrials} {
+					batchIn, scalarIn := NewInjector(13), NewInjector(13)
+					b := NewTrialBatch(arr.NumCells())
+					if err := batchIn.FixedCountBatch(arr, m, domain, n, b); err != nil {
+						t.Fatal(err)
+					}
+					b.Finalize()
+					var fs *FaultSet
+					for trial := 0; trial < n; trial++ {
+						if fs, err = scalarIn.FixedCount(arr, m, domain, fs); err != nil {
+							t.Fatal(err)
+						}
+						if hasFault := fs.Count() > 0; hasFault != (b.Occupied()>>uint(trial)&1 == 1) {
+							t.Fatalf("cells=%d %v m=%d n=%d trial %d: occupied bit %v, scalar faults %d",
+								arr.NumCells(), domain, m, n, trial, !hasFault, fs.Count())
+						}
+						if b.Occupied() != 0 && !rowEquals(b, trial, fs) {
+							t.Fatalf("cells=%d %v m=%d n=%d trial %d: batch row differs from scalar draw",
+								arr.NumCells(), domain, m, n, trial)
+						}
+					}
+					if b.Occupied()>>uint(n) != 0 {
+						t.Fatalf("cells=%d %v m=%d n=%d: occupied bits above n: %b", arr.NumCells(), domain, m, n, b.Occupied())
+					}
+					if bg, sg := batchIn.rng.Float64(), scalarIn.rng.Float64(); bg != sg {
+						t.Fatalf("cells=%d %v m=%d n=%d: PRNG streams diverged", arr.NumCells(), domain, m, n)
+					}
+				}
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		m      int
+		domain Domain
+		b      *TrialBatch
+	}{
+		{"m above the domain", small.NumPrimary() + 1, PrimariesOnly, NewTrialBatch(small.NumCells())},
+		{"negative m", -1, AllCells, NewTrialBatch(small.NumCells())},
+		{"unknown domain", 1, Domain(7), NewTrialBatch(small.NumCells())},
+		{"mis-sized batch", 1, AllCells, NewTrialBatch(small.NumCells() + 1)},
+	} {
+		in, ref := NewInjector(21), NewInjector(21)
+		if err := in.FixedCountBatch(small, tc.m, tc.domain, WordTrials, tc.b); err == nil {
+			t.Fatalf("%s accepted", tc.name)
+		}
+		if got, want := in.rng.Float64(), ref.rng.Float64(); got != want {
+			t.Fatalf("%s: the rejected batch drew from the stream", tc.name)
+		}
+	}
+}
+
 // TestTrialBatchReuse checks that Reset fully clears state between batches
 // of different sizes, so a reused batch can never leak faults forward.
 func TestTrialBatchReuse(t *testing.T) {

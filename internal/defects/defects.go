@@ -102,21 +102,6 @@ func (f *FaultSet) FaultyPrimaries(arr *layout.Array) []layout.CellID {
 	return out
 }
 
-// AnyFaultyPrimary reports whether any primary cell of the array is faulty.
-// It is the allocation-free form of len(FaultyPrimaries(arr)) > 0 for
-// Monte-Carlo trial loops that only need the verdict.
-func (f *FaultSet) AnyFaultyPrimary(arr *layout.Array) bool {
-	if f.count == 0 {
-		return false
-	}
-	for _, id := range arr.Primaries() {
-		if f.IsFaulty(id) {
-			return true
-		}
-	}
-	return false
-}
-
 // FaultySpares returns the faulty cells of the array that are spares,
 // ascending.
 func (f *FaultSet) FaultySpares(arr *layout.Array) []layout.CellID {
@@ -133,7 +118,7 @@ func (f *FaultSet) FaultySpares(arr *layout.Array) []layout.CellID {
 // the seed, drawn from one embedded source: the injection loops call it
 // directly, without the rand.Source interface, and rng wraps the same
 // source for the cold Intn draws — two views of one stream, never two
-// streams. Its scratch — the FixedCount pool, the clustered ring
+// streams. Its scratch — the fixed-count pool, the clustered ring
 // stencil, the one-trial batch of the scalar clustered draws and the
 // skip-sampler's gap table — holds no random state, so results depend only
 // on the seed and the calls since. It is not safe for concurrent use; give
@@ -141,8 +126,8 @@ func (f *FaultSet) FaultySpares(arr *layout.Array) []layout.CellID {
 type Injector struct {
 	src source
 	rng rand.Rand // *rand.New(&src), held by value: one allocation per injector
-	// pool is the scratch permutation buffer of FixedCount draws, refilled
-	// from the domain on every call so results stay independent of call
+	// pool is the scratch permutation buffer of fixed-count draws, refilled
+	// from the domain for every trial so results stay independent of call
 	// history while the allocation is paid once.
 	pool []layout.CellID
 	// ring is the clustered injectors' precomputed ring walk, rebuilt only
@@ -258,7 +243,24 @@ func (d Domain) String() string {
 // sequence of faults for a given seed is exactly what a freshly allocated
 // pool would produce, but steady-state Monte-Carlo loops allocate nothing.
 func (in *Injector) FixedCount(arr *layout.Array, m int, domain Domain, dst *FaultSet) (*FaultSet, error) {
+	pool, err := in.fixedPool(arr, m, domain)
+	if err != nil {
+		return nil, err
+	}
 	dst = in.prepare(arr, dst)
+	// Partial Fisher-Yates: draw m distinct cells.
+	for i := 0; i < m; i++ {
+		j := i + in.rng.Intn(len(pool)-i)
+		pool[i], pool[j] = pool[j], pool[i]
+		dst.MarkFaulty(pool[i])
+	}
+	return dst, nil
+}
+
+// fixedPool validates a fixed-count draw of m faults from the domain and
+// returns the injector's cached pool refilled with the domain's cells in
+// ascending order, the start state of every draw.
+func (in *Injector) fixedPool(arr *layout.Array, m int, domain Domain) ([]layout.CellID, error) {
 	var pool []layout.CellID
 	switch domain {
 	case AllCells:
@@ -275,13 +277,7 @@ func (in *Injector) FixedCount(arr *layout.Array, m int, domain Domain, dst *Fau
 	if m < 0 || m > len(pool) {
 		return nil, fmt.Errorf("defects: cannot fail %d of %d cells", m, len(pool))
 	}
-	// Partial Fisher-Yates: draw m distinct cells.
-	for i := 0; i < m; i++ {
-		j := i + in.rng.Intn(len(pool)-i)
-		pool[i], pool[j] = pool[j], pool[i]
-		dst.MarkFaulty(pool[i])
-	}
-	return dst, nil
+	return pool, nil
 }
 
 // poissonChunk is the largest rate Knuth's product method draws at once.

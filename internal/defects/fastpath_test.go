@@ -7,40 +7,6 @@ import (
 	"dmfb/internal/layout"
 )
 
-// TestAnyFaultyPrimary checks the allocation-free verdict against the
-// slice-materializing reference on assorted fault sets.
-func TestAnyFaultyPrimary(t *testing.T) {
-	arr := testArray(t)
-	fs := NewFaultSet(arr.NumCells())
-	if fs.AnyFaultyPrimary(arr) {
-		t.Fatal("empty fault set reports a faulty primary")
-	}
-	// Spares only: count > 0 but no faulty primary.
-	for _, id := range arr.Spares()[:3] {
-		fs.MarkFaulty(id)
-	}
-	if fs.AnyFaultyPrimary(arr) {
-		t.Fatal("spare-only fault set reports a faulty primary")
-	}
-	fs.MarkFaulty(arr.Primaries()[len(arr.Primaries())-1])
-	if !fs.AnyFaultyPrimary(arr) {
-		t.Fatal("faulty primary not detected")
-	}
-	// Randomized agreement with FaultyPrimaries.
-	in := NewInjector(9)
-	var dst *FaultSet
-	for seed := 0; seed < 50; seed++ {
-		dst = in.Bernoulli(arr, 0.97, dst)
-		if got, want := dst.AnyFaultyPrimary(arr), len(dst.FaultyPrimaries(arr)) > 0; got != want {
-			t.Fatalf("seed %d: AnyFaultyPrimary=%v, reference=%v", seed, got, want)
-		}
-	}
-	allocs := testing.AllocsPerRun(100, func() { fs.AnyFaultyPrimary(arr) })
-	if allocs != 0 {
-		t.Fatalf("AnyFaultyPrimary allocates %.1f times per run, want 0", allocs)
-	}
-}
-
 // TestReseedMatchesFreshInjector checks that Reseed rewinds onto exactly the
 // stream a fresh injector would produce, regardless of prior use — the
 // property the chunked kernel relies on when reusing one injector per worker.
@@ -157,12 +123,14 @@ func TestBernoulliGeomDeterministicAndEdges(t *testing.T) {
 }
 
 // TestFixedCountPoolSteadyStateZeroAllocs pins the cached-pool fast path:
-// after the first draw, fixed-count injection allocates nothing.
+// after the first draw, fixed-count injection allocates nothing, one trial
+// at a time or a word of trials at once.
 func TestFixedCountPoolSteadyStateZeroAllocs(t *testing.T) {
 	arr := testArray(t)
 	in := NewInjector(4)
 	var fs *FaultSet
 	var err error
+	b := NewTrialBatch(arr.NumCells())
 	for _, domain := range []Domain{AllCells, PrimariesOnly} {
 		if fs, err = in.FixedCount(arr, 20, domain, fs); err != nil { // warm pool + dst
 			t.Fatal(err)
@@ -176,6 +144,14 @@ func TestFixedCountPoolSteadyStateZeroAllocs(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Fatalf("%v: steady-state FixedCount allocates %.1f times per run, want 0", domain, allocs)
+		}
+		allocs = testing.AllocsPerRun(100, func() {
+			if e := in.FixedCountBatch(arr, 20, domain, WordTrials, b); e != nil {
+				t.Fatal(e)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%v: steady-state FixedCountBatch allocates %.1f times per run, want 0", domain, allocs)
 		}
 	}
 }

@@ -70,75 +70,6 @@ func TestSequentialCI(t *testing.T) {
 	}
 }
 
-// poissonBinomialPMF returns the full probability mass function of the
-// number of successes among independent Bernoulli trials with the given
-// per-trial probabilities qs: pmf[k] = P(K = k), k = 0..len(qs). It is the
-// heterogeneous generalization of BinomialWeights, computed by the standard
-// O(n²) convolution recurrence, and serves as BinomialWeights' oracle:
-// BinomialWeights(n, q, 0) equals poissonBinomialPMF of n copies of q.
-func poissonBinomialPMF(qs []float64) []float64 {
-	pmf := make([]float64, 1, len(qs)+1)
-	pmf[0] = 1
-	for _, q := range qs {
-		pmf = append(pmf, 0)
-		for k := len(pmf) - 1; k > 0; k-- {
-			pmf[k] = pmf[k]*(1-q) + pmf[k-1]*q
-		}
-		pmf[0] *= 1 - q
-	}
-	return pmf
-}
-
-func TestBinomialWeightsAgainstPoissonBinomial(t *testing.T) {
-	const n, q = 40, 0.07
-	qs := make([]float64, n)
-	for i := range qs {
-		qs[i] = q
-	}
-	pmf := poissonBinomialPMF(qs)
-	weights, tail := BinomialWeights(n, q, 1e-12)
-	if tail > 1e-12 {
-		t.Fatalf("tail %v exceeds requested bound", tail)
-	}
-	if len(weights) < 10 {
-		t.Fatalf("head kept only %d strata at mean %v", len(weights), float64(n)*q)
-	}
-	for k := range weights {
-		if math.Abs(weights[k]-pmf[k]) > 1e-12 {
-			t.Errorf("k=%d: binomial %v vs poisson-binomial %v", k, weights[k], pmf[k])
-		}
-	}
-}
-
-func TestBinomialWeightsTruncation(t *testing.T) {
-	weights, tail := BinomialWeights(1000, 0.001, 1e-6)
-	if len(weights) > 20 {
-		t.Errorf("q=0.001 head kept %d strata; truncation is not working", len(weights))
-	}
-	if tail < 0 || tail > 1e-6 {
-		t.Errorf("tail %v outside [0, 1e-6]", tail)
-	}
-	sum := tail
-	for _, w := range weights {
-		sum += w
-	}
-	if math.Abs(sum-1) > 1e-12 {
-		t.Errorf("head + tail sums to %v, want 1", sum)
-	}
-}
-
-func TestBinomialWeightsEdgeCases(t *testing.T) {
-	if w, tail := BinomialWeights(-1, 0.5, 0); w != nil || tail != 0 {
-		t.Errorf("negative n: %v, %v", w, tail)
-	}
-	if w, _ := BinomialWeights(10, 0, 0); len(w) != 1 || w[0] != 1 {
-		t.Errorf("q=0: %v", w)
-	}
-	if w, _ := BinomialWeights(3, 1, 0); len(w) != 4 || w[3] != 1 || w[0] != 0 {
-		t.Errorf("q=1: %v", w)
-	}
-}
-
 func TestTableCSVQuoting(t *testing.T) {
 	tb := Table{Columns: []string{"name", "note"}}
 	tb.AddRow(`DTMB(2,6)`, `has "quotes" and, commas`)

@@ -129,48 +129,6 @@ func (s SequentialCI) Satisfied(successes, trials int) bool {
 	return Proportion{Successes: successes, Trials: trials}.Wilson95Half() <= s.Epsilon
 }
 
-// BinomialWeights returns the head of the Binomial(n, q) probability mass
-// function — weights[k] = P(K = k) for k = 0..kMax — extended until the
-// remaining upper tail mass is at most maxTail, which is returned exactly as
-// 1 − Σ weights. The head is computed by the stable ratio recurrence
-// P(0) = exp(n·ln(1−q)), P(k+1) = P(k)·(n−k)/(k+1)·q/(1−q), so no factorials
-// overflow and no alternating sums cancel. It is the fault-count
-// stratification weight function: with every cell failing i.i.d. with
-// probability q, weights[k] is the probability a trial draws exactly k
-// faults.
-func BinomialWeights(n int, q, maxTail float64) (weights []float64, tail float64) {
-	if n < 0 {
-		return nil, 0
-	}
-	if q <= 0 {
-		return []float64{1}, 0
-	}
-	if q >= 1 {
-		weights = make([]float64, n+1)
-		weights[n] = 1
-		return weights, 0
-	}
-	if maxTail < 0 {
-		maxTail = 0
-	}
-	ratio := q / (1 - q)
-	pk := math.Exp(float64(n) * math.Log1p(-q))
-	cum := 0.0
-	for k := 0; k <= n; k++ {
-		weights = append(weights, pk)
-		cum += pk
-		if 1-cum <= maxTail {
-			break
-		}
-		pk *= float64(n-k) / float64(k+1) * ratio
-	}
-	tail = 1 - cum
-	if tail < 0 {
-		tail = 0
-	}
-	return weights, tail
-}
-
 // Series is a named (x, y) sequence, one curve of a paper figure.
 type Series struct {
 	Name string

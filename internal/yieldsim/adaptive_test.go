@@ -8,7 +8,6 @@ package yieldsim
 
 import (
 	"context"
-	"math"
 	"runtime"
 	"testing"
 
@@ -247,30 +246,5 @@ func TestAdaptiveTrialsMetricCountsExecutedTrials(t *testing.T) {
 	}
 	if executed := m.Trials.Value(); executed < uint64(res.Runs) {
 		t.Errorf("trials counter %d below committed count %d", executed, res.Runs)
-	}
-}
-
-// TestAdaptiveStratifiedComposition checks a precision-targeted MonteCarlo
-// stratifies cleanly: every simulated stratum inherits the epsilon and the
-// combined estimate still matches the closed form.
-func TestAdaptiveStratifiedComposition(t *testing.T) {
-	arr, err := layout.BuildWithPrimaryTarget(layout.DTMB16(), 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const p = 0.99
-	mc := NewMonteCarlo(11)
-	mc.Runs = 100000
-	mc.Epsilon = 0.005
-	sr, err := mc.StratifiedNoRedundancyMC(arr, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := math.Pow(p, float64(arr.NumPrimary()))
-	if want < sr.CILo-1e-9 || want > sr.CIHi+1e-9 {
-		t.Errorf("closed form %v outside stratified CI [%v, %v]", want, sr.CILo, sr.CIHi)
-	}
-	if sr.Runs >= mc.Runs {
-		t.Errorf("adaptive strata realized %d total trials with a %d budget each — no early stopping", sr.Runs, mc.Runs)
 	}
 }

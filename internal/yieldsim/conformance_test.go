@@ -1,12 +1,12 @@
 package yieldsim
 
-// Statistical conformance of the fixed-run estimators against the paper's
-// closed forms. Every other yieldsim test pins determinism: same inputs,
-// same bits. These tests check what an estimate promises. Over K seeds, the
-// reported Wilson 95% interval must cover the exact yield at close to the
-// nominal rate, and the estimates must be unbiased: their mean, which is the
-// pooled proportion over all K·runs trials, must sit within 3 standard
-// errors of the truth.
+// Statistical conformance of the fixed-run estimators against exact truths.
+// Every other yieldsim test pins determinism: same inputs, same bits. These
+// tests check what an estimate promises. Over K seeds, the reported Wilson
+// 95% interval must cover the exact yield at close to the nominal rate, and
+// the estimates must be unbiased: their mean, which is the pooled
+// proportion over all K·runs trials, must sit within 3 standard errors of
+// the truth.
 //
 // The survival grid spans both Bernoulli samplers of package defects: the
 // per-cell scan at p = 0.85 and the geometric skip-sampler at p ≥ 0.95. The
@@ -19,6 +19,7 @@ import (
 	"math"
 	"testing"
 
+	"dmfb/internal/defects"
 	"dmfb/internal/layout"
 )
 
@@ -41,20 +42,38 @@ func coverageFloor(k int) float64 {
 }
 
 // conformanceGrid pairs each survival probability with the number of
-// DTMB(1,6) clusters of its array (6 primaries and 7 cells per cluster).
+// DTMB(1,6) clusters of its array (6 primaries and 7 cells per cluster) and
+// the fault count m of its fixed-count cases, chosen so that their truths
+// sit between 0.5 and 0.9.
 var conformanceGrid = []struct {
 	p        float64
 	clusters int
+	m        int
 }{
-	{0.85, 2},    // 14 cells
-	{0.95, 8},    // 56 cells
-	{0.99, 40},   // 280 cells, five-word fault rows
-	{0.999, 100}, // 700 cells
+	{0.85, 2, 2},    // 14 cells
+	{0.95, 8, 2},    // 56 cells
+	{0.99, 40, 5},   // 280 cells, five-word fault rows
+	{0.999, 100, 8}, // 700 cells
 }
 
-// TestConformanceFixedRun checks coverage and bias of NoRedundancyMC
-// against NoRedundancy = pⁿ, and of Yield on a cluster-complete DTMB(1,6)
-// array against ClusterYieldDTMB16, on which that closed form is exact.
+// fixedCountClusterYield is the exact yield of m faults drawn uniformly from
+// the c·K cells of a domain spread evenly over K complete DTMB(1,6)
+// clusters: a cluster survives at most one fault of its c cells, so the
+// chip survives iff the m faults fall in distinct clusters, with
+// probability C(K,m)·c^m / C(c·K,m) = Π_{i<m} c·(K−i) / (c·K−i).
+func fixedCountClusterYield(clusters, m, c int) float64 {
+	y := 1.0
+	for i := 0; i < m; i++ {
+		y *= float64(c*(clusters-i)) / float64(c*clusters-i)
+	}
+	return y
+}
+
+// TestConformanceFixedRun checks coverage and bias of YieldFixedFaults on a
+// cluster-complete DTMB(1,6) array in both fault domains against
+// fixedCountClusterYield (c = 7 cells per cluster over all cells, 6 over the
+// primaries), and of Yield against ClusterYieldDTMB16, on which that closed
+// form is exact.
 func TestConformanceFixedRun(t *testing.T) {
 	k := conformanceSeeds()
 	for _, g := range conformanceGrid {
@@ -68,15 +87,20 @@ func TestConformanceFixedRun(t *testing.T) {
 			truth float64
 			eval  func(mc *MonteCarlo) (Result, error)
 		}{
-			{"no-redundancy", NoRedundancy(g.p, n), func(mc *MonteCarlo) (Result, error) {
-				return mc.NoRedundancyMC(arr, g.p)
-			}},
-			{"dtmb16-cluster", ClusterYieldDTMB16(g.p, n), func(mc *MonteCarlo) (Result, error) {
+			{fmt.Sprintf("fixed-count-all-cells/clusters=%d/m=%d", g.clusters, g.m), fixedCountClusterYield(g.clusters, g.m, 7),
+				func(mc *MonteCarlo) (Result, error) {
+					return mc.YieldFixedFaults(arr, g.m, defects.AllCells)
+				}},
+			{fmt.Sprintf("fixed-count-primaries-only/clusters=%d/m=%d", g.clusters, g.m), fixedCountClusterYield(g.clusters, g.m, 6),
+				func(mc *MonteCarlo) (Result, error) {
+					return mc.YieldFixedFaults(arr, g.m, defects.PrimariesOnly)
+				}},
+			{fmt.Sprintf("dtmb16-cluster/p=%g", g.p), ClusterYieldDTMB16(g.p, n), func(mc *MonteCarlo) (Result, error) {
 				return mc.Yield(arr, g.p)
 			}},
 		}
 		for _, tc := range cases {
-			t.Run(fmt.Sprintf("%s/p=%g", tc.name, g.p), func(t *testing.T) {
+			t.Run(tc.name, func(t *testing.T) {
 				covered, successes := 0, 0
 				for s := 1; s <= k; s++ {
 					mc := NewMonteCarlo(int64(s))

@@ -7,7 +7,9 @@ package yieldsim
 // tests pin that equivalence as bit-identical Results across every
 // estimator strategy, defect model, and a spread of seeds — so a future
 // batching change that shifts a single draw or verdict fails here, not in
-// a statistical tolerance band.
+// a statistical tolerance band. The scalar side is a test-only reference:
+// trial programs handed to mc.run that draw one FaultSet per trial and ask
+// Session.Feasible for the verdict.
 
 import (
 	"context"
@@ -17,8 +19,71 @@ import (
 
 	"dmfb/internal/defects"
 	"dmfb/internal/layout"
+	"dmfb/internal/reconfig"
 	"dmfb/internal/sqgrid"
 )
+
+// perTrial adapts a one-trial-per-call body to a batchFunc: a reference
+// program runs its word's n trials one at a time.
+func perTrial(trial func(in *defects.Injector) (bool, error)) batchFunc {
+	return func(in *defects.Injector, n int) (int, error) {
+		successes := 0
+		for i := 0; i < n; i++ {
+			ok, err := trial(in)
+			if err != nil {
+				return 0, err
+			}
+			if ok {
+				successes++
+			}
+		}
+		return successes, nil
+	}
+}
+
+// scalarDraw is the one-trial form of an injection: it refills fs with the
+// next trial's faults.
+type scalarDraw func(in *defects.Injector, fs *defects.FaultSet) (*defects.FaultSet, error)
+
+// scalarTrials is the reference of localTrials: each trial draws a FaultSet
+// with the scalar injector and the session decides it with Feasible — no
+// batch, no screen, no transpose.
+func scalarTrials(mc *MonteCarlo, arr *layout.Array, draw scalarDraw) trialFactory {
+	return func(*kernelProbe) (batchFunc, error) {
+		sess, err := reconfig.NewSession(arr, mc.sessionOptions())
+		if err != nil {
+			return nil, err
+		}
+		fs := defects.NewFaultSet(arr.NumCells())
+		return perTrial(func(in *defects.Injector) (bool, error) {
+			next, err := draw(in, fs)
+			if err != nil {
+				return false, err
+			}
+			fs = next
+			return sess.Feasible(fs)
+		}), nil
+	}
+}
+
+// scalarModelTrials is the reference program of YieldModelContext.
+func scalarModelTrials(mc *MonteCarlo, arr *layout.Array, p float64, model defects.Model) trialFactory {
+	cp := model.Params(p, arr.NumCells())
+	return scalarTrials(mc, arr, func(in *defects.Injector, fs *defects.FaultSet) (*defects.FaultSet, error) {
+		if model.Clustered {
+			next, _, err := in.Clustered(arr, cp, fs)
+			return next, err
+		}
+		return in.Bernoulli(arr, p, fs), nil
+	})
+}
+
+// scalarFixedTrials is the reference program of YieldFixedFaults.
+func scalarFixedTrials(mc *MonteCarlo, arr *layout.Array, m int, domain defects.Domain) trialFactory {
+	return scalarTrials(mc, arr, func(in *defects.Injector, fs *defects.FaultSet) (*defects.FaultSet, error) {
+		return in.FixedCount(arr, m, domain, fs)
+	})
+}
 
 // differentialSeeds returns the seed spread: 5 seeds normally, 2 under
 // -short (CI runs the full suite via `go test -run Differential -count=3`).
@@ -31,10 +96,13 @@ func differentialSeeds(t *testing.T) []int64 {
 }
 
 // estimatorCase is one (strategy, defect model) cell of the differential
-// matrix, evaluated under a configured MonteCarlo.
+// matrix: the production estimate under a configured MonteCarlo, and its
+// scalar reference program. A case without a reference (the shifted
+// column walk, an input the estimator rejects) compares two runs of eval.
 type estimatorCase struct {
 	name string
 	eval func(mc *MonteCarlo) (Result, error)
+	ref  func(mc *MonteCarlo) trialFactory
 }
 
 // differentialCases builds the estimator matrix over the shared arrays. The
@@ -61,60 +129,67 @@ func differentialCases(t *testing.T) []estimatorCase {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// repairUsed puts every other primary of the local array out of scope.
+	used := make([]bool, local.NumCells())
+	for i, id := range local.Primaries() {
+		used[id] = i%2 == 0
+	}
+	repairUsed := func(mc *MonteCarlo) *MonteCarlo {
+		mc.Scope, mc.Used = reconfig.RepairUsed, used
+		return mc
+	}
 	clustered := defects.Model{Clustered: true, ClusterSize: 4}
 	ctx := context.Background()
+	model := func(name string, arr *layout.Array, p float64, m defects.Model) estimatorCase {
+		return estimatorCase{name,
+			func(mc *MonteCarlo) (Result, error) { return mc.YieldModelContext(ctx, arr, p, m) },
+			func(mc *MonteCarlo) trialFactory { return scalarModelTrials(mc, arr, p, m) }}
+	}
+	fixed := func(name string, arr *layout.Array, m int, domain defects.Domain) estimatorCase {
+		return estimatorCase{name,
+			func(mc *MonteCarlo) (Result, error) { return mc.YieldFixedFaults(arr, m, domain) },
+			func(mc *MonteCarlo) trialFactory { return scalarFixedTrials(mc, arr, m, domain) }}
+	}
 	return []estimatorCase{
-		{"local/bernoulli", func(mc *MonteCarlo) (Result, error) {
-			return mc.YieldContext(ctx, local, 0.94)
-		}},
-		{"local/bernoulli-high-p", func(mc *MonteCarlo) (Result, error) {
-			return mc.YieldContext(ctx, local, 0.999)
-		}},
+		model("local/bernoulli", local, 0.94, defects.Model{}),
+		model("local/bernoulli-high-p", local, 0.999, defects.Model{}),
 		// Either side of the Bernoulli samplers' crossover at q = 0.1 in
 		// package defects (skipMaxQ): per-cell scan, then skip-sampling.
-		{"local/bernoulli-scan-side", func(mc *MonteCarlo) (Result, error) {
-			return mc.YieldContext(ctx, local, 0.8999)
-		}},
-		{"local/bernoulli-skip-side", func(mc *MonteCarlo) (Result, error) {
-			return mc.YieldContext(ctx, local, 0.9001)
-		}},
-		{"local/bernoulli-all-fail", func(mc *MonteCarlo) (Result, error) {
-			return mc.YieldContext(ctx, local, 0) // q = 1
-		}},
+		model("local/bernoulli-scan-side", local, 0.8999, defects.Model{}),
+		model("local/bernoulli-skip-side", local, 0.9001, defects.Model{}),
+		model("local/bernoulli-all-fail", local, 0, defects.Model{}), // q = 1
 		{"local/bernoulli-nan", func(mc *MonteCarlo) (Result, error) {
 			if _, err := mc.YieldContext(ctx, local, math.NaN()); err == nil {
 				return Result{}, errors.New("NaN survival probability accepted")
 			}
 			return Result{}, nil
-		}},
-		{"hex/bernoulli", func(mc *MonteCarlo) (Result, error) {
-			return mc.YieldContext(ctx, hex, 0.93)
-		}},
-		{"hex/clustered", func(mc *MonteCarlo) (Result, error) {
-			return mc.YieldModelContext(ctx, hex, 0.95, clustered)
-		}},
-		{"big/bernoulli-memo-refused", func(mc *MonteCarlo) (Result, error) {
-			return mc.YieldContext(ctx, big, 0.97)
-		}},
-		{"local/no-redundancy", func(mc *MonteCarlo) (Result, error) {
-			return mc.NoRedundancyMC(local, 0.94)
-		}},
-		{"local/fixed-count", func(mc *MonteCarlo) (Result, error) {
-			return mc.YieldFixedFaults(local, 9, defects.AllCells)
-		}},
-		// The shifted kernel has no scalar program, so both sides of these
-		// cases run the column walk and pin worker invariance only;
-		// TestShiftedYieldMatchesShiftSessionReference pins the walk to
-		// scalar draws and a ShiftSession verdict.
+		}, nil},
+		model("hex/bernoulli", hex, 0.93, defects.Model{}),
+		model("hex/clustered", hex, 0.95, clustered),
+		model("big/bernoulli-memo-refused", big, 0.97, defects.Model{}),
+		fixed("local/fixed-count", local, 9, defects.AllCells),
+		fixed("local/fixed-count-primaries-only", local, 9, defects.PrimariesOnly),
+		fixed("local/fixed-count-none", local, 0, defects.AllCells),
+		fixed("big/fixed-count", big, 40, defects.AllCells),
+		{"local/fixed-count-repair-used",
+			func(mc *MonteCarlo) (Result, error) {
+				return repairUsed(mc).YieldFixedFaults(local, 12, defects.PrimariesOnly)
+			},
+			func(mc *MonteCarlo) trialFactory {
+				return scalarFixedTrials(repairUsed(mc), local, 12, defects.PrimariesOnly)
+			}},
+		// The shifted kernel has no scalar program here, so these cases pin
+		// determinism only; TestShiftedYieldMatchesShiftSessionReference
+		// pins the walk to scalar draws and a ShiftSession verdict.
 		{"shifted/bernoulli", func(mc *MonteCarlo) (Result, error) {
 			return mc.ShiftedYield(pl, 0.94)
-		}},
+		}, nil},
 		{"shifted/bernoulli-scan-side", func(mc *MonteCarlo) (Result, error) {
 			return mc.ShiftedYield(pl, 0.8999)
-		}},
+		}, nil},
 		{"shifted/clustered", func(mc *MonteCarlo) (Result, error) {
 			return mc.ShiftedYieldModelContext(ctx, pl, 0.95, clustered)
-		}},
+		}, nil},
 	}
 }
 
@@ -131,8 +206,9 @@ func configureDifferential(seed int64, i int) *MonteCarlo {
 }
 
 // TestDifferentialBatchMatchesScalar pins the tentpole equivalence: the
-// word-packed batch path and the scalar reference path produce bit-identical
-// Results for every (strategy, defect model, seed, sampler, workers) cell.
+// word-packed production program and its scalar reference produce
+// bit-identical Results for every (strategy, defect model, seed, sampler,
+// workers) cell.
 func TestDifferentialBatchMatchesScalar(t *testing.T) {
 	cases := differentialCases(t)
 	for _, tc := range cases {
@@ -144,8 +220,12 @@ func TestDifferentialBatchMatchesScalar(t *testing.T) {
 					t.Fatal(err)
 				}
 				ref := configureDifferential(seed, i)
-				ref.forceScalar = true
-				want, err := tc.eval(ref)
+				var want Result
+				if tc.ref != nil {
+					want, err = ref.run(context.Background(), tc.ref(ref))
+				} else {
+					want, err = tc.eval(ref)
+				}
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -12,7 +12,9 @@ import (
 	"log/slog"
 	"testing"
 
+	"dmfb/internal/defects"
 	"dmfb/internal/layout"
+	"dmfb/internal/reconfig"
 	"dmfb/internal/sqgrid"
 	"dmfb/internal/telemetry"
 )
@@ -48,29 +50,22 @@ func TestInstrumentationDoesNotPerturbEstimate(t *testing.T) {
 	}
 }
 
-// TestKernelMetricsAccounting checks the bookkeeping identities: every trial
-// is counted once, and the all-healthy/screened/matcher split partitions the
-// trials for the Bernoulli path. The scalar path draws the same fault sets
-// one trial at a time, so it screens nothing and sends to the matcher
-// exactly the trials the batch path screened or matched. The shifted
-// strategy partitions its trials into all-healthy and screened alone.
+// TestKernelMetricsAccounting checks the bookkeeping identities on the
+// Bernoulli path: every trial is counted once, the all-healthy/screened/
+// matcher split partitions the trials with both faulty tiers in use, and
+// every chunk is timed once.
 func TestKernelMetricsAccounting(t *testing.T) {
 	arr, err := layout.BuildWithPrimaryTarget(layout.DTMB26(), 60)
 	if err != nil {
 		t.Fatal(err)
 	}
-	estimate := func(scalar bool) *telemetry.KernelMetrics {
-		t.Helper()
-		mc := NewMonteCarlo(5)
-		mc.Runs = 2500
-		mc.Metrics = telemetry.NewKernelMetrics(telemetry.NewRegistry())
-		mc.forceScalar = scalar
-		if _, err := mc.Yield(arr, 0.9); err != nil {
-			t.Fatal(err)
-		}
-		return mc.Metrics
+	mc := NewMonteCarlo(5)
+	mc.Runs = 2500
+	mc.Metrics = telemetry.NewKernelMetrics(telemetry.NewRegistry())
+	if _, err := mc.Yield(arr, 0.9); err != nil {
+		t.Fatal(err)
 	}
-	m := estimate(false)
+	m := mc.Metrics
 	if got := m.Trials.Value(); got != 2500 {
 		t.Errorf("trials counter = %d, want 2500", got)
 	}
@@ -86,39 +81,81 @@ func TestKernelMetricsAccounting(t *testing.T) {
 	if got := m.ChunkSeconds.Count(); got != wantChunks {
 		t.Errorf("chunk histogram count = %d, want %d", got, wantChunks)
 	}
-	s := estimate(true)
-	if s.Screened.Value() != 0 {
-		t.Errorf("scalar path screened %d trials, want 0", s.Screened.Value())
-	}
-	if s.AllHealthy.Value() != m.AllHealthy.Value() ||
-		s.MatcherInvocations.Value() != m.Screened.Value()+m.MatcherInvocations.Value() {
-		t.Errorf("scalar all_healthy %d, matcher %d; batch all_healthy %d, screened+matcher %d",
-			s.AllHealthy.Value(), s.MatcherInvocations.Value(),
-			m.AllHealthy.Value(), m.Screened.Value()+m.MatcherInvocations.Value())
-	}
+}
 
-	// The shifted column walk settles every faulty trial on the column
-	// plane: none reaches the matcher.
+// TestKernelCountersPartitionEveryProgram runs every production trial
+// program with Metrics attached and checks that the trials counter equals
+// the runs and that all_healthy + screened + matcher partitions them. The
+// shifted column walk settles every faulty trial on the column plane, so
+// none of its trials reaches the matcher, and at the chosen p both its
+// all-healthy and screened tiers are in use.
+func TestKernelCountersPartitionEveryProgram(t *testing.T) {
+	arr, err := layout.BuildWithPrimaryTarget(layout.DTMB26(), 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hex, err := layout.BuildHexagonWithPrimaryTarget(layout.DTMB26(), 60)
+	if err != nil {
+		t.Fatal(err)
+	}
 	pl, err := sqgrid.PlacementWithPrimaryTarget(60, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc := NewMonteCarlo(5)
-	mc.Runs = 2500
-	mc.Metrics = telemetry.NewKernelMetrics(telemetry.NewRegistry())
-	if _, err := mc.ShiftedYield(pl, 0.99); err != nil {
-		t.Fatal(err)
+	used := make([]bool, arr.NumCells())
+	for i, id := range arr.Primaries() {
+		used[id] = i%3 != 0
 	}
-	sh := mc.Metrics
-	if got := sh.Trials.Value(); got != 2500 {
-		t.Errorf("shifted trials counter = %d, want 2500", got)
+	clustered := defects.Model{Clustered: true, ClusterSize: 4}
+	ctx := context.Background()
+	fixed := func(domain defects.Domain, scope reconfig.Scope) func(mc *MonteCarlo) (Result, error) {
+		return func(mc *MonteCarlo) (Result, error) {
+			if scope == reconfig.RepairUsed {
+				mc.Scope, mc.Used = scope, used
+			}
+			return mc.YieldFixedFaults(arr, 10, domain)
+		}
 	}
-	if sh.MatcherInvocations.Value() != 0 {
-		t.Errorf("shifted matcher = %d, want 0", sh.MatcherInvocations.Value())
-	}
-	if sh.AllHealthy.Value()+sh.Screened.Value() != 2500 || sh.AllHealthy.Value() == 0 || sh.Screened.Value() == 0 {
-		t.Errorf("shifted all_healthy %d + screened %d: want both tiers used, summing to 2500 trials",
-			sh.AllHealthy.Value(), sh.Screened.Value())
+	const runs = 2500
+	for _, tc := range []struct {
+		name    string
+		shifted bool
+		eval    func(mc *MonteCarlo) (Result, error)
+	}{
+		{"local/bernoulli-scan-side", false, func(mc *MonteCarlo) (Result, error) { return mc.Yield(arr, 0.85) }},
+		{"local/bernoulli-skip-side", false, func(mc *MonteCarlo) (Result, error) { return mc.Yield(arr, 0.95) }},
+		{"hex/clustered", false, func(mc *MonteCarlo) (Result, error) {
+			return mc.YieldModelContext(ctx, hex, 0.95, clustered)
+		}},
+		{"fixed-count/all-cells/repair-all", false, fixed(defects.AllCells, reconfig.RepairAll)},
+		{"fixed-count/all-cells/repair-used", false, fixed(defects.AllCells, reconfig.RepairUsed)},
+		{"fixed-count/primaries-only/repair-all", false, fixed(defects.PrimariesOnly, reconfig.RepairAll)},
+		{"fixed-count/primaries-only/repair-used", false, fixed(defects.PrimariesOnly, reconfig.RepairUsed)},
+		{"shifted/bernoulli", true, func(mc *MonteCarlo) (Result, error) { return mc.ShiftedYield(pl, 0.99) }},
+		{"shifted/clustered", true, func(mc *MonteCarlo) (Result, error) {
+			return mc.ShiftedYieldModelContext(ctx, pl, 0.95, clustered)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mc := NewMonteCarlo(5)
+			mc.Runs = runs
+			mc.Metrics = telemetry.NewKernelMetrics(telemetry.NewRegistry())
+			if _, err := tc.eval(mc); err != nil {
+				t.Fatal(err)
+			}
+			m := mc.Metrics
+			healthy, screened, matcher := m.AllHealthy.Value(), m.Screened.Value(), m.MatcherInvocations.Value()
+			if got := m.Trials.Value(); got != runs {
+				t.Errorf("trials counter = %d, want %d", got, runs)
+			}
+			if healthy+screened+matcher != runs {
+				t.Errorf("all_healthy %d + screened %d + matcher %d != %d trials", healthy, screened, matcher, runs)
+			}
+			if tc.shifted && (matcher != 0 || healthy == 0 || screened == 0) {
+				t.Errorf("shifted all_healthy %d, screened %d, matcher %d: want matcher 0 and both other tiers used",
+					healthy, screened, matcher)
+			}
+		})
 	}
 }
 

@@ -29,35 +29,14 @@ import (
 	"dmfb/internal/telemetry"
 )
 
-// batchFunc runs a block of trials with the worker's injector and returns
-// the number that survived. Word-packed implementations pack the block into
-// 64-trial machine words (defects.TrialBatch): injection is trial-major so
-// the PRNG stream matches the per-trial path draw for draw, the all-healthy
-// screen is one popcount per word of trials, the session's Screen settles
-// on the column plane every trial its exact degree-1 peeling decides, and
-// only the undecided core is transposed and reaches the matcher. Draws
-// with no word-packed form run through perTrial.
-type batchFunc func(in *defects.Injector, runs int) (int, error)
-
-// perTrial adapts a one-trial-per-call body to a batchFunc. Factories call it
-// once per worker, so the adapter is setup cost, never per-trial cost. All
-// state a trial touches (fault set, reconfiguration session) is owned by the
-// closure, so the steady-state trial path performs no heap allocation.
-func perTrial(trial func(in *defects.Injector) (bool, error)) batchFunc {
-	return func(in *defects.Injector, runs int) (int, error) {
-		successes := 0
-		for i := 0; i < runs; i++ {
-			ok, err := trial(in)
-			if err != nil {
-				return 0, err
-			}
-			if ok {
-				successes++
-			}
-		}
-		return successes, nil
-	}
-}
+// batchFunc runs one word of n ≤ 64 trials with the worker's injector and
+// returns the number that survived. Every program injects its word into a
+// defects.TrialBatch (trial-major, so the PRNG stream matches n successive
+// scalar draws draw for draw) and judges it on the column plane: the
+// all-healthy screen is one popcount, and the local program's session
+// Screen settles every trial its exact degree-1 peeling decides, so only
+// the undecided core is transposed and reaches the matcher.
+type batchFunc func(in *defects.Injector, n int) (successes int, err error)
 
 // trialFactory builds one worker's trial program together with the scratch
 // it owns, wiring the worker's probe into the closures. run calls it once
@@ -75,7 +54,7 @@ type kernelProbe struct {
 	allHealthy uint64
 	// screened counts faulty trials a word-parallel verdict settled without
 	// a per-trial decision: a batch Screen, peeled ones included, or the
-	// shifted column walk. Per-trial paths leave it at zero.
+	// shifted column walk.
 	screened uint64
 	// matcher counts trials decided one at a time by the matcher.
 	matcher uint64
@@ -260,7 +239,7 @@ func (mc *MonteCarlo) run(ctx context.Context, factory trialFactory) (Result, er
 				runs := ledger.runs(c)
 				in.Reseed(seeds[c])
 				start := probe.begin()
-				successes, err := batch(in, runs)
+				successes, err := runChunk(batch, in, runs)
 				if err != nil {
 					ledger.fail(err)
 					return
@@ -287,4 +266,18 @@ func (mc *MonteCarlo) run(ctx context.Context, factory trialFactory) (Result, er
 		}
 	}
 	return newResult(ledger.successes, ledger.trials), nil
+}
+
+// runChunk runs one chunk's trials through a worker's program, one 64-trial
+// word at a time; the last word is short when runs is not a multiple of 64.
+func runChunk(batch batchFunc, in *defects.Injector, runs int) (int, error) {
+	successes := 0
+	for off := 0; off < runs; off += defects.WordTrials {
+		s, err := batch(in, min(runs-off, defects.WordTrials))
+		if err != nil {
+			return 0, err
+		}
+		successes += s
+	}
+	return successes, nil
 }

@@ -137,14 +137,6 @@ type MonteCarlo struct {
 	// request and the exact chunks that served it. Info and above emit
 	// nothing, so production logging costs one Enabled check per estimate.
 	Logger *slog.Logger
-
-	// forceScalar runs trials one at a time through the scalar injection
-	// path instead of 64-per-word batches. It is a test-only knob: the
-	// differential suite flips it to pin batched == scalar estimates. The
-	// batch path consumes the identical PRNG stream as the scalar path
-	// (trial-major, cell-minor — see defects.BernoulliBatch), so the knob
-	// never changes an estimate, only the machinery behind it.
-	forceScalar bool
 }
 
 // NewMonteCarlo returns a simulator with the paper's defaults (10000 runs).
@@ -229,89 +221,7 @@ func (mc *MonteCarlo) YieldFixedFaultsContext(ctx context.Context, arr *layout.A
 	if m < 0 {
 		return Result{}, fmt.Errorf("yieldsim: negative fault count %d", m)
 	}
-	return mc.run(ctx, mc.fixedFaultsTrials(arr, m, domain))
-}
-
-// fixedFaultsTrials is the factory of the fixed-count trial: exactly m
-// faults per draw (from the injector's cached pool), then a session
-// verdict. The draw has no batched form (partial Fisher–Yates is
-// inherently per-trial).
-func (mc *MonteCarlo) fixedFaultsTrials(arr *layout.Array, m int, domain defects.Domain) trialFactory {
-	opts := mc.sessionOptions()
-	return func(probe *kernelProbe) (batchFunc, error) {
-		sess, err := reconfig.NewSession(arr, opts)
-		if err != nil {
-			return nil, err
-		}
-		fs := defects.NewFaultSet(arr.NumCells())
-		return perTrial(func(in *defects.Injector) (bool, error) {
-			next, err := in.FixedCount(arr, m, domain, fs)
-			if err != nil {
-				return false, err
-			}
-			fs = next
-			if fs.Count() == 0 {
-				probe.allHealthy++
-			} else {
-				probe.matcher++
-			}
-			return sess.Feasible(fs)
-		}), nil
-	}
-}
-
-// NoRedundancyMC estimates the no-redundancy yield by simulation (all n
-// working cells must survive). It exists to cross-check NoRedundancy.
-func (mc *MonteCarlo) NoRedundancyMC(arr *layout.Array, p float64) (Result, error) {
-	return mc.NoRedundancyMCContext(context.Background(), arr, p)
-}
-
-// NoRedundancyMCContext is NoRedundancyMC with cancellation.
-func (mc *MonteCarlo) NoRedundancyMCContext(ctx context.Context, arr *layout.Array, p float64) (Result, error) {
-	if math.IsNaN(p) || p < 0 || p > 1 {
-		return Result{}, fmt.Errorf("yieldsim: survival probability %v outside [0,1]", p)
-	}
-	return mc.run(ctx, mc.noRedundancyTrials(arr, p))
-}
-
-// noRedundancyTrials is the factory of the baseline trial program: the
-// chip survives iff no primary is faulty. The batched form screens healthy
-// trials on the occupied mask and fails the rest on the column plane: the
-// OR of the primary columns is the word of trials with a faulty primary —
-// no transpose, no matcher, no session, no FaultSet.
-func (mc *MonteCarlo) noRedundancyTrials(arr *layout.Array, p float64) trialFactory {
-	numCells := arr.NumCells()
-	return func(probe *kernelProbe) (batchFunc, error) {
-		if mc.forceScalar {
-			fs := defects.NewFaultSet(numCells)
-			return perTrial(func(in *defects.Injector) (bool, error) {
-				fs = in.Bernoulli(arr, p, fs)
-				if fs.Count() == 0 {
-					probe.allHealthy++
-				}
-				return !fs.AnyFaultyPrimary(arr), nil
-			}), nil
-		}
-		tb := defects.NewTrialBatch(numCells)
-		return func(in *defects.Injector, runs int) (int, error) {
-			successes := 0
-			for off := 0; off < runs; off += defects.WordTrials {
-				n := runs - off
-				if n > defects.WordTrials {
-					n = defects.WordTrials
-				}
-				in.BernoulliBatch(numCells, p, n, tb)
-				probe.allHealthy += uint64(tb.AllHealthy())
-				var failed uint64
-				cols := tb.Cols()
-				for _, id := range arr.Primaries() {
-					failed |= cols[id]
-				}
-				successes += n - bits.OnesCount64(failed)
-			}
-			return successes, nil
-		}, nil
-	}
+	return mc.run(ctx, mc.localTrials(arr, fixedCountInjection(arr, m, domain)))
 }
 
 // ShiftedYield estimates the yield of a boundary-spare-row placement under
@@ -387,37 +297,32 @@ func (mc *MonteCarlo) shiftedTrials(pl sqgrid.Placement, p float64, model defect
 	}
 	return func(probe *kernelProbe) (batchFunc, error) {
 		tb := defects.NewTrialBatch(numCells)
-		return func(in *defects.Injector, runs int) (int, error) {
-			successes := 0
-			for off := 0; off < runs; off += defects.WordTrials {
-				n := min(runs-off, defects.WordTrials)
-				if model.Clustered {
-					if _, err := in.ClusteredGridBatch(w, h, cp, n, tb); err != nil {
-						return 0, err
-					}
-				} else {
-					in.BernoulliBatch(numCells, p, n, tb)
+		return func(in *defects.Injector, n int) (int, error) {
+			if model.Clustered {
+				if _, err := in.ClusteredGridBatch(w, h, cp, n, tb); err != nil {
+					return 0, err
 				}
-				occ := tb.Occupied()
-				faulty := bits.OnesCount64(occ)
-				probe.allHealthy += uint64(n - faulty)
-				probe.screened += uint64(faulty)
-				var fail uint64
-				if occ != 0 {
-					cols := tb.Cols()
-					for x := 0; x < w; x++ {
-						below := cols[firstSpare*w+x]
-						for id := (firstSpare-1)*w + x; id >= 0; id -= w {
-							if used[id] {
-								fail |= cols[id] & below
-							}
-							below |= cols[id]
-						}
-					}
-				}
-				successes += n - bits.OnesCount64(fail)
+			} else {
+				in.BernoulliBatch(numCells, p, n, tb)
 			}
-			return successes, nil
+			occ := tb.Occupied()
+			faulty := bits.OnesCount64(occ)
+			probe.allHealthy += uint64(n - faulty)
+			probe.screened += uint64(faulty)
+			var fail uint64
+			if occ != 0 {
+				cols := tb.Cols()
+				for x := 0; x < w; x++ {
+					below := cols[firstSpare*w+x]
+					for id := (firstSpare-1)*w + x; id >= 0; id -= w {
+						if used[id] {
+							fail |= cols[id] & below
+						}
+						below |= cols[id]
+					}
+				}
+			}
+			return n - bits.OnesCount64(fail), nil
 		}, nil
 	}, nil
 }
@@ -435,72 +340,60 @@ func (mc *MonteCarlo) YieldModelContext(ctx context.Context, arr *layout.Array, 
 	if err := model.Validate(); err != nil {
 		return Result{}, err
 	}
-	return mc.run(ctx, mc.localTrials(arr, p, model))
+	return mc.run(ctx, mc.localTrials(arr, modelInjection(arr, p, model)))
 }
 
-// localTrials is the factory of the local-reconfiguration trial program:
-// draw 64 trials per machine word under the model (i.i.d. Bernoulli
-// faults, or center-seeded clusters), screen the all-healthy trials with
-// one popcount, settle the rest with the session's word-parallel peeling
-// Screen, and run the matcher on its core only. Each worker owns its batch
-// and session; after the factory's one-time construction the trial path is
-// allocation-free (pinned by the allocs regression tests). The scalar
-// program behind forceScalar draws the identical PRNG stream and produces
-// the identical estimate.
-func (mc *MonteCarlo) localTrials(arr *layout.Array, p float64, model defects.Model) trialFactory {
-	opts := mc.sessionOptions()
+// injectFunc fills a trial batch with n ≤ 64 trials of one fault
+// distribution, or returns an error before any draw.
+type injectFunc func(in *defects.Injector, n int, b *defects.TrialBatch) error
+
+// modelInjection is the injection of YieldModelContext: i.i.d. Bernoulli
+// faults at survival probability p, or center-seeded clusters targeting the
+// same expected defect density.
+func modelInjection(arr *layout.Array, p float64, model defects.Model) injectFunc {
 	numCells := arr.NumCells()
-	var cp defects.ClusterParams
-	if model.Clustered {
-		cp = model.Params(p, numCells)
+	if !model.Clustered {
+		return func(in *defects.Injector, n int, b *defects.TrialBatch) error {
+			in.BernoulliBatch(numCells, p, n, b)
+			return nil
+		}
 	}
+	cp := model.Params(p, numCells)
+	return func(in *defects.Injector, n int, b *defects.TrialBatch) error {
+		_, err := in.ClusteredBatch(arr, cp, n, b)
+		return err
+	}
+}
+
+// fixedCountInjection is the injection of YieldFixedFaults: exactly m
+// faults per trial, drawn uniformly from the domain.
+func fixedCountInjection(arr *layout.Array, m int, domain defects.Domain) injectFunc {
+	return func(in *defects.Injector, n int, b *defects.TrialBatch) error {
+		return in.FixedCountBatch(arr, m, domain, n, b)
+	}
+}
+
+// localTrials is the factory of the local-reconfiguration trial program,
+// the one program behind both defect models and fixed-count injection:
+// inject a word of trials, screen the all-healthy trials with one
+// popcount, settle the rest with the session's word-parallel peeling
+// Screen, and run the matcher on its core only (feasBatchVerdicts). Each
+// worker owns its batch and session; after the factory's one-time
+// construction the trial path is allocation-free (pinned by the allocs
+// regression tests).
+func (mc *MonteCarlo) localTrials(arr *layout.Array, inject injectFunc) trialFactory {
+	opts := mc.sessionOptions()
 	return func(probe *kernelProbe) (batchFunc, error) {
 		sess, err := reconfig.NewSession(arr, opts)
 		if err != nil {
 			return nil, err
 		}
-		if mc.forceScalar {
-			fs := defects.NewFaultSet(numCells)
-			return perTrial(func(in *defects.Injector) (bool, error) {
-				if model.Clustered {
-					next, _, err := in.Clustered(arr, cp, fs)
-					if err != nil {
-						return false, err
-					}
-					fs = next
-				} else {
-					fs = in.Bernoulli(arr, p, fs)
-				}
-				if fs.Count() == 0 {
-					probe.allHealthy++
-				} else {
-					probe.matcher++
-				}
-				return sess.Feasible(fs)
-			}), nil
-		}
-		tb := defects.NewTrialBatch(numCells)
-		return func(in *defects.Injector, runs int) (int, error) {
-			successes := 0
-			for off := 0; off < runs; off += defects.WordTrials {
-				n := runs - off
-				if n > defects.WordTrials {
-					n = defects.WordTrials
-				}
-				if model.Clustered {
-					if _, err := in.ClusteredBatch(arr, cp, n, tb); err != nil {
-						return 0, err
-					}
-				} else {
-					in.BernoulliBatch(numCells, p, n, tb)
-				}
-				s, err := feasBatchVerdicts(tb, sess, probe, n)
-				if err != nil {
-					return 0, err
-				}
-				successes += s
+		tb := defects.NewTrialBatch(arr.NumCells())
+		return func(in *defects.Injector, n int) (int, error) {
+			if err := inject(in, n, tb); err != nil {
+				return 0, err
 			}
-			return successes, nil
+			return feasBatchVerdicts(tb, sess, probe, n)
 		}, nil
 	}
 }

@@ -311,27 +311,6 @@ func TestYieldFixedFaultsDomainsDiffer(t *testing.T) {
 	}
 }
 
-func TestNoRedundancyMCMatchesFormula(t *testing.T) {
-	arr := buildArray(t, layout.DTMB26(), 100)
-	mc := NewMonteCarlo(21)
-	mc.Runs = 4000
-	p := 0.99
-	res, err := mc.NoRedundancyMC(arr, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := NoRedundancy(p, arr.NumPrimary())
-	// A 95% interval misses the true value for ~1 in 20 seeds; allow a small
-	// slack beyond the interval so the check tests correctness, not luck.
-	const slack = 0.01
-	if res.CILo-slack > want || res.CIHi+slack < want {
-		t.Errorf("formula %v outside MC interval [%v, %v]", want, res.CILo, res.CIHi)
-	}
-	if _, err := mc.NoRedundancyMC(arr, 2); err == nil {
-		t.Error("p>1 accepted")
-	}
-}
-
 func TestRepairUsedScopeRaisesYield(t *testing.T) {
 	arr := buildArray(t, layout.DTMB16(), 100)
 	used := make([]bool, arr.NumCells())
@@ -410,9 +389,6 @@ func TestMonteCarloContextCancellation(t *testing.T) {
 	}
 	if _, err := mc.YieldFixedFaultsContext(ctx, arr, 5, defects.AllCells); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled context (fixed faults): err = %v, want context.Canceled", err)
-	}
-	if _, err := mc.NoRedundancyMCContext(ctx, arr, 0.95); !errors.Is(err, context.Canceled) {
-		t.Errorf("cancelled context (no-redundancy): err = %v, want context.Canceled", err)
 	}
 }
 
