@@ -52,20 +52,21 @@ func (c Config) simParams() core.SimParams {
 	return core.SimParams{Runs: c.Runs, Seed: c.Seed, Workers: c.Workers}
 }
 
-// runSweep expands and evaluates a sweep grid sequentially (each point
-// already parallelizes across Workers), returning results in point order.
+// runSweep expands and evaluates a sweep grid in point order (each point
+// already parallelizes across Workers).
 func runSweep(spec sweep.Spec, sp core.SimParams) ([]sweep.PointResult, error) {
 	pts, err := spec.Expand()
 	if err != nil {
 		return nil, err
 	}
-	results := make([]sweep.PointResult, 0, len(pts))
-	err = sweep.Run(context.Background(), pts, 1, sweep.Evaluator(sp), func(r sweep.PointResult) error {
-		results = append(results, r)
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	results := make([]sweep.PointResult, len(pts))
+	for i, pt := range pts {
+		r, err := sweep.EvaluateScenario(context.Background(), pt.Scenario, sp)
+		if err != nil {
+			return nil, err
+		}
+		r.Index = pt.Index
+		results[i] = r
 	}
 	return results, nil
 }

@@ -156,11 +156,15 @@ func TestEvaluateScenarioMatchesSweepEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh := NewEngine(EngineConfig{CacheSize: 16, DefaultRuns: 200})
-	var got []SweepRecord
-	err = fresh.Sweep(context.Background(), SweepRequest{
+	plan, err := fresh.PlanSweep(SweepRequest{
 		Strategies: []string{"hex"}, Designs: []string{"DTMB(2,6)"},
 		NPrimaries: []int{40}, Ps: []float64{0.95}, Runs: 200, Seed: 7,
-	}, func(r SweepRecord) error { got = append(got, r); return nil })
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []SweepRecord
+	err = fresh.RunSweep(context.Background(), plan, func(r SweepRecord) error { got = append(got, r); return nil })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -194,16 +194,6 @@ func (e *Engine) RunSweepRange(ctx context.Context, plan *SweepPlan, start, end 
 	})
 }
 
-// Sweep is PlanSweep followed by RunSweep, for callers that do not need the
-// validation/streaming split.
-func (e *Engine) Sweep(ctx context.Context, req SweepRequest, emit func(SweepRecord) error) error {
-	plan, err := e.PlanSweep(req)
-	if err != nil {
-		return err
-	}
-	return e.RunSweep(ctx, plan, emit)
-}
-
 // sweepEval adapts the engine's scenario core to the sweep runner: every
 // grid point is evaluated exactly like a /v2/evaluate of its scenario, then
 // stamped with its grid index. Evaluations are timed into the sweep metric

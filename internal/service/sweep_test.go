@@ -128,14 +128,18 @@ func TestSweepLocalPointsShareYieldCache(t *testing.T) {
 	if _, err := e.Yield(context.Background(), YieldRequest{Design: "DTMB(2,6)", NPrimary: 24, P: 0.95, Runs: 200, Seed: 7}); err != nil {
 		t.Fatal(err)
 	}
-	var recs []SweepRecord
-	err := e.Sweep(context.Background(), SweepRequest{
+	plan, err := e.PlanSweep(SweepRequest{
 		Designs:    []string{"dtmb26"},
 		NPrimaries: []int{24},
 		Ps:         []float64{0.95},
 		Runs:       200,
 		Seed:       7,
-	}, func(r SweepRecord) error {
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []SweepRecord
+	err = e.RunSweep(context.Background(), plan, func(r SweepRecord) error {
 		recs = append(recs, r)
 		return nil
 	})
@@ -160,9 +164,13 @@ func TestSweepShiftedPointsAreCached(t *testing.T) {
 		Runs:       200,
 		Seed:       7,
 	}
+	plan, err := e.PlanSweep(req)
+	if err != nil {
+		t.Fatal(err)
+	}
 	run := func() SweepRecord {
 		var recs []SweepRecord
-		if err := e.Sweep(context.Background(), req, func(r SweepRecord) error {
+		if err := e.RunSweep(context.Background(), plan, func(r SweepRecord) error {
 			recs = append(recs, r)
 			return nil
 		}); err != nil {
@@ -191,7 +199,11 @@ func TestSweepCancelledContext(t *testing.T) {
 	e := NewEngine(EngineConfig{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := e.Sweep(ctx, SweepRequest{NPrimaries: []int{24}, Ps: []float64{0.95}, Runs: 200}, func(SweepRecord) error { return nil })
+	plan, err := e.PlanSweep(SweepRequest{NPrimaries: []int{24}, Ps: []float64{0.95}, Runs: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = e.RunSweep(ctx, plan, func(SweepRecord) error { return nil })
 	if err == nil {
 		t.Fatal("cancelled sweep returned nil")
 	}

@@ -53,7 +53,10 @@ const z95 = 1.959963984540054
 
 // Wilson95 returns the Wilson score 95% confidence interval for the
 // proportion. Unlike the normal approximation it behaves sensibly at 0 and 1,
-// where Monte-Carlo yield estimates often sit.
+// where Monte-Carlo yield estimates often sit. At p̂ = 0 the exact lower
+// bound is 0 and at p̂ = 1 the exact upper bound is 1; both are returned
+// exactly, since center ∓ half rounds to a value just inside, which would
+// exclude the estimate from its own interval.
 func (p Proportion) Wilson95() (lo, hi float64) {
 	if p.Trials == 0 {
 		return 0, 1
@@ -65,10 +68,10 @@ func (p Proportion) Wilson95() (lo, hi float64) {
 	center := (phat + z*z/(2*n)) / denom
 	half := z * math.Sqrt(phat*(1-phat)/n+z*z/(4*n*n)) / denom
 	lo, hi = center-half, center+half
-	if lo < 0 {
+	if lo < 0 || p.Successes == 0 {
 		lo = 0
 	}
-	if hi > 1 {
+	if hi > 1 || p.Successes == p.Trials {
 		hi = 1
 	}
 	return lo, hi

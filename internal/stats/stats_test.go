@@ -69,6 +69,20 @@ func TestWilson95Properties(t *testing.T) {
 	}
 }
 
+// TestWilson95ContainsEstimateAtBothEnds checks the interval at p̂ = 0 and
+// p̂ = 1 for every trial count up to 65,536: the bound on the estimate's side
+// is exactly 0 or 1, so the interval always contains its own estimate.
+func TestWilson95ContainsEstimateAtBothEnds(t *testing.T) {
+	for trials := 1; trials <= 1<<16; trials++ {
+		if lo, _ := (Proportion{Successes: 0, Trials: trials}).Wilson95(); lo != 0 {
+			t.Fatalf("0/%d: lo = %v, want exactly 0", trials, lo)
+		}
+		if _, hi := (Proportion{Successes: trials, Trials: trials}).Wilson95(); hi != 1 {
+			t.Fatalf("%d/%d: hi = %v, want exactly 1", trials, trials, hi)
+		}
+	}
+}
+
 func TestWilson95KnownValue(t *testing.T) {
 	// 8/10 successes: Wilson interval ≈ [0.4902, 0.9433].
 	p := Proportion{Successes: 8, Trials: 10}

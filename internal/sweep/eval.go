@@ -54,18 +54,6 @@ func (r PointResult) YieldResult() yieldsim.Result {
 	}
 }
 
-// Evaluate computes one grid point directly — no caching, no admission
-// control — through the same yieldsim code path the service engine
-// uses, so both produce identical numbers for identical (point, params).
-func Evaluate(ctx context.Context, pt Point, sp core.SimParams) (PointResult, error) {
-	res, err := EvaluateScenario(ctx, pt.Scenario, sp)
-	if err != nil {
-		return PointResult{}, err
-	}
-	res.Index = pt.Index
-	return res, nil
-}
-
 // EvaluateScenario is the yieldsim dispatch at the heart of every
 // evaluation path: it routes one Scenario to its closed form or Monte-Carlo
 // kernel and assembles the resulting yield analysis. Local and hex
@@ -153,13 +141,5 @@ func modelPointResult(pt Point, sp core.SimParams, res yieldsim.Result, nPrimary
 		CIHi:           res.CIHi,
 		EffectiveYield: yieldsim.EffectiveYieldCells(res.Yield, nPrimary, nTotal),
 		NoRedundancy:   yieldsim.NoRedundancy(pt.P, pt.NPrimary),
-	}
-}
-
-// Evaluator adapts Evaluate with fixed simulation parameters to an EvalFunc
-// for Run.
-func Evaluator(sp core.SimParams) EvalFunc {
-	return func(ctx context.Context, pt Point) (PointResult, error) {
-		return Evaluate(ctx, pt, sp)
 	}
 }

@@ -16,7 +16,7 @@ import (
 func TestInstrumentedEvaluator(t *testing.T) {
 	r := telemetry.NewRegistry()
 	sm := telemetry.NewSweepMetrics(r)
-	eval := Instrumented(Evaluator(core.SimParams{Runs: 200, Seed: 1}), sm)
+	eval := Instrumented(evaluator(core.SimParams{Runs: 200, Seed: 1}), sm)
 
 	pt := Point{Scenario: Scenario{Strategy: None, NPrimary: 50, P: 0.95, DefectModel: Independent}}
 	res, err := eval(context.Background(), pt)
@@ -46,7 +46,7 @@ func TestInstrumentedEvaluator(t *testing.T) {
 		t.Errorf("no %s sample in exposition", count)
 	}
 
-	plain := Evaluator(core.SimParams{Runs: 200})
+	plain := evaluator(core.SimParams{Runs: 200})
 	if got := Instrumented(plain, nil); got == nil {
 		t.Error("nil-bundle Instrumented returned nil")
 	}

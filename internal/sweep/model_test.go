@@ -84,7 +84,7 @@ func TestSpecValidationModelAxes(t *testing.T) {
 func TestEvaluateHexPoint(t *testing.T) {
 	sp := core.SimParams{Runs: 300, Seed: 5}
 	pt := Point{Scenario: Scenario{Strategy: Hex, Design: "DTMB(2,6)", NPrimary: 40, P: 0.95, DefectModel: Independent}}
-	res, err := Evaluate(context.Background(), pt, sp)
+	res, err := EvaluateScenario(context.Background(), pt.Scenario, sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestEvaluateHexPoint(t *testing.T) {
 		t.Errorf("effective yield %v, want %v", res.EffectiveYield, want)
 	}
 	// Deterministic.
-	again, err := Evaluate(context.Background(), pt, sp)
+	again, err := EvaluateScenario(context.Background(), pt.Scenario, sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestEvaluateHexPoint(t *testing.T) {
 
 func TestEvaluateClusteredNoneClosedForm(t *testing.T) {
 	pt := Point{Scenario: Scenario{Strategy: None, NPrimary: 40, P: 0.95, DefectModel: Clustered, ClusterSize: 4}}
-	res, err := Evaluate(context.Background(), pt, core.SimParams{Seed: 1})
+	res, err := EvaluateScenario(context.Background(), pt.Scenario, core.SimParams{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestEvaluateClusteredNoneClosedForm(t *testing.T) {
 // default cluster size instead.
 func TestEvaluateClusteredNoneDefaultsClusterSize(t *testing.T) {
 	pt := Point{Scenario: Scenario{Strategy: None, NPrimary: 40, P: 0.95, DefectModel: Clustered}}
-	res, err := Evaluate(context.Background(), pt, core.SimParams{Seed: 1})
+	res, err := EvaluateScenario(context.Background(), pt.Scenario, core.SimParams{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,14 +171,14 @@ func TestEvaluateClusteredLocalAndShifted(t *testing.T) {
 		{Scenario: Scenario{Strategy: Local, Design: "DTMB(3,6)", NPrimary: 40, P: 0.94, DefectModel: Clustered, ClusterSize: 4}},
 		{Scenario: Scenario{Strategy: Shifted, SpareRows: 1, NPrimary: 40, P: 0.94, DefectModel: Clustered, ClusterSize: 4}},
 	} {
-		res, err := Evaluate(context.Background(), pt, sp)
+		res, err := EvaluateScenario(context.Background(), pt.Scenario, sp)
 		if err != nil {
 			t.Fatalf("%s: %v", pt.Strategy, err)
 		}
 		if res.Yield < 0 || res.Yield > 1 || res.Runs != 300 {
 			t.Errorf("%s: malformed result %+v", pt.Strategy, res)
 		}
-		again, err := Evaluate(context.Background(), pt, sp)
+		again, err := EvaluateScenario(context.Background(), pt.Scenario, sp)
 		if err != nil {
 			t.Fatal(err)
 		}

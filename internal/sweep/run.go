@@ -2,9 +2,8 @@ package sweep
 
 import (
 	"context"
-	"runtime"
-	"sync"
-	"sync/atomic"
+
+	"dmfb/internal/ordered"
 )
 
 // EvalFunc computes one grid point. Implementations must honor ctx (the
@@ -15,98 +14,19 @@ type EvalFunc func(ctx context.Context, pt Point) (PointResult, error)
 // goroutine, strictly in point order; returning an error cancels the sweep.
 type EmitFunc func(res PointResult) error
 
-// Run evaluates pts with up to workers concurrent evaluations (0 means
-// GOMAXPROCS), emitting results strictly in point-index order as soon as
-// each prefix completes. Because emission order is fixed and the kernel is
-// chunk-seeded, a sweep's output is byte-identical regardless of worker
-// count or scheduling.
+// Run evaluates pts on ordered.Run with up to workers concurrent
+// evaluations (0 means GOMAXPROCS) and emits each result in point-index
+// order as soon as its prefix completes. Because emission order is fixed
+// and the kernel is chunk-seeded, a sweep's output is byte-identical
+// regardless of worker count or scheduling.
 //
 // The first error — an evaluation failure at the lowest unemitted index, an
 // emit error, or ctx's cancellation — cancels all outstanding evaluations.
-// Run returns only after every worker goroutine has exited, so a cancelled
+// Run returns only after every evaluation has returned, so a cancelled
 // sweep leaks nothing.
 func Run(ctx context.Context, pts []Point, workers int, eval EvalFunc, emit EmitFunc) error {
-	if len(pts) == 0 {
-		return ctx.Err()
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(pts) {
-		workers = len(pts)
-	}
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	type outcome struct {
-		idx int
-		res PointResult
-		err error
-	}
-	results := make(chan outcome)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(pts) || runCtx.Err() != nil {
-					return
-				}
-				res, err := eval(runCtx, pts[i])
-				// Deliberately no cancel() here on error: cancelling from a
-				// worker would abort in-flight siblings at lower indices
-				// with context errors, and whichever reached the collector
-				// first would mask the real error — making both the emitted
-				// prefix and the returned error nondeterministic. Only the
-				// collector cancels, once it meets the error in point
-				// order; the work evaluated in between is the price of a
-				// deterministic stream. The collector drains every
-				// outcome, so this send cannot block forever.
-				results <- outcome{idx: i, res: res, err: err}
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
-	// Collect out-of-order outcomes and emit the ready prefix. firstErr is
-	// deterministic: the error at the lowest point index wins (every lower
-	// index has already been emitted when the collector reaches it), and
-	// nothing after it is emitted. Cancellation of the remaining work
-	// happens here, in point order, never in the workers.
-	pending := make(map[int]outcome)
-	nextEmit := 0
-	var firstErr error
-	for o := range results {
-		pending[o.idx] = o
-		for {
-			cur, ok := pending[nextEmit]
-			if !ok {
-				break
-			}
-			delete(pending, nextEmit)
-			nextEmit++
-			if firstErr != nil {
-				continue
-			}
-			if cur.err != nil {
-				firstErr = cur.err
-				cancel()
-				continue
-			}
-			if err := emit(cur.res); err != nil {
-				firstErr = err
-				cancel()
-			}
-		}
-	}
-	if firstErr != nil {
-		return firstErr
-	}
-	return ctx.Err()
+	evalAt := func(ctx context.Context, i int) (PointResult, error) { return eval(ctx, pts[i]) }
+	return ordered.Run(ctx, len(pts), workers,
+		func() (func(context.Context, int) (PointResult, error), error) { return evalAt, nil },
+		func(_ int, r PointResult) (bool, error) { return false, emit(r) })
 }

@@ -145,7 +145,7 @@ func TestRunResultsIndependentOfWorkerCount(t *testing.T) {
 	sp := core.SimParams{Runs: 300, Seed: 42}
 	collect := func(workers int) []PointResult {
 		var out []PointResult
-		if err := Run(context.Background(), pts, workers, Evaluator(sp), func(r PointResult) error {
+		if err := Run(context.Background(), pts, workers, evaluator(sp), func(r PointResult) error {
 			out = append(out, r)
 			return nil
 		}); err != nil {
@@ -225,7 +225,7 @@ func TestRunCancellationLeaksNoGoroutines(t *testing.T) {
 	emitted := 0
 	done := make(chan error, 1)
 	go func() {
-		done <- Run(ctx, pts, 4, Evaluator(sp), func(r PointResult) error {
+		done <- Run(ctx, pts, 4, evaluator(sp), func(r PointResult) error {
 			emitted++
 			return nil
 		})
@@ -256,7 +256,7 @@ func TestRunCancellationLeaksNoGoroutines(t *testing.T) {
 
 func TestEvaluateNoneMatchesClosedForm(t *testing.T) {
 	pt := Point{Scenario: Scenario{Strategy: None, NPrimary: 50, P: 0.97}}
-	res, err := Evaluate(context.Background(), pt, core.SimParams{Seed: 7})
+	res, err := EvaluateScenario(context.Background(), pt.Scenario, core.SimParams{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestEvaluateLocalMatchesCore(t *testing.T) {
 					sp := core.SimParams{Runs: 1000, Seed: 99, Epsilon: eps}
 					name := fmt.Sprintf("%s/n=%d/p=%v/eps=%v", d.Name, n, p, eps)
 					pt := Point{Scenario: Scenario{Strategy: Local, Design: d.Name, NPrimary: n, P: p}}
-					res, err := Evaluate(context.Background(), pt, sp)
+					res, err := EvaluateScenario(context.Background(), pt.Scenario, sp)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
@@ -306,7 +306,7 @@ func TestEvaluateLocalMatchesCore(t *testing.T) {
 func TestEvaluateShiftedBasics(t *testing.T) {
 	sp := core.SimParams{Runs: 400, Seed: 3}
 	at := func(p float64) PointResult {
-		res, err := Evaluate(context.Background(), Point{Scenario: Scenario{Strategy: Shifted, NPrimary: 36, SpareRows: 1, P: p}}, sp)
+		res, err := EvaluateScenario(context.Background(), Scenario{Strategy: Shifted, NPrimary: 36, SpareRows: 1, P: p}, sp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -328,7 +328,7 @@ func TestEvaluateShiftedBasics(t *testing.T) {
 }
 
 func TestEvaluateUnknownStrategy(t *testing.T) {
-	if _, err := Evaluate(context.Background(), Point{Scenario: Scenario{Strategy: "bogus", NPrimary: 10, P: 0.9}}, core.SimParams{}); err == nil {
+	if _, err := EvaluateScenario(context.Background(), Scenario{Strategy: "bogus", NPrimary: 10, P: 0.9}, core.SimParams{}); err == nil {
 		t.Error("unknown strategy accepted")
 	}
 }
@@ -415,5 +415,15 @@ func TestPPointsOnlyStillSweepsPaperRange(t *testing.T) {
 	ps = s.PValues()
 	if len(ps) != 11 || ps[0] != 0.5 || ps[10] != 0.7 {
 		t.Errorf("PValues with only range set = %v, want 11 points over [0.5,0.7]", ps)
+	}
+}
+
+// evaluator evaluates each point directly with fixed simulation parameters
+// and stamps its grid index, the EvalFunc the Run tests drive.
+func evaluator(sp core.SimParams) EvalFunc {
+	return func(ctx context.Context, pt Point) (PointResult, error) {
+		res, err := EvaluateScenario(ctx, pt.Scenario, sp)
+		res.Index = pt.Index
+		return res, err
 	}
 }

@@ -93,7 +93,7 @@ func TestSteadyStateTrialsZeroAllocs(t *testing.T) {
 }
 
 // TestEstimateSetupBytes pins what one whole estimate allocates: the
-// worker's session, trial batch and injector plus the scheduler's ledger.
+// worker's session, trial batch and injector plus the scheduler's fold.
 // At p = 0.95 and 256 trials on a 100-primary array that set-up dominates,
 // so a per-worker cache or arena grown back into the kernel fails here.
 func TestEstimateSetupBytes(t *testing.T) {

@@ -2,29 +2,31 @@ package yieldsim
 
 // The Monte-Carlo scheduler. Every estimator in this package runs through
 // run: the trial budget is split into chunks of DefaultChunkSize trials,
-// each owning a PRNG stream derived from Seed, pulled by a bounded worker
-// pool, and folded into the estimate by an index-ordered commit ledger. A
-// fixed-run estimate and a precision-targeted one are the same loop; they
-// differ only in the stopping rule the ledger checks at every committed
-// chunk boundary (stats.SequentialCI{Epsilon}), which never fires at
-// Epsilon = 0.
+// each owning a PRNG stream derived from Seed, and the chunks run on
+// ordered.Run, the in-order parallel fold that sweeps also use. Workers
+// compute chunks in any order; the fold adds their success counts strictly
+// in chunk-index order. A fixed-run estimate and a precision-targeted one
+// are the same fold; they differ only in the stopping rule it checks at
+// every committed chunk boundary (stats.SequentialCI{Epsilon}), which never
+// fires at Epsilon = 0.
 //
-// Committing in chunk-INDEX order (not completion order) is what makes the
+// Folding in chunk-INDEX order (not completion order) is what makes the
 // estimate deterministic: per-chunk success counts are functions of the
 // chunk seeds alone, so the first boundary at which the rule fires — and
 // with it the realized trial count and the estimate — is a pure function of
-// (Seed, Epsilon, Runs). Worker count and goroutine scheduling only decide
-// how many chunks beyond the stopping boundary were speculatively computed
-// and discarded, never what the estimate is.
+// (Seed, Epsilon, Runs). So is a trial error: the one returned is the error
+// of the lowest failing chunk. Worker count and goroutine scheduling only
+// decide how many chunks beyond the stopping boundary were speculatively
+// computed and discarded, never what the estimate is.
 
 import (
 	"context"
 	"fmt"
 	"log/slog"
-	"sync"
 	"time"
 
 	"dmfb/internal/defects"
+	"dmfb/internal/ordered"
 	"dmfb/internal/stats"
 	"dmfb/internal/telemetry"
 )
@@ -118,166 +120,68 @@ func (p *kernelProbe) flush(ctx context.Context, chunk, trials, successes int, s
 	p.allHealthy, p.screened, p.matcher = 0, 0, 0
 }
 
-// commitLedger is the shared state of one estimate. Workers record each
-// finished chunk and then advance the committed prefix while it is
-// contiguous, testing the stopping rule at every boundary they fold in. The
-// mutable fields are guarded by mu.
-type commitLedger struct {
-	rule   stats.SequentialCI
-	budget int
-	stop   func() // cancels the remaining work
-
-	mu   sync.Mutex
-	succ []int // per-chunk success counts; -1 while the chunk is pending
-	// committed is the length of the committed prefix; chunks [0, committed)
-	// are folded into successes/trials. Once stopped is set no later chunk
-	// is folded in, whatever its index, so the two stay frozen at the
-	// boundary where the rule fired.
-	committed         int
-	successes, trials int
-	stopped           bool
-	err               error // the first trial error, which voids the estimate
-}
-
-// runs is chunk c's trial count: the last chunk is short when the budget is
-// not a chunk multiple.
-func (l *commitLedger) runs(c int) int {
-	return min(DefaultChunkSize, l.budget-c*DefaultChunkSize)
-}
-
-// record stores chunk c's outcome and extends the committed prefix in index
-// order. It returns true once the estimate is frozen, which tells the
-// calling worker to stop pulling chunks.
-func (l *commitLedger) record(c, successes int) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.succ[c] = successes
-	for !l.stopped && l.committed < len(l.succ) && l.succ[l.committed] >= 0 {
-		l.successes += l.succ[l.committed]
-		l.trials += l.runs(l.committed)
-		l.committed++
-		if l.rule.Satisfied(l.successes, l.trials) {
-			l.stopped = true
-			l.stop()
-		}
-	}
-	return l.stopped
-}
-
-// fail records a trial error and cancels the remaining work; the first
-// error recorded is the one the estimate returns.
-func (l *commitLedger) fail(err error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.err == nil {
-		l.err = err
-	}
-	l.stop()
-}
-
-// run executes up to mc.Runs trials through the chunked worker pool and
-// returns the ledger's committed estimate (see the file comment). A
-// cancelled ctx aborts within one chunk's worth of work per worker and
-// returns ctx.Err(); a trial error cancels the pool and is returned.
+// run executes up to mc.Runs trials and returns their estimate (see the
+// file comment). Each worker builds its trial program, probe and injector
+// once; chunk c reseeds the injector from seeds[c] and runs its trials one
+// word at a time. The fold adds each chunk's successes in chunk order and
+// tests the stopping rule at every boundary. A cancelled ctx aborts within
+// one chunk's worth of work per worker and returns ctx.Err(); a trial error
+// is returned once the fold reaches its chunk.
 func (mc *MonteCarlo) run(ctx context.Context, factory trialFactory) (Result, error) {
 	if mc.Runs <= 0 {
 		return Result{}, fmt.Errorf("yieldsim: Runs must be positive, got %d", mc.Runs)
 	}
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
-	}
-	// runCtx also stops the chunk producer when the rule fires or a trial
-	// error empties the worker pool early, so no goroutine outlives this call.
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	numChunks := (mc.Runs + DefaultChunkSize - 1) / DefaultChunkSize
-	ledger := &commitLedger{
-		rule:   stats.SequentialCI{Epsilon: mc.Epsilon},
-		budget: mc.Runs,
-		stop:   cancel,
-		succ:   make([]int, numChunks),
-	}
-	for c := range ledger.succ {
-		ledger.succ[c] = -1
-	}
+	budget := mc.Runs
+	numChunks := (budget + DefaultChunkSize - 1) / DefaultChunkSize
 	seeds := stats.SeedStream(mc.Seed, numChunks)
-	workers := min(mc.workerCount(), numChunks)
-
-	// The producer hands out chunk indexes in strictly increasing order, so
-	// when the rule fires at a boundary every chunk at or before it has been
-	// handed out and completed; cancelling then only abandons chunks past
-	// the frozen prefix.
-	chunkCh := make(chan int)
-	go func() {
-		defer close(chunkCh)
-		for c := 0; c < numChunks; c++ {
-			select {
-			case chunkCh <- c:
-			case <-runCtx.Done():
-				return
-			}
-		}
-	}()
-
+	rule := stats.SequentialCI{Epsilon: mc.Epsilon}
 	proto := mc.newProbe(ctx)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+	var successes, trials int
+	var stopped bool
+	err := ordered.Run(ctx, numChunks, mc.Workers,
+		func() (func(context.Context, int) (int, error), error) {
 			probe := proto // each worker owns a copy
 			batch, err := factory(&probe)
 			if err != nil {
-				ledger.fail(err)
-				return
+				return nil, err
 			}
-			in := defects.NewInjector(0) // reseeded per chunk below
-			for c := range chunkCh {
-				if runCtx.Err() != nil {
-					break
-				}
-				runs := ledger.runs(c)
+			in := defects.NewInjector(0) // reseeded per chunk
+			return func(ctx context.Context, c int) (int, error) {
+				runs := chunkRuns(c, budget)
 				in.Reseed(seeds[c])
 				start := probe.begin()
-				successes, err := runChunk(batch, in, runs)
-				if err != nil {
-					ledger.fail(err)
-					return
+				s := 0
+				for off := 0; off < runs; off += defects.WordTrials {
+					w, err := batch(in, min(runs-off, defects.WordTrials))
+					if err != nil {
+						return 0, err
+					}
+					s += w
 				}
-				probe.flush(runCtx, c, runs, successes, start)
-				if ledger.record(c, successes) {
-					break
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	// A trial error takes precedence: it is what cancelled runCtx.
-	if ledger.err != nil {
-		return Result{}, ledger.err
-	}
-	if err := ctx.Err(); err != nil {
+				probe.flush(ctx, c, runs, s, start)
+				return s, nil
+			}, nil
+		},
+		func(c, s int) (bool, error) {
+			successes += s
+			trials += chunkRuns(c, budget)
+			stopped = rule.Satisfied(successes, trials)
+			return stopped, nil
+		})
+	if err != nil {
 		return Result{}, err
 	}
-	if m := mc.Metrics; m != nil && ledger.rule.Enabled() {
-		m.RealizedRuns.Observe(float64(ledger.trials))
-		if ledger.stopped {
+	if m := mc.Metrics; m != nil && rule.Enabled() {
+		m.RealizedRuns.Observe(float64(trials))
+		if stopped {
 			m.EarlyStops.Add(1)
 		}
 	}
-	return newResult(ledger.successes, ledger.trials), nil
+	return newResult(successes, trials), nil
 }
 
-// runChunk runs one chunk's trials through a worker's program, one 64-trial
-// word at a time; the last word is short when runs is not a multiple of 64.
-func runChunk(batch batchFunc, in *defects.Injector, runs int) (int, error) {
-	successes := 0
-	for off := 0; off < runs; off += defects.WordTrials {
-		s, err := batch(in, min(runs-off, defects.WordTrials))
-		if err != nil {
-			return 0, err
-		}
-		successes += s
-	}
-	return successes, nil
+// chunkRuns is chunk c's trial count: the last chunk is short when the
+// budget is not a chunk multiple.
+func chunkRuns(c, budget int) int {
+	return min(DefaultChunkSize, budget-c*DefaultChunkSize)
 }

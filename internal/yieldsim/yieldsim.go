@@ -29,7 +29,6 @@ import (
 	"log/slog"
 	"math"
 	"math/bits"
-	"runtime"
 
 	"dmfb/internal/defects"
 	"dmfb/internal/layout"
@@ -142,14 +141,6 @@ type MonteCarlo struct {
 // NewMonteCarlo returns a simulator with the paper's defaults (10000 runs).
 func NewMonteCarlo(seed int64) *MonteCarlo {
 	return &MonteCarlo{Runs: 10000, Seed: seed}
-}
-
-// workerCount resolves the worker pool size.
-func (mc *MonteCarlo) workerCount() int {
-	if mc.Workers > 0 {
-		return mc.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // sessionOptions assembles the reconfiguration options of the simulator's

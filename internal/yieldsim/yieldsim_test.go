@@ -393,14 +393,14 @@ func TestMonteCarloContextCancellation(t *testing.T) {
 }
 
 func TestTrialErrorDoesNotLeakGoroutines(t *testing.T) {
-	// When every worker dies on a trial error, the chunk producer must be
-	// cancelled rather than blocking forever on an undrained channel — with
-	// the stopping rule off and with a live one.
+	// When every worker dies on a trial error, no worker may be left
+	// blocked on the fold's undrained result channel — with the stopping
+	// rule off and with a live one.
 	arr := buildArray(t, layout.DTMB26(), 60)
 	before := runtime.NumGoroutine()
 	for _, epsilon := range []float64{0, 0.01} {
 		mc := NewMonteCarlo(1)
-		mc.Runs = 40 * DefaultChunkSize // many chunks, so the producer outlives the first error
+		mc.Runs = 40 * DefaultChunkSize // many chunks, so the run outlives the first error
 		mc.Epsilon = epsilon
 		for i := 0; i < 20; i++ {
 			// m > NumCells makes the very first trial of every worker error.
@@ -415,6 +415,28 @@ func TestTrialErrorDoesNotLeakGoroutines(t *testing.T) {
 	}
 	if after := runtime.NumGoroutine(); after > before+2 {
 		t.Errorf("goroutines grew from %d to %d across failing runs", before, after)
+	}
+}
+
+// TestTrialErrorIndependentOfWorkers checks that a trial error is reported
+// in chunk order: an oversized fault count fails every chunk, and the error
+// returned is the same whatever the worker count.
+func TestTrialErrorIndependentOfWorkers(t *testing.T) {
+	arr := buildArray(t, layout.DTMB26(), 60)
+	var want string
+	for _, workers := range []int{1, 2, 8} {
+		mc := NewMonteCarlo(1)
+		mc.Runs = 40 * DefaultChunkSize
+		mc.Workers = workers
+		_, err := mc.YieldFixedFaults(arr, arr.NumCells()+1, defects.AllCells)
+		if err == nil {
+			t.Fatalf("workers=%d: oversized fault count accepted", workers)
+		}
+		if workers == 1 {
+			want = err.Error()
+		} else if err.Error() != want {
+			t.Fatalf("workers=%d: error %q, want %q", workers, err, want)
+		}
 	}
 }
 
