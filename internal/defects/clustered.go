@@ -3,6 +3,7 @@ package defects
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"dmfb/internal/hexgrid"
 	"dmfb/internal/layout"
@@ -127,23 +128,28 @@ func (in *Injector) ClusteredGrid(w, h int, cp ClusterParams, dst *FaultSet) (*F
 	return dst, clusters, nil
 }
 
-// stencil is the precomputed ring walk of clustered injection over one array
-// (or square grid) at one per-ring decay. The cluster around cell c visits
-// the position-grid slots base[c]+delta[k]: ring r is the next growth·r
-// deltas, in hexgrid.Ring order on the hexagonal lattice and row-major on
-// the square one. The grid is padded by maxR on every side, so no probe
-// needs a bounds check; a slot off the array holds -1.
+// stencil is the precomputed cluster walk of clustered injection over one
+// array (or square grid) at one per-ring decay. The cluster around cell c
+// visits the position-grid slots base[c]+delta[j]: ring r is the next
+// growth·r deltas, in hexgrid.Ring order on the hexagonal lattice and
+// row-major on the square one. The grid is padded by maxR on every side, so
+// no probe needs a bounds check; a slot off the array holds -1.
 //
-// Every slot of ring r fails with probability q = decay^r, with decay^r
-// accumulated ring by ring as a running product. For the j-th slot k of
-// ring r, cum[k] = 1−(1−q)^(j+1) is the probability that the next fault
-// among the ring's remaining slots falls within j+1 of them. The geometric
-// law is memoryless, so the same entries serve every restart within the
-// ring.
+// Every slot of ring r fails independently with probability q = decay^r,
+// with decay^r accumulated ring by ring as a running product. The slots are
+// cut into blocks of consecutive slots, and surv[j] is the survival product
+// Π(1 − q_i) over the slots i from j's block start through j: the
+// probability that none of them fails. A block ends before the slot that
+// would take its product below minSurvival, so no product underflows (a
+// slot that always fails, q = 1, is a block of its own with surv 0). The
+// walk draws by inverse transform over these products (see clusters), and
+// each block's guide table finds the slot a draw lands on without a scan
+// from the start: blocks holds, per block, its end, the offset of its guide
+// in guide, and the guide's shift.
 //
 // An Injector keeps one stencil as scratch and rebuilds it only when the
-// array, grid size or decay changes; grid, base and delta share one backing
-// slice, and cum its own, each reused while large enough.
+// array, grid size or decay changes; grid, base, delta, guide and blocks
+// share one backing slice, and surv its own, each reused while large enough.
 type stencil struct {
 	// The key: the array (nil for a square grid), the unpadded bounding
 	// box — a square grid's size — and math.Float64bits of the decay.
@@ -158,9 +164,16 @@ type stencil struct {
 	grid     []int32
 	base     []int32
 	delta    []int32
+	guide    []int32
+	blocks   []int32 // per block: end, guide offset, shift
 	buf      []int32
-	cum      []float64 // per slot, aligned with delta
+	surv     []float64 // per slot, aligned with delta
 }
+
+// minSurvival is the smallest survival product a block may hold. A draw
+// scales a product by 1 − u ≥ 2⁻⁵⁴, so every compared value stays a normal
+// float64.
+const minSurvival = 0x1p-900
 
 // hexStencil returns the injector's stencil for hexagonal clusters over arr.
 func (in *Injector) hexStencil(arr *layout.Array, decay float64) *stencil {
@@ -227,38 +240,117 @@ func (in *Injector) squareStencil(w, h int, decay float64) *stencil {
 }
 
 // size keys the stencil, lays it out for numCells cells in a w×h bounding
-// box and rings of growth·r positions, clears the grid, and fills cum.
-// Callers then place every cell and fill delta.
+// box and rings of growth·r positions, clears the grid, and fills surv,
+// guide and blocks. Callers then place every cell and fill delta.
 func (st *stencil) size(arr *layout.Array, numCells, w, h, growth int, decay float64) {
 	maxR := clusterRadius(decay)
 	stride := w + 2*maxR
 	slots := stride * (h + 2*maxR)
 	rings := growth * maxR * (maxR + 1) / 2
-	total := slots + numCells + rings
+	st.growth, st.maxR = growth, maxR
+	if cap(st.surv) < rings {
+		st.surv = make([]float64, rings)
+	}
+	st.surv = st.surv[:rings]
+	st.survival(decay)
+	numBlocks, guides := 0, 0
+	st.eachBlock(func(start, end int) {
+		_, n := st.guideShape(start, end)
+		numBlocks, guides = numBlocks+1, guides+n
+	})
+	total := slots + numCells + rings + guides + 3*numBlocks
 	if cap(st.buf) < total {
 		st.buf = make([]int32, total)
 	}
 	buf := st.buf[:total]
-	st.grid = buf[:slots:slots]
-	st.base = buf[slots : slots+numCells : slots+numCells]
-	st.delta = buf[slots+numCells:]
+	st.grid, buf = buf[:slots:slots], buf[slots:]
+	st.base, buf = buf[:numCells:numCells], buf[numCells:]
+	st.delta, buf = buf[:rings:rings], buf[rings:]
+	st.guide, st.blocks = buf[:guides:guides], buf[guides:]
+	off, i := 0, 0
+	st.eachBlock(func(start, end int) {
+		shift, n := st.guideShape(start, end)
+		st.fillGuide(start, end, shift, st.guide[off:off+n])
+		st.blocks[i], st.blocks[i+1], st.blocks[i+2] = int32(end), int32(off), int32(shift)
+		off, i = off+n, i+3
+	})
 	for i := range st.grid {
 		st.grid[i] = -1
 	}
 	st.arr, st.w, st.h, st.decayBits = arr, w, h, math.Float64bits(decay)
-	st.numCells, st.growth, st.maxR, st.stride = numCells, growth, maxR, stride
-	if cap(st.cum) < rings {
-		st.cum = make([]float64, rings)
-	}
-	st.cum = st.cum[:rings]
-	prob, k := 1.0, 0
-	for r := 1; r <= maxR; r++ {
+	st.numCells, st.stride = numCells, stride
+}
+
+// survival fills surv for the stencil's rings at the given decay: each
+// slot's product runs on from its predecessor's, and restarts at the slot's
+// own 1 − q wherever running on would fall below minSurvival.
+func (st *stencil) survival(decay float64) {
+	surv := st.surv
+	prob, k, s := 1.0, 0, 1.0
+	for r := 1; r <= st.maxR; r++ {
 		prob *= decay
-		survive, healthy := 1-prob, 1.0
-		for end := k + growth*r; k < end; k++ {
-			healthy *= survive
-			st.cum[k] = 1 - healthy
+		survive := 1 - prob
+		if !(survive > 0) {
+			survive = 0 // q = 1, or a NaN decay: the slot always fails
 		}
+		for end := k + st.growth*r; k < end; k++ {
+			if s *= survive; s < minSurvival && k > 0 {
+				s = survive
+			}
+			surv[k] = s
+		}
+	}
+}
+
+// eachBlock calls visit with the slots [start, end) of each block of surv in
+// order. A block starts at slot 0 and wherever the product rises or is 0.
+// Within a block it never rises and stays at or above minSurvival. At a
+// restart it is the slot's own 1 − q: 0 when the slot always fails, and
+// otherwise at least 2⁻⁵³ (q ≤ decay < 1), above a predecessor that fell
+// short of minSurvival/(1 − q) ≤ 2⁻⁸⁴⁷.
+func (st *stencil) eachBlock(visit func(start, end int)) {
+	surv, start := st.surv, 0
+	for k := 1; k < len(surv); k++ {
+		if surv[k] > surv[k-1] || surv[k] == 0 {
+			visit(start, k)
+			start = k
+		}
+	}
+	if len(surv) > 0 {
+		visit(start, len(surv))
+	}
+}
+
+// guideShape sizes the guide table of the block [start, end). The walk
+// looks it up only for draws t in (surv[end−1], 1], at bucket
+// (Float64bits(t) − Float64bits(surv[end−1])) >> shift; shift makes the n
+// buckets at most twice the block's slots.
+func (st *stencil) guideShape(start, end int) (shift uint, n int) {
+	span := math.Float64bits(1) - math.Float64bits(st.surv[end-1])
+	shift = uint(max(0, bits.Len64(span)-bits.Len(uint(end-start))))
+	return shift, int(span>>shift) + 1
+}
+
+// fillGuide fills the guide table g of the block [start, end): g[b] is the
+// first slot whose product lies below the largest draw of bucket b, so every
+// earlier slot's product is at or above each draw of the bucket, and the
+// search for the first product below a draw can start at g[b]. Slot j's
+// product is at or above the largest draw of each bucket below
+// (Float64bits(surv[j]) − lo + 1) >> shift. The table stops at end−1, whose
+// product lies below every draw looked up.
+func (st *stencil) fillGuide(start, end int, shift uint, g []int32) {
+	surv := st.surv[:end]
+	lo := math.Float64bits(surv[end-1])
+	b := len(g)
+	for j := start; j < end-1; j++ {
+		for above := int((math.Float64bits(surv[j]) - lo + 1) >> shift); b > above; {
+			b--
+			g[b] = int32(j)
+		}
+	}
+	for b > 0 {
+		b--
+		g[b] = int32(end - 1)
 	}
 }
 
@@ -271,20 +363,23 @@ func (st *stencil) place(id, x, y int) {
 
 // clusters fills the batch with n clustered-defect trials over the stencil
 // at Poisson cluster rate rate. Each trial draws its cluster count, then per
-// cluster its center and, ring by ring, where the next fault falls: one
-// uniform u picks the first slot j left in the ring with u < cum[j], and a
-// u at or above the table entry of the last slot left ends the ring. A
-// fault on a slot off the array marks nothing, so every in-array cell of
-// ring r still fails independently with probability decay^r, for one draw
-// per fault plus one per ring. Trials draw in trial-major order, the order
-// in which one-trial calls consume the stream, so a batch and n single
-// trials draw identically. It returns the number of clusters seeded across
-// the batch.
+// cluster its center and, by inverse transform over the survival products,
+// where each next fault falls among all the slots left in the block. From
+// the slot after the last fault, with p the product through that fault (1
+// at the block's start), the next fault is the first slot j whose product
+// surv[j] lies below t = (1−u)·p for a fresh uniform u; a t at or below the
+// block's last product means no fault in the rest of the block, and the walk
+// moves on to the next block. P(no fault through j) = surv[j]/p, so every
+// slot fails independently with its ring's q = decay^r, for one draw per
+// fault plus one per block. A fault on a slot off the array marks nothing.
+// Trials draw in trial-major order, the order in which one-trial calls
+// consume the stream, so a batch and n single trials draw identically. It
+// returns the number of clusters seeded across the batch.
 func (in *Injector) clusters(st *stencil, rate float64, n int, b *TrialBatch) int {
 	b.Reset(n)
 	src := &in.src
-	grid, base, delta, cum, cols := st.grid, st.base, st.delta, st.cum, b.cols
-	numCells, growth, maxR := st.numCells, st.growth, st.maxR
+	grid, base, delta, surv, guide, blocks, cols := st.grid, st.base, st.delta, st.surv, st.guide, st.blocks, b.cols
+	numCells := st.numCells
 	law := newPoissonLaw(rate)
 	var occupied uint64
 	total := 0
@@ -296,33 +391,30 @@ func (in *Injector) clusters(st *stencil, rate float64, n int, b *TrialBatch) in
 			center := in.rng.Intn(numCells)
 			cols[center] |= bit
 			occupied |= bit
-			// The ring draws go with the cursor in locals; the cluster count
-			// and centers above go through the struct.
+			// The walk's draws go with the cursor in locals; the cluster
+			// count and centers above go through the struct.
 			at := int(base[center])
 			tap, feed := src.tap, src.feed
 			// Ring faults leave occupied alone: the center already set it.
-			start := 0
-			for r := 1; r <= maxR; r++ {
-				end := start + growth*r
-				// k is the first slot left; a fault j−start slots past it
-				// moves k onto the fault, and k++ steps past it.
-				for k := start; k < end; k++ {
+			for i := 0; i+2 < len(blocks); i += 3 {
+				last := surv[blocks[i]-1]
+				lo, g, shift := math.Float64bits(last), guide[blocks[i+1]:], uint(blocks[i+2])
+				for p := 1.0; ; {
 					var y uint64
 					y, tap, feed = src.draw(tap, feed)
-					u := uniform(y)
-					if u >= cum[start+end-1-k] {
-						break // no fault in the end−k slots left
+					t := (1 - uniform(y)) * p
+					if t <= last {
+						break // no fault in the rest of the block
 					}
-					j := start
-					for u >= cum[j] {
+					j := int(g[(math.Float64bits(t)-lo)>>shift])
+					for surv[j] >= t {
 						j++
 					}
-					k += j - start
-					if id := grid[at+int(delta[k])]; id >= 0 {
+					if id := grid[at+int(delta[j])]; id >= 0 {
 						cols[id] |= bit
 					}
+					p = surv[j]
 				}
-				start = end
 			}
 			src.tap, src.feed = tap, feed
 		}

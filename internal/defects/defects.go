@@ -130,8 +130,8 @@ type Injector struct {
 	// from the domain for every trial so results stay independent of call
 	// history while the allocation is paid once.
 	pool []layout.CellID
-	// ring is the clustered injectors' precomputed ring walk, rebuilt only
-	// when the array, grid or decay changes (see stencil).
+	// ring is the clustered injectors' precomputed ring stencil, rebuilt
+	// only when the array, grid or decay changes (see stencil).
 	ring stencil
 	// one is the one-trial batch Clustered and ClusteredGrid draw through.
 	one *TrialBatch
@@ -159,19 +159,16 @@ func NewInjector(seed int64) *Injector {
 func (in *Injector) Reseed(seed int64) { in.rng.Seed(seed) }
 
 // skipMaxQ is the largest fault probability q = 1−p at which Bernoulli
-// injection skip-samples: below it faults are rare, and jumping from one to
-// the next by a geometric gap (one draw per fault) beats one draw per cell.
-// Above it the per-cell scan runs. BenchmarkSamplers times both on 64-trial
-// batches of DTMB(2,6) with 136 cells. The constant was set where they
-// crossed while every batch gap took a logarithm, at q ≈ 0.1. With the gap
-// table (geotable.go) the skip-sampler costs about a third of that: on a
-// 2-vCPU Intel Xeon VM (go1.24.0, -cpu 1, median of 8 rounds) scan/skip
-// cost, in ns per trial, 565/666 at p = 0.5, 635/320 at 0.8, 394/154 at
-// 0.9, 610/91 at 0.95, 480/51 at 0.99 and 669/19 at 0.999 (the scan's
-// spread is the shared machine's), so they now cross between q = 0.3 and
-// 0.4. The constant stays: moving it changes which draws an estimate
-// consumes, and so every estimate between the two values.
-const skipMaxQ = 0.1
+// injection skip-samples: below it faults are rare enough that jumping from
+// one to the next by a geometric gap (one draw and one gap-table lookup per
+// fault, geotable.go) beats one draw per cell. Above it the per-cell scan
+// runs. BenchmarkSamplers times both on 64-trial batches of DTMB(2,6) with
+// 136 cells. On a 2-vCPU Intel Xeon VM (go1.24.0, -cpu 1, medians of 6 to
+// 13 rounds) scan/skip cost, in ns per trial, 488/590 at p = 0.5, 626/714
+// at 0.55, 613/611 at 0.58, 544/540 at 0.6, 567/539 at 0.62, 538/469 at
+// 0.65, 562/450 at 0.7, 608/304 at 0.8 and 479/156 at 0.9 (the scan's
+// spread, flat in p, is the shared machine's): they cross at q ≈ 0.4.
+const skipMaxQ = 0.4
 
 // Bernoulli marks every cell of the array faulty independently with
 // probability q = 1−p, the paper's yield-analysis assumption. It reuses dst

@@ -58,10 +58,11 @@ type geoTable struct {
 // threshold inside which the table defers to the logarithm.
 const geoGuard = 1 << 33
 
-// build fills the table for fault probability q in (0, skipMaxQ] over
-// numCells cells, in one allocation that later builds reuse when it is
-// large enough. Thresholds stop at the first one that reaches 2⁶³: no draw
-// gets there, so no gap reaches it either.
+// build fills the table for fault probability q in (0, skipMaxQ], that is
+// q ≤ 0.4, over numCells cells, in one allocation that later builds reuse
+// when it is large enough. Thresholds stop at the first one that reaches
+// 2⁶³: no draw gets there, so no gap reaches it either. At q = 0.4 that is
+// within about 75 thresholds, whatever the cell count.
 func (g *geoTable) build(q float64, numCells int) {
 	g.q, g.numCells, g.lnSurvive = q, numCells, math.Log1p(-q)
 	if need := numCells + 2 + 1<<bits.Len(uint(numCells)); cap(g.buf) < need {

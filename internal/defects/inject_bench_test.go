@@ -52,7 +52,7 @@ func BenchmarkBernoulliBatch(b *testing.B) {
 // is where skipMaxQ belongs.
 func BenchmarkSamplers(b *testing.B) {
 	arr := benchArray(b)
-	for _, p := range []float64{0.5, 0.8, 0.9, 0.95, 0.99, 0.999} {
+	for _, p := range []float64{0.5, 0.55, 0.6, 0.65, 0.7, 0.8, 0.9, 0.95, 0.99, 0.999} {
 		for _, s := range []struct {
 			name   string
 			sample func(in *Injector, q float64, tb *TrialBatch)

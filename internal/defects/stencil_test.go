@@ -9,38 +9,62 @@ import (
 	"dmfb/internal/layout"
 )
 
-// refRing draws one ring of a reference cluster walk by the next-fault
-// rule: ring holds the ring's positions in walk order (layout.NoCell off the
-// array), each failing with probability q. A float draw u picks the first
-// position j left with u < 1−(1−q)^(j+1); a u at or above that bound for
-// the last position left ends the ring.
-func refRing(in *Injector, ring []layout.CellID, q float64, dst *FaultSet) {
-	cum := make([]float64, len(ring))
-	healthy := 1.0
-	for j := range cum {
-		healthy *= 1 - q
-		cum[j] = 1 - healthy
+// refWalk draws one reference cluster's ring faults by a plain linear scan,
+// with no guide table, of the survival-product law: rings holds the
+// cluster's ring positions in walk order (layout.NoCell off the array),
+// ring r's failing with probability q = decay^r, the running product. The
+// slots are cut into blocks whose survival products Π(1 − q) stay at or
+// above minSurvival, a slot with q = 1 (or a NaN decay) surviving with
+// probability 0. In each block, from the slot after the last fault with p
+// the product through it (1 at the block's start), a float draw u gives
+// t = (1−u)·p; the next fault is the first slot whose product is below t,
+// and a t at or below the block's last product ends the block.
+func refWalk(in *Injector, rings [][]layout.CellID, decay float64, dst *FaultSet) {
+	var ids []layout.CellID
+	var surv []float64
+	var ends []int
+	prob, s, start := 1.0, 1.0, 0
+	for _, ring := range rings {
+		prob *= decay
+		survive := 1 - prob
+		if !(survive > 0) {
+			survive = 0
+		}
+		for _, id := range ring {
+			if len(ids) > start && s*survive < minSurvival {
+				ends = append(ends, len(ids))
+				start, s = len(ids), 1
+			}
+			s *= survive
+			ids, surv = append(ids, id), append(surv, s)
+		}
 	}
-	for left := ring; len(left) > 0; {
-		u := in.src.float64()
-		j := 0
-		for j < len(left) && u >= cum[j] {
-			j++
+	if len(ids) > start {
+		ends = append(ends, len(ids))
+	}
+	start = 0
+	for _, end := range ends {
+		for k, p := start, 1.0; ; {
+			t := (1 - in.src.float64()) * p
+			if t <= surv[end-1] {
+				break
+			}
+			j := k
+			for surv[j] >= t {
+				j++
+			}
+			if ids[j] != layout.NoCell {
+				dst.MarkFaulty(ids[j])
+			}
+			k, p = j+1, surv[j]
 		}
-		if j == len(left) {
-			return
-		}
-		if id := left[j]; id != layout.NoCell {
-			dst.MarkFaulty(id)
-		}
-		left = left[j+1:]
+		start = end
 	}
 }
 
-// refClustered is the reference ring walk the stencil replaces: each cluster
-// re-derives its rings from the center in hexgrid.Ring order, probes
-// Array.CellAt at every position, and draws each ring with refRing at the
-// running product decay^r.
+// refClustered is the reference hexagonal walk the stencil replaces: each
+// cluster re-derives its rings from the center in hexgrid.Ring order,
+// probes Array.CellAt at every position, and draws them with refWalk.
 func refClustered(in *Injector, arr *layout.Array, cp ClusterParams) (*FaultSet, int) {
 	dst := NewFaultSet(arr.NumCells())
 	decay := cp.clusterDecay(6)
@@ -50,9 +74,8 @@ func refClustered(in *Injector, arr *layout.Array, cp ClusterParams) (*FaultSet,
 		center := layout.CellID(in.rng.Intn(arr.NumCells()))
 		dst.MarkFaulty(center)
 		pos := arr.Cell(center).Pos
-		prob := 1.0
+		var rings [][]layout.CellID
 		for r := 1; r <= maxR; r++ {
-			prob *= decay
 			var ring []layout.CellID
 			cur := pos.Add(hexgrid.Directions[4].Scale(r))
 			for side := 0; side < 6; side++ {
@@ -61,8 +84,9 @@ func refClustered(in *Injector, arr *layout.Array, cp ClusterParams) (*FaultSet,
 					cur = cur.Neighbor(side)
 				}
 			}
-			refRing(in, ring, prob, dst)
+			rings = append(rings, ring)
 		}
+		refWalk(in, rings, decay, dst)
 	}
 	return dst, clusters
 }
@@ -70,7 +94,7 @@ func refClustered(in *Injector, arr *layout.Array, cp ClusterParams) (*FaultSet,
 // refClusteredGrid is the reference Chebyshev walk the square stencil
 // replaces: it scans all (2r+1)² offsets of ring r row-major, keeps those
 // with max(|dx|,|dy|) == r as the ring's positions, off-grid ones included,
-// and draws the ring with refRing.
+// and draws the rings with refWalk.
 func refClusteredGrid(in *Injector, w, h int, cp ClusterParams) (*FaultSet, int) {
 	numCells := w * h
 	dst := NewFaultSet(numCells)
@@ -81,9 +105,8 @@ func refClusteredGrid(in *Injector, w, h int, cp ClusterParams) (*FaultSet, int)
 		center := in.rng.Intn(numCells)
 		dst.MarkFaulty(layout.CellID(center))
 		cx, cy := center%w, center/w
-		prob := 1.0
+		var rings [][]layout.CellID
 		for r := 1; r <= maxR; r++ {
-			prob *= decay
 			var ring []layout.CellID
 			for dy := -r; dy <= r; dy++ {
 				for dx := -r; dx <= r; dx++ {
@@ -97,8 +120,9 @@ func refClusteredGrid(in *Injector, w, h int, cp ClusterParams) (*FaultSet, int)
 					ring = append(ring, id)
 				}
 			}
-			refRing(in, ring, prob, dst)
+			rings = append(rings, ring)
 		}
+		refWalk(in, rings, decay, dst)
 	}
 	return dst, clusters
 }
@@ -201,12 +225,14 @@ func TestDifferentialClusteredStencil(t *testing.T) {
 // reference (2r+1)² scan, on grids narrower than, comparable to and wider
 // than the cluster extent, with one injector walking the (grid, size) pairs
 // boustrophedon as TestDifferentialClusteredStencil does; two grids share a
-// width, so the height alone must also invalidate the stencil.
+// width, so the height alone must also invalidate the stencil. Sizes 1e30
+// and 1e300 solve to a decay of exactly 1 and to NaN: every ring slot then
+// always fails, a block of its own with survival product 0.
 func TestClusteredGridMatchesScan(t *testing.T) {
 	in, ref := NewInjector(8), NewInjector(8)
 	var fs *FaultSet
 	grids := [][2]int{{1, 1}, {3, 17}, {18, 12}, {18, 30}, {40, 40}}
-	for j, size := range []float64{1, 3, 5, 64} {
+	for j, size := range []float64{1, 3, 5, 64, 1e30, 1e300} {
 		for i := range grids {
 			g := grids[i]
 			if j%2 == 1 {

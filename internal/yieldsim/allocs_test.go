@@ -79,7 +79,7 @@ func TestSteadyStateTrialsZeroAllocs(t *testing.T) {
 		factory trialFactory
 	}{
 		{"local/bernoulli", mc.localTrials(local, modelInjection(local, 0.95, defects.Model{}))},
-		{"local/bernoulli-scan-side", mc.localTrials(local, modelInjection(local, 0.85, defects.Model{}))},
+		{"local/bernoulli-scan-side", mc.localTrials(local, modelInjection(local, 0.55, defects.Model{}))},
 		{"hex/bernoulli", mc.localTrials(hex, modelInjection(hex, 0.95, defects.Model{}))},
 		{"hex/clustered", mc.localTrials(hex, modelInjection(hex, 0.95, clustered))},
 		{"local/fixed-count", mc.localTrials(local, fixedCountInjection(local, 12, defects.AllCells))},

@@ -44,12 +44,17 @@ func coverageFloor(k int) float64 {
 // conformanceGrid pairs each survival probability with the number of
 // DTMB(1,6) clusters of its array (6 primaries and 7 cells per cluster) and
 // the fault count m of its fixed-count cases, chosen so that their truths
-// sit between 0.5 and 0.9.
+// sit between 0.5 and 0.9. The first row is the one on the per-cell scan
+// side of the Bernoulli samplers' crossover (q = 0.41 > skipMaxQ in package
+// defects), where no array has a truth that high: one cluster at p = 0.59
+// survives with probability 0.146. Its m = 0 marks a row without
+// fixed-count cases, which on one cluster would be certain.
 var conformanceGrid = []struct {
 	p        float64
 	clusters int
 	m        int
 }{
+	{0.59, 1, 0},    // 7 cells
 	{0.85, 2, 2},    // 14 cells
 	{0.95, 8, 2},    // 56 cells
 	{0.99, 40, 5},   // 280 cells, five-word fault rows
@@ -98,6 +103,9 @@ func TestConformanceFixedRun(t *testing.T) {
 			{fmt.Sprintf("dtmb16-cluster/p=%g", g.p), ClusterYieldDTMB16(g.p, n), func(mc *MonteCarlo) (Result, error) {
 				return mc.Yield(arr, g.p)
 			}},
+		}
+		if g.m == 0 {
+			cases = cases[2:]
 		}
 		for _, tc := range cases {
 			t.Run(tc.name, func(t *testing.T) {

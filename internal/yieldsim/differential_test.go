@@ -153,10 +153,10 @@ func differentialCases(t *testing.T) []estimatorCase {
 	return []estimatorCase{
 		model("local/bernoulli", local, 0.94, defects.Model{}),
 		model("local/bernoulli-high-p", local, 0.999, defects.Model{}),
-		// Either side of the Bernoulli samplers' crossover at q = 0.1 in
+		// Either side of the Bernoulli samplers' crossover at q = 0.4 in
 		// package defects (skipMaxQ): per-cell scan, then skip-sampling.
-		model("local/bernoulli-scan-side", local, 0.8999, defects.Model{}),
-		model("local/bernoulli-skip-side", local, 0.9001, defects.Model{}),
+		model("local/bernoulli-scan-side", local, 0.5999, defects.Model{}),
+		model("local/bernoulli-skip-side", local, 0.6001, defects.Model{}),
 		model("local/bernoulli-all-fail", local, 0, defects.Model{}), // q = 1
 		{"local/bernoulli-nan", func(mc *MonteCarlo) (Result, error) {
 			if _, err := mc.YieldContext(ctx, local, math.NaN()); err == nil {
@@ -185,7 +185,7 @@ func differentialCases(t *testing.T) []estimatorCase {
 			return mc.ShiftedYield(pl, 0.94)
 		}, nil},
 		{"shifted/bernoulli-scan-side", func(mc *MonteCarlo) (Result, error) {
-			return mc.ShiftedYield(pl, 0.8999)
+			return mc.ShiftedYield(pl, 0.5999)
 		}, nil},
 		{"shifted/clustered", func(mc *MonteCarlo) (Result, error) {
 			return mc.ShiftedYieldModelContext(ctx, pl, 0.95, clustered)

@@ -122,7 +122,7 @@ func TestKernelCountersPartitionEveryProgram(t *testing.T) {
 		shifted bool
 		eval    func(mc *MonteCarlo) (Result, error)
 	}{
-		{"local/bernoulli-scan-side", false, func(mc *MonteCarlo) (Result, error) { return mc.Yield(arr, 0.85) }},
+		{"local/bernoulli-scan-side", false, func(mc *MonteCarlo) (Result, error) { return mc.Yield(arr, 0.55) }},
 		{"local/bernoulli-skip-side", false, func(mc *MonteCarlo) (Result, error) { return mc.Yield(arr, 0.95) }},
 		{"hex/clustered", false, func(mc *MonteCarlo) (Result, error) {
 			return mc.YieldModelContext(ctx, hex, 0.95, clustered)

@@ -612,15 +612,15 @@ func TestShiftedYieldCancellation(t *testing.T) {
 // reconfig.ShiftSession semantics: estimating through mc.run with a scalar
 // draw and a session-driven trial must give the identical Result for
 // identical (seed, runs), under both defect models and on both sides of the
-// Bernoulli samplers' crossover (p = 0.8 scans, p = 0.9 and 0.99 skip).
+// Bernoulli samplers' crossover (p = 0.55 scans, p = 0.9 and 0.99 skip).
 func TestShiftedYieldMatchesShiftSessionReference(t *testing.T) {
 	models := []struct {
 		name  string
 		model defects.Model
 		ps    []float64
 	}{
-		{"independent", defects.Model{}, []float64{0.8, 0.9, 0.99}},
-		{"clustered", clusteredModel(3), []float64{0.8, 0.9, 0.99}},
+		{"independent", defects.Model{}, []float64{0.55, 0.9, 0.99}},
+		{"clustered", clusteredModel(3), []float64{0.55, 0.9, 0.99}},
 	}
 	for _, tc := range []struct{ n, rows int }{{10, 1}, {24, 1}, {24, 2}, {36, 3}} {
 		pl, err := sqgrid.PlacementWithPrimaryTarget(tc.n, tc.rows)
