@@ -44,6 +44,16 @@ func (cp ClusterParams) validate() error {
 	if math.IsNaN(cp.ClusterSize) || math.IsInf(cp.ClusterSize, 0) || cp.ClusterSize < 1 {
 		return fmt.Errorf("defects: cluster size %v must be finite and at least 1", cp.ClusterSize)
 	}
+	// Far past any physical size the decay's quadratic loses the size to
+	// rounding: the decay reaches exactly 1 (by about 1e20) and, once b·b
+	// overflows (about 1e154), NaN, and the cluster silently shrinks to its
+	// center's first ring. Both lattices' ring growths must leave a decay
+	// strictly below 1.
+	for _, growth := range []float64{6, 8} {
+		if d := cp.clusterDecay(growth); !(d < 1) {
+			return fmt.Errorf("defects: cluster size %v is too large: its ring decay is %v, not below 1", cp.ClusterSize, d)
+		}
+	}
 	return nil
 }
 

@@ -151,6 +151,10 @@ func TestClusteredParamValidation(t *testing.T) {
 		{MeanDefects: math.Inf(-1), ClusterSize: 2},
 		{MeanDefects: 5, ClusterSize: math.Inf(1)},
 		{MeanDefects: 5, ClusterSize: math.Inf(-1)},
+		// Finite but so large that the decay rounds to 1 or turns NaN.
+		{MeanDefects: 5, ClusterSize: 1e30},
+		{MeanDefects: 5, ClusterSize: 1e154},
+		{MeanDefects: 5, ClusterSize: 1e300},
 	}
 	for i, cp := range bad {
 		if _, _, err := in.Clustered(arr, cp, nil); err == nil {
@@ -165,6 +169,12 @@ func TestClusteredParamValidation(t *testing.T) {
 	}
 	if _, _, err := in.ClusteredGrid(0, 10, ClusterParams{MeanDefects: 1, ClusterSize: 2}, nil); err == nil {
 		t.Error("zero-width grid accepted")
+	}
+	for _, size := range []float64{1, 1024} {
+		cp := ClusterParams{MeanDefects: 5, ClusterSize: size}
+		if err := cp.validate(); err != nil {
+			t.Errorf("cluster size %v rejected: %v", size, err)
+		}
 	}
 }
 
@@ -267,7 +277,7 @@ func TestModelValidateAndParams(t *testing.T) {
 	if err := (Model{}).Validate(); err != nil {
 		t.Errorf("zero model invalid: %v", err)
 	}
-	for _, size := range []float64{0.2, math.NaN(), math.Inf(1), math.Inf(-1)} {
+	for _, size := range []float64{0.2, math.NaN(), math.Inf(1), math.Inf(-1), 1e30, 1e154, 1e300} {
 		if err := (Model{Clustered: true, ClusterSize: size}).Validate(); err == nil {
 			t.Errorf("cluster size %v accepted", size)
 		}

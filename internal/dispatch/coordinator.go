@@ -270,9 +270,12 @@ func (c *Coordinator) expireLeases(now time.Time) {
 
 // RunJob implements service.DistributedRunner: it shards plan's points
 // [start, NumPoints) for lease pickup and blocks merging results, emitting
-// every record strictly in grid order. The forwarded request must already
-// carry the resolved run count (the job store pins it from the plan).
-func (c *Coordinator) RunJob(ctx context.Context, jobID string, plan *service.SweepPlan, req service.SweepRequest, start int, emit func(service.SweepRecord) error) error {
+// every record strictly in grid order. Each wake drains every consecutive
+// finished shard at the merge cursor and emits their records as one run, so
+// the job store commits them with one durable append. The forwarded request
+// must already carry the resolved run count (the job store pins it from the
+// plan).
+func (c *Coordinator) RunJob(ctx context.Context, jobID string, plan *service.SweepPlan, req service.SweepRequest, start int, emit func([]service.SweepRecord) error) error {
 	total := plan.NumPoints()
 	if start < 0 || start > total {
 		return fmt.Errorf("dispatch: resume point %d outside grid of %d points", start, total)
@@ -304,13 +307,14 @@ func (c *Coordinator) RunJob(ctx context.Context, jobID string, plan *service.Sw
 	c.mu.Unlock()
 	defer c.releaseJob(jobID)
 	for {
-		// Drain every consecutively-done shard from the merge cursor; the
-		// emit calls (which fsync in a durable store) run outside the lock.
+		// Drain every consecutively-done shard from the merge cursor into
+		// one run; the emit call (which fsyncs in a durable store) runs
+		// outside the lock.
 		c.mu.Lock()
-		var batches [][]service.SweepRecord
+		var run []service.SweepRecord
 		for jr.nextEmit < len(jr.shards) && jr.shards[jr.nextEmit].state == shardDone {
 			sh := jr.shards[jr.nextEmit]
-			batches = append(batches, sh.records)
+			run = append(run, sh.records...)
 			sh.records = nil
 			jr.nextEmit++
 		}
@@ -323,11 +327,9 @@ func (c *Coordinator) RunJob(ctx context.Context, jobID string, plan *service.Sw
 			// diagnosis is the typed poison error.
 			return failed
 		}
-		for _, recs := range batches {
-			for _, rec := range recs {
-				if err := emit(rec); err != nil {
-					return err
-				}
+		if len(run) > 0 {
+			if err := emit(run); err != nil {
+				return err
 			}
 		}
 		if finished {

@@ -16,21 +16,28 @@ var ErrPoisonShard = errors.New("shard quarantined: dispatch budget exhausted")
 // DistributedRunner executes one sweep job across remote workers. The job
 // store calls RunJob instead of the local engine when a job opted into
 // distributed mode; the runner partitions the plan's grid into shards,
-// leases them to registered workers, and must invoke emit with every record
-// of [start, NumPoints) strictly in grid-point order — exactly the contract
-// of the local sweep runner, which is what keeps the job's NDJSON stream
+// leases them to registered workers, and must hand emit every record of
+// [start, NumPoints) strictly in grid-point order — the record sequence of
+// the local sweep runner, which is what keeps the job's NDJSON stream
 // byte-identical to single-process execution at every cursor.
+//
+// emit takes a contiguous run of records: whatever the runner has ready in
+// grid order at once. The job store commits each run with one durable
+// append (one write and one fsync) and publishes it to streams with one
+// wake, so a runner that passes every record it has ready in one call pays
+// the log's I/O once per run, not once per record.
 //
 // internal/dispatch.Coordinator is the canonical implementation; the
 // interface lives here so the service layer never imports the dispatch
 // package (dispatch already imports service for the wire types).
 type DistributedRunner interface {
 	// RunJob evaluates plan's points [start, NumPoints) through remote
-	// workers and emits their records in index order. req must carry fully
-	// resolved simulation parameters (the runner forwards it to workers,
-	// whose engine defaults may differ). RunJob returns after the final
-	// record is emitted, or with ctx's error on cancellation.
-	RunJob(ctx context.Context, jobID string, plan *SweepPlan, req SweepRequest, start int, emit func(SweepRecord) error) error
+	// workers and emits their records in index order, in contiguous runs.
+	// req must carry fully resolved simulation parameters (the runner
+	// forwards it to workers, whose engine defaults may differ). RunJob
+	// returns after the final record is emitted, with emit's error if a
+	// run fails to commit, or with ctx's error on cancellation.
+	RunJob(ctx context.Context, jobID string, plan *SweepPlan, req SweepRequest, start int, emit func([]SweepRecord) error) error
 }
 
 // Worker wire types. These are the bodies of the POST /v2/workers/*

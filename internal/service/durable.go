@@ -61,10 +61,11 @@ type jobPersister interface {
 	// saveManifest durably records a job's manifest (at creation and at
 	// every terminal transition), replacing any previous one atomically.
 	saveManifest(m jobManifest) error
-	// appendResult durably appends one encoded NDJSON line to the job's
-	// result log before the line becomes visible to streams, so a crash
-	// never loses a record a client may already have read.
-	appendResult(id string, line []byte) error
+	// appendResult durably appends a contiguous run of encoded NDJSON
+	// lines to the job's result log before any of them becomes visible to
+	// streams, so a crash never loses a record a client may already have
+	// read. The run commits whole or not at all.
+	appendResult(id string, lines [][]byte) error
 	// finishResults releases the job's open result-log handle (the job
 	// reached a terminal state and will append no more lines).
 	finishResults(id string)
@@ -82,18 +83,19 @@ type jobPersister interface {
 // replay finds nothing.
 type nullPersister struct{}
 
-func (nullPersister) saveManifest(jobManifest) error    { return nil }
-func (nullPersister) appendResult(string, []byte) error { return nil }
-func (nullPersister) finishResults(string)              {}
-func (nullPersister) remove(string) error               { return nil }
-func (nullPersister) diskBytes() int64                  { return 0 }
-func (nullPersister) load() ([]persistedJob, error)     { return nil, nil }
-func (nullPersister) close()                            {}
+func (nullPersister) saveManifest(jobManifest) error      { return nil }
+func (nullPersister) appendResult(string, [][]byte) error { return nil }
+func (nullPersister) finishResults(string)                {}
+func (nullPersister) remove(string) error                 { return nil }
+func (nullPersister) diskBytes() int64                    { return 0 }
+func (nullPersister) load() ([]persistedJob, error)       { return nil, nil }
+func (nullPersister) close()                              {}
 
 // filePersister is the durable backend: one directory per job holding
 // manifest.json (atomically replaced via rename) and results.ndjson
-// (append-only, fsync per record). Byte accounting is maintained
-// incrementally so the dmfb_job_store_disk_bytes gauge is O(1) to scrape.
+// (append-only, one write and one fsync per committed run of records).
+// Byte accounting is maintained incrementally so the
+// dmfb_job_store_disk_bytes gauge is O(1) to scrape.
 //
 // Each result-log line carries a CRC32C of its payload ("crc8hex payload\n")
 // and the persister keeps a rolling CRC chain plus record count per job,
@@ -137,11 +139,11 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // recordCRCLen is the per-line overhead: 8 hex chars + one space.
 const recordCRCLen = 9
 
-// encodeRecordLine prefixes a payload with its CRC32C for the on-disk log.
-func encodeRecordLine(payload []byte) []byte {
-	out := make([]byte, 0, recordCRCLen+len(payload))
-	out = fmt.Appendf(out, "%08x ", crc32.Checksum(payload, crcTable))
-	return append(out, payload...)
+// appendRecordLine appends a payload, prefixed with its CRC32C, to the
+// on-disk form of a run.
+func appendRecordLine(dst, payload []byte) []byte {
+	dst = fmt.Appendf(dst, "%08x ", crc32.Checksum(payload, crcTable))
+	return append(dst, payload...)
 }
 
 // decodeRecordLine splits a disk line into its verified payload. The payload
@@ -218,13 +220,14 @@ func (p *filePersister) saveManifest(m jobManifest) error {
 	return nil
 }
 
-// appendResult appends one CRC-prefixed line to the job's result log and
-// fsyncs before returning — the commit point that makes a record durable.
-// On any failure past the first byte the log is rolled back to its last
-// committed length, so a failed append never leaves a half-record that a
-// reader could mistake for progress (a torn tail from a genuine crash is
-// instead caught by the newline/CRC scan on replay).
-func (p *filePersister) appendResult(id string, line []byte) error {
+// appendResult appends a run of CRC-prefixed lines to the job's result log
+// with one write and fsyncs once before returning — the commit point that
+// makes every record of the run durable together. On any failure past the
+// first byte the log is rolled back to its last committed length, so a
+// failed append never leaves part of a run that a reader could mistake for
+// progress (a torn tail from a genuine crash is instead caught by the
+// newline/CRC scan on replay).
+func (p *filePersister) appendResult(id string, lines [][]byte) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.crashed {
@@ -246,10 +249,17 @@ func (p *filePersister) appendResult(id string, line []byte) error {
 			p.logSize[id] = off
 		}
 	}
-	disk := encodeRecordLine(line)
+	size := 0
+	for _, line := range lines {
+		size += recordCRCLen + len(line)
+	}
+	disk := make([]byte, 0, size)
+	for _, line := range lines {
+		disk = appendRecordLine(disk, line)
+	}
 	if d := p.inject.Eval(faultinject.StoreAppendWrite); d.Fire {
-		// Torn write: a prefix of the record reaches the disk, then the
-		// write errors. Deliberately not rolled back — this is the injected
+		// Torn write: a prefix of the run reaches the disk, then the write
+		// errors. Deliberately not rolled back — this is the injected
 		// analog of a crash mid-write, which replay must truncate away.
 		_, _ = f.Write(disk[:len(disk)/2])
 		return d.Err
@@ -268,8 +278,12 @@ func (p *filePersister) appendResult(id string, line []byte) error {
 	}
 	p.sizes[id] += int64(len(disk))
 	p.logSize[id] += int64(len(disk))
-	p.crcs[id] = crc32.Update(p.crcs[id], crcTable, line)
-	p.counts[id]++
+	crc := p.crcs[id]
+	for _, line := range lines {
+		crc = crc32.Update(crc, crcTable, line)
+	}
+	p.crcs[id] = crc
+	p.counts[id] += len(lines)
 	return nil
 }
 

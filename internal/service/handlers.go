@@ -141,18 +141,21 @@ func jobResultsHandler(e *Engine, jobs *Store) http.HandlerFunc {
 			}
 		}
 		w.Header().Set("Content-Type", "application/x-ndjson")
-		flusher, _ := w.(http.Flusher)
-		flushes := e.metrics.streamFlushes.With("job")
-		_, _ = j.StreamResults(r.Context(), cursor, func(line []byte) error {
-			if _, err := w.Write(line); err != nil {
-				return err
-			}
-			if flusher != nil {
+		// Every line ready at a wake is written, then flushed once: a
+		// finished job's stream costs one flush, a followed job's one per
+		// committed run.
+		var flush func()
+		if flusher, ok := w.(http.Flusher); ok {
+			flushes := e.metrics.streamFlushes.With("job")
+			flush = func() {
 				flusher.Flush()
 				flushes.Inc()
 			}
-			return nil
-		})
+		}
+		_, _ = j.streamResults(r.Context(), cursor, func(line []byte) error {
+			_, err := w.Write(line)
+			return err
+		}, flush)
 	}
 }
 

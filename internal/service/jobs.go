@@ -121,10 +121,10 @@ type JobStoreConfig struct {
 // through a DistributedRunner), result buffering for cursor-resumable
 // streaming, cancellation, and shutdown draining — over a pluggable
 // persistence backend. NewJobStore builds it in memory, NewFileJobStore
-// durably: with the file backend every result line is fsynced before it
-// becomes readable, and a restarted store replays finished jobs and
-// resumes partial ones at their first missing grid point instead of
-// recomputing.
+// durably: with the file backend every committed run of result lines is
+// fsynced before it becomes readable, and a restarted store replays
+// finished jobs and resumes partial ones at their first missing grid point
+// instead of recomputing.
 type Store struct {
 	engine   *Engine
 	maxJobs  int
@@ -211,9 +211,9 @@ func NewJobStore(e *Engine, cfg JobStoreConfig) *Store {
 }
 
 // NewFileJobStore builds the durable store rooted at dir: every job's
-// manifest and result log live on disk (fsync per committed record), and
-// construction replays the directory in the background — finished jobs
-// become readable again, partial jobs resume evaluation at their first
+// manifest and result log live on disk (one fsync per committed run of
+// records), and construction replays the directory in the background —
+// finished jobs become readable again, partial jobs resume evaluation at their first
 // missing grid point. Until the replay scan completes, Ready reports false
 // and Create/Get return ErrNotReady (HTTP 503).
 func NewFileJobStore(e *Engine, cfg JobStoreConfig, dir string) (*Store, error) {
@@ -360,9 +360,9 @@ func (s *Store) logger() *slog.Logger {
 // buffer of encoded NDJSON result lines. Lines are encoded exactly once,
 // when the point completes, so every read of the same range returns
 // identical bytes — the property that makes interrupted streams resumable
-// without re-simulation. With a durable store each line is additionally
-// fsynced to the job's result log before it becomes visible, so the buffer
-// survives a coordinator restart.
+// without re-simulation. With a durable store each committed run of lines
+// is additionally fsynced to the job's result log before it becomes
+// visible, so the buffer survives a coordinator restart.
 type Job struct {
 	id          string
 	store       *Store
@@ -641,30 +641,13 @@ func (s *Store) crashForTest() {
 }
 
 // run executes the job's sweep — locally through the engine, or sharded
-// across workers through the store's runner — appending one encoded NDJSON
-// line per completed point, and records the terminal state. Each line is
-// durably persisted before it becomes visible to streams, so a reader's
-// cursor never runs ahead of what a restart can replay.
+// across workers through the store's runner — committing the encoded NDJSON
+// lines of its points, and records the terminal state. A local sweep hands
+// over one point at a time; the distributed runner hands over every record
+// its merge drained in one wake, and that run is committed with a single
+// durable append.
 func (j *Job) run(ctx context.Context) {
 	defer j.store.wg.Done()
-	emit := func(rec SweepRecord) error {
-		line, err := json.Marshal(rec)
-		if err != nil {
-			return err
-		}
-		line = append(line, '\n')
-		if err := j.store.persist.appendResult(j.id, line); err != nil {
-			j.store.engine.metrics.storeWriteErrors.Inc()
-			return fmt.Errorf("%w: persist result record: %v", errStorage, err)
-		}
-		j.mu.Lock()
-		j.lines = append(j.lines, line)
-		j.bytes += int64(len(line))
-		j.bumpLocked()
-		j.mu.Unlock()
-		j.store.points.Add(1)
-		return nil
-	}
 	var err error
 	if j.distributed {
 		// Workers resolve nothing themselves: the forwarded request pins
@@ -672,9 +655,11 @@ func (j *Job) run(ctx context.Context) {
 		// with different engine defaults still computes identical records.
 		req := j.req
 		req.Runs = j.plan.SimParams().Runs
-		err = j.store.runner.RunJob(ctx, j.id, j.plan, req, j.resumeFrom, emit)
+		err = j.store.runner.RunJob(ctx, j.id, j.plan, req, j.resumeFrom, j.commit)
 	} else {
-		err = j.store.engine.RunSweepRange(ctx, j.plan, j.resumeFrom, j.plan.NumPoints(), emit)
+		err = j.store.engine.RunSweepRange(ctx, j.plan, j.resumeFrom, j.plan.NumPoints(), func(rec SweepRecord) error {
+			return j.commit([]SweepRecord{rec})
+		})
 	}
 	j.mu.Lock()
 	switch {
@@ -713,6 +698,39 @@ func (j *Job) run(ctx context.Context) {
 		j.store.persistTerminal(j)
 	}
 	j.store.noteFinished(j)
+}
+
+// commit appends a contiguous run of records, in grid order, to the job:
+// each record is encoded exactly once, the run is persisted with one durable
+// append, and only then are its lines published to streams with a single
+// wake. A failed append publishes none of them.
+func (j *Job) commit(recs []SweepRecord) error {
+	// Only this goroutine writes j.lines, so it reads the slice unlocked.
+	// The run is encoded into its spare capacity, past the length any
+	// reader holds, and becomes visible when j.lines is swapped below.
+	lines := j.lines
+	n := len(lines)
+	var size int64
+	for i := range recs {
+		line, err := json.Marshal(recs[i])
+		if err != nil {
+			return err
+		}
+		line = append(line, '\n')
+		lines = append(lines, line)
+		size += int64(len(line))
+	}
+	if err := j.store.persist.appendResult(j.id, lines[n:]); err != nil {
+		j.store.engine.metrics.storeWriteErrors.Inc()
+		return fmt.Errorf("%w: persist result record: %v", errStorage, err)
+	}
+	j.mu.Lock()
+	j.lines = lines
+	j.bytes += size
+	j.bumpLocked()
+	j.mu.Unlock()
+	j.store.points.Add(uint64(len(recs)))
+	return nil
 }
 
 // isClosed reports whether shutdown has begun.
@@ -792,8 +810,23 @@ func (j *Job) Wait(ctx context.Context) (JobStatus, error) {
 // error aborts the stream (e.g. the client disconnected). ctx cancellation
 // stops a follow of a still-running job.
 func (j *Job) StreamResults(ctx context.Context, cursor int, write func([]byte) error) (next int, err error) {
+	return j.streamResults(ctx, cursor, write, nil)
+}
+
+// streamResults is StreamResults with a flush hook: after writing every line
+// available at a wake, it calls flush once before blocking for more or
+// returning, so a stream pays one flush per wake, not one per record. A
+// wake that wrote nothing is not flushed. flush may be nil.
+func (j *Job) streamResults(ctx context.Context, cursor int, write func([]byte) error, flush func()) (next int, err error) {
 	if cursor < 0 {
 		return cursor, invalidf("cursor must be non-negative, got %d", cursor)
+	}
+	written := false // lines written since the last flush
+	flushWritten := func() {
+		if written && flush != nil {
+			flush()
+		}
+		written = false
 	}
 	for {
 		j.mu.Lock()
@@ -807,23 +840,30 @@ func (j *Job) StreamResults(ctx context.Context, cursor int, write func([]byte) 
 			if err := write(lines[cursor]); err != nil {
 				return cursor, err
 			}
+			written = true
 			cursor++
 		}
 		if state.terminal() {
 			switch state {
 			case JobFailed:
-				line, _ := json.Marshal(SweepError{Error: errMsg})
-				return cursor, write(append(line, '\n'))
+				err, written = write(errorLine(errMsg)), true
 			case JobCancelled:
-				line, _ := json.Marshal(SweepError{Error: "sweep job cancelled"})
-				return cursor, write(append(line, '\n'))
+				err, written = write(errorLine("sweep job cancelled")), true
 			}
-			return cursor, nil
+			flushWritten()
+			return cursor, err
 		}
+		flushWritten()
 		select {
 		case <-update:
 		case <-ctx.Done():
 			return cursor, ctx.Err()
 		}
 	}
+}
+
+// errorLine encodes a stream's trailing {"error": ...} line.
+func errorLine(msg string) []byte {
+	line, _ := json.Marshal(SweepError{Error: msg})
+	return append(line, '\n')
 }

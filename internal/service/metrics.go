@@ -28,8 +28,10 @@ type serviceMetrics struct {
 	// admissionWait observes how long each admitted simulation waited on the
 	// engine's admission semaphore (uncontended admissions observe ~0).
 	admissionWait *telemetry.Histogram
-	// streamFlushes counts NDJSON records flushed to clients, by stream
-	// ("sweep" for POST /v1/sweep, "job" for GET /v2/jobs/{id}/results).
+	// streamFlushes counts flushes of NDJSON streaming responses, by
+	// stream: "sweep" (POST /v1/sweep) flushes once per record, "job"
+	// (GET /v2/jobs/{id}/results) once per wake, after every line
+	// available.
 	streamFlushes *telemetry.CounterVec
 	// jobDuration observes each sweep job's creation-to-terminal wall time;
 	// jobEvictions counts finished jobs evicted by the store's retention and
@@ -65,7 +67,7 @@ func newServiceMetrics(r *telemetry.Registry) *serviceMetrics {
 		admissionWait: r.Histogram("dmfb_admission_wait_seconds",
 			"Time each admitted simulation waited on the admission semaphore.", nil),
 		streamFlushes: r.CounterVec("dmfb_stream_flushes_total",
-			"NDJSON records flushed to streaming responses, by stream.", "stream"),
+			"Flushes of NDJSON streaming responses, by stream.", "stream"),
 		jobDuration: r.Histogram("dmfb_job_duration_seconds",
 			"Wall time of one sweep job from creation to terminal state.", jobDurationBuckets),
 		jobEvictions: r.Counter("dmfb_job_evictions_total",

@@ -177,7 +177,7 @@ var requestSeq atomic.Uint64
 
 // statusWriter captures the response status and size for the access log
 // while passing Flush through to the underlying writer, so NDJSON streams
-// keep flushing per record.
+// keep flushing as they go.
 type statusWriter struct {
 	http.ResponseWriter
 	status int

@@ -354,8 +354,8 @@ type StatsResponse struct {
 	// JobEvictions counts jobs evicted by the store's retention bounds.
 	JobResultBufferBytes int64  `json:"job_result_buffer_bytes"`
 	JobEvictions         uint64 `json:"job_evictions"`
-	// StreamFlushes counts NDJSON records flushed across the sweep and job
-	// result streams.
+	// StreamFlushes counts flushes of the sweep and job result streams:
+	// one per record on a sweep, one per wake on a job stream.
 	StreamFlushes uint64 `json:"stream_flushes"`
 
 	// JobStoreDiskBytes is the on-disk footprint of the durable job store
