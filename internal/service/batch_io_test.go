@@ -159,15 +159,20 @@ func TestChaosStoreAppendTornRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(after, torn[:verified]) {
-				t.Errorf("replay left %d log bytes, want the %d verified of %d", len(after), verified, len(torn))
+			// The failed job's manifest sealed the 3 committed records:
+			// whole records of the torn run's written half verify, but lie
+			// past the seal, so replay truncates them away with the torn
+			// tail.
+			if bytes.Count(torn[:verified], []byte("\n")) <= 3 {
+				t.Fatal("the torn write left no whole record past the seal")
 			}
-			// Replay keeps every verified record, so whole records of the
-			// torn run's written half come back too (the failed job's
-			// manifest seal is not checked against its log).
+			sealed := len(bytes.Join(goldenLines(torn)[:3], nil))
+			if !bytes.Equal(after, torn[:sealed]) {
+				t.Errorf("replay left %d log bytes, want the %d sealed of %d", len(after), sealed, len(torn))
+			}
 			n := st2.PointsDone
-			if want := bytes.Count(torn, []byte("\n")); n != want || n < 3 {
-				t.Fatalf("PointsDone = %d after replay, want the %d verified records", n, want)
+			if n != 3 {
+				t.Fatalf("PointsDone = %d after replay, want the 3 sealed records", n)
 			}
 			got := streamBytes(t, j2, 0)
 			if prefix := bytes.Join(lines[:n], nil); !bytes.HasPrefix(got, prefix) || !bytes.Contains(got[len(prefix):], []byte(`"error"`)) {

@@ -66,7 +66,7 @@ func newResultCache(capacity int, hits, misses *telemetry.CounterVec) *resultCac
 	return &resultCache{
 		capacity: capacity,
 		ll:       list.New(),
-		items:    make(map[cacheKey]*list.Element, capacity),
+		items:    make(map[cacheKey]*list.Element),
 		hits:     hits,
 		misses:   misses,
 	}

@@ -1,7 +1,7 @@
 package service
 
 import (
-	"bytes"
+	"bufio"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -37,20 +37,40 @@ type jobManifest struct {
 	// ResultRecords and ResultsCRC seal a terminal job's result log: the
 	// number of committed records and the rolling CRC32C over their payloads,
 	// filled in by the file persister at the terminal manifest save. Replay
-	// re-derives both from the log; a mismatch on a completed job means the
-	// log was corrupted or truncated after the fact, and the job is demoted
-	// to failed/storage instead of served with silently wrong bytes.
+	// re-derives both from the log and truncates whole records past the
+	// seal; a log that falls short of the seal or disagrees with it was
+	// corrupted or truncated after the fact, and the job is demoted to
+	// failed/storage instead of served with silently wrong bytes.
 	ResultRecords int    `json:"result_records,omitempty"`
 	ResultsCRC    string `json:"results_crc,omitempty"`
 }
 
-// persistedJob is one job recovered from disk: its manifest plus every
-// complete NDJSON line of its result log (a trailing partial line from a
-// crash mid-write is truncated away, and re-evaluated on resume).
+// persistedJob is one job recovered from disk: its manifest and the
+// verified prefix of its result log (a trailing partial line from a crash
+// mid-write is truncated away, and re-evaluated on resume). Only a running
+// job carries its lines, because it resumes by appending to them; a
+// terminal job's lines stay on disk until its first read.
 type persistedJob struct {
 	manifest jobManifest
+	log      logPrefix
 	lines    [][]byte
 }
+
+// logPrefix is a checksum-verified prefix of a result log: its record
+// count, the rolling CRC32C chain over the records' payloads, and its
+// length on disk.
+type logPrefix struct {
+	records int
+	chain   uint32
+	size    int64
+}
+
+// payloadBytes is the prefix's encoded JSON bytes: its disk bytes less the
+// CRC prefix of every record.
+func (lp logPrefix) payloadBytes() int64 { return lp.size - int64(lp.records)*recordCRCLen }
+
+// crcHex renders the prefix's chain as a manifest seal does.
+func (lp logPrefix) crcHex() string { return fmt.Sprintf("%08x", lp.chain) }
 
 // jobPersister is the pluggable durability backend of a job store: the
 // in-memory store uses the no-op nullPersister, the durable store a
@@ -75,6 +95,11 @@ type jobPersister interface {
 	diskBytes() int64
 	// load recovers every persisted job, in creation (sequence) order.
 	load() ([]persistedJob, error)
+	// readResults reads a terminal job's result lines back from its log,
+	// which must still be exactly the prefix want that load verified;
+	// anything else (a log deleted, truncated or corrupted since) is an
+	// error and returns no line.
+	readResults(id string, want logPrefix) ([][]byte, error)
 	// close releases all open handles.
 	close()
 }
@@ -90,6 +115,8 @@ func (nullPersister) remove(string) error                 { return nil }
 func (nullPersister) diskBytes() int64                    { return 0 }
 func (nullPersister) load() ([]persistedJob, error)       { return nil, nil }
 func (nullPersister) close()                              {}
+
+func (nullPersister) readResults(string, logPrefix) ([][]byte, error) { return nil, nil }
 
 // filePersister is the durable backend: one directory per job holding
 // manifest.json (atomically replaced via rename) and results.ndjson
@@ -327,12 +354,18 @@ func (p *filePersister) diskBytes() int64 {
 	return total
 }
 
-// load scans the store directory and recovers every job, truncating the
-// result log to its last checksum-verified record (a torn or bit-flipped
-// tail left by a crash or disk fault is dropped and, for running jobs,
-// re-evaluated on resume). A completed job whose log no longer matches the
-// count and rolling CRC sealed in its manifest is demoted to failed/storage
-// — corruption becomes a typed terminal error, never silently wrong bytes.
+// load scans the store directory and recovers every job. Each result log
+// is verified line by line and truncated to its last checksum-verified
+// record (a torn or bit-flipped tail left by a crash or disk fault is
+// dropped and, for running jobs, re-evaluated on resume). A terminal job's
+// log is then held to the count and rolling CRC sealed in its manifest:
+// whole records past the seal, which a torn append of a failed job can
+// leave, are truncated away when the chain over the sealed records
+// matches; a log that falls short of its seal or disagrees with it demotes
+// the job to failed/storage — corruption becomes a typed terminal error,
+// never silently wrong bytes. Only a running job comes back with its
+// lines; a terminal job keeps just its verified prefix, against which
+// readResults checks the lines on their first read.
 // Jobs whose manifest is unreadable are skipped (their directories are left
 // in place for operator inspection); load fails only on I/O errors reading
 // the root.
@@ -359,37 +392,65 @@ func (p *filePersister) load() ([]persistedJob, error) {
 		if err := json.Unmarshal(raw, &m); err != nil || m.ID != id {
 			continue // torn or foreign manifest; leave for inspection
 		}
-		lines, chain, valid, err := p.readResultLog(filepath.Join(p.jobDir(id), "results.ndjson"))
+		terminal := m.State.terminal()
+		path := filepath.Join(p.jobDir(id), "results.ndjson")
+		lines, verified, sealed, size, err := p.scanResultLog(path, !terminal, m.ResultRecords)
 		if err != nil {
 			return nil, err
 		}
-		p.mu.Lock()
-		p.manifestSize[id] = int64(len(raw))
-		p.sizes[id] = int64(len(raw)) + valid
-		p.logSize[id] = valid
-		p.crcs[id] = chain
-		p.counts[id] = len(lines)
-		p.mu.Unlock()
-		if m.State == JobCompleted && m.ResultsCRC != "" {
-			gotCRC := fmt.Sprintf("%08x", chain)
-			if m.ResultRecords != len(lines) || m.ResultsCRC != gotCRC {
+		kept, demoted := verified, false
+		if terminal && m.ResultsCRC != "" {
+			if verified.records >= m.ResultRecords && sealed.crcHex() == m.ResultsCRC {
+				kept = sealed
+			} else {
 				m.Error = fmt.Sprintf(
 					"result log failed verification on replay: manifest sealed %d records (crc %s), log has %d verified records (crc %s)",
-					m.ResultRecords, m.ResultsCRC, len(lines), gotCRC)
+					m.ResultRecords, m.ResultsCRC, verified.records, verified.crcHex())
 				m.State = JobFailed
 				m.Reason = ReasonStorage
-				// Persist the demotion so the diagnosis survives the next
-				// restart too (best effort: the job is already failed in
-				// memory even if this write loses a race with the disk).
-				_ = p.saveManifest(m)
+				demoted = true
 			}
 		}
-		jobs = append(jobs, persistedJob{manifest: m, lines: lines})
+		if kept.size < size {
+			if err := os.Truncate(path, kept.size); err != nil {
+				return nil, fmt.Errorf("service: truncate unverified records: %w", err)
+			}
+		}
+		p.mu.Lock()
+		p.manifestSize[id] = int64(len(raw))
+		p.sizes[id] = int64(len(raw)) + kept.size
+		p.logSize[id] = kept.size
+		p.crcs[id] = kept.chain
+		p.counts[id] = kept.records
+		p.mu.Unlock()
+		if demoted {
+			// Persist the demotion so the diagnosis survives the next
+			// restart too (best effort: the job is already failed in
+			// memory even if this write loses a race with the disk).
+			_ = p.saveManifest(m)
+		}
+		jobs = append(jobs, persistedJob{manifest: m, log: kept, lines: lines})
 	}
 	sort.Slice(jobs, func(i, j int) bool {
 		return jobSeq(jobs[i].manifest.ID) < jobSeq(jobs[j].manifest.ID)
 	})
 	return jobs, nil
+}
+
+// readResults reads a terminal job's lines back from its log, which must
+// verify to exactly the prefix load kept: the same record count, CRC chain
+// and length.
+func (p *filePersister) readResults(id string, want logPrefix) ([][]byte, error) {
+	lines, got, _, _, err := p.scanResultLog(filepath.Join(p.jobDir(id), "results.ndjson"), true, 0)
+	if err != nil {
+		return nil, err
+	}
+	if got != want {
+		return nil, fmt.Errorf(
+			"result log failed verification on first read: replay kept %d records (crc %s, %d bytes), log has %d verified records (crc %s, %d bytes)",
+			want.records, want.crcHex(), want.size, got.records, got.crcHex(), got.size)
+	}
+	return lines, nil
 }
 
 // close releases every open result-log handle.
@@ -416,48 +477,75 @@ func (p *filePersister) crashForTest() {
 	}
 }
 
-// readResultLog reads a result log back as verified payloads: each disk
-// line must be newline-terminated and pass its CRC32C check. The scan stops
-// at the first bad line — torn by a crash, bit-flipped by the disk, or
-// flipped by the store.replay.corrupt injection — and the file is truncated
-// to the verified prefix, so an interrupted or corrupted append never
-// poisons a later resume (the lost records are re-evaluated instead).
-// Returns the payloads (pure JSON, CRC prefixes stripped), the rolling CRC
-// chain over them, and the verified on-disk byte count. A missing file is
-// an empty log.
-func (p *filePersister) readResultLog(path string) (lines [][]byte, chain uint32, validBytes int64, err error) {
-	raw, err := os.ReadFile(path)
+// scanResultLog reads a result log front to back through a small buffer,
+// never holding the file whole, and verifies each line: it must be
+// newline-terminated and pass its CRC32C check. The scan stops at the
+// first bad line — torn by a crash, bit-flipped by the disk, or flipped by
+// the store.replay.corrupt injection. It returns the verified prefix, the
+// prefix of its first mark records (the zero prefix when fewer verify),
+// and the file's size; with keep set, also the verified payloads (pure
+// JSON, CRC prefixes stripped), copied into one allocation. A missing file
+// is an empty log.
+func (p *filePersister) scanResultLog(path string, keep bool, mark int) (lines [][]byte, verified, marked logPrefix, size int64, err error) {
+	f, err := os.Open(path)
 	if errors.Is(err, fs.ErrNotExist) {
-		return nil, 0, 0, nil
+		return nil, verified, marked, 0, nil
 	}
 	if err != nil {
-		return nil, 0, 0, fmt.Errorf("service: job result log: %w", err)
+		return nil, verified, marked, 0, fmt.Errorf("service: job result log: %w", err)
 	}
-	if d := p.inject.Eval(faultinject.StoreReplayCorrupt); d.Fire && len(raw) > 0 {
-		raw[len(raw)/2] ^= 0x04 // simulated disk corruption mid-log
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, verified, marked, 0, fmt.Errorf("service: job result log: %w", err)
 	}
-	var valid int64
-	for off := 0; off < len(raw); {
-		nl := bytes.IndexByte(raw[off:], '\n')
-		if nl < 0 {
-			break // torn tail: no newline
+	size = fi.Size()
+	flipAt := int64(-1)
+	if d := p.inject.Eval(faultinject.StoreReplayCorrupt); d.Fire && size > 0 {
+		flipAt = size / 2 // simulated disk corruption mid-log
+	}
+	var arena []byte
+	if keep {
+		arena = make([]byte, 0, size)
+	}
+	r := bufio.NewReader(f)
+	var long []byte // a line longer than r's buffer, gathered
+	for {
+		line, rerr := r.ReadSlice('\n')
+		if rerr == bufio.ErrBufferFull {
+			long = append(long[:0], line...)
+			for rerr == bufio.ErrBufferFull {
+				line, rerr = r.ReadSlice('\n')
+				long = append(long, line...)
+			}
+			line = long
 		}
-		line := raw[off : off+nl+1]
+		if rerr != nil && rerr != io.EOF {
+			return nil, verified, marked, size, fmt.Errorf("service: job result log: %w", rerr)
+		}
+		if len(line) == 0 || line[len(line)-1] != '\n' {
+			break // end of log, or a torn tail with no newline
+		}
+		if off := verified.size; flipAt >= off && flipAt < off+int64(len(line)) {
+			line[flipAt-off] ^= 0x04
+		}
 		payload, ok := decodeRecordLine(line)
 		if !ok {
 			break // malformed prefix or checksum mismatch
 		}
-		lines = append(lines, payload)
-		chain = crc32.Update(chain, crcTable, payload)
-		off += nl + 1
-		valid = int64(off)
-	}
-	if valid < int64(len(raw)) {
-		if err := os.Truncate(path, valid); err != nil {
-			return nil, 0, 0, fmt.Errorf("service: truncate unverified records: %w", err)
+		if keep {
+			n := len(arena)
+			arena = append(arena, payload...)
+			lines = append(lines, arena[n:])
+		}
+		verified.records++
+		verified.chain = crc32.Update(verified.chain, crcTable, payload)
+		verified.size += int64(len(line))
+		if verified.records == mark {
+			marked = verified
 		}
 	}
-	return lines, chain, valid, nil
+	return lines, verified, marked, size, nil
 }
 
 // jobSeq extracts the numeric sequence of a "job-N" ID (0 when malformed),

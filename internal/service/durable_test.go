@@ -421,3 +421,36 @@ func TestSweepRejectsDistributedWithoutRunner(t *testing.T) {
 		t.Errorf("/v2/jobs distributed without runner = %d, want 400", w.Code)
 	}
 }
+
+// TestScanResultLogLongLines reads back a log whose records are longer
+// than the scan's read buffer: every record must verify and come back
+// whole, and the torn tail must stop the scan.
+func TestScanResultLogLongLines(t *testing.T) {
+	var disk []byte
+	var want [][]byte
+	for _, n := range []int{10, 5000, 9000, 20} {
+		payload := append(bytes.Repeat([]byte("7"), n), '\n')
+		want = append(want, payload)
+		disk = appendRecordLine(disk, payload)
+	}
+	verifiedSize := int64(len(disk))
+	disk = append(disk, `0badc0de {"index":`...) // torn tail
+	path := filepath.Join(t.TempDir(), "results.ndjson")
+	if err := os.WriteFile(path, disk, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	p := &filePersister{}
+	lines, verified, marked, size, err := p.scanResultLog(path, true, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if size != int64(len(disk)) || verified.size != verifiedSize || verified.records != len(want) {
+		t.Fatalf("scan: size %d, verified %+v; want size %d, %d records in %d bytes", size, verified, len(disk), len(want), verifiedSize)
+	}
+	if marked.records != 2 || marked.size != int64(2*recordCRCLen+len(want[0])+len(want[1])) {
+		t.Errorf("prefix at mark 2 = %+v", marked)
+	}
+	if !bytes.Equal(bytes.Join(lines, nil), bytes.Join(want, nil)) {
+		t.Error("scanned payloads differ from the written ones")
+	}
+}

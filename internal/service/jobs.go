@@ -46,8 +46,9 @@ const (
 	// again.
 	ReasonEvaluation = "evaluation"
 	// ReasonStorage: the durable backend could not commit results (I/O
-	// error, no space, corruption detected on replay). The computation was
-	// fine; retry after the operator fixes the disk.
+	// error, no space, corruption detected on replay or at a replayed job's
+	// first read). The computation was fine; retry after the operator fixes
+	// the disk.
 	ReasonStorage = "storage"
 	// ReasonPoisonShard: a distributed shard exhausted its dispatch budget
 	// (every worker that leased it crashed or failed). The job is quarantined
@@ -99,11 +100,13 @@ type JobStoreConfig struct {
 	// finished job — including its on-disk artifacts in a durable store —
 	// or fails with ErrTooManyJobs if every retained job is still running.
 	MaxJobs int
-	// MaxResultBytes bounds the encoded result lines retained by finished
-	// jobs; 0 means 64 MiB. When a finishing job pushes the total over the
-	// bound, the oldest finished jobs are evicted (running jobs never are),
-	// so a flood of cheap huge-grid jobs cannot pin unbounded heap — or,
-	// durably, unbounded disk.
+	// MaxResultBytes bounds the encoded result bytes of finished jobs,
+	// whether in memory or, for a job replayed by a durable store, still in
+	// its sealed log awaiting a first read; 0 means 64 MiB. When a
+	// finishing job pushes the total over the bound, the oldest finished
+	// jobs are evicted (running jobs never are), so a flood of cheap
+	// huge-grid jobs cannot pin unbounded heap — or, durably, unbounded
+	// disk.
 	MaxResultBytes int64
 	// Runner executes jobs that request distributed mode by sharding them
 	// across remote workers. nil rejects distributed jobs with a 400.
@@ -137,7 +140,7 @@ type Store struct {
 	order         []string // creation order, for bounded eviction
 	seq           int
 	closed        bool
-	finishedBytes int64 // encoded result bytes held by finished jobs
+	finishedBytes int64 // encoded result bytes of finished jobs, in memory or on disk
 
 	ready atomic.Bool // false until any durable replay completes
 
@@ -193,7 +196,7 @@ func newStore(e *Engine, cfg JobStoreConfig, persist jobPersister) *Store {
 		"Grid points emitted by sweep jobs (cached or simulated).",
 		func() float64 { return float64(s.points.Load()) })
 	r.GaugeFunc("dmfb_job_result_buffer_bytes",
-		"Encoded NDJSON result bytes held by finished jobs.",
+		"Encoded NDJSON result bytes of finished jobs, in memory or in a sealed log awaiting a first read.",
 		func() float64 {
 			s.mu.Lock()
 			defer s.mu.Unlock()
@@ -214,8 +217,10 @@ func NewJobStore(e *Engine, cfg JobStoreConfig) *Store {
 // manifest and result log live on disk (one fsync per committed run of
 // records), and construction replays the directory in the background —
 // finished jobs become readable again, partial jobs resume evaluation at their first
-// missing grid point. Until the replay scan completes, Ready reports false
-// and Create/Get return ErrNotReady (HTTP 503).
+// missing grid point. Replay verifies every finished job's log but keeps
+// only its record count and CRC chain: the lines load on the job's first
+// read, checked against those. Until the replay scan completes, Ready
+// reports false and Create/Get return ErrNotReady (HTTP 503).
 func NewFileJobStore(e *Engine, cfg JobStoreConfig, dir string) (*Store, error) {
 	return newFileJobStore(e, cfg, dir, nil)
 }
@@ -242,10 +247,10 @@ func newFileJobStore(e *Engine, cfg JobStoreConfig, dir string, gate chan struct
 	return s, nil
 }
 
-// replay recovers the durable backend's jobs: terminal jobs become readable,
-// running jobs are re-planned and resumed at the first grid point missing
-// from their result log. It runs once, in the background, before the store
-// reports ready.
+// replay recovers the durable backend's jobs: terminal jobs become readable
+// (their lines load on the first read), running jobs are re-planned and
+// resumed at the first grid point missing from their result log. It runs
+// once, in the background, before the store reports ready.
 func (s *Store) replay() {
 	defer s.ready.Store(true)
 	pjobs, err := s.persist.load()
@@ -265,10 +270,6 @@ func (s *Store) replay() {
 		if s.closed || s.jobs[m.ID] != nil {
 			continue
 		}
-		var total int64
-		for _, l := range pj.lines {
-			total += int64(len(l))
-		}
 		j := &Job{
 			id:          m.ID,
 			store:       s,
@@ -276,7 +277,7 @@ func (s *Store) replay() {
 			distributed: m.Request.Distributed,
 			totalPoints: m.TotalPoints,
 			lines:       pj.lines,
-			bytes:       total,
+			bytes:       pj.log.payloadBytes(),
 			state:       m.State,
 			errMsg:      m.Error,
 			reason:      m.Reason,
@@ -292,6 +293,9 @@ func (s *Store) replay() {
 				j.finished = *m.FinishedAt
 			} else {
 				j.finished = m.CreatedAt
+			}
+			if pj.log.records > 0 {
+				j.onDisk = &pj.log // loaded on the first read
 			}
 			j.accounted = true
 			s.finishedBytes += j.bytes
@@ -376,7 +380,7 @@ type Job struct {
 
 	mu         sync.Mutex
 	lines      [][]byte
-	bytes      int64 // total encoded bytes in lines
+	bytes      int64 // total encoded bytes in lines, or in onDisk's records
 	accounted  bool  // bytes added to the store's finishedBytes
 	state      JobState
 	errMsg     string
@@ -385,6 +389,12 @@ type Job struct {
 	finished   time.Time
 	userCancel bool          // cancelled by a client, not by store shutdown
 	update     chan struct{} // closed and replaced on every append/transition
+	// onDisk is set while a replayed finished job's lines are still only
+	// in its result log: the prefix replay verified, which the first read
+	// must match before the lines are published. nil once they are in
+	// lines (or the read failed).
+	onDisk   *logPrefix
+	loadOnce sync.Once // the first read's load, shared by concurrent readers
 }
 
 // Create validates req through the engine's sweep planner, registers a new
@@ -754,11 +764,15 @@ func (j *Job) ID() string { return j.id }
 func (j *Job) Status() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	done := len(j.lines)
+	if j.onDisk != nil {
+		done = j.onDisk.records
+	}
 	st := JobStatus{
 		ID:          j.id,
 		State:       j.state,
 		TotalPoints: j.totalPoints,
-		PointsDone:  len(j.lines),
+		PointsDone:  done,
 		CreatedAt:   j.created,
 		Error:       j.errMsg,
 		Reason:      j.reason,
@@ -834,7 +848,12 @@ func (j *Job) streamResults(ctx context.Context, cursor int, write func([]byte) 
 		state := j.state
 		errMsg := j.errMsg
 		update := j.update
+		onDisk := j.onDisk != nil
 		j.mu.Unlock()
+		if onDisk {
+			j.loadFromDisk()
+			continue
+		}
 
 		for cursor < len(lines) {
 			if err := write(lines[cursor]); err != nil {
@@ -859,6 +878,53 @@ func (j *Job) streamResults(ctx context.Context, cursor int, write func([]byte) 
 		case <-ctx.Done():
 			return cursor, ctx.Err()
 		}
+	}
+}
+
+// loadFromDisk publishes a replayed finished job's lines on their first
+// read: one read of the result log, checked against the prefix replay
+// verified, shared by every concurrent first reader. A log that no longer
+// matches (deleted, truncated or corrupted since replay) publishes no line
+// and demotes the job to failed/storage, durably, as a seal mismatch at
+// replay does.
+func (j *Job) loadFromDisk() {
+	j.loadOnce.Do(func() {
+		j.mu.Lock()
+		want := *j.onDisk
+		j.mu.Unlock()
+		lines, err := j.store.persist.readResults(j.id, want)
+		j.mu.Lock()
+		j.onDisk = nil
+		if err == nil {
+			j.lines = lines
+		} else {
+			j.state = JobFailed
+			j.reason = ReasonStorage
+			j.errMsg = err.Error()
+		}
+		j.mu.Unlock()
+		if err != nil {
+			j.store.persistDemotion(j)
+		}
+	})
+}
+
+// persistDemotion saves the manifest of a finished job demoted to
+// failed/storage after replay, unless the job was evicted meanwhile: its
+// directory is gone, and a save would bring it back.
+func (s *Store) persistDemotion(j *Job) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.jobs[j.id] != j {
+		return
+	}
+	j.mu.Lock()
+	m := j.manifest()
+	j.mu.Unlock()
+	if err := s.persist.saveManifest(m); err != nil {
+		s.engine.metrics.storeWriteErrors.Inc()
+		s.logger().Error("persist demoted job state",
+			slog.String("job", j.id), slog.String("error", err.Error()))
 	}
 }
 
