@@ -1,7 +1,8 @@
 package service
 
 import (
-	"container/list"
+	"hash/maphash"
+	"math"
 	"sync"
 
 	"dmfb/internal/sweep"
@@ -38,85 +39,127 @@ func (k cacheKey) kind() string {
 	return "shifted"
 }
 
-// resultCache is a mutex-guarded LRU of finished responses. Get counts
+// resultCache is a mutex-guarded LRU of finished estimates. Its slots grow
+// by append to capacity, are then reused in place, and form a ring in
+// recency order through the sentinel entries[0], whose next is the most
+// recently used. index maps a key's hash to the slot that last took it;
+// lookups compare the stored key, so a colliding key misses. Get counts
 // every lookup into the per-kind hit/miss families that /metrics and
-// /v1/stats both read; peek bypasses them, so internal double-checks never
-// skew the reported rate.
+// /v1/stats both read; peek bypasses them.
 type resultCache struct {
-	mu       sync.Mutex
-	capacity int
-	ll       *list.List // front = most recently used
-	items    map[cacheKey]*list.Element
-	hits     *telemetry.CounterVec
-	misses   *telemetry.CounterVec
+	mu           sync.Mutex
+	capacity     int
+	entries      []cacheEntry
+	index        map[uint64]int32
+	hash         func(cacheKey) uint64 // a field so tests can force collisions
+	hits, misses *telemetry.CounterVec
 }
 
-// cacheEntry is the list-element payload.
+// cacheEntry is one slot: a key, its hash, its estimate and its ring links.
 type cacheEntry struct {
-	key cacheKey
-	val any
+	key        cacheKey
+	hash       uint64
+	est        estimate
+	prev, next int32
+}
+
+// estimate holds the numeric fields of a sweep.PointResult; its scenario is
+// the key's, so an entry stores it once.
+type estimate struct {
+	NTotal, Runs, Successes                                  int
+	Seed                                                     int64
+	Epsilon, Yield, CILo, CIHi, EffectiveYield, NoRedundancy float64
+}
+
+func estimateOf(r sweep.PointResult) estimate {
+	return estimate{r.NTotal, r.Runs, r.Successes, r.Seed, r.Epsilon, r.Yield, r.CILo, r.CIHi, r.EffectiveYield, r.NoRedundancy}
+}
+
+// result rebuilds what sweep.EvaluateScenario returned: Index 0, Cached false.
+func (e estimate) result(sc sweep.Scenario) sweep.PointResult {
+	return sweep.PointResult{Point: sweep.Point{Scenario: sc}, NTotal: e.NTotal, Runs: e.Runs, Successes: e.Successes,
+		Seed: e.Seed, Epsilon: e.Epsilon, Yield: e.Yield, CILo: e.CILo, CIHi: e.CIHi,
+		EffectiveYield: e.EffectiveYield, NoRedundancy: e.NoRedundancy}
 }
 
 // newResultCache builds an LRU holding at most capacity entries (minimum
 // 1), counting lookups into the hits and misses families by cache kind.
 func newResultCache(capacity int, hits, misses *telemetry.CounterVec) *resultCache {
-	if capacity < 1 {
-		capacity = 1
-	}
+	seed := maphash.MakeSeed()
 	return &resultCache{
-		capacity: capacity,
-		ll:       list.New(),
-		items:    make(map[cacheKey]*list.Element),
+		capacity: min(max(capacity, 1), math.MaxInt32),
+		entries:  make([]cacheEntry, 1), // the sentinel, linked to itself
+		index:    make(map[uint64]int32),
+		hash:     func(k cacheKey) uint64 { return maphash.Comparable(seed, k) },
 		hits:     hits,
 		misses:   misses,
 	}
 }
 
-// Get returns the cached value for k, marking it most recently used, and
+// Get returns the cached result for k, marking it most recently used, and
 // counts the lookup as a hit or miss of k's kind.
-func (c *resultCache) Get(k cacheKey) (any, bool) {
-	v, ok := c.peek(k)
+func (c *resultCache) Get(k cacheKey) (sweep.PointResult, bool) {
+	res, ok := c.peek(k)
 	if ok {
 		c.hits.With(k.kind()).Inc()
 	} else {
 		c.misses.With(k.kind()).Inc()
 	}
-	return v, ok
+	return res, ok
 }
 
 // peek is Get without touching the hit/miss counters, for internal
 // double-checks that should not skew the reported hit rate.
-func (c *resultCache) peek(k cacheKey) (any, bool) {
+func (c *resultCache) peek(k cacheKey) (sweep.PointResult, bool) {
+	h := c.hash(k)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[k]
-	if !ok {
-		return nil, false
+	i, ok := c.index[h]
+	if !ok || c.entries[i].key != k {
+		return sweep.PointResult{}, false
 	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).val, true
+	c.moveToFront(i)
+	return c.entries[i].est.result(k.sc), true
 }
 
-// Add stores v under k, evicting the least recently used entry when full.
-func (c *resultCache) Add(k cacheKey, v any) {
+// Add stores res under k, reusing the least recently used slot when full.
+// A key whose hash collides with a cached one takes over its index entry;
+// the displaced slot is unreachable until it is evicted.
+func (c *resultCache) Add(k cacheKey, res sweep.PointResult) {
+	h := c.hash(k)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[k]; ok {
-		c.ll.MoveToFront(el)
-		el.Value.(*cacheEntry).val = v
-		return
+	i, ok := c.index[h]
+	if !ok || c.entries[i].key != k {
+		if len(c.entries) <= c.capacity {
+			i = int32(len(c.entries))
+			c.entries = append(c.entries, cacheEntry{prev: i, next: i}) // a ring of its own
+		} else {
+			i = c.entries[0].prev
+			// A missing hash reads as the sentinel's 0, never an occupied slot.
+			if old := c.entries[i].hash; c.index[old] == i {
+				delete(c.index, old)
+			}
+		}
+		c.entries[i].key, c.entries[i].hash = k, h
+		c.index[h] = i
 	}
-	c.items[k] = c.ll.PushFront(&cacheEntry{key: k, val: v})
-	for c.ll.Len() > c.capacity {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*cacheEntry).key)
-	}
+	c.entries[i].est = estimateOf(res)
+	c.moveToFront(i)
 }
 
-// Len returns the number of cached entries.
+// Len returns the number of occupied slots.
 func (c *resultCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.ll.Len()
+	return len(c.entries) - 1
+}
+
+// moveToFront relinks slot i as the most recently used.
+func (c *resultCache) moveToFront(i int32) {
+	e := &c.entries[i]
+	c.entries[e.prev].next, c.entries[e.next].prev = e.next, e.prev
+	first := c.entries[0].next
+	e.prev, e.next = 0, first
+	c.entries[first].prev, c.entries[0].next = i, i
 }

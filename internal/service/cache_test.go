@@ -1,6 +1,12 @@
 package service
 
 import (
+	"container/list"
+	"context"
+	"fmt"
+	"math/rand/v2"
+	"reflect"
+	"sync"
 	"testing"
 
 	"dmfb/internal/core"
@@ -21,15 +27,18 @@ func key(design string, n int) cacheKey {
 	return scenarioKey(sc, core.SimParams{Runs: 1000, Seed: 1})
 }
 
+// yielded is a result told apart from others by its yield alone.
+func yielded(y float64) sweep.PointResult { return sweep.PointResult{Yield: y} }
+
 func TestCacheHitMiss(t *testing.T) {
 	c, r := testCache(4)
 	if _, ok := c.Get(key("a", 1)); ok {
 		t.Fatal("empty cache reported a hit")
 	}
-	c.Add(key("a", 1), 42)
+	c.Add(key("a", 1), yielded(42))
 	v, ok := c.Get(key("a", 1))
-	if !ok || v.(int) != 42 {
-		t.Fatalf("Get = %v, %v; want 42, true", v, ok)
+	if !ok || v.Yield != 42 {
+		t.Fatalf("Get = %v, %v; want yield 42, true", v.Yield, ok)
 	}
 	// Distinct fields must miss: same design, different primaries.
 	if _, ok := c.Get(key("a", 2)); ok {
@@ -43,25 +52,25 @@ func TestCacheHitMiss(t *testing.T) {
 
 func TestCacheOverwrite(t *testing.T) {
 	c, _ := testCache(2)
-	c.Add(key("a", 1), 1)
-	c.Add(key("a", 1), 2)
+	c.Add(key("a", 1), yielded(1))
+	c.Add(key("a", 1), yielded(2))
 	if c.Len() != 1 {
 		t.Fatalf("Len = %d after duplicate Add, want 1", c.Len())
 	}
-	if v, _ := c.Get(key("a", 1)); v.(int) != 2 {
-		t.Errorf("overwrite lost: got %v, want 2", v)
+	if v, _ := c.Get(key("a", 1)); v.Yield != 2 {
+		t.Errorf("overwrite lost: got yield %v, want 2", v.Yield)
 	}
 }
 
 func TestCacheEvictsLRU(t *testing.T) {
 	c, _ := testCache(2)
-	c.Add(key("a", 1), "a")
-	c.Add(key("b", 1), "b")
+	c.Add(key("a", 1), yielded(1))
+	c.Add(key("b", 1), yielded(2))
 	// Touch "a" so "b" becomes least recently used.
 	if _, ok := c.Get(key("a", 1)); !ok {
 		t.Fatal("warm entry missing")
 	}
-	c.Add(key("c", 1), "c")
+	c.Add(key("c", 1), yielded(3))
 	if _, ok := c.Get(key("b", 1)); ok {
 		t.Error("LRU entry b not evicted")
 	}
@@ -78,9 +87,269 @@ func TestCacheEvictsLRU(t *testing.T) {
 
 func TestCacheMinimumCapacity(t *testing.T) {
 	c, _ := testCache(0)
-	c.Add(key("a", 1), 1)
-	c.Add(key("b", 1), 2)
+	c.Add(key("a", 1), yielded(1))
+	c.Add(key("b", 1), yielded(2))
 	if c.Len() != 1 {
 		t.Errorf("capacity-0 cache holds %d entries, want 1", c.Len())
+	}
+}
+
+// TestCacheRoundTrip pins that a cached result reads back as exactly what
+// sweep.EvaluateScenario returned: every field, the key's normalized
+// scenario, Index 0 and Cached false. It covers a precision-targeted result
+// whose realized run count is below its budget.
+func TestCacheRoundTrip(t *testing.T) {
+	sc := sweep.Scenario{Strategy: sweep.Hex, Design: "DTMB(2,6)", NPrimary: 60, P: 0.95, DefectModel: sweep.Clustered}
+	sp := core.SimParams{Runs: 20000, Seed: 5, Epsilon: 0.05}
+	adaptive, err := sweep.EvaluateScenario(context.Background(), sc, sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if adaptive.Runs >= sp.Runs {
+		t.Fatalf("adaptive estimate ran %d of %d trials; want an early stop", adaptive.Runs, sp.Runs)
+	}
+	// Every field distinct and nonzero, so a dropped or swapped field shows.
+	local := sweep.Scenario{Strategy: sweep.Local, Design: "DTMB(3,6)", NPrimary: 100, P: 0.9}
+	handmade := sweep.PointResult{
+		Point: sweep.Point{Scenario: local.Normalize()}, NTotal: 101, Runs: 202, Seed: 303,
+		Successes: 404, Epsilon: 0.05, Yield: 0.6, CILo: 0.55, CIHi: 0.65,
+		EffectiveYield: 0.45, NoRedundancy: 0.01,
+	}
+	rv := reflect.ValueOf(handmade)
+	for i := range rv.NumField() {
+		if f := rv.Type().Field(i); f.Name != "Point" && f.Name != "Cached" && rv.Field(i).IsZero() {
+			t.Fatalf("round-trip sample leaves PointResult.%s zero", f.Name)
+		}
+	}
+	for _, tc := range []struct {
+		key cacheKey
+		res sweep.PointResult
+	}{
+		{scenarioKey(sc, sp), adaptive},
+		{scenarioKey(local, core.SimParams{Runs: 1000, Seed: 303, Epsilon: 0.05}), handmade},
+	} {
+		c, _ := testCache(4)
+		c.Add(tc.key, tc.res)
+		got, ok := c.Get(tc.key)
+		if !ok || got != tc.res {
+			t.Errorf("Get = %+v, %v\nwant %+v, true", got, ok, tc.res)
+		}
+	}
+}
+
+// TestCacheHashCollision forces distinct keys onto one hash: the newer key
+// takes the index entry, the displaced one misses, and evicting the
+// displaced slot leaves the newer key reachable.
+func TestCacheHashCollision(t *testing.T) {
+	c, _ := testCache(2)
+	c.hash = func(k cacheKey) uint64 {
+		if k.sc.Design == "a" || k.sc.Design == "b" {
+			return 7
+		}
+		return uint64(k.sc.NPrimary)
+	}
+	c.Add(key("a", 1), yielded(1))
+	c.Add(key("b", 1), yielded(2))
+	if _, ok := c.Get(key("a", 1)); ok {
+		t.Error("displaced key a hit")
+	}
+	if v, ok := c.Get(key("b", 1)); !ok || v.Yield != 2 {
+		t.Errorf("Get(b) = %v, %v; want yield 2, true", v.Yield, ok)
+	}
+	if c.Len() != 2 {
+		t.Errorf("Len = %d, want 2 (the displaced slot still counts)", c.Len())
+	}
+	// a's stale slot is the least recently used; c evicts it.
+	c.Add(key("c", 3), yielded(3))
+	if v, ok := c.Get(key("b", 1)); !ok || v.Yield != 2 {
+		t.Errorf("after evicting the stale slot, Get(b) = %v, %v; want yield 2, true", v.Yield, ok)
+	}
+	if v, ok := c.Get(key("c", 3)); !ok || v.Yield != 3 {
+		t.Errorf("Get(c) = %v, %v; want yield 3, true", v.Yield, ok)
+	}
+	// b is now least recently used; evicting it frees hash 7 for a.
+	c.Add(key("a", 1), yielded(4))
+	if _, ok := c.Get(key("b", 1)); ok {
+		t.Error("evicted key b hit")
+	}
+	if v, ok := c.Get(key("a", 1)); !ok || v.Yield != 4 {
+		t.Errorf("re-added a: Get = %v, %v; want yield 4, true", v.Yield, ok)
+	}
+}
+
+// lruModel is the reference LRU the slice-backed cache is checked against.
+type lruModel struct {
+	capacity int
+	ll       *list.List // front = most recently used; values are *modelEntry
+	items    map[cacheKey]*list.Element
+}
+
+type modelEntry struct {
+	key   cacheKey
+	yield float64
+}
+
+func (m *lruModel) get(k cacheKey) (float64, bool) {
+	el, ok := m.items[k]
+	if !ok {
+		return 0, false
+	}
+	m.ll.MoveToFront(el)
+	return el.Value.(*modelEntry).yield, true
+}
+
+func (m *lruModel) add(k cacheKey, y float64) {
+	if el, ok := m.items[k]; ok {
+		m.ll.MoveToFront(el)
+		el.Value.(*modelEntry).yield = y
+		return
+	}
+	m.items[k] = m.ll.PushFront(&modelEntry{key: k, yield: y})
+	if m.ll.Len() > m.capacity {
+		oldest := m.ll.Back()
+		m.ll.Remove(oldest)
+		delete(m.items, oldest.Value.(*modelEntry).key)
+	}
+}
+
+// TestDifferentialCacheLRU drives the cache and a container/list reference
+// LRU with the same 10,000 random Get, peek and Add operations over 20 keys
+// at capacity 8: every lookup must agree on hit or miss and value, Len must
+// agree after every operation, and the hit/miss counters must match the
+// model's counts. It runs twice, each cache hashing under its own fresh
+// maphash seed and each run drawing its own operation stream.
+func TestDifferentialCacheLRU(t *testing.T) {
+	keys := make([]cacheKey, 20)
+	for i := range keys {
+		keys[i] = key(fmt.Sprintf("d%d", i%4), i)
+	}
+	for seed := range uint64(2) {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			c, r := testCache(8)
+			m := &lruModel{capacity: 8, ll: list.New(), items: make(map[cacheKey]*list.Element)}
+			rng := rand.New(rand.NewPCG(seed, 41))
+			var hits, misses float64
+			for op := range 10000 {
+				k := keys[rng.IntN(len(keys))]
+				switch rng.IntN(3) {
+				case 0:
+					y := float64(op)
+					c.Add(k, yielded(y))
+					m.add(k, y)
+				case 1, 2:
+					// One lookup in four is an uncounted peek.
+					counted := rng.IntN(4) != 0
+					lookup := c.peek
+					if counted {
+						lookup = c.Get
+					}
+					got, ok := lookup(k)
+					want, wantOK := m.get(k)
+					if ok != wantOK || got.Yield != want {
+						t.Fatalf("op %d: lookup %v = %v, %v; model %v, %v", op, k.sc.NPrimary, got.Yield, ok, want, wantOK)
+					}
+					switch {
+					case counted && wantOK:
+						hits++
+					case counted:
+						misses++
+					}
+				}
+				if c.Len() != m.ll.Len() {
+					t.Fatalf("op %d: Len = %d, model %d", op, c.Len(), m.ll.Len())
+				}
+			}
+			if h, ms := r.Value("dmfb_cache_hits_total"), r.Value("dmfb_cache_misses_total"); h != hits || ms != misses {
+				t.Errorf("counters = %v hits / %v misses, model %v/%v", h, ms, hits, misses)
+			}
+		})
+	}
+}
+
+// TestCacheAllocatesNothing pins the steady state: a hit, a miss and an
+// Add that evicts from a full cache allocate nothing.
+func TestCacheAllocatesNothing(t *testing.T) {
+	c, _ := testCache(8)
+	keys := make([]cacheKey, 16)
+	for i := range keys {
+		keys[i] = key("a", i)
+		c.Add(keys[i], yielded(float64(i)))
+	}
+	i := 0
+	for _, tc := range []struct {
+		name string
+		f    func()
+	}{
+		{"hit", func() { c.Get(keys[len(keys)-1]) }},
+		{"miss", func() { c.Get(keys[0]) }},
+		// Cycling 16 keys through 8 slots makes every Add an eviction.
+		{"add", func() { i++; c.Add(keys[i%len(keys)], yielded(float64(i))) }},
+	} {
+		if n := testing.AllocsPerRun(200, tc.f); n != 0 {
+			t.Errorf("%s allocates %v times, want 0", tc.name, n)
+		}
+	}
+}
+
+// TestEvaluateScenarioCachedAllocs bounds the allocations of a cache-served
+// EvaluateScenario, fixed-run and precision-targeted. The clustered
+// request's one allocation is resolveDesign lowercasing its upper-case
+// design name, not the cache.
+func TestEvaluateScenarioCachedAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		req  ScenarioRequest
+		want float64
+	}{
+		{ScenarioRequest{Strategy: "hex", Design: "dtmb26", NPrimary: 60, P: 0.95, Runs: 500, Seed: 7}, 0},
+		{ScenarioRequest{Design: "DTMB(2,6)", NPrimary: 60, P: 0.95, DefectModel: "clustered", Runs: 500, Seed: 7, Epsilon: 0.05}, 1},
+	} {
+		e := testEngine(8)
+		ctx := context.Background()
+		if _, err := e.EvaluateScenario(ctx, tc.req); err != nil {
+			t.Fatal(err)
+		}
+		n := testing.AllocsPerRun(200, func() {
+			if rec, err := e.EvaluateScenario(ctx, tc.req); err != nil || !rec.Cached {
+				t.Fatalf("cached EvaluateScenario = cached %v, %v", rec.Cached, err)
+			}
+		})
+		if n > tc.want {
+			t.Errorf("%s/%s: cached EvaluateScenario allocates %v times, want at most %v", tc.req.Strategy, tc.req.DefectModel, n, tc.want)
+		}
+	}
+}
+
+// TestCacheConcurrentUse shares a small cache among goroutines that Get,
+// peek and Add over more keys than it holds, so slots are evicted and
+// reused while others read them. Every hit must carry its own key's value.
+// Run it under -race.
+func TestCacheConcurrentUse(t *testing.T) {
+	c, _ := testCache(4)
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewPCG(uint64(g), 7))
+			for range 2000 {
+				n := rng.IntN(10)
+				k := key("a", n)
+				if rng.IntN(2) == 0 {
+					c.Add(k, yielded(float64(n)))
+					continue
+				}
+				lookup := c.Get
+				if rng.IntN(2) == 0 {
+					lookup = c.peek
+				}
+				if res, ok := lookup(k); ok && (res.Yield != float64(n) || res.NPrimary != n) {
+					t.Errorf("Get(n=%d) = yield %v, n %d", n, res.Yield, res.NPrimary)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if c.Len() != 4 {
+		t.Errorf("Len = %d, want 4", c.Len())
 	}
 }

@@ -17,7 +17,7 @@ import (
 // EngineConfig tunes the batched simulation engine. The zero value gives
 // sensible defaults.
 type EngineConfig struct {
-	// CacheSize bounds the LRU result cache; 0 means 1024 entries.
+	// CacheSize bounds the LRU result cache, in entries of about 0.3 KB; 0 means 1024.
 	CacheSize int
 	// DefaultRuns is the Monte-Carlo run count for requests that omit runs;
 	// 0 means the paper's 10000.
@@ -153,18 +153,11 @@ func (e *Engine) acquire(ctx context.Context) error {
 
 func (e *Engine) release() { <-e.sem }
 
-// flightResult wraps a flight's value with its provenance, so a leader that
-// found a just-cached result still reports it as cache-served.
-type flightResult struct {
-	val       any
-	fromCache bool
-}
-
 // cachedCompute serves key from the cache or runs compute exactly once
-// across concurrent identical requests, caching its result. The cached flag
-// reports whether the caller's response came from the cache (directly, by
-// sharing another request's flight, or by winning a flight whose result a
-// previous leader had just cached).
+// across concurrent identical requests, caching its result. The result's
+// Cached flag reports whether it came from the cache (directly, by sharing
+// another request's flight, or by winning a flight whose result a previous
+// leader had just cached).
 //
 // The shared computation runs under the leader's context: if the leader's
 // client disconnects, followers retry and one of them restarts the
@@ -172,35 +165,36 @@ type flightResult struct {
 // property that a simulation with no live waiters never burns CPU; a
 // refcounted detached context could rescue near-finished work but is not
 // worth the complexity at current workloads.
-func (e *Engine) cachedCompute(ctx context.Context, key cacheKey, compute func() (any, error)) (val any, cached bool, err error) {
+func (e *Engine) cachedCompute(ctx context.Context, key cacheKey, compute func() (sweep.PointResult, error)) (sweep.PointResult, error) {
 	lookup := e.cache.Get
 	for {
-		if v, ok := lookup(key); ok {
-			return v, true, nil
+		if res, ok := lookup(key); ok {
+			res.Cached = true
+			return res, nil
 		}
 		// Retries after a cancelled leader are the same logical request;
 		// don't let them re-count a cache miss.
 		lookup = e.cache.peek
-		v, err, shared := e.flights.Do(ctx, key, func() (any, error) {
+		res, err, shared := e.flights.Do(ctx, key, func() (sweep.PointResult, error) {
 			// A previous leader may have cached the result between our cache
 			// miss and winning this flight; don't re-run the simulation (and
 			// don't double-count this request in the hit/miss stats).
-			if v, ok := e.cache.peek(key); ok {
-				return flightResult{val: v, fromCache: true}, nil
+			if res, ok := e.cache.peek(key); ok {
+				res.Cached = true
+				return res, nil
 			}
 			if err := e.acquire(ctx); err != nil {
-				return nil, err
+				return sweep.PointResult{}, err
 			}
 			defer e.release()
 			e.inFlight.Add(1)
 			defer e.inFlight.Add(-1)
-			v, err := compute()
-			if err != nil {
-				return nil, err
+			res, err := compute()
+			if err == nil {
+				e.completed.Add(1)
+				e.cache.Add(key, res)
 			}
-			e.completed.Add(1)
-			e.cache.Add(key, v)
-			return flightResult{val: v}, nil
+			return res, err
 		})
 		if shared {
 			// A follower inherits the leader's error; if the leader was
@@ -216,10 +210,10 @@ func (e *Engine) cachedCompute(ctx context.Context, key cacheKey, compute func()
 			}
 		}
 		if err != nil {
-			return nil, false, err
+			return sweep.PointResult{}, err
 		}
-		fr := v.(flightResult)
-		return fr.val, shared || fr.fromCache, nil
+		res.Cached = res.Cached || shared
+		return res, nil
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 
 	"dmfb/internal/core"
 	"dmfb/internal/layout"
+	"dmfb/internal/sweep"
 	"dmfb/internal/telemetry"
 )
 
@@ -268,10 +269,10 @@ func TestFlightFollowerHonorsOwnCancellation(t *testing.T) {
 	leaderDone := make(chan struct{})
 	go func() {
 		defer close(leaderDone)
-		_, _, _ = g.Do(context.Background(), k, func() (any, error) {
+		_, _, _ = g.Do(context.Background(), k, func() (sweep.PointResult, error) {
 			close(leaderStarted)
 			<-release
-			return "slow", nil
+			return yielded(1), nil
 		})
 	}()
 	<-leaderStarted
@@ -279,7 +280,7 @@ func TestFlightFollowerHonorsOwnCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	followerDone := make(chan error, 1)
 	go func() {
-		_, err, shared := g.Do(ctx, k, func() (any, error) { return "never", nil })
+		_, err, shared := g.Do(ctx, k, func() (sweep.PointResult, error) { return yielded(2), nil })
 		if !shared {
 			t.Error("follower did not share the leader's flight")
 		}
@@ -311,7 +312,7 @@ func TestFlightPanicReleasesWaitersAndKey(t *testing.T) {
 		<-leaderStarted
 		// Joins the in-flight call (or, if the leader already panicked,
 		// starts a fresh one — both must terminate promptly).
-		_, followerErr, followerShared = g.Do(context.Background(), k, func() (any, error) { return "follower", nil })
+		_, followerErr, followerShared = g.Do(context.Background(), k, func() (sweep.PointResult, error) { return yielded(3), nil })
 	}()
 
 	func() {
@@ -320,7 +321,7 @@ func TestFlightPanicReleasesWaitersAndKey(t *testing.T) {
 				t.Error("leader panic swallowed instead of propagating")
 			}
 		}()
-		_, _, _ = g.Do(context.Background(), k, func() (any, error) {
+		_, _, _ = g.Do(context.Background(), k, func() (sweep.PointResult, error) {
 			close(leaderStarted)
 			time.Sleep(100 * time.Millisecond) // let the follower join the flight
 			panic("boom")
@@ -339,8 +340,8 @@ func TestFlightPanicReleasesWaitersAndKey(t *testing.T) {
 		t.Fatal("follower still blocked after leader panicked")
 	}
 	// The key must be usable again, not poisoned by the dead flight.
-	v, err, _ := g.Do(context.Background(), k, func() (any, error) { return "recovered", nil })
-	if err != nil || v.(string) != "recovered" {
+	v, err, _ := g.Do(context.Background(), k, func() (sweep.PointResult, error) { return yielded(4), nil })
+	if err != nil || v.Yield != 4 {
 		t.Errorf("key poisoned after panic: v=%v err=%v", v, err)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"sync"
+
+	"dmfb/internal/sweep"
 )
 
 // flightGroup deduplicates concurrent identical work: callers who Do the
@@ -18,7 +20,7 @@ type flightGroup struct {
 // flightCall is one in-flight computation.
 type flightCall struct {
 	done chan struct{}
-	val  any
+	val  sweep.PointResult
 	err  error
 }
 
@@ -30,7 +32,7 @@ func newFlightGroup() *flightGroup {
 // one. shared reports whether this caller piggybacked on another's work. A
 // follower whose own ctx is cancelled stops waiting and returns ctx.Err();
 // the leader's computation continues for the remaining waiters.
-func (g *flightGroup) Do(ctx context.Context, k cacheKey, fn func() (any, error)) (val any, err error, shared bool) {
+func (g *flightGroup) Do(ctx context.Context, k cacheKey, fn func() (sweep.PointResult, error)) (val sweep.PointResult, err error, shared bool) {
 	g.mu.Lock()
 	if c, ok := g.calls[k]; ok {
 		g.mu.Unlock()
@@ -38,7 +40,7 @@ func (g *flightGroup) Do(ctx context.Context, k cacheKey, fn func() (any, error)
 		case <-c.done:
 			return c.val, c.err, true
 		case <-ctx.Done():
-			return nil, ctx.Err(), true
+			return sweep.PointResult{}, ctx.Err(), true
 		}
 	}
 	c := &flightCall{done: make(chan struct{})}
@@ -52,7 +54,7 @@ func (g *flightGroup) Do(ctx context.Context, k cacheKey, fn func() (any, error)
 	// leader's goroutine.
 	defer func() {
 		if r := recover(); r != nil {
-			c.val, c.err = nil, fmt.Errorf("service: panic during shared computation: %v", r)
+			c.val, c.err = sweep.PointResult{}, fmt.Errorf("service: panic during shared computation: %v", r)
 			g.finish(k, c)
 			panic(r)
 		}

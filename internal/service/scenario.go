@@ -229,15 +229,9 @@ func (e *Engine) evalScenario(ctx context.Context, sc sweep.Scenario, sp core.Si
 		// Closed form: too cheap to cache or bound.
 		return sweep.EvaluateScenario(ctx, sc, sp)
 	}
-	v, cached, err := e.cachedCompute(ctx, scenarioKey(sc, sp), func() (any, error) {
+	return e.cachedCompute(ctx, scenarioKey(sc, sp), func() (sweep.PointResult, error) {
 		return sweep.EvaluateScenario(ctx, sc, sp)
 	})
-	if err != nil {
-		return sweep.PointResult{}, err
-	}
-	res := v.(sweep.PointResult)
-	res.Cached = cached
-	return res, nil
 }
 
 // scenarioKey builds the cache key of a Monte-Carlo scenario, the one place
