@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -216,5 +217,148 @@ func TestRunWorkersClampedToItems(t *testing.T) {
 	}
 	if got := built.Load(); got != 3 {
 		t.Fatalf("built %d workers for 3 items, want 3", got)
+	}
+}
+
+func TestRunCommitsNeverOverlap(t *testing.T) {
+	// A commit runs on whichever worker finished the lowest uncommitted
+	// item; the fold's lock must still keep every commit to itself. Run
+	// under -race, the race detector also checks that commits see each
+	// other's writes.
+	for workers := 2; workers <= 8; workers *= 2 {
+		var inCommit atomic.Bool
+		var got []int
+		err := Run(context.Background(), 200, workers, square(int64(workers), 200*time.Microsecond),
+			func(i, v int) (bool, error) {
+				if inCommit.Swap(true) {
+					t.Errorf("workers=%d: commit %d overlaps another commit", workers, i)
+				}
+				got = append(got, v)
+				if i%7 == 0 {
+					time.Sleep(50 * time.Microsecond)
+				}
+				inCommit.Store(false)
+				return false, nil
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range got {
+			if v != i*i {
+				t.Fatalf("workers=%d: commit %d got %d", workers, i, v)
+			}
+		}
+		if len(got) != 200 {
+			t.Fatalf("workers=%d: committed %d of 200 items", workers, len(got))
+		}
+	}
+}
+
+// goroutineID parses the running goroutine's ID from its stack header.
+func goroutineID() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	f := strings.Fields(string(buf))
+	return f[1] // "goroutine <id> [running]:"
+}
+
+func TestRunOneWorkerStaysOnCaller(t *testing.T) {
+	caller := goroutineID()
+	before := runtime.NumGoroutine()
+	check := func(what string, i int) {
+		if id := goroutineID(); id != caller {
+			t.Errorf("%s %d ran on goroutine %s, want the caller's %s", what, i, id, caller)
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			t.Errorf("%s %d: %d goroutines, more than the %d before Run", what, i, n, before)
+		}
+	}
+	newWorker := func() (func(context.Context, int) (int, error), error) {
+		check("newWorker", -1)
+		return func(_ context.Context, i int) (int, error) {
+			check("item", i)
+			return i, nil
+		}, nil
+	}
+	committed := 0
+	err := Run(context.Background(), 50, 1, newWorker, func(i, v int) (bool, error) {
+		check("commit", i)
+		committed++
+		return false, nil
+	})
+	if err != nil || committed != 50 {
+		t.Fatalf("err = %v, committed %d of 50", err, committed)
+	}
+}
+
+func TestRunSlowCommitHoldsWorkers(t *testing.T) {
+	// Item 0's commit blocks until released. Items 1 and 2 finish while it
+	// runs; their workers must wait for the commit before taking items 3
+	// and 4, as they waited on the unbuffered hand-off before.
+	const workers, n = 3, 40
+	var started atomic.Int64
+	commitStarted, release := make(chan struct{}), make(chan struct{})
+	newWorker := func() (func(context.Context, int) (int, error), error) {
+		return func(_ context.Context, i int) (int, error) {
+			started.Add(1)
+			if i > 0 {
+				<-commitStarted
+			}
+			return i, nil
+		}, nil
+	}
+	done := make(chan error, 1)
+	committed := 0
+	go func() {
+		done <- Run(context.Background(), n, workers, newWorker, func(i, v int) (bool, error) {
+			if i == 0 {
+				close(commitStarted)
+				<-release
+			}
+			committed++
+			return false, nil
+		})
+	}()
+	<-commitStarted
+	time.Sleep(30 * time.Millisecond)
+	if got := started.Load(); got != workers {
+		t.Errorf("%d items started during a blocked commit, want %d", got, workers)
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if committed != n || started.Load() != n {
+		t.Fatalf("committed %d, started %d, want %d each", committed, started.Load(), n)
+	}
+}
+
+func TestRunPendingRingGrows(t *testing.T) {
+	// Item 0 finishes last, so nearly every other result waits for it:
+	// far more than the ring's inline slots.
+	const n = 64
+	var finished atomic.Int64
+	newWorker := func() (func(context.Context, int) (int, error), error) {
+		return func(_ context.Context, i int) (int, error) {
+			if i == 0 {
+				deadline := time.Now().Add(5 * time.Second)
+				for finished.Load() < n-4 && time.Now().Before(deadline) {
+					time.Sleep(100 * time.Microsecond)
+				}
+			}
+			finished.Add(1)
+			return i * i, nil
+		}, nil
+	}
+	next := 0
+	err := Run(context.Background(), n, 4, newWorker, func(i, v int) (bool, error) {
+		if i != next || v != i*i {
+			return false, fmt.Errorf("commit (%d, %d), want (%d, %d)", i, v, next, next*next)
+		}
+		next++
+		return false, nil
+	})
+	if err != nil || next != n {
+		t.Fatalf("err = %v, committed %d of %d", err, next, n)
 	}
 }

@@ -292,16 +292,15 @@ func TestCacheAllocatesNothing(t *testing.T) {
 }
 
 // TestEvaluateScenarioCachedAllocs bounds the allocations of a cache-served
-// EvaluateScenario, fixed-run and precision-targeted. The clustered
-// request's one allocation is resolveDesign lowercasing its upper-case
-// design name, not the cache.
+// EvaluateScenario, fixed-run and precision-targeted, by alias and by the
+// paper's own spelling of the design.
 func TestEvaluateScenarioCachedAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		req  ScenarioRequest
 		want float64
 	}{
 		{ScenarioRequest{Strategy: "hex", Design: "dtmb26", NPrimary: 60, P: 0.95, Runs: 500, Seed: 7}, 0},
-		{ScenarioRequest{Design: "DTMB(2,6)", NPrimary: 60, P: 0.95, DefectModel: "clustered", Runs: 500, Seed: 7, Epsilon: 0.05}, 1},
+		{ScenarioRequest{Design: "DTMB(2,6)", NPrimary: 60, P: 0.95, DefectModel: "clustered", Runs: 500, Seed: 7, Epsilon: 0.05}, 0},
 	} {
 		e := testEngine(8)
 		ctx := context.Background()

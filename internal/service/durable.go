@@ -2,6 +2,7 @@ package service
 
 import (
 	"bufio"
+	"context"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -18,6 +19,7 @@ import (
 	"time"
 
 	"dmfb/internal/faultinject"
+	"dmfb/internal/ordered"
 )
 
 // jobManifest is the durable snapshot of one job's identity and lifecycle,
@@ -54,6 +56,7 @@ type persistedJob struct {
 	manifest jobManifest
 	log      logPrefix
 	lines    [][]byte
+	logBytes int64 // the result log's bytes on disk when replay read it
 }
 
 // logPrefix is a checksum-verified prefix of a result log: its record
@@ -367,69 +370,43 @@ func (p *filePersister) diskBytes() int64 {
 // lines; a terminal job keeps just its verified prefix, against which
 // readResults checks the lines on their first read.
 // Jobs whose manifest is unreadable are skipped (their directories are left
-// in place for operator inspection); load fails only on I/O errors reading
-// the root.
+// in place for operator inspection); load fails only on I/O errors, and
+// returns the one at the first job directory in name order.
+//
+// The job directories are the items of an ordered fold: workers read the
+// manifests and scan the logs in parallel, and the in-order commit draws
+// the store.replay.corrupt seam, applies the seal, truncates and saves a
+// demotion. Every decision and error is the one a serial pass over the
+// directories would make.
 func (p *filePersister) load() ([]persistedJob, error) {
 	entries, err := os.ReadDir(p.dir)
 	if err != nil {
 		return nil, fmt.Errorf("service: job store scan: %w", err)
 	}
-	var jobs []persistedJob
+	var ids []string
 	for _, ent := range entries {
-		if !ent.IsDir() {
-			continue
+		if ent.IsDir() {
+			ids = append(ids, ent.Name())
 		}
-		id := ent.Name()
-		// A leftover manifest.json.tmp means the atomic replace was
-		// interrupted between write and rename; the committed manifest (if
-		// any) is authoritative, the tmp is garbage.
-		_ = os.Remove(filepath.Join(p.jobDir(id), "manifest.json.tmp"))
-		raw, err := os.ReadFile(filepath.Join(p.jobDir(id), "manifest.json"))
-		if err != nil {
-			continue // no manifest (crash before first save, or foreign dir)
-		}
-		var m jobManifest
-		if err := json.Unmarshal(raw, &m); err != nil || m.ID != id {
-			continue // torn or foreign manifest; leave for inspection
-		}
-		terminal := m.State.terminal()
-		path := filepath.Join(p.jobDir(id), "results.ndjson")
-		lines, verified, sealed, size, err := p.scanResultLog(path, !terminal, m.ResultRecords)
-		if err != nil {
-			return nil, err
-		}
-		kept, demoted := verified, false
-		if terminal && m.ResultsCRC != "" {
-			if verified.records >= m.ResultRecords && sealed.crcHex() == m.ResultsCRC {
-				kept = sealed
-			} else {
-				m.Error = fmt.Sprintf(
-					"result log failed verification on replay: manifest sealed %d records (crc %s), log has %d verified records (crc %s)",
-					m.ResultRecords, m.ResultsCRC, verified.records, verified.crcHex())
-				m.State = JobFailed
-				m.Reason = ReasonStorage
-				demoted = true
+	}
+	var jobs []persistedJob
+	err = ordered.Run(context.Background(), len(ids), 0,
+		func() (func(context.Context, int) (jobScan, error), error) {
+			return func(_ context.Context, i int) (jobScan, error) { return p.scanJob(ids[i]) }, nil
+		},
+		func(_ int, sc jobScan) (bool, error) {
+			if sc.manifestSize == 0 {
+				return false, nil
 			}
-		}
-		if kept.size < size {
-			if err := os.Truncate(path, kept.size); err != nil {
-				return nil, fmt.Errorf("service: truncate unverified records: %w", err)
+			pj, err := p.replayJob(sc)
+			if err != nil {
+				return false, err
 			}
-		}
-		p.mu.Lock()
-		p.manifestSize[id] = int64(len(raw))
-		p.sizes[id] = int64(len(raw)) + kept.size
-		p.logSize[id] = kept.size
-		p.crcs[id] = kept.chain
-		p.counts[id] = kept.records
-		p.mu.Unlock()
-		if demoted {
-			// Persist the demotion so the diagnosis survives the next
-			// restart too (best effort: the job is already failed in
-			// memory even if this write loses a race with the disk).
-			_ = p.saveManifest(m)
-		}
-		jobs = append(jobs, persistedJob{manifest: m, log: kept, lines: lines})
+			jobs = append(jobs, pj)
+			return false, nil
+		})
+	if err != nil {
+		return nil, err
 	}
 	sort.Slice(jobs, func(i, j int) bool {
 		return jobSeq(jobs[i].manifest.ID) < jobSeq(jobs[j].manifest.ID)
@@ -437,11 +414,92 @@ func (p *filePersister) load() ([]persistedJob, error) {
 	return jobs, nil
 }
 
+// jobScan is one job directory as a replay worker read it: its manifest
+// and its result log's verified prefix, before the corruption seam and the
+// seal are applied.
+type jobScan struct {
+	manifest     jobManifest
+	manifestSize int64 // 0 when the directory holds no readable manifest
+	log          string
+	lines        [][]byte  // the verified payloads, for a running job
+	verified     logPrefix // every record that verifies
+	sealed       logPrefix // the first manifest.ResultRecords records
+	size         int64     // the log's bytes on disk
+}
+
+// scanJob reads job directory id: it drops a leftover manifest.json.tmp (an
+// atomic replace interrupted between write and rename, so the committed
+// manifest, if any, is authoritative), decodes the manifest and scans the
+// result log. A directory with no manifest (a crash before the first save,
+// or a foreign directory) or with a torn or foreign one gives a zero scan.
+func (p *filePersister) scanJob(id string) (jobScan, error) {
+	_ = os.Remove(filepath.Join(p.jobDir(id), "manifest.json.tmp"))
+	raw, err := os.ReadFile(filepath.Join(p.jobDir(id), "manifest.json"))
+	if err != nil {
+		return jobScan{}, nil
+	}
+	sc := jobScan{manifestSize: int64(len(raw)), log: filepath.Join(p.jobDir(id), "results.ndjson")}
+	if err := json.Unmarshal(raw, &sc.manifest); err != nil || sc.manifest.ID != id {
+		return jobScan{}, nil
+	}
+	m := sc.manifest
+	sc.lines, sc.verified, sc.sealed, sc.size, err = p.scanResultLog(sc.log, !m.State.terminal(), m.ResultRecords, false)
+	return sc, err
+}
+
+// replayJob settles one scanned job, in directory order: it draws the
+// store.replay.corrupt seam for a non-empty log (when it fires, the log is
+// scanned again with a bit flipped mid-file), holds a terminal job's log to
+// its seal, truncates what is not kept and persists a demotion.
+func (p *filePersister) replayJob(sc jobScan) (persistedJob, error) {
+	m := sc.manifest
+	if sc.size > 0 && p.inject.Eval(faultinject.StoreReplayCorrupt).Fire {
+		var err error
+		sc.lines, sc.verified, sc.sealed, _, err = p.scanResultLog(sc.log, !m.State.terminal(), m.ResultRecords, true)
+		if err != nil {
+			return persistedJob{}, err
+		}
+	}
+	kept, demoted := sc.verified, false
+	if m.State.terminal() && m.ResultsCRC != "" {
+		if sc.verified.records >= m.ResultRecords && sc.sealed.crcHex() == m.ResultsCRC {
+			kept = sc.sealed
+		} else {
+			m.Error = fmt.Sprintf(
+				"result log failed verification on replay: manifest sealed %d records (crc %s), log has %d verified records (crc %s)",
+				m.ResultRecords, m.ResultsCRC, sc.verified.records, sc.verified.crcHex())
+			m.State = JobFailed
+			m.Reason = ReasonStorage
+			demoted = true
+		}
+	}
+	if kept.size < sc.size {
+		if err := os.Truncate(sc.log, kept.size); err != nil {
+			return persistedJob{}, fmt.Errorf("service: truncate unverified records: %w", err)
+		}
+	}
+	p.mu.Lock()
+	p.manifestSize[m.ID] = sc.manifestSize
+	p.sizes[m.ID] = sc.manifestSize + kept.size
+	p.logSize[m.ID] = kept.size
+	p.crcs[m.ID] = kept.chain
+	p.counts[m.ID] = kept.records
+	p.mu.Unlock()
+	if demoted {
+		// Persist the demotion so the diagnosis survives the next
+		// restart too (best effort: the job is already failed in
+		// memory even if this write loses a race with the disk).
+		_ = p.saveManifest(m)
+	}
+	return persistedJob{manifest: m, log: kept, lines: sc.lines, logBytes: sc.size}, nil
+}
+
 // readResults reads a terminal job's lines back from its log, which must
 // verify to exactly the prefix load kept: the same record count, CRC chain
 // and length.
 func (p *filePersister) readResults(id string, want logPrefix) ([][]byte, error) {
-	lines, got, _, _, err := p.scanResultLog(filepath.Join(p.jobDir(id), "results.ndjson"), true, 0)
+	flip := p.inject.Eval(faultinject.StoreReplayCorrupt).Fire
+	lines, got, _, _, err := p.scanResultLog(filepath.Join(p.jobDir(id), "results.ndjson"), true, 0, flip)
 	if err != nil {
 		return nil, err
 	}
@@ -480,13 +538,14 @@ func (p *filePersister) crashForTest() {
 // scanResultLog reads a result log front to back through a small buffer,
 // never holding the file whole, and verifies each line: it must be
 // newline-terminated and pass its CRC32C check. The scan stops at the
-// first bad line — torn by a crash, bit-flipped by the disk, or flipped by
-// the store.replay.corrupt injection. It returns the verified prefix, the
+// first bad line — torn by a crash, bit-flipped by the disk, or, with flip
+// set, by the store.replay.corrupt injection, which flips one bit in the
+// middle of a non-empty log as it is read. It returns the verified prefix, the
 // prefix of its first mark records (the zero prefix when fewer verify),
 // and the file's size; with keep set, also the verified payloads (pure
 // JSON, CRC prefixes stripped), copied into one allocation. A missing file
 // is an empty log.
-func (p *filePersister) scanResultLog(path string, keep bool, mark int) (lines [][]byte, verified, marked logPrefix, size int64, err error) {
+func (p *filePersister) scanResultLog(path string, keep bool, mark int, flip bool) (lines [][]byte, verified, marked logPrefix, size int64, err error) {
 	f, err := os.Open(path)
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, verified, marked, 0, nil
@@ -501,7 +560,7 @@ func (p *filePersister) scanResultLog(path string, keep bool, mark int) (lines [
 	}
 	size = fi.Size()
 	flipAt := int64(-1)
-	if d := p.inject.Eval(faultinject.StoreReplayCorrupt); d.Fire && size > 0 {
+	if flip && size > 0 {
 		flipAt = size / 2 // simulated disk corruption mid-log
 	}
 	var arena []byte

@@ -440,7 +440,7 @@ func TestScanResultLogLongLines(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := &filePersister{}
-	lines, verified, marked, size, err := p.scanResultLog(path, true, 2)
+	lines, verified, marked, size, err := p.scanResultLog(path, true, 2, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -452,15 +452,18 @@ func TestResolveDesignAliases(t *testing.T) {
 }
 
 // TestResolveDesignAllocatesNothing pins the prebuilt name index: resolving
-// a lower-case alias, which every cached request does, allocates nothing,
-// and the unknown-design error still lists every design in order.
+// a lower-case alias or the paper's own spelling, which every cached
+// request does, allocates nothing, and the unknown-design error still lists
+// every design in order.
 func TestResolveDesignAllocatesNothing(t *testing.T) {
-	if n := testing.AllocsPerRun(100, func() {
-		if _, err := resolveDesign("dtmb26"); err != nil {
-			t.Fatal(err)
+	for _, name := range []string{"dtmb26", "DTMB(2,6)"} {
+		if n := testing.AllocsPerRun(100, func() {
+			if _, err := resolveDesign(name); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("resolveDesign(%q) allocates %v times, want 0", name, n)
 		}
-	}); n != 0 {
-		t.Errorf("resolveDesign(\"dtmb26\") allocates %v times, want 0", n)
 	}
 	_, err := resolveDesign("DTMB(9,9)")
 	want := `invalid request: unknown design "DTMB(9,9)" (try DTMB(1,6), DTMB(2,6), DTMB(3,6), DTMB(4,4), DTMB(2,6)alt)`

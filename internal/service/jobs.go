@@ -238,11 +238,15 @@ func newFileJobStore(e *Engine, cfg JobStoreConfig, dir string, gate chan struct
 	e.Registry().GaugeFunc("dmfb_job_store_disk_bytes",
 		"Bytes held on disk by the durable job store (manifests and result logs).",
 		func() float64 { return float64(s.DiskBytes()) })
+	var replayed atomic.Int64 // nanoseconds
+	e.Registry().GaugeFunc("dmfb_job_store_replay_seconds",
+		"Seconds the durable job store took to replay its directory at start-up; 0 until the replay completes.",
+		func() float64 { return time.Duration(replayed.Load()).Seconds() })
 	go func() {
 		if gate != nil {
 			<-gate
 		}
-		s.replay()
+		replayed.Store(int64(s.replay()))
 	}()
 	return s, nil
 }
@@ -250,14 +254,16 @@ func newFileJobStore(e *Engine, cfg JobStoreConfig, dir string, gate chan struct
 // replay recovers the durable backend's jobs: terminal jobs become readable
 // (their lines load on the first read), running jobs are re-planned and
 // resumed at the first grid point missing from their result log. It runs
-// once, in the background, before the store reports ready.
-func (s *Store) replay() {
+// once, in the background, before the store reports ready, and returns how
+// long it took.
+func (s *Store) replay() time.Duration {
+	start := time.Now()
 	defer s.ready.Store(true)
 	pjobs, err := s.persist.load()
 	if err != nil {
 		s.logger().Error("job store replay failed; starting empty",
 			slog.String("error", err.Error()))
-		return
+		return time.Since(start)
 	}
 	type resume struct {
 		j   *Job
@@ -350,6 +356,20 @@ func (s *Store) replay() {
 			slog.String("job", r.j.id), slog.Int("from_point", r.j.resumeFrom))
 		go r.j.run(r.ctx)
 	}
+	logs, verified := 0, int64(0)
+	for _, pj := range pjobs {
+		if pj.logBytes > 0 {
+			logs++
+			verified += pj.logBytes
+		}
+	}
+	elapsed := time.Since(start)
+	s.logger().Info("job store replayed",
+		slog.Int("jobs", len(pjobs)),
+		slog.Int("logs_scanned", logs),
+		slog.Int64("bytes_verified", verified),
+		slog.Float64("duration_ms", float64(elapsed.Microseconds())/1000))
+	return elapsed
 }
 
 // logger returns the engine's logger, or a discard logger when unset.
@@ -715,7 +735,8 @@ func (j *Job) run(ctx context.Context) {
 // append, and only then are its lines published to streams with a single
 // wake. A failed append publishes none of them.
 func (j *Job) commit(recs []SweepRecord) error {
-	// Only this goroutine writes j.lines, so it reads the slice unlocked.
+	// Commits come one at a time, in index order, and nothing else writes
+	// j.lines while the job runs, so it reads the slice unlocked.
 	// The run is encoded into its spare capacity, past the length any
 	// reader holds, and becomes visible when j.lines is swapped below.
 	lines := j.lines

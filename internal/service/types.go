@@ -97,7 +97,7 @@ func indexDesigns() (map[string]layout.Design, string) {
 	compact := strings.NewReplacer("(", "", ")", "", ",", "")
 	for i, d := range all {
 		canonical := strings.ToLower(d.Name)
-		for _, key := range []string{canonical, compact.Replace(canonical)} {
+		for _, key := range []string{d.Name, canonical, compact.Replace(canonical)} {
 			if _, taken := byName[key]; !taken { // the first design listed wins
 				byName[key] = d
 			}
@@ -109,9 +109,16 @@ func indexDesigns() (map[string]layout.Design, string) {
 
 // resolveDesign maps a wire-level design name to a layout.Design. It accepts
 // the paper's names ("DTMB(2,6)") and compact aliases ("dtmb26"),
-// case-insensitively.
+// case-insensitively. The index holds the paper's spellings as written, so
+// only a name in some other case is lower-cased, the one path that
+// allocates.
 func resolveDesign(name string) (layout.Design, error) {
-	if d, ok := designsByName[strings.ToLower(strings.TrimSpace(name))]; ok {
+	trimmed := strings.TrimSpace(name)
+	d, ok := designsByName[trimmed]
+	if !ok {
+		d, ok = designsByName[strings.ToLower(trimmed)]
+	}
+	if ok {
 		return d, nil
 	}
 	return layout.Design{}, invalidf("unknown design %q (try %s)", name, designNames)

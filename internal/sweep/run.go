@@ -10,8 +10,9 @@ import (
 // Monte-Carlo kernel observes cancellation between chunks).
 type EvalFunc func(ctx context.Context, pt Point) (PointResult, error)
 
-// EmitFunc receives one finished point. Run calls it from a single
-// goroutine, strictly in point order; returning an error cancels the sweep.
+// EmitFunc receives one finished point. Run calls it one point at a time,
+// strictly in point order, from whichever evaluation goroutine finished the
+// lowest unemitted point; returning an error cancels the sweep.
 type EmitFunc func(res PointResult) error
 
 // Run evaluates pts on ordered.Run with up to workers concurrent

@@ -136,8 +136,12 @@ func (mc *MonteCarlo) run(ctx context.Context, factory trialFactory) (Result, er
 	seeds := stats.SeedStream(mc.Seed, numChunks)
 	rule := stats.SequentialCI{Epsilon: mc.Epsilon}
 	proto := mc.newProbe(ctx)
-	var successes, trials int
-	var stopped bool
+	// One variable, so the commit closure, which a worker goroutine may
+	// run, moves one allocation to the heap, not three.
+	var tally struct {
+		successes, trials int
+		stopped           bool
+	}
 	err := ordered.Run(ctx, numChunks, mc.Workers,
 		func() (func(context.Context, int) (int, error), error) {
 			probe := proto // each worker owns a copy
@@ -163,21 +167,21 @@ func (mc *MonteCarlo) run(ctx context.Context, factory trialFactory) (Result, er
 			}, nil
 		},
 		func(c, s int) (bool, error) {
-			successes += s
-			trials += chunkRuns(c, budget)
-			stopped = rule.Satisfied(successes, trials)
-			return stopped, nil
+			tally.successes += s
+			tally.trials += chunkRuns(c, budget)
+			tally.stopped = rule.Satisfied(tally.successes, tally.trials)
+			return tally.stopped, nil
 		})
 	if err != nil {
 		return Result{}, err
 	}
 	if m := mc.Metrics; m != nil && rule.Enabled() {
-		m.RealizedRuns.Observe(float64(trials))
-		if stopped {
+		m.RealizedRuns.Observe(float64(tally.trials))
+		if tally.stopped {
 			m.EarlyStops.Add(1)
 		}
 	}
-	return newResult(successes, trials), nil
+	return newResult(tally.successes, tally.trials), nil
 }
 
 // chunkRuns is chunk c's trial count: the last chunk is short when the
