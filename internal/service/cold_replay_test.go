@@ -5,7 +5,7 @@ package service
 // on disk until the job's first read, which must match them. These tests pin
 // that cold replay: what a replayed job holds, the bytes its first read
 // serves, the single shared load, and the demotion of a log that changed
-// between replay and first read.
+// before replay or between replay and first read.
 
 import (
 	"bytes"
@@ -165,39 +165,44 @@ func TestColdReplayConcurrentFirstReaders(t *testing.T) {
 	}
 }
 
+// logChanges are three ways a finished job's result log can change behind
+// the store's back. "rechecksummed" edits a record and rewrites its own
+// checksum, so every line still verifies and only the CRC chain of the
+// seal can catch it.
+var logChanges = []struct {
+	name   string
+	change func(t *testing.T, log string)
+}{
+	{"deleted", func(t *testing.T, log string) {
+		if err := os.Remove(log); err != nil {
+			t.Fatal(err)
+		}
+	}},
+	{"bitflipped", func(t *testing.T, log string) {
+		editLog(t, log, func(raw []byte) { raw[len(raw)/2] ^= 0x04 })
+	}},
+	{"rechecksummed", func(t *testing.T, log string) {
+		editLog(t, log, func(raw []byte) {
+			start := bytes.IndexByte(raw, '\n') + 1 // the second record
+			end := start + bytes.IndexByte(raw[start:], '\n') + 1
+			payload := raw[start+recordCRCLen : end]
+			k := bytes.LastIndexAny(payload, "123456789")
+			if k < 0 {
+				t.Fatal("record has no digit to edit")
+			}
+			payload[k]--
+			copy(raw[start:], fmt.Sprintf("%08x", crc32.Checksum(payload, crcTable)))
+		})
+	}},
+}
+
 // TestColdReplayLogChangedBeforeFirstRead changes a replayed job's log
 // between replay and its first read. The read must serve no record, end
 // the stream with the error trailer and demote the job to failed/storage,
-// and a further restart must still see it failed/storage. "rechecksummed"
-// edits a record and rewrites its own checksum, so every line still
-// verifies and only the CRC chain replay kept can catch it.
+// and a further restart must still see it failed/storage and serve no
+// record.
 func TestColdReplayLogChangedBeforeFirstRead(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		change func(t *testing.T, log string)
-	}{
-		{"deleted", func(t *testing.T, log string) {
-			if err := os.Remove(log); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"bitflipped", func(t *testing.T, log string) {
-			editLog(t, log, func(raw []byte) { raw[len(raw)/2] ^= 0x04 })
-		}},
-		{"rechecksummed", func(t *testing.T, log string) {
-			editLog(t, log, func(raw []byte) {
-				start := bytes.IndexByte(raw, '\n') + 1 // the second record
-				end := start + bytes.IndexByte(raw[start:], '\n') + 1
-				payload := raw[start+recordCRCLen : end]
-				k := bytes.LastIndexAny(payload, "123456789")
-				if k < 0 {
-					t.Fatal("record has no digit to edit")
-				}
-				payload[k]--
-				copy(raw[start:], fmt.Sprintf("%08x", crc32.Checksum(payload, crcTable)))
-			})
-		}},
-	} {
+	for _, tc := range logChanges {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			id, _ := seedFinishedJob(t, dir)
@@ -223,8 +228,47 @@ func TestColdReplayLogChangedBeforeFirstRead(t *testing.T) {
 			}
 
 			_, j2 := reopen(t, dir, id, nil)
-			if st2 := j2.Status(); st2.State != JobFailed || st2.Reason != ReasonStorage {
+			st2 := j2.Status()
+			if st2.State != JobFailed || st2.Reason != ReasonStorage {
 				t.Fatalf("demotion not durable: state=%q reason=%q", st2.State, st2.Reason)
+			}
+			if got, want := streamBytes(t, j2, 0), errorLine(st2.Error); !bytes.Equal(got, want) {
+				t.Fatalf("stream after a further restart = %q, want only the error trailer %q", got, want)
+			}
+		})
+	}
+}
+
+// TestColdReplayLogChangedAtReplay makes the same changes to a finished
+// job's log before a restart, so replay finds them: the job must be
+// failed/storage with no point, stream only the error trailer, have its
+// log truncated to nothing, and stay so across one more restart.
+func TestColdReplayLogChangedAtReplay(t *testing.T) {
+	for _, tc := range logChanges {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			id, _ := seedFinishedJob(t, dir)
+			log := filepath.Join(dir, id, "results.ndjson")
+			tc.change(t, log)
+
+			for restart := 1; restart <= 2; restart++ {
+				s, j := reopen(t, dir, id, nil)
+				st := j.Status()
+				if st.State != JobFailed || st.Reason != ReasonStorage || st.PointsDone != 0 {
+					t.Fatalf("restart %d: state=%q reason=%q points=%d, want failed/storage with 0", restart, st.State, st.Reason, st.PointsDone)
+				}
+				if !strings.Contains(st.Error, "failed verification on replay") {
+					t.Errorf("restart %d: error %q does not name the failed verification", restart, st.Error)
+				}
+				if got, want := streamBytes(t, j, 0), errorLine(st.Error); !bytes.Equal(got, want) {
+					t.Fatalf("restart %d: stream = %q, want only the error trailer %q", restart, got, want)
+				}
+				if fi, err := os.Stat(log); err == nil && fi.Size() != 0 {
+					t.Errorf("restart %d: log holds %d bytes, want 0", restart, fi.Size())
+				}
+				if err := s.Close(context.Background()); err != nil {
+					t.Fatal(err)
+				}
 			}
 		})
 	}

@@ -38,18 +38,21 @@ type jobManifest struct {
 	Request     SweepRequest `json:"request"`
 	// ResultRecords and ResultsCRC seal a terminal job's result log: the
 	// number of committed records and the rolling CRC32C over their payloads,
-	// filled in by the file persister at the terminal manifest save. Replay
-	// re-derives both from the log and truncates whole records past the
-	// seal; a log that falls short of the seal or disagrees with it was
-	// corrupted or truncated after the fact, and the job is demoted to
-	// failed/storage instead of served with silently wrong bytes.
+	// filled in by the file persister at the terminal manifest save. A sealed
+	// log serves its sealed records or none, at replay and at first read
+	// alike: whole records past the seal are truncated away, and a log that
+	// falls short of the seal or disagrees with it was corrupted or truncated
+	// after the fact, so the job is demoted to failed/storage with no record
+	// instead of served with silently wrong bytes.
 	ResultRecords int    `json:"result_records,omitempty"`
 	ResultsCRC    string `json:"results_crc,omitempty"`
 }
 
 // persistedJob is one job recovered from disk: its manifest and the
-// verified prefix of its result log (a trailing partial line from a crash
-// mid-write is truncated away, and re-evaluated on resume). Only a running
+// prefix of its result log that replay kept. For a running job that is the
+// longest verified prefix (a trailing partial line from a crash mid-write
+// is truncated away, and re-evaluated on resume); for a sealed job it is
+// the sealed records, or none when the log fails its seal. Only a running
 // job carries its lines, because it resumes by appending to them; a
 // terminal job's lines stay on disk until its first read.
 type persistedJob struct {
@@ -75,6 +78,23 @@ func (lp logPrefix) payloadBytes() int64 { return lp.size - int64(lp.records)*re
 // crcHex renders the prefix's chain as a manifest seal does.
 func (lp logPrefix) crcHex() string { return fmt.Sprintf("%08x", lp.chain) }
 
+// seal is the prefix a terminal manifest seals its result log to, or nil
+// for an unsealed log: a running job's, or one whose manifest predates
+// seals. A checksum that does not parse seals a prefix no log can match.
+func (m jobManifest) seal() *logPrefix {
+	if !m.State.terminal() || m.ResultsCRC == "" {
+		return nil
+	}
+	chain, err := strconv.ParseUint(m.ResultsCRC, 16, 32)
+	if err != nil {
+		return &logPrefix{records: -1}
+	}
+	return &logPrefix{records: m.ResultRecords, chain: uint32(chain)}
+}
+
+// errSealMismatch marks a result log that does not verify to its seal.
+var errSealMismatch = errors.New("log does not match its seal")
+
 // jobPersister is the pluggable durability backend of a job store: the
 // in-memory store uses the no-op nullPersister, the durable store a
 // filePersister. Implementations are called with the owning job's mutex
@@ -99,9 +119,9 @@ type jobPersister interface {
 	// load recovers every persisted job, in creation (sequence) order.
 	load() ([]persistedJob, error)
 	// readResults reads a terminal job's result lines back from its log,
-	// which must still be exactly the prefix want that load verified;
-	// anything else (a log deleted, truncated or corrupted since) is an
-	// error and returns no line.
+	// sealed to the prefix want that load kept: it serves those records or,
+	// when the log no longer verifies to them (deleted, truncated or
+	// corrupted since), none and an error.
 	readResults(id string, want logPrefix) ([][]byte, error)
 	// close releases all open handles.
 	close()
@@ -124,26 +144,35 @@ func (nullPersister) readResults(string, logPrefix) ([][]byte, error) { return n
 // filePersister is the durable backend: one directory per job holding
 // manifest.json (atomically replaced via rename) and results.ndjson
 // (append-only, one write and one fsync per committed run of records).
-// Byte accounting is maintained incrementally so the
-// dmfb_job_store_disk_bytes gauge is O(1) to scrape.
 //
 // Each result-log line carries a CRC32C of its payload ("crc8hex payload\n")
-// and the persister keeps a rolling CRC chain plus record count per job,
-// sealed into the manifest at the terminal save. The checksums live only on
-// disk: callers hand in and get back pure JSON payloads, so the bytes served
-// to streams are exactly the bytes the evaluation emitted.
+// and the persister keeps each job's committed prefix (record count,
+// rolling CRC chain, length), sealed into the manifest at the terminal
+// save. The checksums live only on disk: callers hand in and get back pure
+// JSON payloads, so the bytes served to streams are exactly the bytes the
+// evaluation emitted.
 type filePersister struct {
 	dir    string
 	inject *faultinject.Injector // fault schedule; nil disables chaos
 
-	mu           sync.Mutex
-	files        map[string]*os.File // open result logs of running jobs
-	sizes        map[string]int64    // manifest + result bytes per job
-	manifestSize map[string]int64    // manifest share of sizes, for rewrites
-	logSize      map[string]int64    // committed result-log bytes, for torn-write rollback
-	crcs         map[string]uint32   // rolling CRC32C chain over committed payloads
-	counts       map[string]int      // committed record count per job
-	crashed      bool                // test hook: simulate SIGKILL (drop all writes)
+	mu      sync.Mutex
+	jobs    map[string]*jobFiles
+	crashed bool // test hook: simulate SIGKILL (drop all writes)
+}
+
+// jobFiles is what the persister holds for one job.
+type jobFiles struct {
+	log          *os.File  // open result log of a running job, or nil
+	manifestSize int64     // the manifest's bytes on disk
+	committed    logPrefix // the result log's committed records: the seal, and the torn-write rollback point
+}
+
+// closeLog closes the job's result log, if open.
+func (jf *jobFiles) closeLog() {
+	if jf.log != nil {
+		jf.log.Close()
+		jf.log = nil
+	}
 }
 
 // newFilePersister prepares the backend rooted at dir, creating it if
@@ -152,15 +181,7 @@ func newFilePersister(dir string) (*filePersister, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("service: job store dir: %w", err)
 	}
-	return &filePersister{
-		dir:          dir,
-		files:        make(map[string]*os.File),
-		sizes:        make(map[string]int64),
-		manifestSize: make(map[string]int64),
-		logSize:      make(map[string]int64),
-		crcs:         make(map[string]uint32),
-		counts:       make(map[string]int),
-	}, nil
+	return &filePersister{dir: dir, jobs: make(map[string]*jobFiles)}, nil
 }
 
 // crcTable is the Castagnoli polynomial used for result-log checksums.
@@ -210,9 +231,12 @@ func (p *filePersister) saveManifest(m jobManifest) error {
 	if d := p.inject.Eval(faultinject.StoreManifestWrite); d.Fire {
 		return d.Err
 	}
+	jf := p.jobs[m.ID]
+	if jf == nil {
+		jf = &jobFiles{} // recorded once the manifest is on disk
+	}
 	if m.State.terminal() {
-		m.ResultRecords = p.counts[m.ID]
-		m.ResultsCRC = fmt.Sprintf("%08x", p.crcs[m.ID])
+		m.ResultRecords, m.ResultsCRC = jf.committed.records, jf.committed.crcHex()
 	}
 	dir := p.jobDir(m.ID)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -244,9 +268,8 @@ func (p *filePersister) saveManifest(m jobManifest) error {
 		return err
 	}
 	syncDir(dir)
-	// Manifest rewrites replace the old bytes; adjust the delta only.
-	p.sizes[m.ID] += int64(len(buf)) - p.manifestSize[m.ID]
-	p.manifestSize[m.ID] = int64(len(buf))
+	jf.manifestSize = int64(len(buf))
+	p.jobs[m.ID] = jf
 	return nil
 }
 
@@ -266,19 +289,23 @@ func (p *filePersister) appendResult(id string, lines [][]byte) error {
 	if d := p.inject.Eval(faultinject.StoreAppendENOSPC); d.Fire {
 		return fmt.Errorf("%w: no space left on device", d.Err)
 	}
-	f, ok := p.files[id]
-	if !ok {
-		var err error
-		f, err = os.OpenFile(filepath.Join(p.jobDir(id), "results.ndjson"),
+	jf := p.jobs[id]
+	if jf == nil {
+		jf = &jobFiles{}
+		p.jobs[id] = jf
+	}
+	if jf.log == nil {
+		f, err := os.OpenFile(filepath.Join(p.jobDir(id), "results.ndjson"),
 			os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return err
 		}
-		p.files[id] = f
+		jf.log = f
 		if off, err := f.Seek(0, io.SeekEnd); err == nil {
-			p.logSize[id] = off
+			jf.committed.size = off
 		}
 	}
+	f, c := jf.log, &jf.committed
 	size := 0
 	for _, line := range lines {
 		size += recordCRCLen + len(line)
@@ -295,25 +322,22 @@ func (p *filePersister) appendResult(id string, lines [][]byte) error {
 		return d.Err
 	}
 	if _, err := f.Write(disk); err != nil {
-		_ = f.Truncate(p.logSize[id])
+		_ = f.Truncate(c.size)
 		return err
 	}
 	if d := p.inject.Eval(faultinject.StoreAppendFsync); d.Fire {
-		_ = f.Truncate(p.logSize[id])
+		_ = f.Truncate(c.size)
 		return d.Err
 	}
 	if err := f.Sync(); err != nil {
-		_ = f.Truncate(p.logSize[id])
+		_ = f.Truncate(c.size)
 		return err
 	}
-	p.sizes[id] += int64(len(disk))
-	p.logSize[id] += int64(len(disk))
-	crc := p.crcs[id]
 	for _, line := range lines {
-		crc = crc32.Update(crc, crcTable, line)
+		c.chain = crc32.Update(c.chain, crcTable, line)
 	}
-	p.crcs[id] = crc
-	p.counts[id] += len(lines)
+	c.records += len(lines)
+	c.size += int64(len(disk))
 	return nil
 }
 
@@ -321,9 +345,8 @@ func (p *filePersister) appendResult(id string, lines [][]byte) error {
 func (p *filePersister) finishResults(id string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if f, ok := p.files[id]; ok {
-		f.Close()
-		delete(p.files, id)
+	if jf := p.jobs[id]; jf != nil {
+		jf.closeLog()
 	}
 }
 
@@ -334,15 +357,10 @@ func (p *filePersister) remove(id string) error {
 	if p.crashed {
 		return nil
 	}
-	if f, ok := p.files[id]; ok {
-		f.Close()
-		delete(p.files, id)
+	if jf := p.jobs[id]; jf != nil {
+		jf.closeLog()
 	}
-	delete(p.sizes, id)
-	delete(p.manifestSize, id)
-	delete(p.logSize, id)
-	delete(p.crcs, id)
-	delete(p.counts, id)
+	delete(p.jobs, id)
 	return os.RemoveAll(p.jobDir(id))
 }
 
@@ -351,33 +369,32 @@ func (p *filePersister) diskBytes() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var total int64
-	for _, n := range p.sizes {
-		total += n
+	for _, jf := range p.jobs {
+		total += jf.manifestSize + jf.committed.size
 	}
 	return total
 }
 
-// load scans the store directory and recovers every job. Each result log
-// is verified line by line and truncated to its last checksum-verified
-// record (a torn or bit-flipped tail left by a crash or disk fault is
-// dropped and, for running jobs, re-evaluated on resume). A terminal job's
-// log is then held to the count and rolling CRC sealed in its manifest:
-// whole records past the seal, which a torn append of a failed job can
-// leave, are truncated away when the chain over the sealed records
-// matches; a log that falls short of its seal or disagrees with it demotes
-// the job to failed/storage — corruption becomes a typed terminal error,
-// never silently wrong bytes. Only a running job comes back with its
-// lines; a terminal job keeps just its verified prefix, against which
-// readResults checks the lines on their first read.
+// load scans the store directory and recovers every job, keeping of each
+// result log what scanResultLog vouches for: a running job's longest
+// verified prefix (a torn or bit-flipped tail left by a crash or disk fault
+// is dropped and re-evaluated on resume), and a sealed job's sealed records,
+// or none when its log fails the seal. The log is truncated to what is
+// kept, so whole records past a seal, which a torn append of a failed job
+// can leave, go; and a job whose log fails its seal is demoted to
+// failed/storage with an empty log — corruption becomes a typed terminal
+// error, never silently wrong bytes. Only a running job comes back with
+// its lines; a terminal job keeps just its prefix, to which readResults
+// holds the log again at its first read.
 // Jobs whose manifest is unreadable are skipped (their directories are left
 // in place for operator inspection); load fails only on I/O errors, and
 // returns the one at the first job directory in name order.
 //
 // The job directories are the items of an ordered fold: workers read the
 // manifests and scan the logs in parallel, and the in-order commit draws
-// the store.replay.corrupt seam, applies the seal, truncates and saves a
-// demotion. Every decision and error is the one a serial pass over the
-// directories would make.
+// the store.replay.corrupt seam for each non-empty log, truncates and
+// saves a demotion. Every decision and error is the one a serial pass over
+// the directories would make.
 func (p *filePersister) load() ([]persistedJob, error) {
 	entries, err := os.ReadDir(p.dir)
 	if err != nil {
@@ -392,9 +409,16 @@ func (p *filePersister) load() ([]persistedJob, error) {
 	var jobs []persistedJob
 	err = ordered.Run(context.Background(), len(ids), 0,
 		func() (func(context.Context, int) (jobScan, error), error) {
-			return func(_ context.Context, i int) (jobScan, error) { return p.scanJob(ids[i]) }, nil
+			return func(_ context.Context, i int) (jobScan, error) { return p.scanJob(ids[i], false) }, nil
 		},
-		func(_ int, sc jobScan) (bool, error) {
+		func(i int, sc jobScan) (bool, error) {
+			var err error
+			if sc.size > 0 && p.inject.Eval(faultinject.StoreReplayCorrupt).Fire {
+				// The seam fired: scan the job again, flipping a bit mid-log.
+				if sc, err = p.scanJob(ids[i], true); err != nil {
+					return false, err
+				}
+			}
 			if sc.manifestSize == 0 {
 				return false, nil
 			}
@@ -414,99 +438,75 @@ func (p *filePersister) load() ([]persistedJob, error) {
 	return jobs, nil
 }
 
-// jobScan is one job directory as a replay worker read it: its manifest
-// and its result log's verified prefix, before the corruption seam and the
-// seal are applied.
+// jobScan is one job directory as a replay worker read it: its manifest,
+// demoted when the result log fails its seal, and what the log vouches
+// for, before the corruption seam is drawn.
 type jobScan struct {
 	manifest     jobManifest
 	manifestSize int64 // 0 when the directory holds no readable manifest
 	log          string
-	lines        [][]byte  // the verified payloads, for a running job
-	verified     logPrefix // every record that verifies
-	sealed       logPrefix // the first manifest.ResultRecords records
+	lines        [][]byte  // the kept payloads, for a running job
+	kept         logPrefix // what scanResultLog vouches for
 	size         int64     // the log's bytes on disk
+	demoted      bool      // the log failed its seal
 }
 
 // scanJob reads job directory id: it drops a leftover manifest.json.tmp (an
 // atomic replace interrupted between write and rename, so the committed
 // manifest, if any, is authoritative), decodes the manifest and scans the
-// result log. A directory with no manifest (a crash before the first save,
-// or a foreign directory) or with a torn or foreign one gives a zero scan.
-func (p *filePersister) scanJob(id string) (jobScan, error) {
+// result log against its seal, with flip set through the
+// store.replay.corrupt bit flip. A log that fails its seal demotes the job
+// to failed/storage. A directory with no manifest (a crash before the
+// first save, or a foreign directory) or with a torn or foreign one gives a
+// zero scan.
+func (p *filePersister) scanJob(id string, flip bool) (jobScan, error) {
 	_ = os.Remove(filepath.Join(p.jobDir(id), "manifest.json.tmp"))
 	raw, err := os.ReadFile(filepath.Join(p.jobDir(id), "manifest.json"))
 	if err != nil {
 		return jobScan{}, nil
 	}
 	sc := jobScan{manifestSize: int64(len(raw)), log: filepath.Join(p.jobDir(id), "results.ndjson")}
-	if err := json.Unmarshal(raw, &sc.manifest); err != nil || sc.manifest.ID != id {
+	m := &sc.manifest
+	if err := json.Unmarshal(raw, m); err != nil || m.ID != id {
 		return jobScan{}, nil
 	}
-	m := sc.manifest
-	sc.lines, sc.verified, sc.sealed, sc.size, err = p.scanResultLog(sc.log, !m.State.terminal(), m.ResultRecords, false)
+	sc.lines, sc.kept, sc.size, err = p.scanResultLog(sc.log, m.seal(), !m.State.terminal(), flip)
+	if errors.Is(err, errSealMismatch) {
+		m.Error = "result log failed verification on replay: " + err.Error()
+		m.State, m.Reason = JobFailed, ReasonStorage
+		sc.demoted, err = true, nil
+	}
 	return sc, err
 }
 
-// replayJob settles one scanned job, in directory order: it draws the
-// store.replay.corrupt seam for a non-empty log (when it fires, the log is
-// scanned again with a bit flipped mid-file), holds a terminal job's log to
-// its seal, truncates what is not kept and persists a demotion.
+// replayJob settles one scanned job, in directory order: it truncates what
+// is not kept and persists a demotion.
 func (p *filePersister) replayJob(sc jobScan) (persistedJob, error) {
-	m := sc.manifest
-	if sc.size > 0 && p.inject.Eval(faultinject.StoreReplayCorrupt).Fire {
-		var err error
-		sc.lines, sc.verified, sc.sealed, _, err = p.scanResultLog(sc.log, !m.State.terminal(), m.ResultRecords, true)
-		if err != nil {
-			return persistedJob{}, err
-		}
-	}
-	kept, demoted := sc.verified, false
-	if m.State.terminal() && m.ResultsCRC != "" {
-		if sc.verified.records >= m.ResultRecords && sc.sealed.crcHex() == m.ResultsCRC {
-			kept = sc.sealed
-		} else {
-			m.Error = fmt.Sprintf(
-				"result log failed verification on replay: manifest sealed %d records (crc %s), log has %d verified records (crc %s)",
-				m.ResultRecords, m.ResultsCRC, sc.verified.records, sc.verified.crcHex())
-			m.State = JobFailed
-			m.Reason = ReasonStorage
-			demoted = true
-		}
-	}
-	if kept.size < sc.size {
-		if err := os.Truncate(sc.log, kept.size); err != nil {
+	if sc.kept.size < sc.size {
+		if err := os.Truncate(sc.log, sc.kept.size); err != nil {
 			return persistedJob{}, fmt.Errorf("service: truncate unverified records: %w", err)
 		}
 	}
 	p.mu.Lock()
-	p.manifestSize[m.ID] = sc.manifestSize
-	p.sizes[m.ID] = sc.manifestSize + kept.size
-	p.logSize[m.ID] = kept.size
-	p.crcs[m.ID] = kept.chain
-	p.counts[m.ID] = kept.records
+	p.jobs[sc.manifest.ID] = &jobFiles{manifestSize: sc.manifestSize, committed: sc.kept}
 	p.mu.Unlock()
-	if demoted {
-		// Persist the demotion so the diagnosis survives the next
-		// restart too (best effort: the job is already failed in
-		// memory even if this write loses a race with the disk).
-		_ = p.saveManifest(m)
+	if sc.demoted {
+		// Persist the demotion, sealing the now empty log, so the
+		// diagnosis survives the next restart too (best effort: the job
+		// is already failed in memory even if this write loses a race
+		// with the disk).
+		_ = p.saveManifest(sc.manifest)
 	}
-	return persistedJob{manifest: m, log: kept, lines: sc.lines, logBytes: sc.size}, nil
+	return persistedJob{manifest: sc.manifest, log: sc.kept, lines: sc.lines, logBytes: sc.size}, nil
 }
 
-// readResults reads a terminal job's lines back from its log, which must
-// verify to exactly the prefix load kept: the same record count, CRC chain
-// and length.
+// readResults reads a terminal job's lines back from its log, sealed to
+// the prefix load kept.
 func (p *filePersister) readResults(id string, want logPrefix) ([][]byte, error) {
 	flip := p.inject.Eval(faultinject.StoreReplayCorrupt).Fire
-	lines, got, _, _, err := p.scanResultLog(filepath.Join(p.jobDir(id), "results.ndjson"), true, 0, flip)
+	lines, _, _, err := p.scanResultLog(filepath.Join(p.jobDir(id), "results.ndjson"), &want, true, flip)
 	if err != nil {
-		return nil, err
-	}
-	if got != want {
-		return nil, fmt.Errorf(
-			"result log failed verification on first read: replay kept %d records (crc %s, %d bytes), log has %d verified records (crc %s, %d bytes)",
-			want.records, want.crcHex(), want.size, got.records, got.crcHex(), got.size)
+		return nil, fmt.Errorf("result log failed verification on first read: %w", err)
 	}
 	return lines, nil
 }
@@ -515,9 +515,8 @@ func (p *filePersister) readResults(id string, want logPrefix) ([][]byte, error)
 func (p *filePersister) close() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for id, f := range p.files {
-		f.Close()
-		delete(p.files, id)
+	for _, jf := range p.jobs {
+		jf.closeLog()
 	}
 }
 
@@ -527,36 +526,45 @@ func (p *filePersister) close() {
 // would have left.
 func (p *filePersister) crashForTest() {
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.crashed = true
-	for id, f := range p.files {
-		f.Close()
-		delete(p.files, id)
-	}
+	p.mu.Unlock()
+	p.close()
 }
 
-// scanResultLog reads a result log front to back through a small buffer,
+// scanResultLog is the one verifier of a result log: it decides what the
+// log vouches for. It reads the log front to back through a small buffer,
 // never holding the file whole, and verifies each line: it must be
 // newline-terminated and pass its CRC32C check. The scan stops at the
 // first bad line — torn by a crash, bit-flipped by the disk, or, with flip
 // set, by the store.replay.corrupt injection, which flips one bit in the
-// middle of a non-empty log as it is read. It returns the verified prefix, the
-// prefix of its first mark records (the zero prefix when fewer verify),
-// and the file's size; with keep set, also the verified payloads (pure
-// JSON, CRC prefixes stripped), copied into one allocation. A missing file
-// is an empty log.
-func (p *filePersister) scanResultLog(path string, keep bool, mark int, flip bool) (lines [][]byte, verified, marked logPrefix, size int64, err error) {
+// middle of a non-empty log as it is read.
+//
+// Without a seal it vouches for the longest verified prefix. With one it
+// reads at most the sealed records and vouches for exactly those when
+// every line verifies and the chain over them matches the seal's;
+// otherwise for none, returning the zero prefix and an errSealMismatch
+// that says why. It also returns the file's size and, with keep set, the
+// kept payloads (pure JSON, CRC prefixes stripped), copied into one
+// allocation. A missing file is an empty log.
+func (p *filePersister) scanResultLog(path string, seal *logPrefix, keep, flip bool) (lines [][]byte, kept logPrefix, size int64, err error) {
+	defer func() {
+		if err == nil && seal != nil && (kept.records != seal.records || kept.chain != seal.chain) {
+			err = fmt.Errorf("%w: sealed %d records (crc %s), verified %d (crc %s)",
+				errSealMismatch, seal.records, seal.crcHex(), kept.records, kept.crcHex())
+			lines, kept = nil, logPrefix{}
+		}
+	}()
 	f, err := os.Open(path)
 	if errors.Is(err, fs.ErrNotExist) {
-		return nil, verified, marked, 0, nil
+		return nil, kept, 0, nil
 	}
 	if err != nil {
-		return nil, verified, marked, 0, fmt.Errorf("service: job result log: %w", err)
+		return nil, kept, 0, fmt.Errorf("service: job result log: %w", err)
 	}
 	defer f.Close()
 	fi, err := f.Stat()
 	if err != nil {
-		return nil, verified, marked, 0, fmt.Errorf("service: job result log: %w", err)
+		return nil, kept, 0, fmt.Errorf("service: job result log: %w", err)
 	}
 	size = fi.Size()
 	flipAt := int64(-1)
@@ -569,7 +577,7 @@ func (p *filePersister) scanResultLog(path string, keep bool, mark int, flip boo
 	}
 	r := bufio.NewReader(f)
 	var long []byte // a line longer than r's buffer, gathered
-	for {
+	for seal == nil || kept.records < seal.records {
 		line, rerr := r.ReadSlice('\n')
 		if rerr == bufio.ErrBufferFull {
 			long = append(long[:0], line...)
@@ -580,12 +588,12 @@ func (p *filePersister) scanResultLog(path string, keep bool, mark int, flip boo
 			line = long
 		}
 		if rerr != nil && rerr != io.EOF {
-			return nil, verified, marked, size, fmt.Errorf("service: job result log: %w", rerr)
+			return nil, kept, size, fmt.Errorf("service: job result log: %w", rerr)
 		}
 		if len(line) == 0 || line[len(line)-1] != '\n' {
 			break // end of log, or a torn tail with no newline
 		}
-		if off := verified.size; flipAt >= off && flipAt < off+int64(len(line)) {
+		if off := kept.size; flipAt >= off && flipAt < off+int64(len(line)) {
 			line[flipAt-off] ^= 0x04
 		}
 		payload, ok := decodeRecordLine(line)
@@ -597,14 +605,11 @@ func (p *filePersister) scanResultLog(path string, keep bool, mark int, flip boo
 			arena = append(arena, payload...)
 			lines = append(lines, arena[n:])
 		}
-		verified.records++
-		verified.chain = crc32.Update(verified.chain, crcTable, payload)
-		verified.size += int64(len(line))
-		if verified.records == mark {
-			marked = verified
-		}
+		kept.records++
+		kept.chain = crc32.Update(kept.chain, crcTable, payload)
+		kept.size += int64(len(line))
 	}
-	return lines, verified, marked, size, nil
+	return lines, kept, size, nil
 }
 
 // jobSeq extracts the numeric sequence of a "job-N" ID (0 when malformed),

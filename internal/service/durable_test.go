@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -424,7 +425,8 @@ func TestSweepRejectsDistributedWithoutRunner(t *testing.T) {
 
 // TestScanResultLogLongLines reads back a log whose records are longer
 // than the scan's read buffer: every record must verify and come back
-// whole, and the torn tail must stop the scan.
+// whole, and the torn tail must stop the scan. A seal of 2 records keeps
+// exactly those two; a seal the log cannot meet keeps none.
 func TestScanResultLogLongLines(t *testing.T) {
 	var disk []byte
 	var want [][]byte
@@ -440,17 +442,41 @@ func TestScanResultLogLongLines(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := &filePersister{}
-	lines, verified, marked, size, err := p.scanResultLog(path, true, 2, false)
+	lines, verified, size, err := p.scanResultLog(path, nil, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if size != int64(len(disk)) || verified.size != verifiedSize || verified.records != len(want) {
 		t.Fatalf("scan: size %d, verified %+v; want size %d, %d records in %d bytes", size, verified, len(disk), len(want), verifiedSize)
 	}
-	if marked.records != 2 || marked.size != int64(2*recordCRCLen+len(want[0])+len(want[1])) {
-		t.Errorf("prefix at mark 2 = %+v", marked)
-	}
 	if !bytes.Equal(bytes.Join(lines, nil), bytes.Join(want, nil)) {
 		t.Error("scanned payloads differ from the written ones")
+	}
+
+	// Whole records past the seal: the scan keeps exactly the sealed two.
+	two := logPrefix{records: 2,
+		chain: crc32.Update(crc32.Checksum(want[0], crcTable), crcTable, want[1]),
+		size:  int64(2*recordCRCLen + len(want[0]) + len(want[1]))}
+	lines, kept, size, err := p.scanResultLog(path, &two, true, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kept != two || size != int64(len(disk)) {
+		t.Errorf("sealed at 2: kept %+v of %d bytes, want %+v of %d", kept, size, two, len(disk))
+	}
+	if !bytes.Equal(bytes.Join(lines, nil), bytes.Join(want[:2], nil)) {
+		t.Error("sealed scan's payloads differ from the first two written")
+	}
+
+	// A seal the log cannot meet: a wrong chain, or one record more than
+	// the log verifies.
+	wrongChain := two
+	wrongChain.chain++
+	tooMany := logPrefix{records: len(want) + 1, chain: verified.chain}
+	for _, seal := range []logPrefix{wrongChain, tooMany} {
+		lines, kept, _, err := p.scanResultLog(path, &seal, true, false)
+		if lines != nil || kept != (logPrefix{}) || !errors.Is(err, errSealMismatch) {
+			t.Errorf("seal %+v: %d lines, kept %+v, err %v; want none, the zero prefix and a seal mismatch", seal, len(lines), kept, err)
+		}
 	}
 }

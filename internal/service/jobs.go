@@ -410,8 +410,8 @@ type Job struct {
 	userCancel bool          // cancelled by a client, not by store shutdown
 	update     chan struct{} // closed and replaced on every append/transition
 	// onDisk is set while a replayed finished job's lines are still only
-	// in its result log: the prefix replay verified, which the first read
-	// must match before the lines are published. nil once they are in
+	// in its result log: the prefix replay kept, to which the first read
+	// seals the log before the lines are published. nil once they are in
 	// lines (or the read failed).
 	onDisk   *logPrefix
 	loadOnce sync.Once // the first read's load, shared by concurrent readers
@@ -903,9 +903,9 @@ func (j *Job) streamResults(ctx context.Context, cursor int, write func([]byte) 
 }
 
 // loadFromDisk publishes a replayed finished job's lines on their first
-// read: one read of the result log, checked against the prefix replay
-// verified, shared by every concurrent first reader. A log that no longer
-// matches (deleted, truncated or corrupted since replay) publishes no line
+// read: one read of the result log, sealed to the prefix replay kept,
+// shared by every concurrent first reader. A log that no longer verifies
+// to it (deleted, truncated or corrupted since replay) publishes no line
 // and demotes the job to failed/storage, durably, as a seal mismatch at
 // replay does.
 func (j *Job) loadFromDisk() {

@@ -56,8 +56,10 @@ var replayHistory = []historyJob{
 	// records and a torn one past its seal.
 	{state: JobFailed, reason: ReasonStorage, errMsg: "persist result record: torn", records: 5, sealed: 3, tail: true,
 		wantState: JobFailed, wantReason: ReasonStorage, wantKept: 3},
-	// Seal mismatch: record 9 rotted on disk, so the job is demoted.
-	{state: JobCompleted, records: 16, sealed: 16, flip: 9, wantState: JobFailed, wantReason: ReasonStorage, wantKept: 8},
+	// Seal mismatch: record 9 rotted on disk, so the job is demoted and
+	// keeps no record: a sealed log serves its sealed records or none, so
+	// the 8 records before the rot are not served either.
+	{state: JobCompleted, records: 16, sealed: 16, flip: 9, wantState: JobFailed, wantReason: ReasonStorage, wantKept: 0},
 	// No log yet: a crash right after the first manifest save.
 	{state: JobRunning, records: -1, wantState: JobRunning},
 	{state: JobCancelled, records: 4, sealed: 4, wantState: JobCancelled, wantKept: 4},

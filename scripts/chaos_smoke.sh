@@ -13,6 +13,13 @@
 # promptly with reason=poison_shard — a typed, observable error instead of
 # an infinite redispatch loop — and the quarantine/retry counters must show
 # on /metrics.
+#
+# Leg 3 (restart): kill -9 leg 1's coordinator and start a plain server on
+# its store directory. The replayed job must stream the same bytes from
+# cursor 0 and from cursor 5. Then one byte in the middle of its result log
+# is overwritten and the server restarted again: a sealed log serves its
+# sealed records or none, so the job must be failed/storage and stream only
+# its error line.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -20,6 +27,7 @@ cd "$(dirname "$0")/.."
 CHAOS_PORT="${CHAOS_PORT:-18093}"
 LOCAL_PORT="${CHAOS_LOCAL_PORT:-18094}"
 QUAR_PORT="${CHAOS_QUAR_PORT:-18095}"
+RESTART_PORT="${CHAOS_RESTART_PORT:-18096}"
 TMP="$(mktemp -d)"
 pids=()
 cleanup() {
@@ -66,6 +74,7 @@ GRID='"strategies":["local","hex"],"designs":["DTMB(2,6)"],"n_primaries":[100],"
 # budget so a 30% crash rate cannot statistically exhaust any shard.
 "$TMP/dtmb-serve" -addr "127.0.0.1:$CHAOS_PORT" -dispatch -store-dir "$TMP/jobs" \
   -shard-size 2 -lease-ttl 1s -max-shard-dispatches 10 -log-level warn &
+coordinator=$!
 pids+=($!)
 wait_ready "$CHAOS_PORT"
 
@@ -79,6 +88,7 @@ pids+=($!)
 created=$(curl -sf -H 'Content-Type: application/json' \
   -d "{$GRID,\"distributed\":true}" "127.0.0.1:$CHAOS_PORT/v2/jobs")
 job=$(json_field "$created" id)
+chaos_job=$job
 echo "chaos job: $job"
 
 status=$(wait_terminal "$CHAOS_PORT" "$job")
@@ -142,4 +152,34 @@ if [ "${quarantined%%.*}" -lt 1 ] || [ "${retries%%.*}" -lt 1 ]; then
   exit 1
 fi
 echo "quarantined after budget: reason=$reason, $quarantined shard(s) quarantined, $retries redispatch(es)"
+
+echo "=== leg 3: a restarted store serves a sealed log's records or none ==="
+{ kill -9 "$coordinator" && wait "$coordinator"; } 2>/dev/null || true
+"$TMP/dtmb-serve" -addr "127.0.0.1:$RESTART_PORT" -store-dir "$TMP/jobs" -log-level warn &
+restarted=$!
+pids+=($!)
+wait_ready "$RESTART_PORT"
+curl -sfN "127.0.0.1:$RESTART_PORT/v2/jobs/$chaos_job/results?cursor=0" >"$TMP/restart.ndjson"
+curl -sfN "127.0.0.1:$RESTART_PORT/v2/jobs/$chaos_job/results?cursor=5" >"$TMP/restart5.ndjson"
+if ! cmp -s "$TMP/local.ndjson" "$TMP/restart.ndjson" ||
+  ! cmp -s <(tail -n +6 "$TMP/local.ndjson") "$TMP/restart5.ndjson"; then
+  echo "replayed stream is NOT byte-identical to the single-process run" >&2
+  exit 1
+fi
+{ kill "$restarted" && wait "$restarted"; } 2>/dev/null || true
+
+log="$TMP/jobs/$chaos_job/results.ndjson"
+printf '#' | dd of="$log" bs=1 seek=$(($(wc -c <"$log") / 2)) count=1 conv=notrunc status=none
+"$TMP/dtmb-serve" -addr "127.0.0.1:$RESTART_PORT" -store-dir "$TMP/jobs" -log-level warn &
+pids+=($!)
+wait_ready "$RESTART_PORT"
+status=$(curl -sf "127.0.0.1:$RESTART_PORT/v2/jobs/$chaos_job")
+state=$(json_field "$status" state)
+reason=$(json_field "$status" reason)
+curl -sfN "127.0.0.1:$RESTART_PORT/v2/jobs/$chaos_job/results?cursor=0" >"$TMP/corrupt.ndjson"
+if [ "$state" != failed ] || [ "$reason" != storage ] || [ "$(wc -l <"$TMP/corrupt.ndjson")" -ne 1 ]; then
+  echo "edited log: state=$state reason=$reason, $(wc -l <"$TMP/corrupt.ndjson") stream lines; want failed/storage and only the error line: $status" >&2
+  exit 1
+fi
+echo "restart: $(wc -c <"$TMP/restart.ndjson") bytes replayed identically; an edited log serves none"
 echo "chaos smoke passed"
