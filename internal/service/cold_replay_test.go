@@ -207,7 +207,8 @@ func TestColdReplayLogChangedBeforeFirstRead(t *testing.T) {
 			dir := t.TempDir()
 			id, _ := seedFinishedJob(t, dir)
 			s, j := reopen(t, dir, id, nil)
-			tc.change(t, filepath.Join(dir, id, "results.ndjson"))
+			log := filepath.Join(dir, id, "results.ndjson")
+			tc.change(t, log)
 
 			got := streamBytes(t, j, 0)
 			st := j.Status()
@@ -223,6 +224,15 @@ func TestColdReplayLogChangedBeforeFirstRead(t *testing.T) {
 			if st.PointsDone != 0 {
 				t.Errorf("PointsDone = %d, want 0: no record of a changed log is served", st.PointsDone)
 			}
+			if fi, err := os.Stat(log); err == nil && fi.Size() != 0 {
+				t.Errorf("log holds %d bytes after the demotion, want 0", fi.Size())
+			}
+			s.mu.Lock()
+			held := s.finishedBytes
+			s.mu.Unlock()
+			if held != 0 {
+				t.Errorf("store still accounts %d result bytes after the demotion, want 0", held)
+			}
 			if err := s.Close(context.Background()); err != nil {
 				t.Fatal(err)
 			}
@@ -231,6 +241,9 @@ func TestColdReplayLogChangedBeforeFirstRead(t *testing.T) {
 			st2 := j2.Status()
 			if st2.State != JobFailed || st2.Reason != ReasonStorage {
 				t.Fatalf("demotion not durable: state=%q reason=%q", st2.State, st2.Reason)
+			}
+			if st2.Error != st.Error {
+				t.Errorf("error after a further restart = %q, want the first read's %q: the saved seal must agree with the emptied log", st2.Error, st.Error)
 			}
 			if got, want := streamBytes(t, j2, 0), errorLine(st2.Error); !bytes.Equal(got, want) {
 				t.Fatalf("stream after a further restart = %q, want only the error trailer %q", got, want)

@@ -121,7 +121,9 @@ type jobPersister interface {
 	// readResults reads a terminal job's result lines back from its log,
 	// sealed to the prefix want that load kept: it serves those records or,
 	// when the log no longer verifies to them (deleted, truncated or
-	// corrupted since), none and an error.
+	// corrupted since), none and an errSealMismatch, having emptied the
+	// log and its committed prefix as replay does. Any other error is the
+	// I/O error that stopped the read.
 	readResults(id string, want logPrefix) ([][]byte, error)
 	// close releases all open handles.
 	close()
@@ -501,14 +503,24 @@ func (p *filePersister) replayJob(sc jobScan) (persistedJob, error) {
 }
 
 // readResults reads a terminal job's lines back from its log, sealed to
-// the prefix load kept.
+// the prefix load kept. A log that fails the seal keeps no record, as at
+// replay: it is emptied (best effort) along with the job's committed
+// prefix, so the demotion's saved seal of 0 records agrees at every later
+// restart.
 func (p *filePersister) readResults(id string, want logPrefix) ([][]byte, error) {
 	flip := p.inject.Eval(faultinject.StoreReplayCorrupt).Fire
-	lines, _, _, err := p.scanResultLog(filepath.Join(p.jobDir(id), "results.ndjson"), &want, true, flip)
-	if err != nil {
-		return nil, fmt.Errorf("result log failed verification on first read: %w", err)
+	log := filepath.Join(p.jobDir(id), "results.ndjson")
+	lines, _, _, err := p.scanResultLog(log, &want, true, flip)
+	if !errors.Is(err, errSealMismatch) {
+		return lines, err
 	}
-	return lines, nil
+	p.mu.Lock()
+	if jf := p.jobs[id]; jf != nil && !p.crashed {
+		_ = os.Truncate(log, 0)
+		jf.committed = logPrefix{}
+	}
+	p.mu.Unlock()
+	return nil, fmt.Errorf("result log failed verification on first read: %w", err)
 }
 
 // close releases every open result-log handle.

@@ -480,3 +480,46 @@ func TestScanResultLogLongLines(t *testing.T) {
 		}
 	}
 }
+
+// TestReadResultsEmptiesOnlyAMismatchedLog checks the first read's two
+// failures: a log that fails its seal is emptied with the job's committed
+// prefix and named as a failed verification, while an I/O error passes
+// through as one and leaves the log and the prefix alone.
+func TestReadResultsEmptiesOnlyAMismatchedLog(t *testing.T) {
+	dir := t.TempDir()
+	want := logPrefix{records: 1, chain: 1, size: 20}
+	p := &filePersister{dir: dir, jobs: map[string]*jobFiles{
+		"job-1": {committed: want}, "job-2": {committed: want}}}
+	for _, id := range []string{"job-1", "job-2"} {
+		if err := os.MkdirAll(p.jobDir(id), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	log1 := filepath.Join(p.jobDir("job-1"), "results.ndjson")
+	if err := os.WriteFile(log1, appendRecordLine(nil, []byte("{}\n")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// A directory where job-2's log should be: its read fails with EISDIR.
+	if err := os.Mkdir(filepath.Join(p.jobDir("job-2"), "results.ndjson"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+
+	lines, err := p.readResults("job-1", want)
+	if lines != nil || !errors.Is(err, errSealMismatch) || !strings.Contains(err.Error(), "failed verification on first read") {
+		t.Fatalf("mismatched log: %d lines, err %v; want none and a failed verification", len(lines), err)
+	}
+	if fi, err := os.Stat(log1); err != nil || fi.Size() != 0 {
+		t.Errorf("mismatched log not emptied: %v, %v", fi, err)
+	}
+	if c := p.jobs["job-1"].committed; c != (logPrefix{}) {
+		t.Errorf("mismatched log's committed prefix = %+v, want zero", c)
+	}
+
+	lines, err = p.readResults("job-2", want)
+	if lines != nil || err == nil || errors.Is(err, errSealMismatch) || strings.Contains(err.Error(), "failed verification") {
+		t.Fatalf("unreadable log: %d lines, err %v; want none and a plain I/O error", len(lines), err)
+	}
+	if c := p.jobs["job-2"].committed; c != want {
+		t.Errorf("unreadable log's committed prefix = %+v, want %+v kept", c, want)
+	}
+}

@@ -907,7 +907,8 @@ func (j *Job) streamResults(ctx context.Context, cursor int, write func([]byte) 
 // shared by every concurrent first reader. A log that no longer verifies
 // to it (deleted, truncated or corrupted since replay) publishes no line
 // and demotes the job to failed/storage, durably, as a seal mismatch at
-// replay does.
+// replay does. An I/O error fails the job for this process only: the log
+// may still verify to its seal at the next restart.
 func (j *Job) loadFromDisk() {
 	j.loadOnce.Do(func() {
 		j.mu.Lock()
@@ -924,15 +925,16 @@ func (j *Job) loadFromDisk() {
 			j.errMsg = err.Error()
 		}
 		j.mu.Unlock()
-		if err != nil {
+		if errors.Is(err, errSealMismatch) {
 			j.store.persistDemotion(j)
 		}
 	})
 }
 
-// persistDemotion saves the manifest of a finished job demoted to
-// failed/storage after replay, unless the job was evicted meanwhile: its
-// directory is gone, and a save would bring it back.
+// persistDemotion releases the bytes of a finished job demoted to
+// failed/storage after replay, whose log now keeps no record, and saves
+// its manifest, unless the job was evicted meanwhile: its directory is
+// gone, and a save would bring it back.
 func (s *Store) persistDemotion(j *Job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -940,6 +942,8 @@ func (s *Store) persistDemotion(j *Job) {
 		return
 	}
 	j.mu.Lock()
+	s.finishedBytes -= j.bytes // accounted at replay
+	j.bytes = 0
 	m := j.manifest()
 	j.mu.Unlock()
 	if err := s.persist.saveManifest(m); err != nil {

@@ -27,7 +27,7 @@ cd "$(dirname "$0")/.."
 CHAOS_PORT="${CHAOS_PORT:-18093}"
 LOCAL_PORT="${CHAOS_LOCAL_PORT:-18094}"
 QUAR_PORT="${CHAOS_QUAR_PORT:-18095}"
-RESTART_PORT="${CHAOS_RESTART_PORT:-18096}"
+RESTART_PORT=18096
 TMP="$(mktemp -d)"
 pids=()
 cleanup() {
