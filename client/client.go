@@ -163,17 +163,33 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 
 // doOnce is a single JSON round-trip.
 func (c *Client) doOnce(ctx context.Context, method, path string, in, out any) error {
+	resp, err := c.send(ctx, method, path, in)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if out == nil {
+		_, err = io.Copy(io.Discard, resp.Body)
+		return err
+	}
+	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// send issues one request, with in (when non-nil) as its JSON body, and
+// returns the 2xx response, whose body the caller closes, or the *APIError
+// decoded from the server's error envelope of any other answer.
+func (c *Client) send(ctx context.Context, method, path string, in any) (*http.Response, error) {
 	var body io.Reader
 	if in != nil {
 		buf, err := json.Marshal(in)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		body = bytes.NewReader(buf)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if in != nil {
 		req.Header.Set("Content-Type", "application/json")
@@ -182,22 +198,10 @@ func (c *Client) doOnce(ctx context.Context, method, path string, in, out any) e
 		req.Header.Set("X-Request-ID", c.requestID)
 	}
 	resp, err := c.httpc.Do(req)
-	if err != nil {
-		return err
+	if err != nil || resp.StatusCode/100 == 2 {
+		return resp, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		return decodeError(resp)
-	}
-	if out == nil {
-		_, err = io.Copy(io.Discard, resp.Body)
-		return err
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
-}
-
-// decodeError turns a non-2xx response into an *APIError.
-func decodeError(resp *http.Response) error {
 	var eb struct {
 		Error string `json:"error"`
 	}
@@ -205,7 +209,7 @@ func decodeError(resp *http.Response) error {
 	if err := json.Unmarshal(raw, &eb); err != nil || eb.Error == "" {
 		eb.Error = strings.TrimSpace(string(raw))
 	}
-	return &APIError{
+	return nil, &APIError{
 		StatusCode: resp.StatusCode,
 		Message:    eb.Error,
 		RequestID:  resp.Header.Get("X-Request-ID"),
@@ -316,22 +320,12 @@ func (c *Client) StreamJobResults(ctx context.Context, id string, cursor int, fn
 
 // streamOnce performs one GET /v2/jobs/{id}/results?cursor=N pass.
 func (c *Client) streamOnce(ctx context.Context, id string, cursor int, fn func(SweepRecord) error) (int, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		c.base+"/v2/jobs/"+url.PathEscape(id)+"/results?cursor="+strconv.Itoa(cursor), nil)
-	if err != nil {
-		return cursor, err
-	}
-	if c.requestID != "" {
-		req.Header.Set("X-Request-ID", c.requestID)
-	}
-	resp, err := c.httpc.Do(req)
+	resp, err := c.send(ctx, http.MethodGet,
+		"/v2/jobs/"+url.PathEscape(id)+"/results?cursor="+strconv.Itoa(cursor), nil)
 	if err != nil {
 		return cursor, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return cursor, decodeError(resp)
-	}
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	for sc.Scan() {
@@ -390,30 +384,14 @@ func (c *Client) RegisterWorker(ctx context.Context, req WorkerRegisterRequest) 
 // transport fault, or 503 from a coordinator shutting down) calls for a
 // jittered backoff before the next try.
 func (c *Client) LeaseShard(ctx context.Context, workerID string) (*ShardLease, error) {
-	in := service.LeaseRequest{WorkerID: workerID}
-	buf, err := json.Marshal(&in)
-	if err != nil {
-		return nil, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v2/workers/lease", bytes.NewReader(buf))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if c.requestID != "" {
-		req.Header.Set("X-Request-ID", c.requestID)
-	}
-	resp, err := c.httpc.Do(req)
+	resp, err := c.send(ctx, http.MethodPost, "/v2/workers/lease", &service.LeaseRequest{WorkerID: workerID})
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	switch {
-	case resp.StatusCode == http.StatusNoContent:
+	if resp.StatusCode == http.StatusNoContent {
 		_, _ = io.Copy(io.Discard, resp.Body)
 		return nil, nil
-	case resp.StatusCode/100 != 2:
-		return nil, decodeError(resp)
 	}
 	lease := new(ShardLease)
 	if err := json.NewDecoder(resp.Body).Decode(lease); err != nil {

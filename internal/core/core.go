@@ -331,12 +331,6 @@ type Recommendation struct {
 // effective yield — the paper's Fig. 10 decision procedure (high redundancy
 // pays off at low p; low redundancy wins at high p).
 func RecommendDesign(p float64, nPrimary, runs int, seed int64) (Recommendation, error) {
-	return RecommendDesignContext(context.Background(), p, nPrimary, SimParams{Runs: runs, Seed: seed})
-}
-
-// RecommendDesignContext is RecommendDesign with cancellation and full
-// simulation parameters.
-func RecommendDesignContext(ctx context.Context, p float64, nPrimary int, sp SimParams) (Recommendation, error) {
 	var rec Recommendation
 	bestEY := -1.0
 	for _, d := range layout.AllDesigns() {
@@ -344,7 +338,7 @@ func RecommendDesignContext(ctx context.Context, p float64, nPrimary int, sp Sim
 		if err != nil {
 			return Recommendation{}, err
 		}
-		ya, err := chip.AnalyzeYieldContext(ctx, p, sp)
+		ya, err := chip.AnalyzeYield(p, runs, seed)
 		if err != nil {
 			return Recommendation{}, err
 		}

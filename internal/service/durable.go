@@ -16,6 +16,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"syscall"
 	"time"
 
 	"dmfb/internal/faultinject"
@@ -48,18 +49,22 @@ type jobManifest struct {
 	ResultsCRC    string `json:"results_crc,omitempty"`
 }
 
-// persistedJob is one job recovered from disk: its manifest and the
-// prefix of its result log that replay kept. For a running job that is the
-// longest verified prefix (a trailing partial line from a crash mid-write
-// is truncated away, and re-evaluated on resume); for a sealed job it is
-// the sealed records, or none when the log fails its seal. Only a running
-// job carries its lines, because it resumes by appending to them; a
-// terminal job's lines stay on disk until its first read.
+// persistedJob is one job directory as replay read it: its manifest,
+// demoted when the result log fails its seal, and the prefix of its result
+// log that replay kept. For a running job that is the longest verified
+// prefix (a trailing partial line from a crash mid-write is truncated away,
+// and re-evaluated on resume); for a sealed job it is the sealed records,
+// or none when the log fails its seal. Only a running job carries its
+// lines, because it resumes by appending to them; a terminal job's lines
+// stay on disk until its first read.
 type persistedJob struct {
-	manifest jobManifest
-	log      logPrefix
-	lines    [][]byte
-	logBytes int64 // the result log's bytes on disk when replay read it
+	manifest     jobManifest
+	manifestSize int64  // 0 when the directory holds no readable manifest
+	path         string // the result log
+	log          logPrefix
+	lines        [][]byte
+	logBytes     int64 // the result log's bytes on disk when replay read it
+	demoted      bool  // the log failed its seal
 }
 
 // logPrefix is a checksum-verified prefix of a result log: its record
@@ -410,22 +415,21 @@ func (p *filePersister) load() ([]persistedJob, error) {
 	}
 	var jobs []persistedJob
 	err = ordered.Run(context.Background(), len(ids), 0,
-		func() (func(context.Context, int) (jobScan, error), error) {
-			return func(_ context.Context, i int) (jobScan, error) { return p.scanJob(ids[i], false) }, nil
+		func() (func(context.Context, int) (persistedJob, error), error) {
+			return func(_ context.Context, i int) (persistedJob, error) { return p.scanJob(ids[i], false) }, nil
 		},
-		func(i int, sc jobScan) (bool, error) {
+		func(i int, pj persistedJob) (bool, error) {
 			var err error
-			if sc.size > 0 && p.inject.Eval(faultinject.StoreReplayCorrupt).Fire {
+			if pj.logBytes > 0 && p.inject.Eval(faultinject.StoreReplayCorrupt).Fire {
 				// The seam fired: scan the job again, flipping a bit mid-log.
-				if sc, err = p.scanJob(ids[i], true); err != nil {
+				if pj, err = p.scanJob(ids[i], true); err != nil {
 					return false, err
 				}
 			}
-			if sc.manifestSize == 0 {
+			if pj.manifestSize == 0 {
 				return false, nil
 			}
-			pj, err := p.replayJob(sc)
-			if err != nil {
+			if err := p.replayJob(pj); err != nil {
 				return false, err
 			}
 			jobs = append(jobs, pj)
@@ -440,19 +444,6 @@ func (p *filePersister) load() ([]persistedJob, error) {
 	return jobs, nil
 }
 
-// jobScan is one job directory as a replay worker read it: its manifest,
-// demoted when the result log fails its seal, and what the log vouches
-// for, before the corruption seam is drawn.
-type jobScan struct {
-	manifest     jobManifest
-	manifestSize int64 // 0 when the directory holds no readable manifest
-	log          string
-	lines        [][]byte  // the kept payloads, for a running job
-	kept         logPrefix // what scanResultLog vouches for
-	size         int64     // the log's bytes on disk
-	demoted      bool      // the log failed its seal
-}
-
 // scanJob reads job directory id: it drops a leftover manifest.json.tmp (an
 // atomic replace interrupted between write and rename, so the committed
 // manifest, if any, is authoritative), decodes the manifest and scans the
@@ -460,46 +451,49 @@ type jobScan struct {
 // store.replay.corrupt bit flip. A log that fails its seal demotes the job
 // to failed/storage. A directory with no manifest (a crash before the
 // first save, or a foreign directory) or with a torn or foreign one gives a
-// zero scan.
-func (p *filePersister) scanJob(id string, flip bool) (jobScan, error) {
-	_ = os.Remove(filepath.Join(p.jobDir(id), "manifest.json.tmp"))
-	raw, err := os.ReadFile(filepath.Join(p.jobDir(id), "manifest.json"))
+// zero record.
+func (p *filePersister) scanJob(id string, flip bool) (persistedJob, error) {
+	dir := p.jobDir(id)
+	// One unlink, whose error (almost always: no such file) is moot;
+	// os.Remove would follow a failed unlink with an rmdir.
+	_ = syscall.Unlink(filepath.Join(dir, "manifest.json.tmp"))
+	raw, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
 	if err != nil {
-		return jobScan{}, nil
+		return persistedJob{}, nil
 	}
-	sc := jobScan{manifestSize: int64(len(raw)), log: filepath.Join(p.jobDir(id), "results.ndjson")}
-	m := &sc.manifest
+	pj := persistedJob{manifestSize: int64(len(raw)), path: filepath.Join(dir, "results.ndjson")}
+	m := &pj.manifest
 	if err := json.Unmarshal(raw, m); err != nil || m.ID != id {
-		return jobScan{}, nil
+		return persistedJob{}, nil
 	}
-	sc.lines, sc.kept, sc.size, err = p.scanResultLog(sc.log, m.seal(), !m.State.terminal(), flip)
+	pj.lines, pj.log, pj.logBytes, err = p.scanResultLog(pj.path, m.seal(), !m.State.terminal(), flip)
 	if errors.Is(err, errSealMismatch) {
 		m.Error = "result log failed verification on replay: " + err.Error()
 		m.State, m.Reason = JobFailed, ReasonStorage
-		sc.demoted, err = true, nil
+		pj.demoted, err = true, nil
 	}
-	return sc, err
+	return pj, err
 }
 
-// replayJob settles one scanned job, in directory order: it truncates what
-// is not kept and persists a demotion.
-func (p *filePersister) replayJob(sc jobScan) (persistedJob, error) {
-	if sc.kept.size < sc.size {
-		if err := os.Truncate(sc.log, sc.kept.size); err != nil {
-			return persistedJob{}, fmt.Errorf("service: truncate unverified records: %w", err)
+// replayJob commits one scanned job, in directory order: it truncates what
+// is not kept, records the job's files and persists a demotion.
+func (p *filePersister) replayJob(pj persistedJob) error {
+	if pj.log.size < pj.logBytes {
+		if err := os.Truncate(pj.path, pj.log.size); err != nil {
+			return fmt.Errorf("service: truncate unverified records: %w", err)
 		}
 	}
 	p.mu.Lock()
-	p.jobs[sc.manifest.ID] = &jobFiles{manifestSize: sc.manifestSize, committed: sc.kept}
+	p.jobs[pj.manifest.ID] = &jobFiles{manifestSize: pj.manifestSize, committed: pj.log}
 	p.mu.Unlock()
-	if sc.demoted {
+	if pj.demoted {
 		// Persist the demotion, sealing the now empty log, so the
 		// diagnosis survives the next restart too (best effort: the job
 		// is already failed in memory even if this write loses a race
 		// with the disk).
-		_ = p.saveManifest(sc.manifest)
+		_ = p.saveManifest(pj.manifest)
 	}
-	return persistedJob{manifest: sc.manifest, log: sc.kept, lines: sc.lines, logBytes: sc.size}, nil
+	return nil
 }
 
 // readResults reads a terminal job's lines back from its log, sealed to

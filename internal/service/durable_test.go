@@ -3,13 +3,16 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -317,6 +320,10 @@ func TestFileStoreEvictionRemovesDiskArtifacts(t *testing.T) {
 			t.Fatalf("job %d: %+v, %v", i, st, err)
 		}
 		cancel()
+		// Wait returns a saved state: the manifest already says so.
+		if st := savedState(t, dir, j.ID()); st != JobCompleted {
+			t.Fatalf("job %d: manifest state %q right after Wait, want completed", i, st)
+		}
 		ids = append(ids, j.ID())
 	}
 	// Creating the third job evicted the oldest finished one — including its
@@ -349,6 +356,231 @@ func TestFileStoreEvictionRemovesDiskArtifacts(t *testing.T) {
 	}
 	if got := s2.DiskBytes(); got <= 0 {
 		t.Errorf("DiskBytes after restart = %d, want > 0", got)
+	}
+}
+
+// savedState reads the state a job's manifest holds on disk.
+func savedState(t *testing.T, dir, id string) JobState {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(dir, id, "manifest.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m jobManifest
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	return m.State
+}
+
+// TestEvictWaitsForTerminalSave drives by hand the interleaving in which a
+// Create at capacity races a finishing job: the job is terminal but its
+// terminal manifest is not yet saved. Evicting it then would delete its
+// directory only for the save to bring it back, and a restart would serve
+// it as completed with no record. Until the job settles, Create must
+// refuse instead; once it has, Create evicts it for good.
+func TestEvictWaitsForTerminalSave(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewFileJobStore(durableEngine(), JobStoreConfig{MaxJobs: 1}, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close(context.Background())
+	waitStoreReady(t, s)
+
+	// 1. A running job, registered and evaluated as Create and run do,
+	// without the job goroutine.
+	req := durableSweepReq()
+	plan, err := s.engine.PlanSweep(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := &Job{id: "job-1", store: s, plan: plan, req: req, totalPoints: plan.NumPoints(),
+		done: make(chan struct{}), state: JobRunning, created: time.Now(), update: make(chan struct{})}
+	s.mu.Lock()
+	s.seq = 1
+	if err := s.persist.saveManifest(j.manifest()); err != nil {
+		t.Fatal(err)
+	}
+	s.addLocked(j)
+	s.mu.Unlock()
+	if err := s.engine.RunSweepRange(context.Background(), plan, 0, plan.NumPoints(), func(rec SweepRecord) error {
+		return j.commit([]SweepRecord{rec})
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	// 2. Terminal, as run makes it, but not yet saved.
+	j.mu.Lock()
+	j.state = JobCompleted
+	j.finished = time.Now()
+	j.bumpLocked()
+	j.mu.Unlock()
+
+	// 3. A Create at capacity must not evict the unsaved job.
+	req.Seed = 99
+	if _, err := s.Create(context.Background(), req); !errors.Is(err, ErrTooManyJobs) {
+		t.Fatalf("Create while the only job is unsaved: %v, want ErrTooManyJobs", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, j.ID())); err != nil {
+		t.Fatalf("unsaved job's directory: %v", err)
+	}
+
+	// 4. Saved and settled, the job is evictable with its directory.
+	s.persistTerminal(j)
+	s.mu.Lock()
+	s.settleLocked(j)
+	s.mu.Unlock()
+	j2, err := s.Create(context.Background(), req)
+	if err != nil {
+		t.Fatalf("Create after the job settled: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, j.ID())); !os.IsNotExist(err) {
+		t.Fatalf("evicted job's directory still on disk: %v", err)
+	}
+	if st := waitTerminalState(t, j2); st.State != JobCompleted {
+		t.Fatalf("second job: %+v", st)
+	}
+	if err := s.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	// 5. A restart with room to spare does not bring the evicted job back.
+	s2, err := NewFileJobStore(durableEngine(), JobStoreConfig{MaxJobs: 4}, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close(context.Background())
+	waitStoreReady(t, s2)
+	if got, err := s2.Get(j.ID()); err == nil {
+		t.Fatalf("evicted job back after a restart: %+v", got.Status())
+	} else if !errors.Is(err, ErrJobNotFound) {
+		t.Fatalf("evicted job after a restart: %v, want ErrJobNotFound", err)
+	}
+	if _, err := s2.Get(j2.ID()); err != nil {
+		t.Errorf("retained job %s missing after restart: %v", j2.ID(), err)
+	}
+}
+
+// TestFileStoreConcurrentEvictionLeavesNoOrphan races four creators at a
+// cap of two jobs, so Creates keep meeting jobs that are finishing: every
+// directory left on disk must belong to a retained job, and a restart with
+// room to spare must bring back exactly the retained jobs, whole.
+func TestFileStoreConcurrentEvictionLeavesNoOrphan(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewFileJobStore(durableEngine(), JobStoreConfig{MaxJobs: 2}, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close(context.Background())
+	waitStoreReady(t, s)
+	const creators, perCreator = 4, 5
+	var wg sync.WaitGroup
+	ids := make(chan string, creators*perCreator)
+	for c := range creators {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			req := durableSweepReq()
+			for i := range perCreator {
+				req.Seed = int64(1000 + c*perCreator + i)
+				j, err := s.Create(context.Background(), req)
+				for errors.Is(err, ErrTooManyJobs) {
+					time.Sleep(time.Millisecond)
+					j, err = s.Create(context.Background(), req)
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				ids <- j.ID()
+				ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+				_, err = j.Wait(ctx)
+				cancel()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(ids)
+
+	retained := map[string]bool{}
+	for id := range ids {
+		if _, err := s.Get(id); err == nil {
+			retained[id] = true
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if !retained[e.Name()] {
+			t.Errorf("directory %s left on disk by an evicted job", e.Name())
+		}
+	}
+	if err := s.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := NewFileJobStore(durableEngine(), JobStoreConfig{MaxJobs: 64}, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close(context.Background())
+	waitStoreReady(t, s2)
+	for n := 1; n <= creators*perCreator; n++ {
+		id := fmt.Sprintf("job-%d", n)
+		j, err := s2.Get(id)
+		switch {
+		case retained[id] != (err == nil):
+			t.Errorf("%s after a restart: %v; retained before it: %v", id, err, retained[id])
+		case err == nil:
+			if st := j.Status(); st.State != JobCompleted || st.PointsDone != st.TotalPoints {
+				t.Errorf("retained job after a restart: %+v", st)
+			}
+		}
+	}
+}
+
+// TestFileStoreCancelIsDurable cancels a running job: by the time Cancel
+// returns, the manifest says cancelled, and a crash right after it brings
+// the job back cancelled, not resumed.
+func TestFileStoreCancelIsDurable(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewFileJobStore(durableEngine(), JobStoreConfig{}, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitStoreReady(t, s)
+	j, err := s.Create(context.Background(), durableSlowReq())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitPointsDone(t, j, 1)
+	if st := j.Cancel(); st.State != JobCancelled {
+		t.Fatalf("Cancel returned %+v, want cancelled", st)
+	}
+	if st := savedState(t, dir, j.ID()); st != JobCancelled {
+		t.Fatalf("manifest state %q right after Cancel, want cancelled", st)
+	}
+	s.crashForTest()
+
+	s2, err := NewFileJobStore(durableEngine(), JobStoreConfig{}, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close(context.Background())
+	waitStoreReady(t, s2)
+	j2, err := s2.Get(j.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := j2.Status(); st.State != JobCancelled || st.PointsDone >= st.TotalPoints {
+		t.Fatalf("cancelled job after a crash: %+v, want cancelled short of its grid", st)
 	}
 }
 

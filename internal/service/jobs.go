@@ -19,7 +19,8 @@ import (
 var ErrJobNotFound = errors.New("job not found")
 
 // ErrTooManyJobs tags job creation attempts rejected because the store is
-// full of unfinished jobs; handlers map it to HTTP 429.
+// full of jobs still running or saving their terminal state; handlers map it
+// to HTTP 429.
 var ErrTooManyJobs = errors.New("too many jobs")
 
 // ErrNotReady tags requests that arrived while the durable store is still
@@ -97,13 +98,15 @@ type JobStatus struct {
 type JobStoreConfig struct {
 	// MaxJobs bounds the jobs retained (running and finished combined);
 	// 0 means 128. Creating a job beyond the bound evicts the oldest
-	// finished job — including its on-disk artifacts in a durable store —
-	// or fails with ErrTooManyJobs if every retained job is still running.
+	// settled job — a finished job whose terminal state is saved —
+	// including its on-disk artifacts in a durable store, or fails with
+	// ErrTooManyJobs if every retained job is still running or saving its
+	// terminal state.
 	MaxJobs int
 	// MaxResultBytes bounds the encoded result bytes of finished jobs,
 	// whether in memory or, for a job replayed by a durable store, still in
 	// its sealed log awaiting a first read; 0 means 64 MiB. When a
-	// finishing job pushes the total over the bound, the oldest finished
+	// settling job pushes the total over the bound, the oldest settled
 	// jobs are evicted (running jobs never are), so a flood of cheap
 	// huge-grid jobs cannot pin unbounded heap — or, durably, unbounded
 	// disk.
@@ -140,7 +143,7 @@ type Store struct {
 	order         []string // creation order, for bounded eviction
 	seq           int
 	closed        bool
-	finishedBytes int64 // encoded result bytes of finished jobs, in memory or on disk
+	finishedBytes int64 // encoded result bytes of settled jobs, in memory or on disk
 
 	ready atomic.Bool // false until any durable replay completes
 
@@ -294,6 +297,7 @@ func (s *Store) replay() time.Duration {
 		if seq := jobSeq(m.ID); seq > s.seq {
 			s.seq = seq
 		}
+		s.addLocked(j)
 		if m.State.terminal() {
 			if m.FinishedAt != nil {
 				j.finished = *m.FinishedAt
@@ -303,11 +307,7 @@ func (s *Store) replay() time.Duration {
 			if pj.log.records > 0 {
 				j.onDisk = &pj.log // loaded on the first read
 			}
-			j.accounted = true
-			s.finishedBytes += j.bytes
-			close(j.done)
-			s.jobs[j.id] = j
-			s.order = append(s.order, j.id)
+			s.settleLocked(j)
 			continue
 		}
 		// A job found running was interrupted by a crash or restart:
@@ -329,27 +329,22 @@ func (s *Store) replay() time.Duration {
 			j.errMsg = perr.Error()
 			j.reason = ReasonEvaluation
 			j.finished = time.Now()
-			j.accounted = true
-			s.finishedBytes += j.bytes
 			s.failed.Add(1)
-			close(j.done)
-			s.jobs[j.id] = j
-			s.order = append(s.order, j.id)
 			s.persistTerminal(j)
+			s.settleLocked(j)
 			continue
 		}
 		j.plan = plan
 		jobCtx, cancel := context.WithCancel(s.baseCtx)
 		j.cancel = cancel
-		s.jobs[j.id] = j
-		s.order = append(s.order, j.id)
 		s.wg.Add(1)
 		s.active.Add(1)
 		resumes = append(resumes, resume{j: j, ctx: jobCtx})
 	}
-	// Retention must hold across restarts: evict oldest finished jobs (and
+	// Retention must hold across restarts: evict oldest settled jobs (and
 	// their disk artifacts) until both bounds are satisfied again.
-	s.enforceBoundsLocked(nil)
+	for s.overBoundsLocked() && s.evictOldestLocked(nil) {
+	}
 	s.mu.Unlock()
 	for _, r := range resumes {
 		s.logger().Info("resuming interrupted job",
@@ -396,12 +391,15 @@ type Job struct {
 	totalPoints int
 	resumeFrom  int // grid points already on disk when this run started
 	cancel      context.CancelFunc
-	done        chan struct{}
+	done        chan struct{} // closed when the job settles
+	settled     bool          // terminal state saved, bytes accounted; guarded by store.mu
 
-	mu         sync.Mutex
-	lines      [][]byte
-	bytes      int64 // total encoded bytes in lines, or in onDisk's records
-	accounted  bool  // bytes added to the store's finishedBytes
+	mu    sync.Mutex
+	lines [][]byte
+	// bytes is the total encoded bytes in lines, or in onDisk's records.
+	// Final once the job is terminal, except that a demotion, which holds
+	// store.mu, zeroes it; the store's account reads it under store.mu.
+	bytes      int64
 	state      JobState
 	errMsg     string
 	reason     string // terminal failure classification (Reason* constants)
@@ -443,7 +441,8 @@ func (s *Store) Create(ctx context.Context, req SweepRequest) (*Job, error) {
 		s.mu.Unlock()
 		return nil, errStoreClosed
 	}
-	if err := s.evictLocked(); err != nil {
+	if len(s.jobs) >= s.maxJobs && !s.evictOldestLocked(nil) {
+		err := fmt.Errorf("%w: %d jobs running, retention cap %d", ErrTooManyJobs, len(s.jobs), s.maxJobs)
 		s.mu.Unlock()
 		return nil, err
 	}
@@ -470,8 +469,7 @@ func (s *Store) Create(ctx context.Context, req SweepRequest) (*Job, error) {
 		s.engine.metrics.storeWriteErrors.Inc()
 		return nil, fmt.Errorf("service: persist job manifest: %w", err)
 	}
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
+	s.addLocked(j)
 	s.wg.Add(1)
 	s.active.Add(1)
 	s.mu.Unlock()
@@ -514,88 +512,48 @@ func (s *Store) persistTerminal(j *Job) {
 	s.persist.finishResults(j.id)
 }
 
-// evictLocked makes room for one more job, dropping the oldest finished job
-// when the store is at capacity. Requires s.mu.
-func (s *Store) evictLocked() error {
-	if len(s.jobs) < s.maxJobs {
-		return nil
-	}
+// addLocked registers j as the store's newest job. Requires s.mu.
+func (s *Store) addLocked(j *Job) {
+	s.jobs[j.id] = j
+	s.order = append(s.order, j.id)
+}
+
+// settleLocked books a job whose terminal state is saved: its bytes join the
+// finished-bytes account, it becomes evictable, and Wait and Cancel return.
+// Requires s.mu.
+func (s *Store) settleLocked(j *Job) {
+	s.finishedBytes += j.bytes
+	j.settled = true
+	close(j.done)
+}
+
+// overBoundsLocked reports whether the store holds more jobs or finished
+// result bytes than its retention bounds allow. Requires s.mu.
+func (s *Store) overBoundsLocked() bool {
+	return len(s.jobs) > s.maxJobs || s.finishedBytes > s.maxBytes
+}
+
+// evictOldestLocked removes the oldest settled job other than keep, with its
+// durable artifacts, and reports whether there was one. Only a settled job
+// is evictable: evicted before its terminal save, the save would bring its
+// directory back. Requires s.mu.
+func (s *Store) evictOldestLocked(keep *Job) bool {
 	for i, id := range s.order {
 		j := s.jobs[id]
-		if j == nil {
+		if !j.settled || j == keep {
 			continue
 		}
-		j.mu.Lock()
-		finished := j.state.terminal()
-		j.mu.Unlock()
-		if finished {
-			s.removeLocked(i, id, j)
-			return nil
-		}
-	}
-	return fmt.Errorf("%w: %d jobs running, retention cap %d", ErrTooManyJobs, len(s.jobs), s.maxJobs)
-}
-
-// removeLocked drops a terminal job from the store's bookkeeping and
-// deletes its durable artifacts. Requires s.mu; takes j.mu briefly for the
-// byte accounting.
-func (s *Store) removeLocked(i int, id string, j *Job) {
-	delete(s.jobs, id)
-	s.order = append(s.order[:i], s.order[i+1:]...)
-	j.mu.Lock()
-	if j.accounted {
+		delete(s.jobs, id)
+		s.order = append(s.order[:i], s.order[i+1:]...)
 		s.finishedBytes -= j.bytes
-	}
-	j.mu.Unlock()
-	if err := s.persist.remove(id); err != nil {
-		s.logger().Error("remove evicted job artifacts",
-			slog.String("job", id), slog.String("error", err.Error()))
-	}
-	s.engine.metrics.jobEvictions.Inc()
-}
-
-// enforceBoundsLocked evicts the oldest finished jobs (never except, never a
-// running job) while either retention bound is exceeded. Requires s.mu.
-func (s *Store) enforceBoundsLocked(except *Job) {
-	for s.finishedBytes > s.maxBytes || len(s.jobs) > s.maxJobs {
-		evicted := false
-		for i, id := range s.order {
-			other := s.jobs[id]
-			if other == nil || other == except {
-				continue
-			}
-			other.mu.Lock()
-			terminal := other.state.terminal()
-			other.mu.Unlock()
-			if terminal {
-				s.removeLocked(i, id, other)
-				evicted = true
-				break
-			}
+		if err := s.persist.remove(id); err != nil {
+			s.logger().Error("remove evicted job artifacts",
+				slog.String("job", id), slog.String("error", err.Error()))
 		}
-		if !evicted {
-			break // only except and running jobs remain; the bound is best-effort
-		}
+		s.engine.metrics.jobEvictions.Inc()
+		return true
 	}
-}
-
-// noteFinished moves a just-terminal job's buffer into the finished-bytes
-// account and evicts the oldest finished jobs while the account exceeds the
-// store's byte bound.
-func (s *Store) noteFinished(j *Job) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// The job may have been evicted by a concurrent Create between turning
-	// terminal and reaching here; only account for retained jobs.
-	if _, ok := s.jobs[j.id]; ok {
-		j.mu.Lock()
-		s.finishedBytes += j.bytes
-		j.accounted = true
-		j.mu.Unlock()
-	}
-	if s.finishedBytes > s.maxBytes {
-		s.enforceBoundsLocked(j)
-	}
+	return false
 }
 
 // Get returns the job with the given ID.
@@ -716,18 +674,24 @@ func (j *Job) run(ctx context.Context) {
 	j.finished = time.Now()
 	j.store.engine.metrics.jobDuration.Observe(j.finished.Sub(j.created).Seconds())
 	j.bumpLocked()
-	close(j.done)
 	shutdownCancelled := j.state == JobCancelled && !j.userCancel
 	j.mu.Unlock()
-	if shutdownCancelled && j.store.isClosed() {
+	s := j.store
+	if shutdownCancelled && s.isClosed() {
 		// Interrupted by store shutdown, not by a client: leave the durable
 		// state "running" so the next store resumes instead of recording a
 		// cancellation the user never asked for. Release the log handle only.
-		j.store.persist.finishResults(j.id)
+		s.persist.finishResults(j.id)
 	} else {
-		j.store.persistTerminal(j)
+		s.persistTerminal(j)
 	}
-	j.store.noteFinished(j)
+	// Settled, the job may push a bound over: evict the oldest others, so a
+	// job that alone exceeds the byte bound survives until the next settles.
+	s.mu.Lock()
+	s.settleLocked(j)
+	for s.overBoundsLocked() && s.evictOldestLocked(j) {
+	}
+	s.mu.Unlock()
 }
 
 // commit appends a contiguous run of records, in grid order, to the job:
@@ -806,10 +770,10 @@ func (j *Job) Status() JobStatus {
 	return st
 }
 
-// Cancel stops the job and waits for its goroutine to finish, so the
-// returned status is already terminal. Cancelling a finished job is a no-op.
-// A cancellation requested here is durable: unlike a shutdown interruption,
-// the job stays cancelled across a store restart.
+// Cancel stops the job and waits for it to settle, so the returned status
+// is already terminal and, with a durable store, saved. Cancelling a
+// finished job is a no-op. A cancellation requested here is durable: unlike
+// a shutdown interruption, the job stays cancelled across a store restart.
 func (j *Job) Cancel() JobStatus {
 	j.mu.Lock()
 	j.userCancel = true
@@ -821,7 +785,8 @@ func (j *Job) Cancel() JobStatus {
 	return j.Status()
 }
 
-// Wait blocks until the job reaches a terminal state or ctx expires.
+// Wait blocks until the job settles — it reached a terminal state and a
+// durable store saved it — or ctx expires.
 func (j *Job) Wait(ctx context.Context) (JobStatus, error) {
 	select {
 	case <-j.done:
@@ -942,7 +907,7 @@ func (s *Store) persistDemotion(j *Job) {
 		return
 	}
 	j.mu.Lock()
-	s.finishedBytes -= j.bytes // accounted at replay
+	s.finishedBytes -= j.bytes // settled at replay
 	j.bytes = 0
 	m := j.manifest()
 	j.mu.Unlock()
