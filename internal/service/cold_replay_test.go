@@ -65,7 +65,7 @@ func reopen(t *testing.T, dir, id string, inj *faultinject.Injector) (*Store, *J
 func heldLines(j *Job) (int, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return len(j.lines), j.onDisk != nil
+	return j.res.count(), j.onDisk != nil
 }
 
 // TestColdReplayHoldsNoLines: after a restart a finished job holds no line,

@@ -55,14 +55,14 @@ type jobManifest struct {
 // prefix (a trailing partial line from a crash mid-write is truncated away,
 // and re-evaluated on resume); for a sealed job it is the sealed records,
 // or none when the log fails its seal. Only a running job carries its
-// lines, because it resumes by appending to them; a terminal job's lines
-// stay on disk until its first read.
+// records, because it resumes by appending to them; a terminal job's
+// records stay on disk until its first read.
 type persistedJob struct {
 	manifest     jobManifest
 	manifestSize int64  // 0 when the directory holds no readable manifest
 	path         string // the result log
 	log          logPrefix
-	lines        [][]byte
+	res          resultBuf
 	logBytes     int64 // the result log's bytes on disk when replay read it
 	demoted      bool  // the log failed its seal
 }
@@ -109,11 +109,12 @@ type jobPersister interface {
 	// saveManifest durably records a job's manifest (at creation and at
 	// every terminal transition), replacing any previous one atomically.
 	saveManifest(m jobManifest) error
-	// appendResult durably appends a contiguous run of encoded NDJSON
-	// lines to the job's result log before any of them becomes visible to
-	// streams, so a crash never loses a record a client may already have
-	// read. The run commits whole or not at all.
-	appendResult(id string, lines [][]byte) error
+	// appendResult durably appends the job's records from index from on,
+	// a contiguous run of encoded NDJSON lines, to its result log before
+	// any of them becomes visible to streams, so a crash never loses a
+	// record a client may already have read. The run commits whole or not
+	// at all.
+	appendResult(id string, res resultBuf, from int) error
 	// finishResults releases the job's open result-log handle (the job
 	// reached a terminal state and will append no more lines).
 	finishResults(id string)
@@ -123,13 +124,13 @@ type jobPersister interface {
 	diskBytes() int64
 	// load recovers every persisted job, in creation (sequence) order.
 	load() ([]persistedJob, error)
-	// readResults reads a terminal job's result lines back from its log,
-	// sealed to the prefix want that load kept: it serves those records or,
-	// when the log no longer verifies to them (deleted, truncated or
-	// corrupted since), none and an errSealMismatch, having emptied the
-	// log and its committed prefix as replay does. Any other error is the
-	// I/O error that stopped the read.
-	readResults(id string, want logPrefix) ([][]byte, error)
+	// readResults reads a terminal job's records back from its log into
+	// one exact buffer, sealed to the prefix want that load kept: it
+	// serves those records or, when the log no longer verifies to them
+	// (deleted, truncated or corrupted since), none and an
+	// errSealMismatch, having emptied the log and its committed prefix as
+	// replay does. Any other error is the I/O error that stopped the read.
+	readResults(id string, want logPrefix) (resultBuf, error)
 	// close releases all open handles.
 	close()
 }
@@ -138,15 +139,15 @@ type jobPersister interface {
 // replay finds nothing.
 type nullPersister struct{}
 
-func (nullPersister) saveManifest(jobManifest) error      { return nil }
-func (nullPersister) appendResult(string, [][]byte) error { return nil }
-func (nullPersister) finishResults(string)                {}
-func (nullPersister) remove(string) error                 { return nil }
-func (nullPersister) diskBytes() int64                    { return 0 }
-func (nullPersister) load() ([]persistedJob, error)       { return nil, nil }
-func (nullPersister) close()                              {}
+func (nullPersister) saveManifest(jobManifest) error            { return nil }
+func (nullPersister) appendResult(string, resultBuf, int) error { return nil }
+func (nullPersister) finishResults(string)                      {}
+func (nullPersister) remove(string) error                       { return nil }
+func (nullPersister) diskBytes() int64                          { return 0 }
+func (nullPersister) load() ([]persistedJob, error)             { return nil, nil }
+func (nullPersister) close()                                    {}
 
-func (nullPersister) readResults(string, logPrefix) ([][]byte, error) { return nil, nil }
+func (nullPersister) readResults(string, logPrefix) (resultBuf, error) { return resultBuf{}, nil }
 
 // filePersister is the durable backend: one directory per job holding
 // manifest.json (atomically replaced via rename) and results.ndjson
@@ -280,14 +281,15 @@ func (p *filePersister) saveManifest(m jobManifest) error {
 	return nil
 }
 
-// appendResult appends a run of CRC-prefixed lines to the job's result log
-// with one write and fsyncs once before returning — the commit point that
-// makes every record of the run durable together. On any failure past the
+// appendResult appends the run of records from index from on, each line
+// CRC-prefixed, to the job's result log with one write and fsyncs once
+// before returning — the commit point that makes every record of the run
+// durable together. On any failure past the
 // first byte the log is rolled back to its last committed length, so a
 // failed append never leaves part of a run that a reader could mistake for
 // progress (a torn tail from a genuine crash is instead caught by the
 // newline/CRC scan on replay).
-func (p *filePersister) appendResult(id string, lines [][]byte) error {
+func (p *filePersister) appendResult(id string, res resultBuf, from int) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.crashed {
@@ -313,13 +315,10 @@ func (p *filePersister) appendResult(id string, lines [][]byte) error {
 		}
 	}
 	f, c := jf.log, &jf.committed
-	size := 0
-	for _, line := range lines {
-		size += recordCRCLen + len(line)
-	}
-	disk := make([]byte, 0, size)
-	for _, line := range lines {
-		disk = appendRecordLine(disk, line)
+	n := res.count() - from
+	disk := make([]byte, 0, len(res.buf)-res.start(from)+n*recordCRCLen)
+	for i := from; i < res.count(); i++ {
+		disk = appendRecordLine(disk, res.line(i))
 	}
 	if d := p.inject.Eval(faultinject.StoreAppendWrite); d.Fire {
 		// Torn write: a prefix of the run reaches the disk, then the write
@@ -340,10 +339,10 @@ func (p *filePersister) appendResult(id string, lines [][]byte) error {
 		_ = f.Truncate(c.size)
 		return err
 	}
-	for _, line := range lines {
-		c.chain = crc32.Update(c.chain, crcTable, line)
+	for i := from; i < res.count(); i++ {
+		c.chain = crc32.Update(c.chain, crcTable, res.line(i))
 	}
-	c.records += len(lines)
+	c.records += n
 	c.size += int64(len(disk))
 	return nil
 }
@@ -466,7 +465,7 @@ func (p *filePersister) scanJob(id string, flip bool) (persistedJob, error) {
 	if err := json.Unmarshal(raw, m); err != nil || m.ID != id {
 		return persistedJob{}, nil
 	}
-	pj.lines, pj.log, pj.logBytes, err = p.scanResultLog(pj.path, m.seal(), !m.State.terminal(), flip)
+	pj.res, pj.log, pj.logBytes, err = p.scanResultLog(pj.path, m.seal(), !m.State.terminal(), flip)
 	if errors.Is(err, errSealMismatch) {
 		m.Error = "result log failed verification on replay: " + err.Error()
 		m.State, m.Reason = JobFailed, ReasonStorage
@@ -496,17 +495,17 @@ func (p *filePersister) replayJob(pj persistedJob) error {
 	return nil
 }
 
-// readResults reads a terminal job's lines back from its log, sealed to
-// the prefix load kept. A log that fails the seal keeps no record, as at
-// replay: it is emptied (best effort) along with the job's committed
-// prefix, so the demotion's saved seal of 0 records agrees at every later
-// restart.
-func (p *filePersister) readResults(id string, want logPrefix) ([][]byte, error) {
+// readResults reads a terminal job's records back from its log, sealed to
+// the prefix load kept, into one buffer sized to it exactly. A log that
+// fails the seal keeps no record, as at replay: it is emptied (best
+// effort) along with the job's committed prefix, so the demotion's saved
+// seal of 0 records agrees at every later restart.
+func (p *filePersister) readResults(id string, want logPrefix) (resultBuf, error) {
 	flip := p.inject.Eval(faultinject.StoreReplayCorrupt).Fire
 	log := filepath.Join(p.jobDir(id), "results.ndjson")
-	lines, _, _, err := p.scanResultLog(log, &want, true, flip)
+	res, _, _, err := p.scanResultLog(log, &want, true, flip)
 	if !errors.Is(err, errSealMismatch) {
-		return lines, err
+		return res, err
 	}
 	p.mu.Lock()
 	if jf := p.jobs[id]; jf != nil && !p.crashed {
@@ -514,7 +513,7 @@ func (p *filePersister) readResults(id string, want logPrefix) ([][]byte, error)
 		jf.committed = logPrefix{}
 	}
 	p.mu.Unlock()
-	return nil, fmt.Errorf("result log failed verification on first read: %w", err)
+	return resultBuf{}, fmt.Errorf("result log failed verification on first read: %w", err)
 }
 
 // close releases every open result-log handle.
@@ -550,36 +549,39 @@ func (p *filePersister) crashForTest() {
 // every line verifies and the chain over them matches the seal's;
 // otherwise for none, returning the zero prefix and an errSealMismatch
 // that says why. It also returns the file's size and, with keep set, the
-// kept payloads (pure JSON, CRC prefixes stripped), copied into one
-// allocation. A missing file is an empty log.
-func (p *filePersister) scanResultLog(path string, seal *logPrefix, keep, flip bool) (lines [][]byte, kept logPrefix, size int64, err error) {
+// kept records (pure JSON, CRC prefixes stripped) in one buffer: sized to
+// the seal exactly when the seal knows its length, as the prefix load kept
+// does, and to the file otherwise. A missing file is an empty log.
+func (p *filePersister) scanResultLog(path string, seal *logPrefix, keep, flip bool) (res resultBuf, kept logPrefix, size int64, err error) {
 	defer func() {
 		if err == nil && seal != nil && (kept.records != seal.records || kept.chain != seal.chain) {
 			err = fmt.Errorf("%w: sealed %d records (crc %s), verified %d (crc %s)",
 				errSealMismatch, seal.records, seal.crcHex(), kept.records, kept.crcHex())
-			lines, kept = nil, logPrefix{}
+			res, kept = resultBuf{}, logPrefix{}
 		}
 	}()
 	f, err := os.Open(path)
 	if errors.Is(err, fs.ErrNotExist) {
-		return nil, kept, 0, nil
+		return res, kept, 0, nil
 	}
 	if err != nil {
-		return nil, kept, 0, fmt.Errorf("service: job result log: %w", err)
+		return res, kept, 0, fmt.Errorf("service: job result log: %w", err)
 	}
 	defer f.Close()
 	fi, err := f.Stat()
 	if err != nil {
-		return nil, kept, 0, fmt.Errorf("service: job result log: %w", err)
+		return res, kept, 0, fmt.Errorf("service: job result log: %w", err)
 	}
 	size = fi.Size()
 	flipAt := int64(-1)
 	if flip && size > 0 {
 		flipAt = size / 2 // simulated disk corruption mid-log
 	}
-	var arena []byte
-	if keep {
-		arena = make([]byte, 0, size)
+	switch {
+	case keep && seal != nil && seal.size > 0:
+		res = resultBuf{buf: make([]byte, 0, seal.payloadBytes()), ends: make([]int, 0, seal.records)}
+	case keep:
+		res.buf = make([]byte, 0, size)
 	}
 	r := bufio.NewReader(f)
 	var long []byte // a line longer than r's buffer, gathered
@@ -594,7 +596,7 @@ func (p *filePersister) scanResultLog(path string, seal *logPrefix, keep, flip b
 			line = long
 		}
 		if rerr != nil && rerr != io.EOF {
-			return nil, kept, size, fmt.Errorf("service: job result log: %w", rerr)
+			return resultBuf{}, kept, size, fmt.Errorf("service: job result log: %w", rerr)
 		}
 		if len(line) == 0 || line[len(line)-1] != '\n' {
 			break // end of log, or a torn tail with no newline
@@ -607,15 +609,14 @@ func (p *filePersister) scanResultLog(path string, seal *logPrefix, keep, flip b
 			break // malformed prefix or checksum mismatch
 		}
 		if keep {
-			n := len(arena)
-			arena = append(arena, payload...)
-			lines = append(lines, arena[n:])
+			res.buf = append(res.buf, payload...)
+			res.ends = append(res.ends, len(res.buf))
 		}
 		kept.records++
 		kept.chain = crc32.Update(kept.chain, crcTable, payload)
 		kept.size += int64(len(line))
 	}
-	return lines, kept, size, nil
+	return res, kept, size, nil
 }
 
 // jobSeq extracts the numeric sequence of a "job-N" ID (0 when malformed),

@@ -674,14 +674,14 @@ func TestScanResultLogLongLines(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := &filePersister{}
-	lines, verified, size, err := p.scanResultLog(path, nil, true, false)
+	res, verified, size, err := p.scanResultLog(path, nil, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if size != int64(len(disk)) || verified.size != verifiedSize || verified.records != len(want) {
 		t.Fatalf("scan: size %d, verified %+v; want size %d, %d records in %d bytes", size, verified, len(disk), len(want), verifiedSize)
 	}
-	if !bytes.Equal(bytes.Join(lines, nil), bytes.Join(want, nil)) {
+	if !bytes.Equal(res.buf, bytes.Join(want, nil)) || res.count() != len(want) {
 		t.Error("scanned payloads differ from the written ones")
 	}
 
@@ -689,14 +689,14 @@ func TestScanResultLogLongLines(t *testing.T) {
 	two := logPrefix{records: 2,
 		chain: crc32.Update(crc32.Checksum(want[0], crcTable), crcTable, want[1]),
 		size:  int64(2*recordCRCLen + len(want[0]) + len(want[1]))}
-	lines, kept, size, err := p.scanResultLog(path, &two, true, false)
+	res, kept, size, err := p.scanResultLog(path, &two, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if kept != two || size != int64(len(disk)) {
 		t.Errorf("sealed at 2: kept %+v of %d bytes, want %+v of %d", kept, size, two, len(disk))
 	}
-	if !bytes.Equal(bytes.Join(lines, nil), bytes.Join(want[:2], nil)) {
+	if !bytes.Equal(res.buf, bytes.Join(want[:2], nil)) || res.count() != 2 {
 		t.Error("sealed scan's payloads differ from the first two written")
 	}
 
@@ -706,9 +706,9 @@ func TestScanResultLogLongLines(t *testing.T) {
 	wrongChain.chain++
 	tooMany := logPrefix{records: len(want) + 1, chain: verified.chain}
 	for _, seal := range []logPrefix{wrongChain, tooMany} {
-		lines, kept, _, err := p.scanResultLog(path, &seal, true, false)
-		if lines != nil || kept != (logPrefix{}) || !errors.Is(err, errSealMismatch) {
-			t.Errorf("seal %+v: %d lines, kept %+v, err %v; want none, the zero prefix and a seal mismatch", seal, len(lines), kept, err)
+		res, kept, _, err := p.scanResultLog(path, &seal, true, false)
+		if res.buf != nil || res.ends != nil || kept != (logPrefix{}) || !errors.Is(err, errSealMismatch) {
+			t.Errorf("seal %+v: %d lines, kept %+v, err %v; want none, the zero prefix and a seal mismatch", seal, res.count(), kept, err)
 		}
 	}
 }
@@ -736,9 +736,9 @@ func TestReadResultsEmptiesOnlyAMismatchedLog(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	lines, err := p.readResults("job-1", want)
-	if lines != nil || !errors.Is(err, errSealMismatch) || !strings.Contains(err.Error(), "failed verification on first read") {
-		t.Fatalf("mismatched log: %d lines, err %v; want none and a failed verification", len(lines), err)
+	res, err := p.readResults("job-1", want)
+	if res.buf != nil || res.ends != nil || !errors.Is(err, errSealMismatch) || !strings.Contains(err.Error(), "failed verification on first read") {
+		t.Fatalf("mismatched log: %d lines, err %v; want none and a failed verification", res.count(), err)
 	}
 	if fi, err := os.Stat(log1); err != nil || fi.Size() != 0 {
 		t.Errorf("mismatched log not emptied: %v, %v", fi, err)
@@ -747,9 +747,9 @@ func TestReadResultsEmptiesOnlyAMismatchedLog(t *testing.T) {
 		t.Errorf("mismatched log's committed prefix = %+v, want zero", c)
 	}
 
-	lines, err = p.readResults("job-2", want)
-	if lines != nil || err == nil || errors.Is(err, errSealMismatch) || strings.Contains(err.Error(), "failed verification") {
-		t.Fatalf("unreadable log: %d lines, err %v; want none and a plain I/O error", len(lines), err)
+	res, err = p.readResults("job-2", want)
+	if res.buf != nil || res.ends != nil || err == nil || errors.Is(err, errSealMismatch) || strings.Contains(err.Error(), "failed verification") {
+		t.Fatalf("unreadable log: %d lines, err %v; want none and a plain I/O error", res.count(), err)
 	}
 	if c := p.jobs["job-2"].committed; c != want {
 		t.Errorf("unreadable log's committed prefix = %+v, want %+v kept", c, want)

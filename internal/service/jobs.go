@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -98,14 +99,17 @@ type JobStatus struct {
 type JobStoreConfig struct {
 	// MaxJobs bounds the jobs retained (running and finished combined);
 	// 0 means 128. Creating a job beyond the bound evicts the oldest
-	// settled job — a finished job whose terminal state is saved —
+	// settled job by creation (ID) order, before and after a restart
+	// alike — a finished job whose terminal state is saved —
 	// including its on-disk artifacts in a durable store, or fails with
 	// ErrTooManyJobs if every retained job is still running or saving its
 	// terminal state.
 	MaxJobs int
 	// MaxResultBytes bounds the encoded result bytes of finished jobs,
 	// whether in memory or, for a job replayed by a durable store, still in
-	// its sealed log awaiting a first read; 0 means 64 MiB. When a
+	// its sealed log awaiting a first read; 0 means 64 MiB. In memory a
+	// finished job holds exactly these bytes, in one buffer of its records
+	// (plus one offset per record), and nothing of its plan. When a
 	// settling job pushes the total over the bound, the oldest settled
 	// jobs are evicted (running jobs never are), so a flood of cheap
 	// huge-grid jobs cannot pin unbounded heap — or, durably, unbounded
@@ -142,6 +146,7 @@ type Store struct {
 	jobs          map[string]*Job
 	order         []string // creation order, for bounded eviction
 	seq           int
+	pending       int // jobs reserved by a Create still saving their manifest; they count toward maxJobs
 	closed        bool
 	finishedBytes int64 // encoded result bytes of settled jobs, in memory or on disk
 
@@ -199,7 +204,7 @@ func newStore(e *Engine, cfg JobStoreConfig, persist jobPersister) *Store {
 		"Grid points emitted by sweep jobs (cached or simulated).",
 		func() float64 { return float64(s.points.Load()) })
 	r.GaugeFunc("dmfb_job_result_buffer_bytes",
-		"Encoded NDJSON result bytes of finished jobs, in memory or in a sealed log awaiting a first read.",
+		"Encoded NDJSON result bytes of finished jobs, in memory (one exact buffer of its records per job, nothing of its plan) or in a sealed log awaiting a first read.",
 		func() float64 {
 			s.mu.Lock()
 			defer s.mu.Unlock()
@@ -285,7 +290,7 @@ func (s *Store) replay() time.Duration {
 			req:         m.Request,
 			distributed: m.Request.Distributed,
 			totalPoints: m.TotalPoints,
-			lines:       pj.lines,
+			res:         pj.res,
 			bytes:       pj.log.payloadBytes(),
 			state:       m.State,
 			errMsg:      m.Error,
@@ -314,21 +319,22 @@ func (s *Store) replay() time.Duration {
 		// resume it. Re-planning can fail if the server's limits changed or
 		// distributed mode lost its runner; such jobs fail cleanly rather
 		// than recompute under different rules.
-		j.resumeFrom = len(pj.lines)
+		j.resumeFrom = pj.res.count()
 		plan, perr := s.engine.PlanSweep(m.Request)
 		switch {
 		case perr != nil:
 			perr = fmt.Errorf("resume after restart: %w", perr)
 		case m.Request.Distributed && s.runner == nil:
 			perr = errors.New("resume after restart: job is distributed but dispatch is not enabled")
-		case len(pj.lines) > plan.NumPoints():
-			perr = fmt.Errorf("resume after restart: result log has %d records for a %d-point grid", len(pj.lines), plan.NumPoints())
+		case pj.res.count() > plan.NumPoints():
+			perr = fmt.Errorf("resume after restart: result log has %d records for a %d-point grid", pj.res.count(), plan.NumPoints())
 		}
 		if perr != nil {
 			j.state = JobFailed
 			j.errMsg = perr.Error()
 			j.reason = ReasonEvaluation
 			j.finished = time.Now()
+			j.res = j.res.exact()
 			s.failed.Add(1)
 			s.persistTerminal(j)
 			s.settleLocked(j)
@@ -343,9 +349,9 @@ func (s *Store) replay() time.Duration {
 	}
 	// Retention must hold across restarts: evict oldest settled jobs (and
 	// their disk artifacts) until both bounds are satisfied again.
-	for s.overBoundsLocked() && s.evictOldestLocked(nil) {
-	}
+	evicted := s.evictOverBoundsLocked(nil)
 	s.mu.Unlock()
+	s.removeEvicted(evicted...)
 	for _, r := range resumes {
 		s.logger().Info("resuming interrupted job",
 			slog.String("job", r.j.id), slog.Int("from_point", r.j.resumeFrom))
@@ -381,11 +387,13 @@ func (s *Store) logger() *slog.Logger {
 // identical bytes — the property that makes interrupted streams resumable
 // without re-simulation. With a durable store each committed run of lines
 // is additionally fsynced to the job's result log before it becomes
-// visible, so the buffer survives a coordinator restart.
+// visible, so the buffer survives a coordinator restart. Once the job
+// settles it holds its records' bytes in one exact buffer and drops its
+// plan, its encoder and its context.
 type Job struct {
 	id          string
 	store       *Store
-	plan        *SweepPlan
+	plan        *SweepPlan // nil once the job settles; only run reads it
 	req         SweepRequest
 	distributed bool
 	totalPoints int
@@ -393,10 +401,14 @@ type Job struct {
 	cancel      context.CancelFunc
 	done        chan struct{} // closed when the job settles
 	settled     bool          // terminal state saved, bytes accounted; guarded by store.mu
+	// enc encodes committed records into next, the committer's working
+	// copy of res; only commit uses them, and settling drops them.
+	enc  *json.Encoder
+	next resultBuf
 
-	mu    sync.Mutex
-	lines [][]byte
-	// bytes is the total encoded bytes in lines, or in onDisk's records.
+	mu  sync.Mutex
+	res resultBuf
+	// bytes is the total encoded bytes in res, or in onDisk's records.
 	// Final once the job is terminal, except that a demotion, which holds
 	// store.mu, zeroes it; the store's account reads it under store.mu.
 	bytes      int64
@@ -410,9 +422,48 @@ type Job struct {
 	// onDisk is set while a replayed finished job's lines are still only
 	// in its result log: the prefix replay kept, to which the first read
 	// seals the log before the lines are published. nil once they are in
-	// lines (or the read failed).
+	// res (or the read failed).
 	onDisk   *logPrefix
 	loadOnce sync.Once // the first read's load, shared by concurrent readers
+}
+
+// resultBuf is a job's result records: their encoded NDJSON lines back to
+// back in one buffer, and each record's end offset in it. Both only grow;
+// a reader that copied the two slice headers owns an immutable prefix.
+type resultBuf struct {
+	buf  []byte
+	ends []int // record i is buf[start(i):ends[i]]
+}
+
+// count is the number of records.
+func (r resultBuf) count() int { return len(r.ends) }
+
+// start is the offset at which record i begins.
+func (r resultBuf) start(i int) int {
+	if i == 0 {
+		return 0
+	}
+	return r.ends[i-1]
+}
+
+// line is record i's encoded line, trailing newline included.
+func (r resultBuf) line(i int) []byte { return r.buf[r.start(i):r.ends[i]] }
+
+// Write appends p to the buffer, so a json.Encoder encodes straight into it.
+func (r *resultBuf) Write(p []byte) (int, error) {
+	r.buf = append(r.buf, p...)
+	return len(p), nil
+}
+
+// exact returns r with no spare capacity, copying it only if it has some.
+func (r resultBuf) exact() resultBuf {
+	if cap(r.buf) > len(r.buf) {
+		r.buf = append(make([]byte, 0, len(r.buf)), r.buf...)
+	}
+	if cap(r.ends) > len(r.ends) {
+		r.ends = append(make([]int, 0, len(r.ends)), r.ends...)
+	}
+	return r
 }
 
 // Create validates req through the engine's sweep planner, registers a new
@@ -436,45 +487,76 @@ func (s *Store) Create(ctx context.Context, req SweepRequest) (*Job, error) {
 		return nil, err
 	}
 	traceID := telemetry.TraceID(ctx)
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, errStoreClosed
-	}
-	if len(s.jobs) >= s.maxJobs && !s.evictOldestLocked(nil) {
-		err := fmt.Errorf("%w: %d jobs running, retention cap %d", ErrTooManyJobs, len(s.jobs), s.maxJobs)
-		s.mu.Unlock()
+	id, err := s.reserve()
+	if err != nil {
 		return nil, err
 	}
-	s.seq++
-	jobCtx, cancel := context.WithCancel(s.baseCtx)
 	j := &Job{
-		id:          fmt.Sprintf("job-%d", s.seq),
+		id:          id,
 		store:       s,
 		plan:        plan,
 		req:         req,
 		distributed: req.Distributed,
 		totalPoints: plan.NumPoints(),
-		cancel:      cancel,
 		done:        make(chan struct{}),
 		state:       JobRunning,
 		created:     time.Now(),
 		update:      make(chan struct{}),
 	}
 	// The manifest is the durable birth certificate: it must exist before
-	// any result line, or a crash between the two leaves an orphan log.
+	// any result line, or a crash between the two leaves an orphan log. It
+	// is saved outside the store lock, so its fsyncs hold up no Get, Ready
+	// or other Create; the reservation holds the job's place meanwhile.
 	if err := s.persist.saveManifest(j.manifest()); err != nil {
-		cancel()
+		s.mu.Lock()
+		s.pending--
+		s.order = slices.DeleteFunc(s.order, func(id string) bool { return id == j.id })
 		s.mu.Unlock()
+		s.wg.Done()
 		s.engine.metrics.storeWriteErrors.Inc()
 		return nil, fmt.Errorf("service: persist job manifest: %w", err)
 	}
-	s.addLocked(j)
-	s.wg.Add(1)
+	// Were the store closed meanwhile, jobCtx is already cancelled: the job
+	// stops at once and stays durably "running", for the next store to
+	// resume, like any job interrupted by shutdown.
+	jobCtx, cancel := context.WithCancel(s.baseCtx)
+	j.cancel = cancel
 	s.active.Add(1)
+	s.mu.Lock()
+	s.pending--
+	s.jobs[j.id] = j // its place in s.order was taken by reserve
 	s.mu.Unlock()
 	go j.run(telemetry.WithTraceID(jobCtx, traceID))
 	return j, nil
+}
+
+// reserve books a new job under the store lock: its ID, its place in the
+// eviction order, a place toward MaxJobs (evicting the oldest settled job if
+// the store is full) and its share of the shutdown drain. The caller
+// registers the job or, failing to save its manifest, releases the place,
+// the order entry and the drain share.
+func (s *Store) reserve() (string, error) {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return "", errStoreClosed
+	}
+	evicted := ""
+	if len(s.jobs)+s.pending >= s.maxJobs {
+		if evicted = s.evictOldestLocked(nil); evicted == "" {
+			n := len(s.jobs) + s.pending
+			s.mu.Unlock()
+			return "", fmt.Errorf("%w: %d jobs running, retention cap %d", ErrTooManyJobs, n, s.maxJobs)
+		}
+	}
+	s.seq++
+	id := fmt.Sprintf("job-%d", s.seq)
+	s.order = append(s.order, id)
+	s.pending++
+	s.wg.Add(1)
+	s.mu.Unlock()
+	s.removeEvicted(evicted)
+	return id, nil
 }
 
 // manifest snapshots the job for the durable backend. Callers may hold
@@ -533,27 +615,56 @@ func (s *Store) overBoundsLocked() bool {
 	return len(s.jobs) > s.maxJobs || s.finishedBytes > s.maxBytes
 }
 
-// evictOldestLocked removes the oldest settled job other than keep, with its
-// durable artifacts, and reports whether there was one. Only a settled job
-// is evictable: evicted before its terminal save, the save would bring its
-// directory back. Requires s.mu.
-func (s *Store) evictOldestLocked(keep *Job) bool {
+// evictOldestLocked detaches the oldest settled job other than keep from
+// the store and returns its ID, or "" if there is none. Jobs are ordered by
+// creation (ID), live and after a replay alike; an ID still reserved by a
+// Create saving its manifest is skipped. Only a settled job is evictable:
+// evicted before its terminal save, the save would bring its directory
+// back. Settled, it is saved no more, so the caller removes its durable
+// artifacts with removeEvicted once it has let go of s.mu, and no reader
+// waits behind the persister's fsyncs. Requires s.mu.
+func (s *Store) evictOldestLocked(keep *Job) string {
 	for i, id := range s.order {
-		j := s.jobs[id]
-		if !j.settled || j == keep {
+		j, ok := s.jobs[id]
+		if !ok || !j.settled || j == keep {
 			continue
 		}
 		delete(s.jobs, id)
 		s.order = append(s.order[:i], s.order[i+1:]...)
 		s.finishedBytes -= j.bytes
+		s.engine.metrics.jobEvictions.Inc()
+		return id
+	}
+	return ""
+}
+
+// evictOverBoundsLocked detaches the oldest settled jobs other than keep
+// until the store is within its retention bounds, or none is left to
+// evict, and returns their IDs for removeEvicted. Requires s.mu.
+func (s *Store) evictOverBoundsLocked(keep *Job) []string {
+	var evicted []string
+	for s.overBoundsLocked() {
+		id := s.evictOldestLocked(keep)
+		if id == "" {
+			break
+		}
+		evicted = append(evicted, id)
+	}
+	return evicted
+}
+
+// removeEvicted removes the durable artifacts of jobs evictOldestLocked
+// detached. An empty ID (nothing evicted) is skipped. Must not hold s.mu.
+func (s *Store) removeEvicted(ids ...string) {
+	for _, id := range ids {
+		if id == "" {
+			continue
+		}
 		if err := s.persist.remove(id); err != nil {
 			s.logger().Error("remove evicted job artifacts",
 				slog.String("job", id), slog.String("error", err.Error()))
 		}
-		s.engine.metrics.jobEvictions.Inc()
-		return true
 	}
-	return false
 }
 
 // Get returns the job with the given ID.
@@ -676,6 +787,15 @@ func (j *Job) run(ctx context.Context) {
 	j.bumpLocked()
 	shutdownCancelled := j.state == JobCancelled && !j.userCancel
 	j.mu.Unlock()
+	// The job is over: release its context from the store's, and keep of
+	// it only what it serves. commit no longer writes res, so it is read
+	// here unlocked and copied outside the lock.
+	j.cancel()
+	res := j.res.exact()
+	j.mu.Lock()
+	j.res = res
+	j.mu.Unlock()
+	j.plan, j.enc, j.next = nil, nil, resultBuf{}
 	s := j.store
 	if shutdownCancelled && s.isClosed() {
 		// Interrupted by store shutdown, not by a client: leave the durable
@@ -689,9 +809,9 @@ func (j *Job) run(ctx context.Context) {
 	// job that alone exceeds the byte bound survives until the next settles.
 	s.mu.Lock()
 	s.settleLocked(j)
-	for s.overBoundsLocked() && s.evictOldestLocked(j) {
-	}
+	evicted := s.evictOverBoundsLocked(j)
 	s.mu.Unlock()
+	s.removeEvicted(evicted...)
 }
 
 // commit appends a contiguous run of records, in grid order, to the job:
@@ -700,28 +820,28 @@ func (j *Job) run(ctx context.Context) {
 // wake. A failed append publishes none of them.
 func (j *Job) commit(recs []SweepRecord) error {
 	// Commits come one at a time, in index order, and nothing else writes
-	// j.lines while the job runs, so it reads the slice unlocked.
-	// The run is encoded into its spare capacity, past the length any
-	// reader holds, and becomes visible when j.lines is swapped below.
-	lines := j.lines
-	n := len(lines)
-	var size int64
+	// j.res while the job runs, so it reads it unlocked. The run is encoded
+	// into its spare capacity, past the length any reader holds, and
+	// becomes visible when j.res is swapped below. A json.Encoder writes
+	// exactly json.Marshal's bytes plus the newline.
+	if j.enc == nil {
+		j.enc = json.NewEncoder(&j.next)
+	}
+	j.next = j.res
+	from := j.res.count()
 	for i := range recs {
-		line, err := json.Marshal(recs[i])
-		if err != nil {
+		if err := j.enc.Encode(&recs[i]); err != nil {
 			return err
 		}
-		line = append(line, '\n')
-		lines = append(lines, line)
-		size += int64(len(line))
+		j.next.ends = append(j.next.ends, len(j.next.buf))
 	}
-	if err := j.store.persist.appendResult(j.id, lines[n:]); err != nil {
+	if err := j.store.persist.appendResult(j.id, j.next, from); err != nil {
 		j.store.engine.metrics.storeWriteErrors.Inc()
 		return fmt.Errorf("%w: persist result record: %v", errStorage, err)
 	}
 	j.mu.Lock()
-	j.lines = lines
-	j.bytes += size
+	j.bytes += int64(len(j.next.buf) - len(j.res.buf))
+	j.res = j.next
 	j.bumpLocked()
 	j.mu.Unlock()
 	j.store.points.Add(uint64(len(recs)))
@@ -749,7 +869,7 @@ func (j *Job) ID() string { return j.id }
 func (j *Job) Status() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	done := len(j.lines)
+	done := j.res.count()
 	if j.onDisk != nil {
 		done = j.onDisk.records
 	}
@@ -830,7 +950,7 @@ func (j *Job) streamResults(ctx context.Context, cursor int, write func([]byte) 
 	}
 	for {
 		j.mu.Lock()
-		lines := j.lines // append-only: the prefix [0, len) is immutable
+		res := j.res // append-only: the prefix it holds is immutable
 		state := j.state
 		errMsg := j.errMsg
 		update := j.update
@@ -841,8 +961,8 @@ func (j *Job) streamResults(ctx context.Context, cursor int, write func([]byte) 
 			continue
 		}
 
-		for cursor < len(lines) {
-			if err := write(lines[cursor]); err != nil {
+		for cursor < res.count() {
+			if err := write(res.line(cursor)); err != nil {
 				return cursor, err
 			}
 			written = true
@@ -879,11 +999,11 @@ func (j *Job) loadFromDisk() {
 		j.mu.Lock()
 		want := *j.onDisk
 		j.mu.Unlock()
-		lines, err := j.store.persist.readResults(j.id, want)
+		res, err := j.store.persist.readResults(j.id, want)
 		j.mu.Lock()
 		j.onDisk = nil
 		if err == nil {
-			j.lines = lines
+			j.res = res
 		} else {
 			j.state = JobFailed
 			j.reason = ReasonStorage

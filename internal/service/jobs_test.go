@@ -6,7 +6,9 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -319,5 +321,305 @@ func TestJobResumeByteIdentityAcrossWorkers(t *testing.T) {
 		if err := jobs.Close(ctx); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// gatedPersister is an in-memory persister whose creation saves (running
+// manifests) announce their job on entered and then wait on release, or
+// fail with failErr when it is set. With hold set, only that job's
+// creation save is held.
+type gatedPersister struct {
+	nullPersister
+	entered chan string
+	release chan struct{}
+	failErr error
+	hold    string
+}
+
+func (p *gatedPersister) saveManifest(m jobManifest) error {
+	if m.State != JobRunning || (p.hold != "" && m.ID != p.hold) {
+		return nil
+	}
+	if p.failErr != nil {
+		return p.failErr
+	}
+	p.entered <- m.ID
+	<-p.release
+	return nil
+}
+
+// returnsPromptly fails the test if f does not return within a few seconds.
+func returnsPromptly(t *testing.T, what string, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s blocked behind a held manifest save or artifact removal", what)
+	}
+}
+
+// TestCreateReserveSavesOutsideLock holds Creates inside their manifest
+// save: Get, Status and Ready must not wait behind them, and Creates at
+// MaxJobs must count the reserved jobs, so the store never retains more
+// than MaxJobs jobs.
+func TestCreateReserveSavesOutsideLock(t *testing.T) {
+	const maxJobs = 4
+	p := &gatedPersister{entered: make(chan string, 16), release: make(chan struct{})}
+	s := newStore(durableEngine(), JobStoreConfig{MaxJobs: maxJobs}, p)
+	s.ready.Store(true)
+	t.Cleanup(func() { s.Close(context.Background()) })
+	// Cleanups run last first: every held save is let go before Close.
+	var releaseOnce sync.Once
+	releaseAll := func() { releaseOnce.Do(func() { close(p.release) }) }
+	t.Cleanup(releaseAll)
+	req := durableSweepReq()
+
+	type created struct {
+		j   *Job
+		err error
+	}
+	results := make(chan created, 16)
+	create := func(seed int64) {
+		r := req
+		r.Seed = seed
+		go func() {
+			j, err := s.Create(context.Background(), r)
+			results <- created{j, err}
+		}()
+	}
+
+	// A first job, let through its save and finished.
+	create(1)
+	<-p.entered
+	p.release <- struct{}{}
+	first := <-results
+	if first.err != nil {
+		t.Fatal(first.err)
+	}
+	waitTerminalState(t, first.j)
+
+	// A second Create held inside its save holds up no reader.
+	create(2)
+	<-p.entered
+	returnsPromptly(t, "Get", func() {
+		if _, err := s.Get(first.j.ID()); err != nil {
+			t.Errorf("Get of a finished job: %v", err)
+		}
+	})
+	returnsPromptly(t, "Status", func() { first.j.Status() })
+	returnsPromptly(t, "Ready", func() {
+		if !s.Ready() {
+			t.Error("store not ready while a Create saves")
+		}
+	})
+
+	// Six more Creates: two reserve the remaining places, a third evicts
+	// the settled first job for its own, and the last three find every
+	// place reserved by a job still saving.
+	for seed := int64(3); seed <= 8; seed++ {
+		create(seed)
+	}
+	for range 3 {
+		if r := <-results; !errors.Is(r.err, ErrTooManyJobs) {
+			t.Fatalf("Create over the bound: %v, want ErrTooManyJobs", r.err)
+		}
+	}
+	for range 3 {
+		<-p.entered
+	}
+	s.mu.Lock()
+	held, pending := len(s.jobs), s.pending
+	s.mu.Unlock()
+	if held != 0 || pending != maxJobs {
+		t.Errorf("store holds %d jobs and %d reservations, want 0 and %d", held, pending, maxJobs)
+	}
+
+	releaseAll()
+	for range maxJobs {
+		r := <-results
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		if st := waitTerminalState(t, r.j); st.State != JobCompleted {
+			t.Fatalf("job %s: %+v", r.j.ID(), st)
+		}
+	}
+	s.mu.Lock()
+	held, pending = len(s.jobs), s.pending
+	s.mu.Unlock()
+	if held != maxJobs || pending != 0 {
+		t.Errorf("store holds %d jobs and %d reservations, want %d and 0", held, pending, maxJobs)
+	}
+	if _, err := s.Get(first.j.ID()); !errors.Is(err, ErrJobNotFound) {
+		t.Errorf("evicted first job: %v, want ErrJobNotFound", err)
+	}
+}
+
+// TestCreateReserveReleasedOnFailedSave: a Create whose manifest save
+// fails gives its reservation back, so the place is free again and Close
+// does not wait for a job that never started.
+func TestCreateReserveReleasedOnFailedSave(t *testing.T) {
+	p := &gatedPersister{failErr: errors.New("disk full")}
+	s := newStore(durableEngine(), JobStoreConfig{MaxJobs: 1}, p)
+	s.ready.Store(true)
+	for range 2 {
+		if _, err := s.Create(context.Background(), durableSweepReq()); err == nil || !strings.Contains(err.Error(), "disk full") {
+			t.Fatalf("Create with a failing save: %v, want the save's error", err)
+		}
+	}
+	s.mu.Lock()
+	held, pending, ordered := len(s.jobs), s.pending, len(s.order)
+	s.mu.Unlock()
+	if held != 0 || pending != 0 || ordered != 0 {
+		t.Errorf("store holds %d jobs, %d reservations and %d ordered IDs after failed saves, want none", held, pending, ordered)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := s.Close(ctx); err != nil {
+		t.Errorf("Close after failed saves: %v", err)
+	}
+}
+
+// TestCreateReserveEvictsInCreationOrder: a job takes its place in the
+// eviction order when its ID is reserved, not when its manifest save
+// returns. A job whose save finished last is still evicted first, as it is
+// after a restart, which orders the replayed jobs by ID.
+func TestCreateReserveEvictsInCreationOrder(t *testing.T) {
+	p := &gatedPersister{entered: make(chan string, 1), release: make(chan struct{}), hold: "job-1"}
+	s := newStore(durableEngine(), JobStoreConfig{MaxJobs: 2}, p)
+	s.ready.Store(true)
+	t.Cleanup(func() { s.Close(context.Background()) })
+	var releaseOnce sync.Once
+	releaseAll := func() { releaseOnce.Do(func() { close(p.release) }) }
+	t.Cleanup(releaseAll)
+	ctx := context.Background()
+	req := durableSweepReq()
+
+	// job-1 is held inside its save while job-2 is created and finishes.
+	firstc := make(chan *Job, 1)
+	go func() {
+		j, err := s.Create(ctx, req)
+		if err != nil {
+			t.Error(err)
+		}
+		firstc <- j
+	}()
+	if id := <-p.entered; id != "job-1" {
+		t.Fatalf("held save is %s, want job-1", id)
+	}
+	req.Seed++
+	second, err := s.Create(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminalState(t, second)
+	releaseAll()
+	first := <-firstc
+	if first == nil {
+		t.FailNow()
+	}
+	waitTerminalState(t, first)
+
+	// The store is full of settled jobs: a third evicts job-1.
+	req.Seed++
+	third, err := s.Create(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Get(first.ID()); !errors.Is(err, ErrJobNotFound) {
+		t.Errorf("oldest job %s: %v, want ErrJobNotFound", first.ID(), err)
+	}
+	if _, err := s.Get(second.ID()); err != nil {
+		t.Errorf("newer job %s: %v, want it kept", second.ID(), err)
+	}
+	s.mu.Lock()
+	order := append([]string(nil), s.order...)
+	s.mu.Unlock()
+	if want := []string{second.ID(), third.ID()}; !slices.Equal(order, want) {
+		t.Errorf("eviction order %v, want %v", order, want)
+	}
+	waitTerminalState(t, third)
+}
+
+// removeGatedPersister is an in-memory persister whose removals of an
+// evicted job's artifacts announce the job on removing and then wait on
+// release.
+type removeGatedPersister struct {
+	nullPersister
+	removing chan string
+	release  chan struct{}
+}
+
+func (p *removeGatedPersister) remove(id string) error {
+	p.removing <- id
+	<-p.release
+	return nil
+}
+
+// TestEvictRemovesArtifactsOutsideLock holds the removal of an evicted
+// job's artifacts, once evicted for a new Create's place at MaxJobs and
+// once for the byte bound when a job settles: Get and Ready must not wait
+// behind it.
+func TestEvictRemovesArtifactsOutsideLock(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  JobStoreConfig
+	}{
+		{"reserve at MaxJobs", JobStoreConfig{MaxJobs: 1}},
+		{"settle over MaxResultBytes", JobStoreConfig{MaxResultBytes: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := &removeGatedPersister{removing: make(chan string, 4), release: make(chan struct{})}
+			s := newStore(durableEngine(), tc.cfg, p)
+			s.ready.Store(true)
+			t.Cleanup(func() { s.Close(context.Background()) })
+			var releaseOnce sync.Once
+			releaseAll := func() { releaseOnce.Do(func() { close(p.release) }) }
+			t.Cleanup(releaseAll)
+			ctx := context.Background()
+			req := durableSweepReq()
+
+			first, err := s.Create(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitTerminalState(t, first)
+			req.Seed++
+			secondc := make(chan *Job, 1)
+			go func() {
+				j, err := s.Create(ctx, req)
+				if err != nil {
+					t.Error(err)
+				}
+				secondc <- j
+			}()
+			if id := <-p.removing; id != first.ID() {
+				t.Fatalf("removing %s, want the first job %s", id, first.ID())
+			}
+			returnsPromptly(t, "Get", func() {
+				if _, err := s.Get(first.ID()); !errors.Is(err, ErrJobNotFound) {
+					t.Errorf("Get of the evicted job: %v, want ErrJobNotFound", err)
+				}
+			})
+			returnsPromptly(t, "Ready", func() {
+				if !s.Ready() {
+					t.Error("store not ready while an eviction removes artifacts")
+				}
+			})
+
+			releaseAll()
+			second := <-secondc
+			if second == nil {
+				t.FailNow()
+			}
+			if st := waitTerminalState(t, second); st.State != JobCompleted {
+				t.Fatalf("job %s: %+v", second.ID(), st)
+			}
+		})
 	}
 }

@@ -185,7 +185,7 @@ func loadAt(t *testing.T, seed string, procs int, inj *faultinject.Injector) loa
 	for _, pj := range pjobs {
 		m := pj.manifest
 		out.jobs = append(out.jobs, fmt.Sprintf("%s %s/%s kept=%+v lines=%d read=%d err=%q",
-			m.ID, m.State, m.Reason, pj.log, len(pj.lines), pj.logBytes, m.Error))
+			m.ID, m.State, m.Reason, pj.log, pj.res.count(), pj.logBytes, m.Error))
 	}
 	err = filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() {
