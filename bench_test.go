@@ -13,6 +13,7 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+	"time"
 
 	"dmfb/client"
 	"dmfb/internal/chip"
@@ -442,6 +443,54 @@ func BenchmarkJobStore(b *testing.B) {
 		if st.State != service.JobCompleted || st.PointsDone != 202 {
 			b.Fatalf("job ended %+v", st)
 		}
+	}
+}
+
+// BenchmarkJobStoreLarge runs one 20,000-point closed-form job per op on an
+// in-memory store and on a durable one: the store's commit path at the
+// largest grid a job serves, where the file store's write and fsync per
+// committed run dominate.
+func BenchmarkJobStoreLarge(b *testing.B) {
+	req := service.SweepRequest{
+		Strategies: []string{"none"},
+		NPrimaries: []int{100, 200},
+		PMin:       0.90, PMax: 1.00, PPoints: 10000,
+		Seed: 1,
+	}
+	stores := map[string]func(*service.Engine) (*service.Store, error){
+		"memory": func(e *service.Engine) (*service.Store, error) {
+			return service.NewJobStore(e, service.JobStoreConfig{MaxJobs: 4}), nil
+		},
+		"file": func(e *service.Engine) (*service.Store, error) {
+			return service.NewFileJobStore(e, service.JobStoreConfig{MaxJobs: 4}, b.TempDir())
+		},
+	}
+	for _, name := range []string{"memory", "file"} {
+		b.Run(name, func(b *testing.B) {
+			jobs, err := stores[name](service.NewEngine(service.EngineConfig{DefaultRuns: 100}))
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer jobs.Close(context.Background())
+			for !jobs.Ready() {
+				time.Sleep(time.Millisecond)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				j, err := jobs.Create(context.Background(), req)
+				if err != nil {
+					b.Fatal(err)
+				}
+				st, err := j.Wait(context.Background())
+				if err != nil {
+					b.Fatal(err)
+				}
+				if st.State != service.JobCompleted || st.PointsDone != 20000 {
+					b.Fatalf("job ended %+v", st)
+				}
+			}
+		})
 	}
 }
 

@@ -173,7 +173,14 @@ func main() {
 		fail(err)
 	}
 	err = writeRecords(o.format, o.outPath, func(emit func(service.SweepRecord) error) error {
-		return engine.RunSweep(ctx, plan, emit)
+		return engine.RunSweep(ctx, plan, func(run []service.SweepRecord) error {
+			for _, rec := range run {
+				if err := emit(rec); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
 	})
 	if err != nil {
 		fail(err)

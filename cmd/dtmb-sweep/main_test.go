@@ -77,7 +77,14 @@ func TestRemoteSweepMatchesLocalBytes(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		return engine.RunSweep(context.Background(), plan, emit)
+		return engine.RunSweep(context.Background(), plan, func(run []service.SweepRecord) error {
+			for _, rec := range run {
+				if err := emit(rec); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
 	})
 
 	srv, err := service.NewServer(service.ServerConfig{

@@ -394,9 +394,11 @@ func shardRecords(t *testing.T, e *service.Engine, l *service.ShardLease) []serv
 		t.Fatal(err)
 	}
 	var records []service.SweepRecord
-	if err := e.RunSweepRange(context.Background(), plan, l.Start, l.End, func(rec service.SweepRecord) error {
-		rec.Cached = false
-		records = append(records, rec)
+	if err := e.RunSweepRange(context.Background(), plan, l.Start, l.End, func(run []service.SweepRecord) error {
+		for _, rec := range run {
+			rec.Cached = false
+			records = append(records, rec)
+		}
 		return nil
 	}); err != nil {
 		t.Fatal(err)

@@ -355,19 +355,7 @@ func TestSubmitValidationAndIdempotency(t *testing.T) {
 		}
 	}
 
-	// Evaluate the shard exactly as a worker would.
-	plan, err := e.PlanSweep(held.Request)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var records []service.SweepRecord
-	if err := e.RunSweepRange(context.Background(), plan, held.Start, held.End, func(rec service.SweepRecord) error {
-		rec.Cached = false
-		records = append(records, rec)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
+	records := shardRecords(t, e, held)
 	sub := service.ShardResultRequest{
 		WorkerID: reg.WorkerID, LeaseID: held.LeaseID,
 		JobID: held.JobID, Shard: held.Shard,

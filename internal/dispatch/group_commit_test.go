@@ -69,7 +69,7 @@ func logSeal(t *testing.T, dir, id string) (log []byte, records int, crc string)
 // commit the drained run [shard 0, shard 1] with one durable append, then
 // the last shard with one more. The log bytes, the manifest seal and the
 // re-read stream must equal those of the same job run locally, which
-// commits one record per append.
+// commits runs of its own, as its points finish.
 func TestGroupCommitOutOfOrderShards(t *testing.T) {
 	req := distReq() // 16 points: shards [0,6), [6,12), [12,16)
 
@@ -82,8 +82,8 @@ func TestGroupCommitOutOfOrderShards(t *testing.T) {
 	if st := waitTerminal(t, lj, 120*time.Second); st.State != service.JobCompleted {
 		t.Fatalf("local job: %+v", st)
 	}
-	if got := appends(localInj); got != 16 {
-		t.Errorf("local job made %d appends, want one per record (16)", got)
+	if got := appends(localInj); got < 1 || got > 16 {
+		t.Errorf("local job made %d appends for 16 records, want one per run", got)
 	}
 	golden := streamAll(t, lj, 0)
 

@@ -208,11 +208,14 @@ func evalLease(ctx context.Context, cli *client.Client, engine *service.Engine, 
 	}
 
 	records := make([]service.SweepRecord, 0, lease.End-lease.Start)
-	evalErr := engine.RunSweepRange(shardCtx, plan, lease.Start, lease.End, func(rec service.SweepRecord) error {
-		// Cache provenance is worker-local state; the coordinator normalizes
-		// it too, but stripping it here keeps the wire payload canonical.
-		rec.Cached = false
-		records = append(records, rec)
+	evalErr := engine.RunSweepRange(shardCtx, plan, lease.Start, lease.End, func(run []service.SweepRecord) error {
+		for _, rec := range run {
+			// Cache provenance is worker-local state; the coordinator
+			// normalizes it too, but stripping it here keeps the wire
+			// payload canonical.
+			rec.Cached = false
+			records = append(records, rec)
+		}
 		return nil
 	})
 	cancelShard()

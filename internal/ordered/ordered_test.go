@@ -53,7 +53,7 @@ func TestRunCommitsInIndexOrder(t *testing.T) {
 					}
 					got = append(got, i)
 					return false, nil
-				})
+				}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -85,7 +85,7 @@ func TestRunLowestIndexErrorWins(t *testing.T) {
 		err := Run(context.Background(), 16, 4, newWorker, func(i, v int) (bool, error) {
 			committed++
 			return false, nil
-		})
+		}, nil)
 		if err == nil || err.Error() != "item 3" {
 			t.Fatalf("err = %v, want item 3", err)
 		}
@@ -105,7 +105,7 @@ func TestRunStopDiscardsLaterResults(t *testing.T) {
 				t.Fatalf("commit %d after stop at 5", i)
 			}
 			return i == 5, nil
-		})
+		}, nil)
 		if err != nil {
 			t.Fatalf("workers=%d: stop returned %v, want nil", workers, err)
 		}
@@ -122,7 +122,7 @@ func TestRunCommitError(t *testing.T) {
 			return false, gone
 		}
 		return false, nil
-	})
+	}, nil)
 	if !errors.Is(err, gone) {
 		t.Fatalf("err = %v, want the commit error", err)
 	}
@@ -141,7 +141,7 @@ func TestRunNewWorkerError(t *testing.T) {
 			return i, nil
 		}, nil
 	}
-	err := Run(context.Background(), 1000, 4, newWorker, func(int, int) (bool, error) { return false, nil })
+	err := Run(context.Background(), 1000, 4, newWorker, func(int, int) (bool, error) { return false, nil }, nil)
 	if !errors.Is(err, broken) {
 		t.Fatalf("err = %v, want the newWorker error", err)
 	}
@@ -156,7 +156,7 @@ func TestRunPreCancelled(t *testing.T) {
 		return nil, nil
 	}
 	for _, n := range []int{0, 1, 10} {
-		if err := Run(ctx, n, 4, newWorker, func(int, int) (bool, error) { return false, nil }); !errors.Is(err, context.Canceled) {
+		if err := Run(ctx, n, 4, newWorker, func(int, int) (bool, error) { return false, nil }, nil); !errors.Is(err, context.Canceled) {
 			t.Fatalf("n=%d: err = %v, want context.Canceled", n, err)
 		}
 	}
@@ -181,7 +181,7 @@ func TestRunMidRunCancellation(t *testing.T) {
 				cancel()
 			}
 			return false, nil
-		})
+		}, nil)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("honour=%v: err = %v, want context.Canceled", honour, err)
 		}
@@ -201,7 +201,7 @@ func TestRunEmpty(t *testing.T) {
 		t.Fatal("commit called for zero items")
 		return false, nil
 	}
-	if err := Run(context.Background(), 0, 4, newWorker, commit); err != nil {
+	if err := Run(context.Background(), 0, 4, newWorker, commit, nil); err != nil {
 		t.Fatalf("n=0: err = %v", err)
 	}
 }
@@ -212,7 +212,7 @@ func TestRunWorkersClampedToItems(t *testing.T) {
 		built.Add(1)
 		return func(_ context.Context, i int) (int, error) { return i, nil }, nil
 	}
-	if err := Run(context.Background(), 3, 16, newWorker, func(int, int) (bool, error) { return false, nil }); err != nil {
+	if err := Run(context.Background(), 3, 16, newWorker, func(int, int) (bool, error) { return false, nil }, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := built.Load(); got != 3 {
@@ -222,23 +222,31 @@ func TestRunWorkersClampedToItems(t *testing.T) {
 
 func TestRunCommitsNeverOverlap(t *testing.T) {
 	// A commit runs on whichever worker finished the lowest uncommitted
-	// item; the fold's lock must still keep every commit to itself. Run
-	// under -race, the race detector also checks that commits see each
-	// other's writes.
+	// item, outside the fold's lock; the fold must still keep every commit
+	// and every end-of-run hook to itself. Run under -race, the race
+	// detector also checks that commits and hooks see each other's writes.
 	for workers := 2; workers <= 8; workers *= 2 {
 		var inCommit atomic.Bool
-		var got []int
+		enter := func(what string, i int) {
+			if inCommit.Swap(true) {
+				t.Errorf("workers=%d: %s %d overlaps another commit or hook", workers, what, i)
+			}
+		}
+		var got, run []int
 		err := Run(context.Background(), 200, workers, square(int64(workers), 200*time.Microsecond),
 			func(i, v int) (bool, error) {
-				if inCommit.Swap(true) {
-					t.Errorf("workers=%d: commit %d overlaps another commit", workers, i)
-				}
-				got = append(got, v)
+				enter("commit", i)
+				run = append(run, v)
 				if i%7 == 0 {
 					time.Sleep(50 * time.Microsecond)
 				}
 				inCommit.Store(false)
 				return false, nil
+			}, func() error {
+				enter("endRun", len(got))
+				got, run = append(got, run...), run[:0]
+				inCommit.Store(false)
+				return nil
 			})
 		if err != nil {
 			t.Fatal(err)
@@ -280,85 +288,172 @@ func TestRunOneWorkerStaysOnCaller(t *testing.T) {
 			return i, nil
 		}, nil
 	}
-	committed := 0
+	committed, runs := 0, 0
 	err := Run(context.Background(), 50, 1, newWorker, func(i, v int) (bool, error) {
 		check("commit", i)
 		committed++
 		return false, nil
+	}, func() error {
+		check("endRun", runs)
+		runs++
+		return nil
 	})
-	if err != nil || committed != 50 {
-		t.Fatalf("err = %v, committed %d of 50", err, committed)
+	// One worker commits each item as it finishes: every run is one item.
+	if err != nil || committed != 50 || runs != 50 {
+		t.Fatalf("err = %v, committed %d and ended %d runs, want 50 each", err, committed, runs)
 	}
 }
 
-func TestRunSlowCommitHoldsWorkers(t *testing.T) {
-	// Item 0's commit blocks until released. Items 1 and 2 finish while it
-	// runs; their workers must wait for the commit before taking items 3
-	// and 4, as they waited on the unbuffered hand-off before.
-	const workers, n = 3, 40
-	var started atomic.Int64
-	commitStarted, release := make(chan struct{}), make(chan struct{})
-	newWorker := func() (func(context.Context, int) (int, error), error) {
-		return func(_ context.Context, i int) (int, error) {
-			started.Add(1)
-			if i > 0 {
-				<-commitStarted
-			}
-			return i, nil
-		}, nil
-	}
-	done := make(chan error, 1)
-	committed := 0
-	go func() {
-		done <- Run(context.Background(), n, workers, newWorker, func(i, v int) (bool, error) {
-			if i == 0 {
-				close(commitStarted)
-				<-release
-			}
-			committed++
-			return false, nil
-		})
-	}()
-	<-commitStarted
-	time.Sleep(30 * time.Millisecond)
-	if got := started.Load(); got != workers {
-		t.Errorf("%d items started during a blocked commit, want %d", got, workers)
-	}
-	close(release)
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if committed != n || started.Load() != n {
-		t.Fatalf("committed %d, started %d, want %d each", committed, started.Load(), n)
+func TestRunWindowBoundsTakenIndexes(t *testing.T) {
+	// The worker holding the lowest uncommitted index, 0, is held on a
+	// gate: the others take indexes up to W-1 and then wait, so no more
+	// than W results are ever pending, however long the hold lasts.
+	for _, workers := range []int{2, 3} {
+		window := windowPerWorker * workers
+		n := 4 * window
+		// Indexes are taken in increasing order, so once the fold
+		// settles the started items are exactly 0..started-1.
+		var started atomic.Int64
+		gate := make(chan struct{})
+		newWorker := func() (func(context.Context, int) (int, error), error) {
+			return func(_ context.Context, i int) (int, error) {
+				started.Add(1)
+				if i == 0 {
+					<-gate
+				}
+				return i, nil
+			}, nil
+		}
+		next := 0
+		done := make(chan error, 1)
+		go func() {
+			done <- Run(context.Background(), n, workers, newWorker, func(i, v int) (bool, error) {
+				if i != next || v != i {
+					return false, fmt.Errorf("commit (%d, %d), want (%d, %d)", i, v, next, next)
+				}
+				next++
+				return false, nil
+			}, nil)
+		}()
+		deadline := time.Now().Add(5 * time.Second)
+		for started.Load() < int64(window) && time.Now().Before(deadline) {
+			time.Sleep(100 * time.Microsecond)
+		}
+		time.Sleep(20 * time.Millisecond) // room for a wrong take to show
+		if got := started.Load(); got != int64(window) {
+			t.Errorf("workers=%d: with index 0 held, items 0..%d started; want the window, 0..%d", workers, got-1, window-1)
+		}
+		close(gate)
+		if err := <-done; err != nil || next != n {
+			t.Fatalf("workers=%d: err = %v, committed %d of %d", workers, err, next, n)
+		}
 	}
 }
 
-func TestRunPendingRingGrows(t *testing.T) {
-	// Item 0 finishes last, so nearly every other result waits for it:
-	// far more than the ring's inline slots.
-	const n = 64
+func TestRunParkedResultsCommitAsOneRun(t *testing.T) {
+	// Item 0's commit is held until the window behind it has filled: items
+	// 1..W finished during the commit, so they reach the hook in the same
+	// run as item 0, after one end-of-run call.
+	const workers = 2
+	window := windowPerWorker * workers
+	n := 3 * window
 	var finished atomic.Int64
 	newWorker := func() (func(context.Context, int) (int, error), error) {
 		return func(_ context.Context, i int) (int, error) {
-			if i == 0 {
-				deadline := time.Now().Add(5 * time.Second)
-				for finished.Load() < n-4 && time.Now().Before(deadline) {
-					time.Sleep(100 * time.Microsecond)
-				}
-			}
 			finished.Add(1)
-			return i * i, nil
+			return i, nil
 		}, nil
 	}
+	var run, runs []int
 	next := 0
-	err := Run(context.Background(), n, 4, newWorker, func(i, v int) (bool, error) {
-		if i != next || v != i*i {
-			return false, fmt.Errorf("commit (%d, %d), want (%d, %d)", i, v, next, next*next)
+	err := Run(context.Background(), n, workers, newWorker, func(i, v int) (bool, error) {
+		if i == 0 {
+			deadline := time.Now().Add(5 * time.Second)
+			for finished.Load() < int64(window+1) && time.Now().Before(deadline) {
+				time.Sleep(100 * time.Microsecond)
+			}
+		}
+		if i != next || v != i {
+			return false, fmt.Errorf("commit (%d, %d), want (%d, %d)", i, v, next, next)
 		}
 		next++
+		run = append(run, v)
 		return false, nil
+	}, func() error {
+		runs, run = append(runs, len(run)), run[:0]
+		return nil
 	})
 	if err != nil || next != n {
 		t.Fatalf("err = %v, committed %d of %d", err, next, n)
+	}
+	if len(runs) == 0 || runs[0] < window+1 {
+		t.Fatalf("runs %v: the %d results parked during item 0's commit did not commit with it", runs, window)
+	}
+	total := 0
+	for _, r := range runs {
+		total += r
+	}
+	if total != n {
+		t.Fatalf("runs %v hold %d items, want %d", runs, total, n)
+	}
+}
+
+func TestRunEndRunSeesPrefixBeforeStop(t *testing.T) {
+	// Item 5 fails, or its commit stops the fold, while items 0..4 are
+	// still running: the hook must still see exactly the committed prefix.
+	boom := errors.New("boom")
+	for _, tc := range []struct {
+		name string
+		fail bool
+		want []int
+	}{
+		{"work error", true, []int{0, 1, 2, 3, 4}},
+		{"stop", false, []int{0, 1, 2, 3, 4, 5}},
+	} {
+		for workers := 1; workers <= 4; workers++ {
+			newWorker := func() (func(context.Context, int) (int, error), error) {
+				return func(_ context.Context, i int) (int, error) {
+					if i == 5 && tc.fail {
+						return 0, boom
+					}
+					if i < 5 {
+						time.Sleep(time.Duration(5-i) * time.Millisecond)
+					}
+					return i, nil
+				}, nil
+			}
+			var run, seen []int
+			err := Run(context.Background(), 40, workers, newWorker, func(i, v int) (bool, error) {
+				run = append(run, v)
+				return i == 5, nil
+			}, func() error {
+				seen, run = append(seen, run...), run[:0]
+				return nil
+			})
+			if (err != nil) != tc.fail || (tc.fail && !errors.Is(err, boom)) {
+				t.Fatalf("%s, workers=%d: err = %v", tc.name, workers, err)
+			}
+			if fmt.Sprint(seen) != fmt.Sprint(tc.want) || len(run) != 0 {
+				t.Fatalf("%s, workers=%d: hook saw %v and left %v unseen, want %v", tc.name, workers, seen, run, tc.want)
+			}
+		}
+	}
+}
+
+func TestRunEndRunError(t *testing.T) {
+	// A failing hook ends the fold with its error, ahead of a later work
+	// error.
+	gone := errors.New("client gone")
+	runs := 0
+	err := Run(context.Background(), 100, 3, square(3, 100*time.Microsecond),
+		func(int, int) (bool, error) { return false, nil },
+		func() error {
+			if runs++; runs == 2 {
+				return gone
+			}
+			return nil
+		})
+	if !errors.Is(err, gone) || runs != 2 {
+		t.Fatalf("err = %v after %d runs, want the hook's error after 2", err, runs)
 	}
 }

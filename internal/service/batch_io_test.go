@@ -36,9 +36,11 @@ type runsRunner struct {
 
 func (r *runsRunner) RunJob(ctx context.Context, _ string, plan *SweepPlan, _ SweepRequest, start int, emit func([]SweepRecord) error) error {
 	var recs []SweepRecord
-	if err := r.engine.RunSweepRange(ctx, plan, start, plan.NumPoints(), func(rec SweepRecord) error {
-		rec.Cached = false // as the coordinator normalizes worker records
-		recs = append(recs, rec)
+	if err := r.engine.RunSweepRange(ctx, plan, start, plan.NumPoints(), func(run []SweepRecord) error {
+		for _, rec := range run {
+			rec.Cached = false // as the coordinator normalizes worker records
+			recs = append(recs, rec)
+		}
 		return nil
 	}); err != nil {
 		return err

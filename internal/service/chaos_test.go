@@ -61,7 +61,9 @@ func TestChaosStoreAppendTornWrite(t *testing.T) {
 	req := durableSweepReq()
 	golden := runGolden(t, req)
 	inj := faultinject.New(11).Arm(faultinject.StoreAppendWrite, faultinject.Rule{Hits: []int{3}})
-	e := durableEngine()
+	// One point at a time commits each record as its own run, so the third
+	// append, the torn one, falls inside the job.
+	e := NewEngine(EngineConfig{DefaultRuns: 150, CacheSize: 256, MaxConcurrent: 1})
 	s, err := NewFileJobStore(e, JobStoreConfig{Inject: inj}, dir)
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +88,8 @@ func TestChaosStoreAppendTornWrite(t *testing.T) {
 	}
 
 	// Restart without chaos: the torn tail fails its CRC and is truncated;
-	// the two committed records replay byte-identical to the golden prefix.
+	// the records the job published before the tear replay byte-identical
+	// to the golden prefix.
 	s2, err := NewFileJobStore(durableEngine(), JobStoreConfig{}, dir)
 	if err != nil {
 		t.Fatal(err)
@@ -101,12 +104,13 @@ func TestChaosStoreAppendTornWrite(t *testing.T) {
 	if st2.State != JobFailed || st2.Reason != ReasonStorage {
 		t.Fatalf("replayed torn job: state=%q reason=%q, want failed/storage", st2.State, st2.Reason)
 	}
-	if st2.PointsDone != 2 {
-		t.Errorf("PointsDone = %d after replay, want 2 (the committed prefix)", st2.PointsDone)
+	if st2.PointsDone != st.PointsDone || st.PointsDone != 2 {
+		t.Errorf("PointsDone = %d after replay, %d published before the tear; want the 2 records before the third append",
+			st2.PointsDone, st.PointsDone)
 	}
 	got := streamBytes(t, j2, 0)
 	lines := bytes.SplitAfter(golden, []byte("\n"))
-	if prefix := bytes.Join(lines[:2], nil); !bytes.HasPrefix(got, prefix) {
+	if prefix := bytes.Join(lines[:st2.PointsDone], nil); !bytes.HasPrefix(got, prefix) {
 		t.Error("replayed records diverge from the golden prefix")
 	}
 	if !bytes.Contains(got, []byte(`"error"`)) {

@@ -18,14 +18,15 @@ var ErrPoisonShard = errors.New("shard quarantined: dispatch budget exhausted")
 // distributed mode; the runner partitions the plan's grid into shards,
 // leases them to registered workers, and must hand emit every record of
 // [start, NumPoints) strictly in grid-point order — the record sequence of
-// the local sweep runner, which is what keeps the job's NDJSON stream
+// Engine.RunSweepRange, which is what keeps the job's NDJSON stream
 // byte-identical to single-process execution at every cursor.
 //
-// emit takes a contiguous run of records: whatever the runner has ready in
-// grid order at once. The job store commits each run with one durable
-// append (one write and one fsync) and publishes it to streams with one
-// wake, so a runner that passes every record it has ready in one call pays
-// the log's I/O once per run, not once per record.
+// emit takes a contiguous run of records, as RunSweepRange's does: whatever
+// the runner has ready in grid order at once. The job store commits each
+// run with one durable append (one write and one fsync) and publishes it to
+// streams with one wake, local and distributed jobs alike, so a runner that
+// passes every record it has ready in one call pays the log's I/O once per
+// run, not once per record.
 //
 // internal/dispatch.Coordinator is the canonical implementation; the
 // interface lives here so the service layer never imports the dispatch

@@ -433,7 +433,7 @@ func (p *filePersister) load() ([]persistedJob, error) {
 			}
 			jobs = append(jobs, pj)
 			return false, nil
-		})
+		}, nil)
 	if err != nil {
 		return nil, err
 	}

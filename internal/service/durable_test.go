@@ -404,9 +404,7 @@ func TestEvictWaitsForTerminalSave(t *testing.T) {
 	}
 	s.addLocked(j)
 	s.mu.Unlock()
-	if err := s.engine.RunSweepRange(context.Background(), plan, 0, plan.NumPoints(), func(rec SweepRecord) error {
-		return j.commit([]SweepRecord{rec})
-	}); err != nil {
+	if err := s.engine.RunSweepRange(context.Background(), plan, 0, plan.NumPoints(), j.commit); err != nil {
 		t.Fatal(err)
 	}
 

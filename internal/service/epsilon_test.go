@@ -144,8 +144,8 @@ func TestJobStreamCarriesAdaptiveFields(t *testing.T) {
 		t.Fatal(err)
 	}
 	var recs []SweepRecord
-	if err := e.RunSweep(context.Background(), plan, func(r SweepRecord) error {
-		recs = append(recs, r)
+	if err := e.RunSweep(context.Background(), plan, func(run []SweepRecord) error {
+		recs = append(recs, run...)
 		return nil
 	}); err != nil {
 		t.Fatal(err)

@@ -211,9 +211,10 @@ func jsonHandler[Req, Resp any](fn func(*http.Request, Req) (Resp, error)) http.
 }
 
 // sweepHandler streams a sweep as NDJSON: one SweepRecord line per grid
-// point, in deterministic point order, flushed as each point completes so a
-// client watching `curl -N` sees the grid fill in. Validation failures are
-// rejected as ordinary JSON errors before the stream starts; a failure
+// point, in deterministic point order. Each run of records the sweep
+// commits is flushed as soon as it is encoded, so a client watching
+// `curl -N` sees the grid fill in. Validation failures are rejected as
+// ordinary JSON errors before the stream starts; a failure
 // mid-stream appends a trailing {"error": ...} line, which is how a client
 // distinguishes a truncated sweep from a finished one.
 func sweepHandler(e *Engine) http.HandlerFunc {
@@ -236,13 +237,15 @@ func sweepHandler(e *Engine) http.HandlerFunc {
 		flusher, _ := w.(http.Flusher)
 		flushes := e.metrics.streamFlushes.With("sweep")
 		enc := json.NewEncoder(w)
-		err = e.RunSweep(r.Context(), plan, func(rec SweepRecord) error {
-			// The v1 stream predates the successes/epsilon fields; suppress
-			// them here to keep its bytes frozen. The v2 job stream carries
-			// both.
-			rec.Successes, rec.Epsilon = 0, 0
-			if err := enc.Encode(rec); err != nil {
-				return err
+		err = e.RunSweep(r.Context(), plan, func(run []SweepRecord) error {
+			for _, rec := range run {
+				// The v1 stream predates the successes/epsilon fields;
+				// suppress them here to keep its bytes frozen. The v2 job
+				// stream carries both.
+				rec.Successes, rec.Epsilon = 0, 0
+				if err := enc.Encode(rec); err != nil {
+					return err
+				}
 			}
 			if flusher != nil {
 				flusher.Flush()

@@ -741,9 +741,10 @@ func (s *Store) crashForTest() {
 
 // run executes the job's sweep — locally through the engine, or sharded
 // across workers through the store's runner — committing the encoded NDJSON
-// lines of its points, and records the terminal state. A local sweep hands
-// over one point at a time; the distributed runner hands over every record
-// its merge drained in one wake, and that run is committed with a single
+// lines of its points, and records the terminal state. Both hand over
+// contiguous runs of records: the local sweep every record committed while
+// the previous run was being appended, the distributed runner every record
+// its merge drained in one wake. Each run is committed with a single
 // durable append.
 func (j *Job) run(ctx context.Context) {
 	defer j.store.wg.Done()
@@ -756,9 +757,7 @@ func (j *Job) run(ctx context.Context) {
 		req.Runs = j.plan.SimParams().Runs
 		err = j.store.runner.RunJob(ctx, j.id, j.plan, req, j.resumeFrom, j.commit)
 	} else {
-		err = j.store.engine.RunSweepRange(ctx, j.plan, j.resumeFrom, j.plan.NumPoints(), func(rec SweepRecord) error {
-			return j.commit([]SweepRecord{rec})
-		})
+		err = j.store.engine.RunSweepRange(ctx, j.plan, j.resumeFrom, j.plan.NumPoints(), j.commit)
 	}
 	j.mu.Lock()
 	switch {

@@ -4,17 +4,20 @@ import (
 	"dmfb/internal/telemetry"
 )
 
-// serviceMetrics bundles every service-layer instrument: the kernel and
-// sweep bundles threaded down into simulations, plus the HTTP, cache,
-// admission, streaming, and job instruments the engine and handlers record
-// directly. It is built once per engine from the configured registry; with a
-// nil registry every instrument still works (unregistered), so no layer
-// needs nil checks.
+// serviceMetrics bundles every service-layer instrument: the kernel bundle
+// threaded down into simulations, plus the sweep, HTTP, cache, admission,
+// streaming, and job instruments the engine and handlers record directly.
+// It is built once per engine from the configured registry; with a nil
+// registry every instrument still works (unregistered), so no layer needs
+// nil checks.
 type serviceMetrics struct {
 	registry *telemetry.Registry
 
 	kernel *telemetry.KernelMetrics
-	sweep  *telemetry.SweepMetrics
+
+	// sweepPoints observes the wall time of each successful sweep grid
+	// point, cache hits included, by strategy × defect model.
+	sweepPoints *telemetry.HistogramVec
 
 	// httpRequests counts finished requests by status code; httpDuration is
 	// the request wall-time histogram. Both are recorded by the middleware.
@@ -29,9 +32,9 @@ type serviceMetrics struct {
 	// engine's admission semaphore (uncontended admissions observe ~0).
 	admissionWait *telemetry.Histogram
 	// streamFlushes counts flushes of NDJSON streaming responses, by
-	// stream: "sweep" (POST /v1/sweep) flushes once per record, "job"
-	// (GET /v2/jobs/{id}/results) once per wake, after every line
-	// available.
+	// stream: "sweep" (POST /v1/sweep) flushes once per committed run of
+	// records, "job" (GET /v2/jobs/{id}/results) once per wake, after
+	// every line available.
 	streamFlushes *telemetry.CounterVec
 	// jobDuration observes each sweep job's creation-to-terminal wall time;
 	// jobEvictions counts finished jobs evicted by the store's retention and
@@ -55,7 +58,9 @@ func newServiceMetrics(r *telemetry.Registry) *serviceMetrics {
 	m := &serviceMetrics{
 		registry: r,
 		kernel:   telemetry.NewKernelMetrics(r),
-		sweep:    telemetry.NewSweepMetrics(r),
+		sweepPoints: r.HistogramVec("dmfb_sweep_point_duration_seconds",
+			"Wall time of one sweep grid-point evaluation.", nil,
+			"strategy", "defect_model"),
 		httpRequests: r.CounterVec("dmfb_http_requests_total",
 			"HTTP requests served, by status code.", "code"),
 		httpDuration: r.Histogram("dmfb_http_request_duration_seconds",

@@ -165,8 +165,11 @@ func TestStatsReportsKernelAndStreamCounters(t *testing.T) {
 	if st.AdmissionWaits != 2 {
 		t.Errorf("stats admission_waits = %d, want 2", st.AdmissionWaits)
 	}
-	if st.StreamFlushes != 4 {
-		t.Errorf("stats stream_flushes = %d, want 4 (one per grid point)", st.StreamFlushes)
+	// One flush per committed run of records: how many points a run holds
+	// depends on timing, so the count lies between one and one per point.
+	flushes := metricValue(t, e, `dmfb_stream_flushes_total{stream="sweep"}`)
+	if st.StreamFlushes < 1 || st.StreamFlushes > 4 || float64(st.StreamFlushes) != flushes {
+		t.Errorf("stats stream_flushes = %d, metric %v; want one count in [1,4]", st.StreamFlushes, flushes)
 	}
 }
 

@@ -164,7 +164,7 @@ func TestEvaluateScenarioMatchesSweepEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []SweepRecord
-	err = fresh.RunSweep(context.Background(), plan, func(r SweepRecord) error { got = append(got, r); return nil })
+	err = fresh.RunSweep(context.Background(), plan, func(run []SweepRecord) error { got = append(got, run...); return nil })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"time"
 
 	"dmfb/internal/core"
+	"dmfb/internal/ordered"
 	"dmfb/internal/sweep"
 )
 
@@ -170,48 +172,50 @@ func (e *Engine) PlanSweep(req SweepRequest) (*SweepPlan, error) {
 }
 
 // RunSweep evaluates the plan's points with the engine's bounded concurrency
-// and emits one record per point, strictly in point order. Every Monte-Carlo
-// point passes through the same cache, single-flight, and admission layers
-// as /v1/yield — a local-strategy sweep point and an equivalent /v1/yield
-// request share one cache entry.
-func (e *Engine) RunSweep(ctx context.Context, plan *SweepPlan, emit func(SweepRecord) error) error {
+// and emits their records strictly in point order, in contiguous runs. Every
+// Monte-Carlo point passes through the same cache, single-flight, and
+// admission layers as /v1/yield — a local-strategy sweep point and an
+// equivalent /v1/yield request share one cache entry.
+func (e *Engine) RunSweep(ctx context.Context, plan *SweepPlan, emit func([]SweepRecord) error) error {
 	return e.RunSweepRange(ctx, plan, 0, plan.NumPoints(), emit)
 }
 
 // RunSweepRange evaluates the contiguous grid slice [start, end) of the
-// plan, emitting records strictly in point order with their global grid
-// indices (a shard's records are the exact subsequence of the full sweep's
-// stream). Shard workers and resumed jobs run through here; because every
-// point still flows through evalScenario, the cache, single-flight, and
-// admission layers apply identically to local, resumed, and distributed
-// evaluation.
-func (e *Engine) RunSweepRange(ctx context.Context, plan *SweepPlan, start, end int, emit func(SweepRecord) error) error {
+// plan on ordered.Run, with up to MaxConcurrent points at once, and emits
+// the records strictly in point order with their global grid indices (a
+// shard's records are the exact subsequence of the full sweep's stream).
+// Because emission order is fixed and the kernel is chunk-seeded, the
+// records are byte-identical whatever the concurrency or scheduling.
+//
+// emit takes a contiguous run of records: every record committed while the
+// previous run was being emitted, so a slow emit (a durable append, a
+// network flush) is paid once per run, not once per record. The run is
+// reused after emit returns. An emit error, an evaluation error at the
+// lowest unemitted point, or ctx's cancellation stops the sweep; the
+// records before the failing point are emitted first. RunSweepRange
+// returns only after every evaluation has returned.
+//
+// Shard workers and resumed jobs run through here; because every point
+// still flows through evalScenario, the cache, single-flight, and admission
+// layers apply identically to local, resumed, and distributed evaluation.
+// Each successful point is timed into dmfb_sweep_point_duration_seconds.
+func (e *Engine) RunSweepRange(ctx context.Context, plan *SweepPlan, start, end int, emit func([]SweepRecord) error) error {
 	if start < 0 || end > len(plan.points) || start > end {
 		return fmt.Errorf("service: sweep range [%d,%d) outside grid of %d points", start, end, len(plan.points))
 	}
-	return sweep.Run(ctx, plan.points[start:end], e.cfg.MaxConcurrent, e.sweepEval(plan.sp), func(r sweep.PointResult) error {
-		return emit(sweepRecord(r))
-	})
-}
-
-// sweepEval adapts the engine's scenario core to the sweep runner: every
-// grid point is evaluated exactly like a /v2/evaluate of its scenario, then
-// stamped with its grid index. Evaluations are timed into the sweep metric
-// bundle by strategy × defect model (cache hits included — the histogram
-// answers "how long does a point take to serve", and cheap cached points are
-// part of that answer).
-func (e *Engine) sweepEval(sp core.SimParams) sweep.EvalFunc {
-	return sweep.Instrumented(func(ctx context.Context, pt sweep.Point) (sweep.PointResult, error) {
+	pts, sp := plan.points[start:end], plan.sp
+	eval := func(ctx context.Context, i int) (SweepRecord, error) {
+		pt, began := pts[i], time.Now()
 		res, err := e.evalScenario(ctx, pt.Scenario, sp)
 		if err != nil {
-			return sweep.PointResult{}, err
+			return SweepRecord{}, err
 		}
-		res.Index = pt.Index
-		return res, nil
-	}, e.metrics.sweep)
-}
-
-// sweepRecord converts a point result to the wire type.
-func sweepRecord(r sweep.PointResult) SweepRecord {
-	return SweepRecord{Index: r.Index, ScenarioRecord: scenarioRecord(r)}
+		e.metrics.sweepPoints.With(string(pt.Strategy), string(pt.DefectModel)).Observe(time.Since(began).Seconds())
+		return SweepRecord{Index: pt.Index, ScenarioRecord: scenarioRecord(res)}, nil
+	}
+	var run []SweepRecord
+	return ordered.Run(ctx, len(pts), e.cfg.MaxConcurrent,
+		func() (func(context.Context, int) (SweepRecord, error), error) { return eval, nil },
+		func(_ int, rec SweepRecord) (bool, error) { run = append(run, rec); return false, nil },
+		func() error { err := emit(run); run = run[:0]; return err })
 }

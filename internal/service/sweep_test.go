@@ -139,8 +139,8 @@ func TestSweepLocalPointsShareYieldCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	var recs []SweepRecord
-	err = e.RunSweep(context.Background(), plan, func(r SweepRecord) error {
-		recs = append(recs, r)
+	err = e.RunSweep(context.Background(), plan, func(run []SweepRecord) error {
+		recs = append(recs, run...)
 		return nil
 	})
 	if err != nil {
@@ -170,8 +170,8 @@ func TestSweepShiftedPointsAreCached(t *testing.T) {
 	}
 	run := func() SweepRecord {
 		var recs []SweepRecord
-		if err := e.RunSweep(context.Background(), plan, func(r SweepRecord) error {
-			recs = append(recs, r)
+		if err := e.RunSweep(context.Background(), plan, func(run []SweepRecord) error {
+			recs = append(recs, run...)
 			return nil
 		}); err != nil {
 			t.Fatal(err)
@@ -203,7 +203,7 @@ func TestSweepCancelledContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = e.RunSweep(ctx, plan, func(SweepRecord) error { return nil })
+	err = e.RunSweep(ctx, plan, func([]SweepRecord) error { return nil })
 	if err == nil {
 		t.Fatal("cancelled sweep returned nil")
 	}
@@ -224,28 +224,43 @@ func TestSweepDefaultsReproduceFig9Setting(t *testing.T) {
 	}
 }
 
-// flushCountingRecorder counts Flush calls to verify per-record streaming.
-type flushCountingRecorder struct {
+// firstFlushRecorder keeps the body as it stood at the first Flush and
+// then cancels the request.
+type firstFlushRecorder struct {
 	*httptest.ResponseRecorder
-	flushes int
+	cancel  context.CancelFunc
+	flushed string
 }
 
-func (f *flushCountingRecorder) Flush() {
-	f.flushes++
+func (f *firstFlushRecorder) Flush() {
+	if f.flushed == "" {
+		f.flushed = f.Body.String()
+		f.cancel()
+	}
 	f.ResponseRecorder.Flush()
 }
 
+// TestSweepFlushesAfterEveryRecord streams a closed-form point followed by
+// a point a million trials long: the first record must reach the client
+// while the second is still simulating. The first flush cancels the
+// request, so the slow point never finishes.
 func TestSweepFlushesAfterEveryRecord(t *testing.T) {
 	mux, _ := testMux()
-	req := httptest.NewRequest(http.MethodPost, "/v1/sweep",
-		strings.NewReader(`{"designs":["DTMB(2,6)"],"n_primaries":[24],"ps":[0.9,0.95,0.99],"runs":100,"seed":1}`))
-	w := &flushCountingRecorder{ResponseRecorder: httptest.NewRecorder()}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req := httptest.NewRequestWithContext(ctx, http.MethodPost, "/v1/sweep",
+		strings.NewReader(`{"strategies":["none","local"],"designs":["DTMB(2,6)"],"n_primaries":[100],"ps":[0.9],"runs":1000000,"seed":1}`))
+	w := &firstFlushRecorder{ResponseRecorder: httptest.NewRecorder(), cancel: cancel}
 	mux.ServeHTTP(w, req)
 	if w.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", w.Code, w.Body.String())
 	}
-	if w.flushes < 3 {
-		t.Errorf("%d flushes for 3 records; records must stream incrementally", w.flushes)
+	var rec SweepRecord
+	if strings.Count(w.flushed, "\n") != 1 || json.Unmarshal([]byte(w.flushed), &rec) != nil || rec.Index != 0 || rec.Strategy != "none" {
+		t.Fatalf("first flush carried %q, want the closed-form record alone", w.flushed)
+	}
+	if w.Body.String() != w.flushed {
+		t.Fatalf("stream went on past the cancelling flush: %q", w.Body.String())
 	}
 }
 

@@ -362,7 +362,8 @@ type StatsResponse struct {
 	JobResultBufferBytes int64  `json:"job_result_buffer_bytes"`
 	JobEvictions         uint64 `json:"job_evictions"`
 	// StreamFlushes counts flushes of the sweep and job result streams:
-	// one per record on a sweep, one per wake on a job stream.
+	// one per committed run of records on a sweep, one per wake on a job
+	// stream.
 	StreamFlushes uint64 `json:"stream_flushes"`
 
 	// JobStoreDiskBytes is the on-disk footprint of the durable job store

@@ -2,14 +2,10 @@ package sweep
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"reflect"
-	"runtime"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"dmfb/internal/core"
 	"dmfb/internal/layout"
@@ -99,158 +95,6 @@ func TestSpecValidation(t *testing.T) {
 		if _, err := s.Expand(); err == nil {
 			t.Errorf("case %d: invalid spec %+v accepted", i, s)
 		}
-	}
-}
-
-func TestRunEmitsInPointOrder(t *testing.T) {
-	pts := make([]Point, 16)
-	for i := range pts {
-		pts[i] = Point{Index: i, Scenario: Scenario{Strategy: None, NPrimary: 10, P: 0.9}}
-	}
-	// Later points finish first: early indices sleep longest.
-	eval := func(ctx context.Context, pt Point) (PointResult, error) {
-		time.Sleep(time.Duration(len(pts)-pt.Index) * time.Millisecond)
-		return PointResult{Point: pt}, nil
-	}
-	var order []int
-	err := Run(context.Background(), pts, 8, eval, func(r PointResult) error {
-		order = append(order, r.Index)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, idx := range order {
-		if idx != i {
-			t.Fatalf("emission order %v not ascending", order)
-		}
-	}
-	if len(order) != len(pts) {
-		t.Fatalf("emitted %d of %d points", len(order), len(pts))
-	}
-}
-
-func TestRunResultsIndependentOfWorkerCount(t *testing.T) {
-	spec := Spec{
-		Strategies: []Strategy{None, Local, Shifted},
-		Designs:    []string{"DTMB(2,6)", "DTMB(4,4)"},
-		NPrimaries: []int{24},
-		Ps:         []float64{0.9, 0.97},
-		SpareRows:  []int{1},
-	}
-	pts, err := spec.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp := core.SimParams{Runs: 300, Seed: 42}
-	collect := func(workers int) []PointResult {
-		var out []PointResult
-		if err := Run(context.Background(), pts, workers, evaluator(sp), func(r PointResult) error {
-			out = append(out, r)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	one := collect(1)
-	four := collect(4)
-	if !reflect.DeepEqual(one, four) {
-		t.Fatalf("results differ across worker counts:\n1: %+v\n4: %+v", one, four)
-	}
-}
-
-func TestRunFirstErrorWinsAndStopsEmission(t *testing.T) {
-	pts := make([]Point, 12)
-	for i := range pts {
-		pts[i] = Point{Index: i, Scenario: Scenario{Strategy: None, NPrimary: 10, P: 0.9}}
-	}
-	boom := errors.New("boom")
-	eval := func(ctx context.Context, pt Point) (PointResult, error) {
-		if pt.Index == 5 {
-			return PointResult{}, boom
-		}
-		return PointResult{Point: pt}, nil
-	}
-	var emitted []int
-	err := Run(context.Background(), pts, 4, eval, func(r PointResult) error {
-		emitted = append(emitted, r.Index)
-		return nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	if len(emitted) != 5 {
-		t.Fatalf("emitted %v, want exactly indices 0..4", emitted)
-	}
-}
-
-func TestRunEmitErrorCancels(t *testing.T) {
-	pts := make([]Point, 8)
-	for i := range pts {
-		pts[i] = Point{Index: i, Scenario: Scenario{Strategy: None, NPrimary: 10, P: 0.9}}
-	}
-	stop := errors.New("client gone")
-	var calls atomic.Int32
-	err := Run(context.Background(), pts, 2,
-		func(ctx context.Context, pt Point) (PointResult, error) {
-			calls.Add(1)
-			return PointResult{Point: pt}, nil
-		},
-		func(r PointResult) error {
-			if r.Index == 2 {
-				return stop
-			}
-			return nil
-		})
-	if !errors.Is(err, stop) {
-		t.Fatalf("err = %v, want emit error", err)
-	}
-}
-
-func TestRunCancellationLeaksNoGoroutines(t *testing.T) {
-	before := runtime.NumGoroutine()
-	spec := Spec{
-		Strategies: []Strategy{Local},
-		Designs:    []string{"DTMB(2,6)"},
-		NPrimaries: []int{80},
-		PMin:       0.90, PMax: 0.99, PPoints: 40,
-	}
-	pts, err := spec.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	sp := core.SimParams{Runs: 200000, Seed: 1} // long enough to be mid-flight
-	emitted := 0
-	done := make(chan error, 1)
-	go func() {
-		done <- Run(ctx, pts, 4, evaluator(sp), func(r PointResult) error {
-			emitted++
-			return nil
-		})
-	}()
-	time.Sleep(50 * time.Millisecond)
-	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("Run did not return after cancellation")
-	}
-	// Run joins its workers before returning; give the runtime a moment to
-	// retire exiting goroutines, then require the count to come back down.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if runtime.NumGoroutine() <= before+2 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines: %d before, %d after cancellation", before, runtime.NumGoroutine())
-		}
-		time.Sleep(20 * time.Millisecond)
 	}
 }
 
@@ -373,38 +217,6 @@ func ExampleSpec_Expand() {
 	// 1 local DTMB(2,6) n=100 p=0.99
 }
 
-func TestRunRealErrorNotMaskedByCancellation(t *testing.T) {
-	// An eval failure at a later index must not abort slower earlier
-	// points into context errors that then mask it: the prefix before the
-	// failing index is always emitted and the real error is returned.
-	pts := make([]Point, 6)
-	for i := range pts {
-		pts[i] = Point{Index: i, Scenario: Scenario{Strategy: None, NPrimary: 10, P: 0.9}}
-	}
-	boom := errors.New("boom")
-	eval := func(ctx context.Context, pt Point) (PointResult, error) {
-		if pt.Index == 3 {
-			return PointResult{}, boom
-		}
-		time.Sleep(30 * time.Millisecond) // slower than the failure
-		if err := ctx.Err(); err != nil {
-			return PointResult{}, err
-		}
-		return PointResult{Point: pt}, nil
-	}
-	var emitted []int
-	err := Run(context.Background(), pts, 4, eval, func(r PointResult) error {
-		emitted = append(emitted, r.Index)
-		return nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want the real eval error", err)
-	}
-	if len(emitted) != 3 {
-		t.Fatalf("emitted %v, want exactly indices 0..2", emitted)
-	}
-}
-
 func TestPPointsOnlyStillSweepsPaperRange(t *testing.T) {
 	s := Spec{PPoints: 5}
 	ps := s.PValues()
@@ -415,15 +227,5 @@ func TestPPointsOnlyStillSweepsPaperRange(t *testing.T) {
 	ps = s.PValues()
 	if len(ps) != 11 || ps[0] != 0.5 || ps[10] != 0.7 {
 		t.Errorf("PValues with only range set = %v, want 11 points over [0.5,0.7]", ps)
-	}
-}
-
-// evaluator evaluates each point directly with fixed simulation parameters
-// and stamps its grid index, the EvalFunc the Run tests drive.
-func evaluator(sp core.SimParams) EvalFunc {
-	return func(ctx context.Context, pt Point) (PointResult, error) {
-		res, err := EvaluateScenario(ctx, pt.Scenario, sp)
-		res.Index = pt.Index
-		return res, err
 	}
 }

@@ -53,27 +53,3 @@ func NewKernelMetrics(r *Registry) *KernelMetrics {
 		RealizedRuns:       r.Histogram("dmfb_kernel_realized_runs", "Realized trial count of one precision-targeted estimate.", realizedRunsBuckets),
 	}
 }
-
-// SweepMetrics times per-point sweep evaluation by strategy × defect model.
-type SweepMetrics struct {
-	points *HistogramVec
-}
-
-// NewSweepMetrics registers the sweep instrument set on r.
-func NewSweepMetrics(r *Registry) *SweepMetrics {
-	return &SweepMetrics{
-		points: r.HistogramVec("dmfb_sweep_point_duration_seconds",
-			"Wall time of one sweep grid-point evaluation.", nil,
-			"strategy", "defect_model"),
-	}
-}
-
-// ObservePoint records one point evaluation. The underlying vec lookup is
-// mutex-guarded; sweep points are millisecond-scale, so per-point lookup
-// cost is noise.
-func (m *SweepMetrics) ObservePoint(strategy, defectModel string, seconds float64) {
-	if m == nil {
-		return
-	}
-	m.points.With(strategy, defectModel).Observe(seconds)
-}

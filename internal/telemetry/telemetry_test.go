@@ -123,8 +123,6 @@ func TestNilRegistryIsUsable(t *testing.T) {
 	}
 	km := NewKernelMetrics(nil)
 	km.Trials.Add(5)
-	var sm *SweepMetrics
-	sm.ObservePoint("local", "independent", 0.1) // nil bundle is a no-op
 }
 
 // TestWritePrometheusFormat locks the exposition down: deterministic

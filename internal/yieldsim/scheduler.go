@@ -171,7 +171,7 @@ func (mc *MonteCarlo) run(ctx context.Context, factory trialFactory) (Result, er
 			tally.trials += chunkRuns(c, budget)
 			tally.stopped = rule.Satisfied(tally.successes, tally.trials)
 			return tally.stopped, nil
-		})
+		}, nil)
 	if err != nil {
 		return Result{}, err
 	}
