@@ -17,7 +17,7 @@ import (
 // EngineConfig tunes the batched simulation engine. The zero value gives
 // sensible defaults.
 type EngineConfig struct {
-	// CacheSize bounds the LRU result cache, in entries of about 0.3 KB; 0 means 1024.
+	// CacheSize bounds the LRU result cache, in entries of about 0.18 KB; 0 means 1024.
 	CacheSize int
 	// DefaultRuns is the Monte-Carlo run count for requests that omit runs;
 	// 0 means the paper's 10000.

@@ -312,6 +312,7 @@ func (s *Store) replay() time.Duration {
 			if pj.log.records > 0 {
 				j.onDisk = &pj.log // loaded on the first read
 			}
+			j.update = closedUpdate
 			s.settleLocked(j)
 			continue
 		}
@@ -335,6 +336,7 @@ func (s *Store) replay() time.Duration {
 			j.reason = ReasonEvaluation
 			j.finished = time.Now()
 			j.res = j.res.exact()
+			j.update = closedUpdate
 			s.failed.Add(1)
 			s.persistTerminal(j)
 			s.settleLocked(j)
@@ -397,10 +399,10 @@ type Job struct {
 	req         SweepRequest
 	distributed bool
 	totalPoints int
-	resumeFrom  int // grid points already on disk when this run started
-	cancel      context.CancelFunc
-	done        chan struct{} // closed when the job settles
-	settled     bool          // terminal state saved, bytes accounted; guarded by store.mu
+	resumeFrom  int                // grid points already on disk when this run started
+	cancel      context.CancelFunc // nil once run ends; guarded by mu
+	done        chan struct{}      // closed when the job settles
+	settled     bool               // terminal state saved, bytes accounted; guarded by store.mu
 	// enc encodes committed records into next, the committer's working
 	// copy of res; only commit uses them, and settling drops them.
 	enc  *json.Encoder
@@ -418,7 +420,7 @@ type Job struct {
 	created    time.Time
 	finished   time.Time
 	userCancel bool          // cancelled by a client, not by store shutdown
-	update     chan struct{} // closed and replaced on every append/transition
+	update     chan struct{} // closed and replaced on every append/transition; closedUpdate once terminal
 	// onDisk is set while a replayed finished job's lines are still only
 	// in its result log: the prefix replay kept, to which the first read
 	// seals the log before the lines are published. nil once they are in
@@ -785,11 +787,13 @@ func (j *Job) run(ctx context.Context) {
 	j.store.engine.metrics.jobDuration.Observe(j.finished.Sub(j.created).Seconds())
 	j.bumpLocked()
 	shutdownCancelled := j.state == JobCancelled && !j.userCancel
+	cancel := j.cancel
+	j.cancel = nil
 	j.mu.Unlock()
 	// The job is over: release its context from the store's, and keep of
 	// it only what it serves. commit no longer writes res, so it is read
 	// here unlocked and copied outside the lock.
-	j.cancel()
+	cancel()
 	res := j.res.exact()
 	j.mu.Lock()
 	j.res = res
@@ -855,11 +859,27 @@ func (s *Store) isClosed() bool {
 }
 
 // bumpLocked wakes every stream waiting for more lines or a state change.
+// A terminal job's streams return rather than wait, so it takes the shared
+// closedUpdate instead of a fresh channel, and a later bump is a no-op.
 // Requires j.mu.
 func (j *Job) bumpLocked() {
+	if j.update == closedUpdate {
+		return
+	}
 	close(j.update)
-	j.update = make(chan struct{})
+	j.update = closedUpdate
+	if !j.state.terminal() {
+		j.update = make(chan struct{})
+	}
 }
+
+// closedUpdate is the update channel of every terminal job: closed, so no
+// stream ever waits on it.
+var closedUpdate = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
 
 // ID returns the job's identifier.
 func (j *Job) ID() string { return j.id }
@@ -896,9 +916,10 @@ func (j *Job) Status() JobStatus {
 func (j *Job) Cancel() JobStatus {
 	j.mu.Lock()
 	j.userCancel = true
+	cancel := j.cancel // nil once the job has ended
 	j.mu.Unlock()
-	if j.cancel != nil {
-		j.cancel()
+	if cancel != nil {
+		cancel()
 	}
 	<-j.done
 	return j.Status()

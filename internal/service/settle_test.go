@@ -88,16 +88,18 @@ func TestSettledJobHoldsExactBuffer(t *testing.T) {
 	})
 }
 
-// TestSettledJobReleasesContext runs 5,000 short jobs through an
-// in-memory store that retains 4: each ended job must release its context
-// from the store's, so the live heap stays flat however many jobs have
-// come and gone.
+// TestSettledJobReleasesContext: an ended job releases its context from the
+// store's and keeps no cancel func or fresh update channel. Run through an
+// in-memory store that retains 4, 5,000 short jobs must leave the live heap
+// flat however many have come and gone. Retained, each settled job must
+// hold no cancel func and share closedUpdate, and 1,000 of them must cost
+// under 1,250 B of live heap each; one that kept its context, cancel func
+// and a fresh channel cost about 1,430 B.
 func TestSettledJobReleasesContext(t *testing.T) {
-	s := NewJobStore(NewEngine(EngineConfig{DefaultRuns: 100}), JobStoreConfig{MaxJobs: 4})
-	defer s.Close(context.Background())
 	req := SweepRequest{Strategies: []string{"none"}, NPrimaries: []int{100}, Ps: []float64{0.9}, Seed: 1}
-	runJobs := func(n int) {
-		for range n {
+	runJobs := func(t *testing.T, s *Store, n int) []*Job {
+		jobs := make([]*Job, n)
+		for i := range jobs {
 			j, err := s.Create(context.Background(), req)
 			if err != nil {
 				t.Fatal(err)
@@ -105,7 +107,9 @@ func TestSettledJobReleasesContext(t *testing.T) {
 			if st := waitTerminalState(t, j); st.State != JobCompleted {
 				t.Fatalf("job ended %+v", st)
 			}
+			jobs[i] = j
 		}
+		return jobs
 	}
 	liveHeap := func() uint64 {
 		runtime.GC()
@@ -114,13 +118,45 @@ func TestSettledJobReleasesContext(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return ms.HeapAlloc
 	}
-	runJobs(200) // warm the engine's cache and the store's slices
-	before := liveHeap()
-	const jobs = 5000
-	runJobs(jobs)
-	after := liveHeap()
-	if after > before && (after-before)/jobs >= 100 {
-		t.Errorf("live heap grew %d B over %d jobs (%d B per job), want under 100 B per job",
-			after-before, jobs, (after-before)/jobs)
-	}
+	t.Run("evicted", func(t *testing.T) {
+		s := NewJobStore(NewEngine(EngineConfig{DefaultRuns: 100}), JobStoreConfig{MaxJobs: 4})
+		defer s.Close(context.Background())
+		runJobs(t, s, 200) // warm the engine's cache and the store's slices
+		before := liveHeap()
+		const jobs = 5000
+		runJobs(t, s, jobs)
+		after := liveHeap()
+		if after > before && (after-before)/jobs >= 100 {
+			t.Errorf("live heap grew %d B over %d jobs (%d B per job), want under 100 B per job",
+				after-before, jobs, (after-before)/jobs)
+		}
+	})
+	t.Run("retained", func(t *testing.T) {
+		s := NewJobStore(NewEngine(EngineConfig{DefaultRuns: 100}), JobStoreConfig{MaxJobs: 2000})
+		defer s.Close(context.Background())
+		runJobs(t, s, 100)
+		before := liveHeap()
+		const n = 1000
+		jobs := runJobs(t, s, n)
+		after := liveHeap()
+		for _, j := range jobs {
+			j.mu.Lock()
+			cancel, update := j.cancel, j.update
+			j.mu.Unlock()
+			if cancel != nil || update != closedUpdate {
+				t.Fatalf("%s: settled job keeps cancel func %v, own update channel %v; want neither",
+					j.ID(), cancel != nil, update != closedUpdate)
+			}
+			// A later bump, such as a first-read demotion, closes nothing twice.
+			j.mu.Lock()
+			j.bumpLocked()
+			j.mu.Unlock()
+			if st := j.Cancel(); st.State != JobCompleted {
+				t.Fatalf("%s: Cancel of a settled job = %+v, want it completed", j.ID(), st)
+			}
+		}
+		if after > before && (after-before)/n >= 1250 {
+			t.Errorf("%d retained jobs hold %d B of live heap each, want under 1,250 B", n, (after-before)/n)
+		}
+	})
 }
